@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Five rules, one pass:
+Six rules, one pass:
 
 * The deprecated ``Replayer`` entry point must not be used inside ``src/``
   outside its own shim module — every replay goes through
@@ -26,6 +26,9 @@ Five rules, one pass:
   through the shared serializer (``serialize.dumps`` /
   ``serialize.dumps_compact``), so payload shape and encoding policy stay
   in one place.  (``json.loads`` is fine anywhere.)
+* ``build_ir(`` / ``parse_ir(`` are called inside ``src/repro/`` only from
+  ``core/reconstruction.py``, whose process-wide content-addressed cache
+  builds each operator's IR once; any other caller would bypass it.
 
 Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 1 with a file:line listing otherwise.  ``tests/test_profiling.py`` drives
@@ -124,6 +127,19 @@ RULES = (
             "json.dump(s) of an analysis/CLI payload outside "
             "service/serialize.py (render through serialize.dumps / "
             "serialize.dumps_compact so payload shapes stay in one place)"
+        ),
+    ),
+    Rule(
+        name="reconstruction-cache-bypass",
+        # Calls only: the definitions in torchsim/jit.py and mentions in
+        # prose (no opening parenthesis) are out of scope.
+        pattern=re.compile(r"(?<!def )\b(?:build_ir|parse_ir)\("),
+        roots=("src/repro",),
+        exempt=("src/repro/core/reconstruction.py",),
+        message=(
+            "build_ir/parse_ir called outside core/reconstruction.py (go "
+            "through OperatorReconstructor so the shared reconstruction "
+            "cache is used)"
         ),
     ),
 )

@@ -380,8 +380,9 @@ class ClusterReplayer:
         #: rank -> :class:`~repro.profiling.ProfileHook` factory.  When set,
         #: every replica runs with its own profiling hook and the aggregated
         #: :class:`~repro.profiling.ProfileReport` lands on its
-        #: :class:`RankReport` — one hook per rank because replicas replay on
-        #: concurrent worker threads.
+        #: :class:`RankReport` — one hook per rank because the scheduler
+        #: interleaves the replicas, so each rank's ops and stages must be
+        #: attributed to that rank alone.
         self.profile_hook_factory = profile_hook_factory
         #: Optional :class:`~repro.telemetry.Tracer` (set by
         #: ``ClusterSession.with_telemetry()`` or the ``--trace-out`` CLI

@@ -23,7 +23,8 @@ Routes::
 The caller identifies itself with the ``X-Repro-Client`` header; every
 job-specific route enforces ownership (403 on someone else's job).
 Errors map onto status codes: 400 malformed request / illegal state, 403
-not the owner, 404 unknown job or route, always with a JSON body
+not the owner, 404 unknown job or route, 413 a request body larger than
+:data:`MAX_BODY_BYTES`, always with a JSON body
 ``{"error": ..., "error_type": ...}``.
 """
 
@@ -52,6 +53,18 @@ CLIENT_HEADER = "X-Repro-Client"
 
 #: Job actions POST /jobs/<id>/<action> may name.
 _ACTIONS = ("pause", "resume", "cancel")
+
+#: Largest request body the API reads.  A job spec is well under 1 KiB; a
+#: larger declared ``Content-Length`` is refused before any byte is read.
+MAX_BODY_BYTES = 1 << 20
+
+
+class BadContentLengthError(ValueError):
+    """``Content-Length`` is not a non-negative integer (HTTP 400)."""
+
+
+class BodyTooLargeError(Exception):
+    """``Content-Length`` exceeds :data:`MAX_BODY_BYTES` (HTTP 413)."""
 
 
 class DaemonRequestHandler(BaseHTTPRequestHandler):
@@ -91,6 +104,8 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -108,8 +123,19 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not raw_length.isdigit():
+            # The body was not read, so the stream cannot carry another
+            # request.
+            self.close_connection = True
+            raise BadContentLengthError(f"invalid Content-Length {raw_length!r}")
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise BodyTooLargeError(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
+        if length == 0:
             return {}
         data = json.loads(self.rfile.read(length).decode("utf-8"))
         if not isinstance(data, dict):
@@ -187,6 +213,8 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
                 self._reply(200, serialize.job_payload(record))
             else:
                 self._reply(404, {"error": f"no route {self.path!r}", "error_type": "LookupError"})
+        except BodyTooLargeError as error:
+            self._error(413, error)
         except UnknownJobError as error:
             self._error(404, error)
         except JobAccessError as error:

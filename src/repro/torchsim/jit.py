@@ -14,7 +14,7 @@ TorchScript IR string, and compiling that IR into a callable function
 
 This module provides the same three pieces: :func:`build_ir` (schema +
 recorded argument values → IR text), :func:`parse_ir` (IR text → graph) and
-:class:`CompilationUnit` (graph → callable).  The compiled callable invokes
+:class:`CompiledFunction` (graph → callable).  The compiled callable invokes
 the operator through a runtime, so replayed operators go through exactly the
 same dispatch path as the original ones.
 """
@@ -25,7 +25,7 @@ import ast
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -248,21 +248,3 @@ class CompiledFunction:
             else:
                 args.append(payload)
         return runtime.call(self.op_name, *args, stream=stream)
-
-
-class CompilationUnit:
-    """Holds compiled functions, mirroring ``torch._C.CompilationUnit``."""
-
-    def __init__(self) -> None:
-        self._functions: Dict[str, CompiledFunction] = {}
-
-    def create_function(self, name: str, graph: IRGraph) -> CompiledFunction:
-        function = CompiledFunction(name, graph)
-        self._functions[name] = function
-        return function
-
-    def find_function(self, name: str) -> Optional[CompiledFunction]:
-        return self._functions.get(name)
-
-    def __len__(self) -> int:
-        return len(self._functions)

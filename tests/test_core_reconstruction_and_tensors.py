@@ -1,13 +1,32 @@
 """Tests for operator reconstruction and tensor management."""
 
+import hashlib
+import importlib.util
+import json
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
+import repro.api as api
+from repro.bench.harness import capture_workload
+from repro.bench.throughput import synthesize_fleet
+from repro.core import reconstruction
 from repro.core.reconstruction import OperatorReconstructor, ReconstructionError
+from repro.core.replayer import ReplayConfig
 from repro.core.selection import OperatorSelector
 from repro.core.tensors import EmbeddingValueConfig, TensorManager
 from repro.et.schema import ETNode
+from repro.et.trace import ExecutionTrace
+from repro.service import TraceRepository
+from repro.service.batch import BatchReplayer, ReplayJob
 from repro.torchsim import Runtime, Tensor
 from repro.torchsim.dtypes import DType
+from repro.torchsim.ops.registry import OperatorRegistry
+from repro.workloads.ddp import DistributedRunner
+from repro.workloads.param_linear import ParamLinearConfig, ParamLinearWorkload
+from tests.conftest import make_small_rm
 
 
 class TestOperatorReconstructor:
@@ -35,9 +54,11 @@ class TestOperatorReconstructor:
     def test_cache_returns_same_object(self, captured_runtime_pieces):
         trace = captured_runtime_pieces["trace"]
         node = self._addmm_node(trace)
-        reconstructor = OperatorReconstructor()
-        assert reconstructor.reconstruct(node) is reconstructor.reconstruct(node)
-        assert len(reconstructor) == 1
+        first = OperatorReconstructor().reconstruct(node)
+        second = OperatorReconstructor().reconstruct(node)
+        assert first.function is second.function
+        assert first.ir_text is second.ir_text
+        assert first.node_id == second.node_id == node.id
 
     def test_annotation_node_rejected(self):
         with pytest.raises(ReconstructionError):
@@ -60,6 +81,266 @@ class TestOperatorReconstructor:
         reconstructed = OperatorReconstructor().reconstruct(node)
         # mse_loss(self, target, reduction=1): two tensor inputs only.
         assert reconstructed.function.num_inputs == 2
+
+
+# ----------------------------------------------------------------------
+# The process-wide, content-addressed reconstruction cache
+# ----------------------------------------------------------------------
+def _reconstruct_all(trace):
+    reconstructor = OperatorReconstructor()
+    return [
+        reconstructor.reconstruct(entry.node)
+        for entry in OperatorSelector().select(trace).supported_entries()
+    ]
+
+
+def _with_constant(node: ETNode, value, type_str: str = "Int") -> ETNode:
+    """A copy of ``node`` whose last input is the constant ``value``."""
+    copy = ETNode.from_dict(node.to_dict())
+    copy.inputs = [*copy.inputs[:-1], value]
+    copy.input_types = [*copy.input_types[:-1], type_str]
+    return copy
+
+
+def _canonical_sha(payload: dict) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestSharedReconstruction:
+    @pytest.fixture(scope="class")
+    def fleet(self, tmp_path_factory):
+        """Two ranks written out and loaded back, so no node is shared
+        between them in memory."""
+        directory = tmp_path_factory.mktemp("fleet")
+        loaded = []
+        for trace in synthesize_fleet(2):
+            path = directory / f"rank{trace.metadata['rank']}.json"
+            trace.save(path)
+            loaded.append(ExecutionTrace.load(path))
+        return loaded
+
+    def test_ranks_share_one_function_per_distinct_op(self, fleet):
+        rank0, rank1 = (_reconstruct_all(trace) for trace in fleet)
+        assert [op.node_id for op in rank0] == [op.node_id for op in rank1]
+        for ours, theirs in zip(rank0, rank1):
+            assert ours.function is theirs.function
+            assert ours.ir_text is theirs.ir_text
+        distinct_functions = {id(op.function) for op in rank0 + rank1}
+        distinct_ir = {op.ir_text for op in rank0}
+        assert len(distinct_functions) < len(rank0)
+        assert len(distinct_functions) >= len(distinct_ir)
+
+    def test_function_name_is_content_derived(self, fleet):
+        for op in _reconstruct_all(fleet[0]):
+            digest = hashlib.sha1(op.ir_text.encode("utf-8")).hexdigest()[:12]
+            assert op.function.name.endswith(f"_{digest}")
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [(1, True), (1, 1.0), (True, 1.0), (1, 2)],
+        ids=["int-vs-bool", "int-vs-float", "bool-vs-float", "constant-value"],
+    )
+    def test_distinct_constants_do_not_share(self, fleet, left, right):
+        node = fleet[0].find_by_name("aten::cat")[0]
+        first = OperatorReconstructor().reconstruct(_with_constant(node, left))
+        second = OperatorReconstructor().reconstruct(_with_constant(node, right))
+        assert first.function is not second.function
+        assert first.ir_text != second.ir_text
+        assert f"[value={right!r}]" in second.ir_text
+
+    def test_unregistered_op_raises_on_a_cache_hit(self, fleet):
+        node = fleet[0].find_by_name("aten::mm")[0]
+        OperatorReconstructor().reconstruct(node)
+        assert reconstruction.cache_size() > 0
+        with pytest.raises(ReconstructionError, match="not registered"):
+            OperatorReconstructor(OperatorRegistry()).reconstruct(node)
+
+    def test_failures_are_not_cached(self):
+        reconstruction.clear_cache()
+        node = ETNode(name="aten::not_an_op", id=2, parent=1,
+                      op_schema="aten::not_an_op(Tensor x) -> Tensor",
+                      inputs=[[1, 0, 0, 4, 4, "cuda:0"]], input_types=["Tensor(float32)"])
+        for _ in range(2):
+            with pytest.raises(ReconstructionError, match="not registered"):
+                OperatorReconstructor().reconstruct(node)
+        assert reconstruction.cache_size() == 0
+
+    def test_remapped_comms_key_on_the_remapped_group(self):
+        four, two = synthesize_fleet(4)[0], synthesize_fleet(2)[0]
+
+        def comms(trace, **config):
+            context = (
+                api.replay(trace).configure(world_size=1, **config).run_context()
+            )
+            return [
+                context.reconstructed[entry.node.id]
+                for entry in context.selection.supported_entries()
+                if entry.category == "comms"
+            ]
+
+        recorded, remapped, native = comms(four), comms(four, remap_world_size=2), comms(two)
+        assert remapped and len(recorded) == len(remapped) == len(native)
+        for recorded_op, remapped_op, native_op in zip(recorded, remapped, native):
+            assert "'ranks': [0, 1, 2, 3]" in recorded_op.ir_text
+            assert "'ranks': [0, 1]" in remapped_op.ir_text
+            assert remapped_op.function is not recorded_op.function
+            # Folded onto two ranks, the group is exactly the one a native
+            # two-rank trace records, so the functions are shared.
+            assert remapped_op.function is native_op.function
+
+    @pytest.mark.parametrize("round_", range(5))
+    def test_concurrent_misses_share_one_function(self, fleet, round_):
+        """Threads racing on a cold cache all end up holding the entry
+        that won, and no entry is lost or duplicated."""
+        nodes = [entry.node for entry in OperatorSelector().select(fleet[0]).supported_entries()]
+        results = []
+        errors = []
+
+        def work():
+            try:
+                results.append([OperatorReconstructor().reconstruct(node).function for node in nodes])
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        reconstruction.clear_cache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(results) == len(threads)
+        assert all(
+            all(mine is theirs for mine, theirs in zip(functions, results[0]))
+            for functions in results
+        )
+        assert reconstruction.cache_size() == len({id(function) for function in results[0]})
+
+    def test_replays_stay_correct_past_the_bound(self, fleet, monkeypatch):
+        def summary():
+            return api.replay(fleet[0]).iterations(2).summarize().to_dict()
+
+        reconstruction.clear_cache()
+        expected = summary()
+        monkeypatch.setattr(reconstruction, "_CACHE_MAX_ENTRIES", 4)
+        reconstruction.clear_cache()
+        assert summary() == expected
+        assert reconstruction.cache_size() == 4
+        assert summary() == expected
+
+
+class TestSharedReconstructionEquivalence:
+    """Results are byte-identical whether reconstruction starts cold (cache
+    cleared) or warm (every operator already compiled)."""
+
+    #: ``ClusterReport.to_dict()`` sha256 of the 8-rank DDP-RM fleet, as
+    #: replayed when every rank compiled its own operators.
+    FLEET_SHA256 = "97bd0ab9c50e53b9a00fb1e42472f486c861e5bd33cb816cc187ef365da16040"
+
+    def test_fleet_report_cold_and_warm(self):
+        fleet = synthesize_fleet(8)
+
+        def sha():
+            report = api.replay_cluster(fleet).world(8).iterations(1, warmup=0).run()
+            return _canonical_sha(report.to_dict())
+
+        reconstruction.clear_cache()
+        cold = sha()
+        assert cold == sha() == self.FLEET_SHA256
+
+    @pytest.mark.parametrize("workload", ["param_linear", "rm", "ddp_rm"])
+    def test_single_rank_summary_cold_and_warm(self, workload):
+        if workload == "param_linear":
+            trace = capture_workload(
+                ParamLinearWorkload(
+                    ParamLinearConfig(batch_size=8, num_layers=2, hidden_size=32, input_size=32)
+                ),
+                warmup_iterations=0,
+            ).execution_trace
+        elif workload == "rm":
+            trace = capture_workload(make_small_rm(), warmup_iterations=0).execution_trace
+        else:
+            trace = DistributedRunner(
+                lambda rank, world: make_small_rm(rank=rank, world_size=world), world_size=2
+            ).run_rank(0).execution_trace
+
+        def summary():
+            return json.dumps(
+                api.replay(trace).iterations(2).summarize().to_dict(), sort_keys=True
+            )
+
+        reconstruction.clear_cache()
+        cold = summary()
+        assert cold == summary()
+
+    def test_thread_batch_equals_serial(self, tmp_path):
+        repo = TraceRepository(tmp_path)
+        for layers in (2, 3):
+            workload = ParamLinearWorkload(
+                ParamLinearConfig(batch_size=8, num_layers=layers, hidden_size=32, input_size=32)
+            )
+            repo.add(f"linear_{layers}", capture_workload(workload, warmup_iterations=0).execution_trace)
+        jobs = [
+            ReplayJob.from_record(record, ReplayConfig(device=device))
+            for record in repo.discover()
+            for device in ("A100", "V100")
+        ]
+
+        def summaries(batch):
+            assert batch.error_count == 0
+            return [json.dumps(result.summary.to_dict(), sort_keys=True) for result in batch]
+
+        reconstruction.clear_cache()
+        threaded = summaries(BatchReplayer(max_workers=2, backend="thread").run(jobs))
+        reconstruction.clear_cache()
+        serial = summaries(BatchReplayer(backend="serial").run(jobs))
+        assert threaded == serial
+
+
+class TestReconstructionCacheBypassRule:
+    """``scripts/check_deprecated_usage.py`` keeps IR building and parsing
+    inside ``core/reconstruction.py`` so nothing bypasses the cache."""
+
+    @staticmethod
+    def _find_offenders(root: Path) -> dict:
+        path = Path(__file__).resolve().parents[1] / "scripts" / "check_deprecated_usage.py"
+        spec = importlib.util.spec_from_file_location("check_deprecated_usage", path)
+        module = importlib.util.module_from_spec(spec)
+        # Registered before exec: dataclass annotation resolution looks the
+        # module up in sys.modules.
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        return module.find_offenders(root)
+
+    @staticmethod
+    def _write(root: Path, relative: str, text: str) -> None:
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+    def test_repo_is_clean(self):
+        offenders = self._find_offenders(Path(__file__).resolve().parents[1])
+        assert "reconstruction-cache-bypass" not in offenders
+
+    def test_flags_calls_outside_reconstruction(self, tmp_path):
+        self._write(tmp_path, "src/repro/cluster/fast.py", "graph = parse_ir(build_ir(name, specs))\n")
+        self._write(tmp_path, "src/repro/core/vectorize.py", "text = jit.build_ir(name, specs)\n")
+        offenders = self._find_offenders(tmp_path)
+        assert len(offenders["reconstruction-cache-bypass"]) == 2
+
+    def test_reconstruction_definitions_and_prose_pass(self, tmp_path):
+        self._write(tmp_path, "src/repro/core/reconstruction.py", "graph = parse_ir(build_ir(n, s))\n")
+        self._write(
+            tmp_path,
+            "src/repro/torchsim/jit.py",
+            'def build_ir(op_name, arg_specs):\n    """Read back by :func:`parse_ir`."""\n',
+        )
+        assert "reconstruction-cache-bypass" not in self._find_offenders(tmp_path)
 
 
 class TestTensorManager:

@@ -15,6 +15,7 @@ scenarios:
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -36,7 +37,7 @@ from repro.daemon import (
 from repro.daemon.client import DaemonClient, DaemonClientError
 from repro.daemon.daemon import JobAccessError, UnknownJobError
 from repro.daemon.jobs import TERMINAL_STATES, cluster_snapshot, sweep_snapshot
-from repro.daemon.server import DaemonServer
+from repro.daemon.server import MAX_BODY_BYTES, DaemonServer
 from repro.service import TraceRepository
 from repro.service.cache import ResultCache
 from repro.workloads.ddp import DistributedRunner
@@ -563,6 +564,40 @@ class TestHttpApi:
         with pytest.raises(DaemonClientError) as error:
             DaemonClient(server.url).submit("mapreduce", {})
         assert error.value.status == 400
+
+    @staticmethod
+    def _post_declaring(server, length: str):
+        """POST /jobs declaring ``Content-Length: length`` but sending no
+        body; returns (status, JSON payload, Connection header)."""
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.putrequest("POST", "/jobs")
+            connection.putheader("X-Repro-Client", "alice")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            return response.status, json.loads(response.read()), response.getheader("Connection")
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+    def test_bad_content_length_maps_to_400(self, server, length):
+        status, payload, connection = self._post_declaring(server, length)
+        assert status == 400
+        assert payload["error_type"] == "BadContentLengthError"
+        assert connection == "close"
+        assert DaemonClient(server.url).health()["schema_version"] == DAEMON_SCHEMA_VERSION
+
+    def test_oversized_body_maps_to_413_before_reading(self, server):
+        # No body follows the header: a server that tried to read the
+        # declared bytes would stall until the client's timeout.
+        status, payload, connection = self._post_declaring(server, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert payload["error_type"] == "BodyTooLargeError"
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert connection == "close"
+        assert DaemonClient(server.url).health()["schema_version"] == DAEMON_SCHEMA_VERSION
 
     def test_health_endpoint(self, server):
         health = DaemonClient(server.url).health()

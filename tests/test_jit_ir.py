@@ -3,7 +3,7 @@
 import pytest
 
 from repro.torchsim import Runtime, Tensor
-from repro.torchsim.jit import CompilationUnit, CompiledFunction, build_ir, parse_ir
+from repro.torchsim.jit import CompiledFunction, build_ir, parse_ir
 
 
 class TestBuildIR:
@@ -82,7 +82,7 @@ class TestCompilationUnit:
     def test_compiled_function_dispatches_through_runtime(self):
         rt = Runtime("A100")
         text = build_ir("aten::mm", [("self", "Tensor(float32)", None), ("mat2", "Tensor(float32)", None)])
-        function = CompilationUnit().create_function("mm_1", parse_ir(text))
+        function = CompiledFunction("mm_1", parse_ir(text))
         out = function(rt, Tensor.empty((8, 16)), Tensor.empty((16, 4)))
         assert out.shape == (8, 4)
         assert len(rt.gpu.launches) == 1
@@ -90,21 +90,13 @@ class TestCompilationUnit:
     def test_compiled_function_bakes_constants(self):
         rt = Runtime("A100")
         text = build_ir("aten::dropout", [("input", "Tensor(float32)", None), ("p", "Double", 0.5), ("train", "Bool", False)])
-        function = CompilationUnit().create_function("dropout_1", parse_ir(text))
+        function = CompiledFunction("dropout_1", parse_ir(text))
         function(rt, Tensor.empty((128,)))
         # train=False -> the dropout is a no-op and launches nothing.
         assert rt.gpu.launches == []
 
     def test_wrong_arity_rejected(self):
         text = build_ir("aten::relu", [("self", "Tensor(float32)", None)])
-        function = CompilationUnit().create_function("relu_1", parse_ir(text))
+        function = CompiledFunction("relu_1", parse_ir(text))
         with pytest.raises(TypeError):
             function(Runtime("A100"))
-
-    def test_find_function(self):
-        unit = CompilationUnit()
-        text = build_ir("aten::relu", [("self", "Tensor(float32)", None)])
-        created = unit.create_function("relu_1", parse_ir(text))
-        assert unit.find_function("relu_1") is created
-        assert unit.find_function("missing") is None
-        assert len(unit) == 1
