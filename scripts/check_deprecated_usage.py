@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Six rules, one pass:
+Seven rules, one pass:
 
 * The deprecated ``Replayer`` entry point must not be used inside ``src/``
   outside its own shim module — every replay goes through
@@ -29,6 +29,11 @@ Six rules, one pass:
 * ``build_ir(`` / ``parse_ir(`` are called inside ``src/repro/`` only from
   ``core/reconstruction.py``, whose process-wide content-addressed cache
   builds each operator's IR once; any other caller would bypass it.
+* There is one execute loop.  Inside ``src/repro/`` a reconstructed op is
+  called (``.function(``) only from ``core/pipeline.py`` and
+  ``core/vectorize.py``, and ``RankBlocked`` is caught only by the retry
+  helper in ``torchsim/distributed.py``; anything else is a second copy of
+  the loop or of its collective retry.
 
 Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 1 with a file:line listing otherwise.  ``tests/test_profiling.py`` drives
@@ -57,6 +62,14 @@ class Rule:
     #: or whole directories when the entry ends with ``/``.
     exempt: Tuple[str, ...] = field(default=())
 
+
+#: Shared by the two execute-loop-fork patterns, which report as one rule.
+_EXECUTE_LOOP_FORK = (
+    "replay loop forked: reconstructed ops are called only from "
+    "core/pipeline.py and core/vectorize.py, and RankBlocked is caught only "
+    "by torchsim.distributed.retry_collective (drive the pipeline's step "
+    "generator instead of copying it)"
+)
 
 RULES = (
     Rule(
@@ -142,6 +155,20 @@ RULES = (
             "cache is used)"
         ),
     ),
+    Rule(
+        name="execute-loop-fork",
+        pattern=re.compile(r"\.function\("),
+        roots=("src/repro",),
+        exempt=("src/repro/core/pipeline.py", "src/repro/core/vectorize.py"),
+        message=_EXECUTE_LOOP_FORK,
+    ),
+    Rule(
+        name="execute-loop-fork",
+        pattern=re.compile(r"\bexcept\b[^:]*\bRankBlocked\b"),
+        roots=("src/repro",),
+        exempt=("src/repro/torchsim/distributed.py",),
+        message=_EXECUTE_LOOP_FORK,
+    ),
 )
 
 
@@ -180,7 +207,8 @@ def main() -> int:
             for hit in hits:
                 print(f"  {hit}", file=sys.stderr)
         return 1
-    print(f"check_deprecated_usage: OK ({len(RULES)} rules, no offenders)")
+    rule_count = len({rule.name for rule in RULES})
+    print(f"check_deprecated_usage: OK ({rule_count} rules, no offenders)")
     return 0
 
 

@@ -48,8 +48,6 @@ class ClusterSession:
         self._config = config if config is not None else ReplayConfig()
         self._support = support
         self._rank_overrides: Dict[int, Dict[str, Any]] = {}
-        self._backend = "thread"
-        self._timeout_s = 60.0
         self._strict_match = True
         self._track_memory = False
         self._memory_budget: Optional[Any] = None
@@ -194,19 +192,6 @@ class ClusterSession:
     # ------------------------------------------------------------------
     # Execution policy
     # ------------------------------------------------------------------
-    def backend(self, backend: str) -> "ClusterSession":
-        """Worker backend: ``"thread"`` (default) or ``"serial"`` (one
-        replica only; kept as a single-replica assertion — the event
-        scheduler is single-threaded either way)."""
-        self._backend = backend
-        return self
-
-    def timeout(self, seconds: float) -> "ClusterSession":
-        """Accepted for compatibility; the event scheduler detects
-        unresolvable fleets structurally, so no wall-clock guard runs."""
-        self._timeout_s = seconds
-        return self
-
     def lenient_match(self) -> "ClusterSession":
         """Attempt the replay even when the pre-flight collective match
         reports unmatched collectives (they then fail at rendezvous time)."""
@@ -230,8 +215,6 @@ class ClusterSession:
 
         replayer = ClusterReplayer(
             config=self._config,
-            backend=self._backend,
-            timeout_s=self._timeout_s,
             strict_match=self._strict_match,
             support=self._support,
             track_memory=self._track_memory,

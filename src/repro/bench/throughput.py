@@ -42,6 +42,7 @@ from repro.core.pipeline import (
     InitCommsStage,
     ReplayContext,
     ReplayPipeline,
+    drain,
 )
 from repro.core.replayer import ReplayConfig
 from repro.et.trace import ExecutionTrace
@@ -171,7 +172,7 @@ def measure_execute_throughput(
 
     ops = 0
     for _ in range(max(1, warmup_passes)):
-        ops, _skipped = stage._replay_once(context, runtime)
+        ops, _skipped = drain(stage._replay_once(context, runtime))
     if ops <= 0:
         raise ValueError("trace has no supported operators to benchmark")
 
@@ -181,7 +182,7 @@ def measure_execute_throughput(
     clock = time.perf_counter
     while elapsed < min_seconds:
         start = clock()
-        stage._replay_once(context, runtime)
+        drain(stage._replay_once(context, runtime))
         pass_s = clock() - start
         elapsed += pass_s
         passes += 1
@@ -233,7 +234,7 @@ def measure_profiler_overhead(
     profiled_ctx = build_context((ProfileHook(),))
     ops = 0
     for context in (baseline_ctx, profiled_ctx):
-        ops, _skipped = stage._replay_once(context, context.runtime)
+        ops, _skipped = drain(stage._replay_once(context, context.runtime))
     if ops <= 0:
         raise ValueError("trace has no supported operators to benchmark")
 
@@ -257,9 +258,9 @@ def measure_profiler_overhead(
                     else (profiled_ctx, baseline_ctx)
                 )
                 start = clock()
-                stage._replay_once(first, first.runtime)
+                drain(stage._replay_once(first, first.runtime))
                 mid = clock()
-                stage._replay_once(second, second.runtime)
+                drain(stage._replay_once(second, second.runtime))
                 end = clock()
                 baseline_s, profiled_s = (
                     (mid - start, end - mid)
@@ -321,7 +322,7 @@ def measure_telemetry_overhead(
     traced_ctx = build_context((TelemetryHook(Tracer()),))
     ops = 0
     for context in (baseline_ctx, traced_ctx):
-        ops, _skipped = stage._replay_once(context, context.runtime)
+        ops, _skipped = drain(stage._replay_once(context, context.runtime))
     if ops <= 0:
         raise ValueError("trace has no supported operators to benchmark")
 
@@ -345,9 +346,9 @@ def measure_telemetry_overhead(
                     else (traced_ctx, baseline_ctx)
                 )
                 start = clock()
-                stage._replay_once(first, first.runtime)
+                drain(stage._replay_once(first, first.runtime))
                 mid = clock()
-                stage._replay_once(second, second.runtime)
+                drain(stage._replay_once(second, second.runtime))
                 end = clock()
                 baseline_s, traced_s = (
                     (mid - start, end - mid)

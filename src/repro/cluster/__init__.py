@@ -9,7 +9,7 @@ overlap first-class measurements:
   collective across ranks by (process-group ranks, sequence id, operator
   name), prices it once, and releases all participants at the same
   virtual completion time;
-* :class:`~repro.cluster.replica.RankReplica` runs one rank's stage
+* :class:`~repro.cluster.replica.RankReplica` builds one rank's stage
   pipeline with the rendezvous-aware
   :class:`~repro.cluster.replica.SyncCollectivesStage`;
 * :class:`~repro.cluster.scheduler.VirtualTimeScheduler` advances every
@@ -43,7 +43,6 @@ from repro.cluster.rendezvous import (
     CollectiveSyncError,
     EventRendezvous,
     RankBlocked,
-    RendezvousCore,
     RendezvousStats,
 )
 from repro.cluster.scheduler import ClusterPaused, RankCursor, VirtualTimeScheduler
@@ -62,7 +61,6 @@ __all__ = [
     "RankCursor",
     "RankReplica",
     "RankReport",
-    "RendezvousCore",
     "RendezvousStats",
     "SyncCollectivesStage",
     "VirtualTimeScheduler",

@@ -37,12 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.comms_replay import CommReplayManager
 from repro.core.registry import ReplaySupport
 from repro.core.replayer import ReplayConfig, ReplayResult, ReplayResultSummary
-from repro.cluster.rendezvous import (
-    CollectiveKey,
-    EventRendezvous,
-    RendezvousCore,
-    normalize_op,
-)
+from repro.cluster.rendezvous import CollectiveKey, EventRendezvous, normalize_op
 from repro.cluster.replica import RankReplica
 from repro.et.trace import ExecutionTrace
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
@@ -323,17 +318,6 @@ class ClusterReplayer:
         gets its ``rank`` pinned to its trace's recorded rank.  The
         interconnect / comm-delay / topology fields also parameterise the
         shared collective cost model.
-    backend:
-        ``"thread"`` (default) or ``"serial"``.  The event engine is
-        single-threaded by construction and accepts either value; the
-        multi-rank ``"serial"`` rejection is kept for contract
-        compatibility with callers that used it as a single-replica
-        assertion.
-    timeout_s:
-        Accepted for CLI/API compatibility and otherwise unused: the event
-        engine needs no wall-clock rendezvous guard — an unresolvable
-        fleet is detected structurally (every live cursor parked) and
-        failed immediately.
     strict_match:
         Raise :class:`ClusterMatchError` when the pre-flight match finds
         unmatched collectives (default); pass ``False`` to attempt the
@@ -344,22 +328,13 @@ class ClusterReplayer:
     def __init__(
         self,
         config: Optional[ReplayConfig] = None,
-        backend: str = "thread",
-        timeout_s: float = 60.0,
         strict_match: bool = True,
         support: Optional[ReplaySupport] = None,
         track_memory: bool = False,
         memory_budget: Optional[Any] = None,
         profile_hook_factory: Optional[Callable[[int], Any]] = None,
     ) -> None:
-        if backend not in ("thread", "serial"):
-            raise ValueError(
-                f"unsupported cluster backend {backend!r}: replicas synchronise through "
-                "shared memory, so only 'thread' (and 'serial' for one replica) work"
-            )
         self.config = config if config is not None else ReplayConfig()
-        self.backend = backend
-        self.timeout_s = timeout_s
         self.strict_match = strict_match
         self.support = support
         #: Optional scheduler pick function: chooses which runnable cursor
@@ -453,7 +428,7 @@ class ClusterReplayer:
                 + "\n  ".join(match.unmatched)
             )
 
-        rendezvous: RendezvousCore = EventRendezvous(
+        rendezvous = EventRendezvous(
             cost_model=self._cost_model(),
             participants=ranks,
         )
@@ -536,11 +511,6 @@ class ClusterReplayer:
 
     # ------------------------------------------------------------------
     def _execute(self, replicas: List[RankReplica]) -> List[ReplayResult]:
-        if self.backend == "serial" and len(replicas) > 1:
-            raise ValueError(
-                "backend='serial' cannot co-replay multiple ranks (replicas block "
-                "on each other inside the rendezvous); use backend='thread'"
-            )
         from repro.cluster.scheduler import VirtualTimeScheduler
 
         scheduler = VirtualTimeScheduler(
@@ -561,7 +531,7 @@ class ClusterReplayer:
         fleet: List[ExecutionTrace],
         replicas: List[RankReplica],
         results: List[ReplayResult],
-        rendezvous: RendezvousCore,
+        rendezvous: EventRendezvous,
         match: CollectiveMatchReport,
         profile_hooks: Optional[Dict[int, Any]] = None,
     ) -> ClusterReport:

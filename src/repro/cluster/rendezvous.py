@@ -23,22 +23,19 @@ the earliest and latest arrival is the collective's *skew* — both are
 recorded per event and aggregated into the
 :class:`~repro.cluster.engine.ClusterReport`.
 
-:class:`EventRendezvous` is the concrete implementation — the *event
-source* driving the single-threaded
-:class:`~repro.cluster.scheduler.VirtualTimeScheduler`: instead of
-blocking, an unresolved ``sync`` raises :class:`RankBlocked` so the
-scheduler can park the rank's op cursor and advance another rank; slots
-that resolve (or fail) are queued for :meth:`~EventRendezvous.take_ready`
-so the scheduler knows exactly which cursors to wake.  (A thread-barrier
-sibling, ``CollectiveRendezvous``, soaked one release as the
-differential-testing oracle and has been retired; the matching/pricing
-core it validated lives on in :class:`RendezvousCore`.)
+:class:`EventRendezvous` is the *event source* driving the
+single-threaded :class:`~repro.cluster.scheduler.VirtualTimeScheduler`:
+instead of blocking, an unresolved ``sync`` raises :class:`RankBlocked` so
+the scheduler can park the rank's op cursor and advance another rank;
+slots that resolve (or fail) are queued for
+:meth:`~EventRendezvous.take_ready` so the scheduler knows exactly which
+cursors to wake.
 
 Because a collective resolves only after **all** participants arrive, the
 resolved schedule is deterministic regardless of cursor scheduling order;
-:meth:`~RendezvousCore.stats` additionally sorts the event log canonically
-before accumulating, so the aggregated floats are byte-identical across
-schedules too.
+:meth:`~EventRendezvous.stats` additionally sorts the event log
+canonically before accumulating, so the aggregated floats are
+byte-identical across schedules too.
 """
 
 from __future__ import annotations
@@ -47,6 +44,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.network import CollectiveCostModel
+# Raised by sync() below; defined next to the retry helper that catches it.
+from repro.torchsim.distributed import RankBlocked
 
 #: Identity of one collective call site: (sorted group ranks, op name).
 #: Together with a per-rank, per-key sequence number this matches calls
@@ -61,24 +60,6 @@ class CollectiveSyncError(RuntimeError):
     """A collective could not be matched across the participating replicas
     (a rank finished or failed without issuing it, or the fleet's
     collective issue orders are cross-wired)."""
-
-
-class RankBlocked(Exception):
-    """Control-flow signal of the event engine: the announcing rank cannot
-    proceed until the collective slot resolves.
-
-    Raised by :meth:`EventRendezvous.sync` *instead of blocking*; caught by
-    the rank's op cursor (:mod:`repro.cluster.scheduler`), which rolls the
-    runtime back to the op boundary, parks on :attr:`slot`, and retries the
-    op once the scheduler reports the slot resolved.  Never escapes the
-    scheduler — seeing one outside it means a blocking code path called an
-    event rendezvous.
-    """
-
-    def __init__(self, slot: CollectiveSlot) -> None:
-        key, seq = slot
-        super().__init__(f"rank blocked on collective {key[1]}[{seq}] over ranks {list(key[0])}")
-        self.slot = slot
 
 
 def normalize_op(op_name: str) -> str:
@@ -130,8 +111,21 @@ class _Pending:
     consumers: set = field(default_factory=set)
 
 
-class RendezvousCore:
-    """Matching, pricing and aggregation shared by both rendezvous kinds.
+def _event_sort_key(event: CollectiveEvent):
+    return (event.key[0], event.key[1], event.seq, sorted(event.arrivals.items()))
+
+
+class EventRendezvous:
+    """Non-blocking rendezvous: the event source of the virtual-time
+    scheduler (:class:`~repro.cluster.scheduler.VirtualTimeScheduler`).
+
+    :meth:`sync` never blocks.  When a slot cannot resolve yet it raises
+    :class:`RankBlocked`; the scheduler parks the rank's cursor on the slot
+    and advances another rank.  Slots that resolve or fail are queued and
+    handed to the scheduler through :meth:`take_ready`, which wakes exactly
+    the parked cursors — woken cursors *retry* the same ``sync`` call, and
+    the retry is recognised (same in-flight slot per rank) so the per-group
+    sequence number is not consumed twice.
 
     Parameters
     ----------
@@ -156,28 +150,12 @@ class RendezvousCore:
         self._pending: Dict[CollectiveSlot, _Pending] = {}
         self._retired: set = set()
         self.events: List[CollectiveEvent] = []
+        #: rank -> the slot its parked (to-be-retried) sync announced.
+        self._inflight: Dict[int, CollectiveSlot] = {}
+        #: Slots resolved/failed since the scheduler last drained.
+        self._ready: List[CollectiveSlot] = []
 
     # ------------------------------------------------------------------
-    def sync(
-        self,
-        rank: int,
-        op: str,
-        group_ranks: Sequence[int],
-        bytes_per_rank: float,
-        arrival_us: float,
-    ) -> Tuple[float, Optional[float]]:
-        """Announce a collective; subclasses define the waiting discipline."""
-        raise NotImplementedError
-
-    def retire(self, rank: int) -> None:
-        """A replica finished (or failed): any collective still waiting on
-        it can never resolve — fail those waiters instead of hanging."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def _events_snapshot(self) -> List[CollectiveEvent]:
-        return list(self.events)
-
     def stats(
         self, measure_start_by_rank: Optional[Dict[int, float]] = None
     ) -> "RendezvousStats":
@@ -195,7 +173,7 @@ class RendezvousCore:
         on the cursor schedule.  Sorting first makes the aggregated
         stall/skew sums byte-identical across schedules.
         """
-        events = self._events_snapshot()
+        events = list(self.events)
         if measure_start_by_rank is not None:
             events = [
                 event
@@ -256,34 +234,6 @@ class RendezvousCore:
             f"(arrived: {sorted(pending.arrivals)})"
         )
 
-
-def _event_sort_key(event: CollectiveEvent):
-    return (event.key[0], event.key[1], event.seq, sorted(event.arrivals.items()))
-
-
-class EventRendezvous(RendezvousCore):
-    """Non-blocking rendezvous: the event source of the virtual-time
-    scheduler (:class:`~repro.cluster.scheduler.VirtualTimeScheduler`).
-
-    :meth:`sync` never blocks.  When a slot cannot resolve yet it raises
-    :class:`RankBlocked`; the scheduler parks the rank's cursor on the slot
-    and advances another rank.  Slots that resolve or fail are queued and
-    handed to the scheduler through :meth:`take_ready`, which wakes exactly
-    the parked cursors — woken cursors *retry* the same ``sync`` call, and
-    the retry is recognised (same in-flight slot per rank) so the per-group
-    sequence number is not consumed twice.
-    """
-
-    def __init__(
-        self,
-        cost_model: CollectiveCostModel,
-        participants: Sequence[int],
-    ) -> None:
-        super().__init__(cost_model, participants)
-        #: rank -> the slot its parked (to-be-retried) sync announced.
-        self._inflight: Dict[int, CollectiveSlot] = {}
-        #: Slots resolved/failed since the scheduler last drained.
-        self._ready: List[CollectiveSlot] = []
 
     # ------------------------------------------------------------------
     def sync(
@@ -355,6 +305,8 @@ class EventRendezvous(RendezvousCore):
 
     # ------------------------------------------------------------------
     def retire(self, rank: int) -> None:
+        """A replica finished (or failed): any collective still waiting on
+        it can never resolve — fail those waiters instead of hanging."""
         self._retired.add(int(rank))
         self._inflight.pop(int(rank), None)
         for slot, pending in self._pending.items():

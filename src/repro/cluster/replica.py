@@ -10,11 +10,9 @@ groups exactly as ``init-comms`` does — attaches the fleet's shared
 distributed context.  From then on every collective the replica replays
 synchronises with its peers instead of being priced purely locally.
 
-Inside a fleet the replica does not call :meth:`RankReplica.run` directly —
-the :class:`~repro.cluster.scheduler.RankCursor` wraps the same pipeline as
-a resumable generator so the event scheduler can interleave ranks.
-:meth:`RankReplica.run` remains as the direct blocking path for a
-single-replica fleet (nothing to interleave, so no collective can park).
+The replica only builds the pipeline and holds the outcome; the
+:class:`~repro.cluster.scheduler.RankCursor` drives it as a step generator
+so the event scheduler can interleave ranks.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from repro.core.pipeline import (
 )
 from repro.core.registry import ReplaySupport
 from repro.core.replayer import ReplayConfig, ReplayResult
-from repro.cluster.rendezvous import RendezvousCore
+from repro.cluster.rendezvous import EventRendezvous
 from repro.et.trace import ExecutionTrace
 from repro.torchsim.profiler import ProfilerTrace
 
@@ -49,7 +47,7 @@ class SyncCollectivesStage(ReplayStage):
 
     name = "sync-collectives"
 
-    def __init__(self, rendezvous: RendezvousCore) -> None:
+    def __init__(self, rendezvous: EventRendezvous) -> None:
         self.rendezvous = rendezvous
 
     def run(self, context: ReplayContext) -> None:
@@ -68,7 +66,7 @@ class RankReplica:
     rank: int
     trace: ExecutionTrace
     config: ReplayConfig
-    rendezvous: RendezvousCore
+    rendezvous: EventRendezvous
     profiler_trace: Optional[ProfilerTrace] = None
     support: Optional[ReplaySupport] = None
     hooks: Sequence[ReplayHook] = field(default_factory=tuple)
@@ -81,7 +79,7 @@ class RankReplica:
     memory_budget: Optional[Any] = None
     result: Optional[ReplayResult] = None
     error: Optional[str] = None
-    #: Virtual start of this rank's measured region (set by :meth:`run`);
+    #: Virtual start of this rank's measured region (set by the cursor);
     #: the engine uses it to window rendezvous stall/skew statistics the
     #: same way every other metric is windowed.
     measure_start_us: float = 0.0
@@ -91,7 +89,7 @@ class RankReplica:
     def from_trace(
         cls,
         trace: ExecutionTrace,
-        rendezvous: RendezvousCore,
+        rendezvous: EventRendezvous,
         config: ReplayConfig,
         profiler_trace: Optional[ProfilerTrace] = None,
         overrides: Optional[Dict[str, Any]] = None,
@@ -133,23 +131,3 @@ class RankReplica:
                 TrackMemoryStage(budget=self.memory_budget, on_oom="record"),
             )
         return pipeline
-
-    def run(self) -> ReplayResult:
-        """Replay this rank; always retires the rank from the rendezvous so
-        peers waiting on it fail fast instead of hanging."""
-        context = ReplayContext(
-            trace=self.trace,
-            profiler_trace=self.profiler_trace,
-            config=self.config,
-            support=self.support,
-            hooks=list(self.hooks),
-        )
-        try:
-            self.result = self.build_pipeline().run(context)
-            self.measure_start_us = context.measure_start_us
-        except BaseException as error:  # noqa: BLE001 - recorded, then re-raised
-            self.error = f"{type(error).__name__}: {error}"
-            raise
-        finally:
-            self.rendezvous.retire(self.rank)
-        return self.result

@@ -7,8 +7,9 @@ need 1024 live threads that spend most of their time parked on a condition
 variable).  This module replays the same fleet on **one** thread:
 
 * every :class:`~repro.cluster.replica.RankReplica` becomes a
-  :class:`RankCursor` — a generator that runs the replica's stage pipeline
-  and *yields* whenever its next collective cannot resolve yet;
+  :class:`RankCursor`, which drives the replica's stage pipeline as a step
+  generator (:meth:`~repro.core.pipeline.ReplayPipeline.steps`) that
+  *yields* whenever its next collective cannot resolve yet;
 * the shared :class:`~repro.cluster.rendezvous.EventRendezvous` raises
   :class:`~repro.cluster.rendezvous.RankBlocked` instead of blocking, and
   queues resolved/failed slots for the scheduler;
@@ -16,39 +17,20 @@ variable).  This module replays the same fleet on **one** thread:
   ones on their slot, and wakes exactly the parked cursors whose slot
   resolved — classic discrete-event simulation over per-rank op cursors.
 
-The compute segments *between* collectives run through the same vectorized
-executor as a single-rank replay (:mod:`repro.core.vectorize`): verified
-``OpProgram`` s batch-price whole op runs, and only collective ops drop to
-the scalar attempt path.  The cursor bodies below intentionally mirror
-``ExecuteStage.run`` / ``VectorizedExecutor.replay_entries`` statement for
-statement — the property suite (``tests/test_property_scheduler.py``) pins
-the engine's reports to the single-rank pipeline and to themselves across
-adversarial schedules, so any drift between the mirrored loops is caught
-immediately.
-
-Retry discipline: a collective op is attempted by simply calling it.  If
-the rendezvous raises :class:`RankBlocked`, the attempt has already consumed
-a node ID and advanced the CPU clock by the dispatch overhead inside
-``Runtime.call`` — the cursor restores a
-:meth:`~repro.torchsim.runtime.Runtime.clock_state` snapshot taken at the
-op boundary, parks, and re-executes the op verbatim once the slot resolves
-(the rendezvous recognises the retry and does not consume a second sequence
-number).  Everything else ``call`` touches is exception-safe or mutated
-only after the op function returns, so the retried op replays exactly as a
-blocking engine would have replayed it.
+Every rank runs the single-rank execute loop itself (vectorized fast path
+included); only its collectives differ.  Each goes through
+:func:`~repro.torchsim.distributed.retry_collective`, which rolls the
+runtime back to the op boundary and yields the blocked slot; the cursor
+parks on it and re-executes the op verbatim once the slot resolves.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.rendezvous import EventRendezvous, RankBlocked
-from repro.core import vectorize
-from repro.core.pipeline import ExecuteStage, ReplayContext, ReplayPipelineError
-from repro.core.vectorize import _DEAD, _UNSEEN, _FastBinding, VectorizedExecutor
-from repro.torchsim.profiler import Profiler
-from repro.torchsim.runtime import Runtime
+from repro.core.pipeline import ReplayContext, ReplayPipelineError
 
 #: Scheduler pick function: ``(runnable ranks, step index) -> index`` into
 #: the runnable list.  Injectable for the insertion-order-independence
@@ -76,187 +58,15 @@ class ClusterPaused(BaseException):
         self.completed_steps = completed_steps
 
 
-def _attempt_collective(runtime: Runtime, call: Callable[[], Any]):
-    """Run one collective op, rolling the runtime back and yielding the
-    blocked slot until its rendezvous resolves (see module docstring)."""
-    while True:
-        snapshot = runtime.clock_state()
-        try:
-            return call()
-        except RankBlocked as blocked:
-            runtime.restore_clock_state(snapshot)
-            yield blocked
-
-
-def _replay_scalar_cursor(context: ReplayContext, runtime: Runtime):
-    """Generator mirror of ``ExecuteStage._replay_once_scalar``."""
-    replayed = 0
-    skipped = 0
-    notify = bool(context.hooks)
-    context.tensor_manager.reset_intermediates()
-    for entry in context.selection.entries:
-        if not entry.supported:
-            skipped += 1
-            continue
-        reconstructed = context.reconstructed.get(entry.node.id)
-        if reconstructed is None:
-            skipped += 1
-            continue
-        tensors = context.tensor_manager.gather_inputs(entry.node)
-        stream = (
-            context.stream_assignment.stream_for(entry.node.id)
-            if context.config.use_streams
-            else context.stream_assignment.default_stream
-        )
-        if entry.category == "comms":
-            result = yield from _attempt_collective(
-                runtime, lambda: reconstructed.function(runtime, *tensors, stream=stream)
-            )
-        else:
-            result = reconstructed.function(runtime, *tensors, stream=stream)
-        context.tensor_manager.register_outputs(entry.node, result)
-        replayed += 1
-        if notify:
-            context.emit_op_replayed(entry, result)
-    return replayed, skipped
-
-
-def _replay_vectorized_cursor(
-    executor: VectorizedExecutor, context: ReplayContext, runtime: Runtime
-):
-    """Generator mirror of ``VectorizedExecutor.replay_entries``.
-
-    Identical flow — hot path, dead/unverified bookkeeping, learning — with
-    one difference: the comms scalar branch goes through the rendezvous
-    attempt/park/retry wrapper.  Compute ops never reach the rendezvous, so
-    the learning and fast paths need no wrapping.
-    """
-    replayed = 0
-    skipped = 0
-    notify = bool(context.hooks)
-    tensor_manager = context.tensor_manager
-    stream_assignment = context.stream_assignment
-    use_streams = context.config.use_streams
-    default_stream = stream_assignment.default_stream
-    reconstructed_map = context.reconstructed
-    bindings = executor._bindings
-    stats = executor.stats
-
-    fast_ops = 0
-    scalar_ops = 0
-    tensor_manager.reset_intermediates()
-    for entry in context.selection.entries:
-        if not entry.supported:
-            skipped += 1
-            continue
-        node_id = entry.node.id
-        binding = bindings.get(node_id, _UNSEEN)
-
-        # Hot path: node bound to a verified program.
-        if binding.__class__ is _FastBinding:
-            result = executor._fast_replay(runtime, binding.program)
-            tensor_manager.register_pairs(binding.pairs)
-            replayed += 1
-            fast_ops += 1
-            if notify:
-                context.emit_op_replayed(entry, result)
-            continue
-        if binding is not None and binding is not _UNSEEN:
-            if binding.state == _DEAD:
-                bindings[node_id] = None
-                binding = None
-            # _UNVERIFIED falls through to the learning path below.
-
-        reconstructed = reconstructed_map.get(node_id)
-        if reconstructed is None:
-            skipped += 1
-            continue
-        tensors = tensor_manager.gather_inputs(entry.node)
-        stream = (
-            stream_assignment.stream_for(node_id) if use_streams else default_stream
-        )
-
-        if binding is None or entry.category == "comms":
-            if binding is not None:  # first comms occurrence: bind scalar
-                bindings[node_id] = None
-            if entry.category == "comms":
-                result = yield from _attempt_collective(
-                    runtime,
-                    lambda: reconstructed.function(runtime, *tensors, stream=stream),
-                )
-            else:
-                result = reconstructed.function(runtime, *tensors, stream=stream)
-            scalar_ops += 1
-        else:
-            result = executor._learn(
-                runtime, tensor_manager, entry, reconstructed, tensors, stream
-            )
-        tensor_manager.register_outputs(entry.node, result)
-        replayed += 1
-        if notify:
-            context.emit_op_replayed(entry, result)
-    stats["fast_ops"] += fast_ops
-    stats["scalar_ops"] += scalar_ops
-    return replayed, skipped
-
-
-def _replay_once_cursor(context: ReplayContext, runtime: Runtime):
-    """Generator mirror of ``ExecuteStage._replay_once`` (same dispatch)."""
-    if getattr(context.config, "vectorized", True) and (
-        runtime.observer is None or not runtime.observer.enabled
-    ):
-        executor = context.extras.get(vectorize.EXTRAS_KEY)
-        if executor is None:
-            executor = VectorizedExecutor()
-            context.extras[vectorize.EXTRAS_KEY] = executor
-        return (yield from _replay_vectorized_cursor(executor, context, runtime))
-    return (yield from _replay_scalar_cursor(context, runtime))
-
-
-def _execute_stage_cursor(stage: ExecuteStage, context: ReplayContext):
-    """Generator mirror of ``ExecuteStage.run``."""
-    runtime = context.require("runtime", stage)
-    context.require("selection", stage)
-    context.require("tensor_manager", stage)
-    context.require("stream_assignment", stage)
-
-    profiler: Optional[Profiler] = None
-    if context.config.profile:
-        profiler = runtime.attach_profiler(Profiler())
-    context.profiler = profiler
-
-    context.measuring = False
-    for _ in range(context.config.warmup_iterations):
-        yield from _replay_once_cursor(context, runtime)
-
-    if profiler is not None:
-        profiler.start()
-    context.measure_start_us = runtime.synchronize()
-    context.iteration_times_us = []
-    context.replayed_ops = 0
-    context.skipped_ops = 0
-    context.measuring = True
-    for _ in range(max(1, context.config.iterations)):
-        start = runtime.synchronize()
-        replayed, skipped = yield from _replay_once_cursor(context, runtime)
-        end = runtime.synchronize()
-        context.iteration_times_us.append(end - start)
-        context.replayed_ops += replayed
-        context.skipped_ops += skipped
-    context.measuring = False
-    context.measure_end_us = runtime.synchronize()
-    if profiler is not None:
-        profiler.stop()
-
-
 class RankCursor:
     """One rank's replay as a resumable op cursor.
 
-    Wraps a :class:`~repro.cluster.replica.RankReplica` in a generator that
-    runs the replica's stage pipeline exactly as ``RankReplica.run`` would
-    (same hook dispatch, error recording and rendezvous retirement), but
-    yields the blocked :class:`~repro.cluster.rendezvous.RankBlocked` signal
-    whenever the execute stage hits an unresolved collective.
+    Drives the :class:`~repro.cluster.replica.RankReplica`'s stage pipeline
+    as a step generator: it yields the blocked
+    :class:`~repro.cluster.rendezvous.RankBlocked` signal whenever the
+    execute stage hits an unresolved collective.  When the pipeline ends,
+    the cursor records the replica's result or error on the replica and
+    retires its rank from the rendezvous.
     """
 
     def __init__(self, replica) -> None:
@@ -273,7 +83,7 @@ class RankCursor:
     def advance(self) -> RankBlocked:
         """Run until the next park point.  Raises ``StopIteration`` when
         the replica finished; replay errors propagate (and are recorded on
-        the replica, mirroring ``RankReplica.run``)."""
+        the replica)."""
         return next(self._generator)
 
     def close(self) -> None:
@@ -285,30 +95,8 @@ class RankCursor:
     def _run(self):
         replica = self.replica
         context = self.context
-        pipeline = replica.build_pipeline()
-        # Mirror of ReplayPipeline.run_context + RankReplica.run, with the
-        # execute stage swapped for its cursor twin.
-        for hook in pipeline.hooks:
-            if hook not in context.hooks:
-                context.hooks.append(hook)
         try:
-            for stage in list(pipeline.stages):
-                for hook in context.hooks:
-                    hook.on_stage_start(context, stage)
-                try:
-                    if stage.name == "execute":
-                        yield from _execute_stage_cursor(stage, context)
-                    else:
-                        stage.run(context)
-                except Exception as error:
-                    for hook in context.hooks:
-                        try:
-                            hook.on_error(context, stage, error)
-                        except Exception:  # noqa: BLE001 - see run_context
-                            pass
-                    raise
-                for hook in context.hooks:
-                    hook.on_stage_end(context, stage)
+            yield from replica.build_pipeline().steps(context)
             if context.result is None:
                 raise ReplayPipelineError(
                     "pipeline finished without producing a result — it has no "

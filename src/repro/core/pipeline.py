@@ -33,18 +33,18 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Generator, Iterator, List, Optional, Sequence
 
+from repro.core import vectorize
 from repro.core.comms_replay import CommReplayManager
 from repro.core.reconstruction import OperatorReconstructor, ReconstructionError, ReconstructedOp
 from repro.core.registry import ReplaySupport
 from repro.core.selection import OperatorSelector, SelectionResult
 from repro.core.streams import StreamAssigner, StreamAssignment
 from repro.core.tensors import TensorManager
-from repro.core.vectorize import replay_entries_vectorized
 from repro.hardware.counters import compute_system_metrics
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
-from repro.torchsim.distributed import DistributedContext
+from repro.torchsim.distributed import DistributedContext, RankBlocked, retry_collective
 from repro.torchsim.profiler import Profiler
 from repro.torchsim.runtime import Runtime
 from repro.et.trace import ExecutionTrace
@@ -53,6 +53,28 @@ from repro.et.trace import ExecutionTrace
 class ReplayPipelineError(RuntimeError):
     """A stage was run against a context missing its prerequisites, or the
     pipeline finished without producing a result."""
+
+
+def drain(steps: Generator[RankBlocked, None, Any]) -> Any:
+    """Run a step generator to completion and return its value.
+
+    Step generators (:meth:`ReplayStage.steps`, :meth:`ReplayPipeline.steps`)
+    yield only while a collective is blocked on a cross-rank rendezvous,
+    and only the cluster scheduler can resume one: it runs the peers the
+    collective waits for.  Here there are none, so a yield fails with
+    :class:`ReplayPipelineError`, thrown at the yield point so stage error
+    hooks and cleanup run exactly as for any other stage failure.
+    """
+    try:
+        blocked = next(steps)
+    except StopIteration as done:
+        return done.value
+    steps.throw(
+        ReplayPipelineError(
+            f"{blocked}, but nothing drives this replay to resume it — co-replay "
+            "multi-rank fleets through repro.cluster (repro.api.replay_cluster)"
+        )
+    )
 
 
 class CheckpointError(RuntimeError):
@@ -242,17 +264,17 @@ class ReplayHook:
     """
 
     def on_stage_start(self, context: ReplayContext, stage: "ReplayStage") -> None:
-        """Called immediately before ``stage.run(context)``."""
+        """Called immediately before the stage runs."""
 
     def on_stage_end(self, context: ReplayContext, stage: "ReplayStage") -> None:
-        """Called after ``stage.run(context)`` returned normally."""
+        """Called after the stage finished normally."""
 
     def on_op_replayed(self, context: ReplayContext, entry, output) -> None:
         """Called after each replayed operator (warm-up and measured
         iterations alike; check ``context.measuring`` to tell them apart)."""
 
     def on_error(self, context: ReplayContext, stage: "ReplayStage", error: BaseException) -> None:
-        """Called when ``stage.run(context)`` raised; the error re-raises."""
+        """Called when the stage raised; the error re-raises."""
 
     def on_resume(self, context: ReplayContext) -> None:
         """Called when a cooperative scheduler hands control back to this
@@ -278,6 +300,14 @@ class ReplayStage:
 
     def run(self, context: ReplayContext) -> None:
         raise NotImplementedError
+
+    def steps(self, context: ReplayContext) -> Iterator[RankBlocked]:
+        """The stage as a step generator, which yields only while a
+        collective is blocked on a cross-rank rendezvous (see :func:`drain`).
+        Only the execute stage replays collectives; this default runs
+        :meth:`run` to completion and yields nothing."""
+        self.run(context)
+        return iter(())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -391,6 +421,11 @@ class ExecuteStage(ReplayStage):
         self.resume_from = resume_from
 
     def run(self, context: ReplayContext) -> None:
+        drain(self.steps(context))
+
+    def steps(self, context: ReplayContext) -> Iterator[RankBlocked]:
+        """The iteration driver: warm-up, then measured iterations, with a
+        checkpoint boundary after each; yields while a collective blocks."""
         runtime = context.require("runtime", self)
         context.require("selection", self)
         context.require("tensor_manager", self)
@@ -409,7 +444,7 @@ class ExecuteStage(ReplayStage):
 
         context.measuring = False
         for index in range(warmup_total):
-            self._replay_once(context, runtime)
+            yield from self._replay_once(context, runtime)
             self._boundary(context, runtime, index + 1, 0, warmup_total, measured_total)
 
         if profiler is not None:
@@ -421,7 +456,7 @@ class ExecuteStage(ReplayStage):
         context.measuring = True
         for index in range(measured_total):
             start = runtime.synchronize()
-            replayed, skipped = self._replay_once(context, runtime)
+            replayed, skipped = yield from self._replay_once(context, runtime)
             end = runtime.synchronize()
             context.iteration_times_us.append(end - start)
             context.replayed_ops += replayed
@@ -510,22 +545,29 @@ class ExecuteStage(ReplayStage):
             )
 
     # ------------------------------------------------------------------
-    def _replay_once(self, context: ReplayContext, runtime: Runtime) -> tuple:
-        """Replay every selected operator once, in execution order.
+    def _replay_once(self, context: ReplayContext, runtime: Runtime) -> Iterator[RankBlocked]:
+        """A step generator that replays every selected operator once, in
+        execution order, and returns ``(replayed, skipped)``.
 
         Dispatches to the vectorized executor (:mod:`repro.core.vectorize`)
         unless ``config.vectorized=False`` or an execution-graph observer is
         recording (the fast path reproduces clocks, kernels and profiler
         events, but not observer callbacks).  Both paths produce
-        byte-identical replay results.
+        byte-identical replay results.  The executor persists on
+        ``context.extras`` so programs learned during warm-up iterations
+        pay off across every measured iteration.
         """
         if getattr(context.config, "vectorized", True) and (
             runtime.observer is None or not runtime.observer.enabled
         ):
-            return replay_entries_vectorized(context, runtime)
+            executor = context.extras.get(vectorize.EXTRAS_KEY)
+            if executor is None:
+                executor = vectorize.VectorizedExecutor()
+                context.extras[vectorize.EXTRAS_KEY] = executor
+            return executor.replay_entries(context, runtime)
         return self._replay_once_scalar(context, runtime)
 
-    def _replay_once_scalar(self, context: ReplayContext, runtime: Runtime) -> tuple:
+    def _replay_once_scalar(self, context: ReplayContext, runtime: Runtime) -> Iterator[RankBlocked]:
         """The reference one-op-at-a-time loop (``vectorized=False``)."""
         replayed = 0
         skipped = 0
@@ -545,7 +587,12 @@ class ExecuteStage(ReplayStage):
                 if context.config.use_streams
                 else context.stream_assignment.default_stream
             )
-            result = reconstructed.function(runtime, *tensors, stream=stream)
+            if entry.category == "comms":
+                result = yield from retry_collective(
+                    runtime, reconstructed.function, runtime, *tensors, stream=stream
+                )
+            else:
+                result = reconstructed.function(runtime, *tensors, stream=stream)
             context.tensor_manager.register_outputs(entry.node, result)
             replayed += 1
             if notify:
@@ -782,13 +829,13 @@ class ReplayPipeline:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_context(self, context: ReplayContext) -> ReplayContext:
-        """Thread ``context`` through every stage and return it.
+    def steps(self, context: ReplayContext) -> Iterator[RankBlocked]:
+        """Thread ``context`` through every stage as a step generator that
+        yields while a collective is blocked (the cluster scheduler drives
+        it; :meth:`run_context` drains it).
 
         Emits ``on_stage_start``/``on_stage_end`` around each stage and
-        ``on_error`` (then re-raises) when a stage fails.  Unlike
-        :meth:`run`, no final result is demanded — use this for partial
-        pipelines (dry builds, measure-less taps).
+        ``on_error`` (then re-raises) when a stage fails.
         """
         for hook in self.hooks:
             if hook not in context.hooks:
@@ -796,7 +843,7 @@ class ReplayPipeline:
         for stage in list(self.stages):
             self._dispatch("on_stage_start", context, stage)
             try:
-                stage.run(context)
+                yield from stage.steps(context)
             except Exception as error:
                 for hook in context.hooks:
                     # A buggy observer must not mask the real stage error
@@ -807,6 +854,14 @@ class ReplayPipeline:
                         pass
                 raise
             self._dispatch("on_stage_end", context, stage)
+
+    def run_context(self, context: ReplayContext) -> ReplayContext:
+        """Thread ``context`` through every stage and return it.
+
+        Unlike :meth:`run`, no final result is demanded — use this for
+        partial pipelines (dry builds, measure-less taps).
+        """
+        drain(self.steps(context))
         return context
 
     def run(self, context: ReplayContext) -> "ReplayResult":

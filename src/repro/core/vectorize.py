@@ -55,7 +55,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.torchsim.distributed import Work
+from repro.torchsim.distributed import Work, retry_collective
 from repro.torchsim.kernel import KernelDesc, KernelLaunch, OpCategory
 from repro.torchsim.profiler import Profiler, TraceEvent
 from repro.torchsim.runtime import Runtime
@@ -214,8 +214,15 @@ class VectorizedExecutor:
     # ------------------------------------------------------------------
     # The replacement for ExecuteStage's scalar loop
     # ------------------------------------------------------------------
-    def replay_entries(self, context, runtime: Runtime) -> Tuple[int, int]:
-        """Replay every selected operator once; mirrors the scalar loop."""
+    def replay_entries(self, context, runtime: Runtime):
+        """Replay every selected operator once; mirrors the scalar loop.
+
+        A generator like the scalar loop: it yields only while a collective
+        is blocked on its rendezvous (see
+        :func:`~repro.torchsim.distributed.retry_collective`) and returns
+        ``(replayed, skipped)``.  Compute ops never reach the rendezvous,
+        so the learning and fast paths need no retry.
+        """
         replayed = 0
         skipped = 0
         notify = bool(context.hooks)
@@ -261,9 +268,14 @@ class VectorizedExecutor:
                 stream_assignment.stream_for(node_id) if use_streams else default_stream
             )
 
-            if binding is None or entry.category == "comms":
+            if entry.category == "comms":
                 if binding is not None:  # first comms occurrence: bind scalar
                     bindings[node_id] = None
+                result = yield from retry_collective(
+                    runtime, reconstructed.function, runtime, *tensors, stream=stream
+                )
+                scalar_ops += 1
+            elif binding is None:
                 result = reconstructed.function(runtime, *tensors, stream=stream)
                 scalar_ops += 1
             else:
@@ -702,15 +714,3 @@ def _span_end_index(values: Sequence[float], ts_index: int, dur: float) -> int:
             return index
     return -1
 
-
-def replay_entries_vectorized(context, runtime: Runtime) -> Tuple[int, int]:
-    """One vectorized pass over the selection (ExecuteStage's fast branch).
-
-    The executor persists on ``context.extras`` so programs learned during
-    warm-up iterations pay off across every measured iteration.
-    """
-    executor = context.extras.get(EXTRAS_KEY)
-    if executor is None:
-        executor = VectorizedExecutor()
-        context.extras[EXTRAS_KEY] = executor
-    return executor.replay_entries(context, runtime)

@@ -53,7 +53,7 @@ BACKENDS = ("thread", "process", "serial")
 
 
 def make_worker_pool(backend: str, max_workers: int):
-    """Executor factory shared by the batch layer and the cluster engine.
+    """Executor factory for the batch layer's pooled backends.
 
     ``"serial"`` has no executor (callers loop in-process); only pooled
     backends are valid here.

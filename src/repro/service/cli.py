@@ -149,10 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(flat | nvlink-island | rail-spine; default: flat)",
     )
     dist_parser.add_argument(
-        "--timeout", type=float, default=60.0, metavar="SECONDS",
-        help="rendezvous guard against mismatched fleets (default: 60)",
-    )
-    dist_parser.add_argument(
         "--trace-out", default=None, metavar="PATH", dest="trace_out",
         help="write the co-replay's telemetry timeline (per-rank compute/comms/"
              "stall Gantt on the virtual clock) as Chrome-trace JSON to PATH "
@@ -549,7 +545,6 @@ def _cmd_replay_dist(args: argparse.Namespace) -> int:
         api.replay_cluster(args.trace_dir)
         .on(args.device)
         .iterations(args.iterations, warmup=args.warmup)
-        .timeout(args.timeout)
     )
     if args.world is not None:
         session.world(args.world)

@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.hardware.gpu import merge_intervals
 from repro.telemetry.tracer import Tracer
 
 #: Virtual-lane sub-indices inside one rank's block of thread lanes.
@@ -193,18 +194,6 @@ def write_chrome_trace(
 # ----------------------------------------------------------------------
 # Virtual-clock Gantt lanes from replay results
 # ----------------------------------------------------------------------
-def _merge_intervals(
-    intervals: Iterable[Tuple[float, float]]
-) -> List[Tuple[float, float]]:
-    merged: List[Tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
 def _subtract(
     start: float, end: float, blockers: List[Tuple[float, float]]
 ) -> List[Tuple[float, float]]:
@@ -256,7 +245,7 @@ def record_replay_timeline(tracer: Tracer, result: Any, rank: int = 0) -> None:
             tracer.slice(
                 rank, name, "compute", launch.start, max(0.0, launch.end - launch.start)
             )
-    blockers = _merge_intervals(compute)
+    blockers = merge_intervals(compute)
     for start, end, name in comms:
         for seg_start, seg_end in _subtract(start, end, blockers):
             tracer.slice(

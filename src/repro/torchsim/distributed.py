@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
 from repro.torchsim.kernel import KernelLaunch
@@ -74,6 +74,53 @@ class Work:
     @property
     def launch(self) -> KernelLaunch:
         return self._launch
+
+
+class RankBlocked(Exception):
+    """Control-flow signal of the event rendezvous: the announcing rank
+    cannot proceed until the collective slot resolves.
+
+    Raised by :meth:`repro.cluster.rendezvous.EventRendezvous.sync`
+    *instead of blocking*; caught only by :func:`retry_collective`, which
+    rolls the runtime back to the op boundary and yields the signal to
+    whoever drives the replay.  The cluster scheduler parks the rank on
+    :attr:`slot` and retries once the slot resolves; a single-rank pipeline
+    has nothing to wait for and fails with a typed pipeline error.
+    """
+
+    def __init__(self, slot: Tuple[Tuple[Tuple[int, ...], str], int]) -> None:
+        key, seq = slot
+        super().__init__(f"rank blocked on collective {key[1]}[{seq}] over ranks {list(key[0])}")
+        self.slot = slot
+
+
+def retry_collective(
+    runtime, op: Callable[..., Any], *args: Any, **kwargs: Any
+) -> Generator[RankBlocked, None, Any]:
+    """Run ``op(*args, **kwargs)``, a collective replayed on ``runtime``,
+    yielding :class:`RankBlocked` until its rendezvous resolves; returns
+    the op's result.
+
+    A blocked attempt has already consumed a node ID and advanced the CPU
+    clock by the dispatch overhead inside ``Runtime.call``, so the runtime
+    is restored to a :meth:`~repro.torchsim.runtime.Runtime.clock_state`
+    snapshot taken at the op boundary before the signal is yielded.  The
+    retry re-executes the op verbatim (the rendezvous recognises it and
+    does not consume a second sequence number); everything else
+    ``Runtime.call`` touches is exception-safe or mutated only after the op
+    returns, so the retried op replays exactly as a blocking rendezvous
+    would have.
+    """
+    while True:
+        snapshot = runtime.clock_state()
+        try:
+            return op(*args, **kwargs)
+        except RankBlocked as signal:
+            # Only the slot is needed.  The traceback would pin the aborted
+            # op's frames in a cycle through this generator's own frame.
+            blocked = signal.with_traceback(None)
+        runtime.restore_clock_state(snapshot)
+        yield blocked
 
 
 class DistributedContext:

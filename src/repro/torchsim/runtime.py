@@ -209,11 +209,11 @@ class Runtime:
         *before* an operator function runs: the per-thread CPU clocks, the
         node/correlation ID cursors and the issuing thread.
 
-        The event-driven cluster scheduler snapshots this around each
-        collective attempt: a collective whose rendezvous is not yet
-        resolved aborts mid-``call`` (after the dispatch overhead and node
-        ID were consumed), and :meth:`restore_clock_state` rolls those back
-        so the retried attempt replays identically.  Everything else
+        :func:`~repro.torchsim.distributed.retry_collective` snapshots
+        this around each collective attempt: a collective whose rendezvous
+        is not yet resolved aborts mid-``call`` (after the dispatch overhead
+        and node ID were consumed), and :meth:`restore_clock_state` rolls
+        those back so the retried attempt replays identically.  Everything else
         ``call`` touches is either exception-safe (call stack, stream
         override) or only mutated after the function returns (observer,
         profiler, GPU launches).

@@ -11,6 +11,7 @@ replay the acceptance criteria call for.
 from __future__ import annotations
 
 import copy
+import gc
 import json
 from dataclasses import replace as dataclass_replace
 
@@ -26,7 +27,15 @@ from repro.cluster import (
     match_collectives,
 )
 from repro.cluster.rendezvous import EventRendezvous, RankBlocked, normalize_op
-from repro.core.pipeline import run_replay
+from repro.core.pipeline import (
+    ReplayContext,
+    ReplayHook,
+    ReplayPipeline,
+    ReplayPipelineError,
+    make_collective_cost_model,
+    make_replay_runtime,
+    run_replay,
+)
 from repro.core.replayer import ReplayConfig
 from repro.et.analyzer import CATEGORY_COMMS, categorize_node
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
@@ -120,6 +129,31 @@ class TestEventRendezvous:
         assert rendezvous.take_ready() != []
         with pytest.raises(CollectiveSyncError, match="cannot resolve"):
             rendezvous.sync(0, "all_reduce", [0, 1], 1024, arrival_us=0.0)
+
+
+class TestBlockedCollectiveOutsideScheduler:
+    """The single-rank pipeline drains the same step generator the cluster
+    scheduler drives; a collective that blocks there has no peers to wait
+    for and must fail with a typed pipeline error, never a raw signal."""
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_single_rank_pipeline_raises_pipeline_error(self, fleet_traces, vectorized):
+        trace = fleet_traces[0]
+        config = ReplayConfig(device="A100", vectorized=vectorized)
+        runtime = make_replay_runtime(trace, config)
+        runtime.dist.rendezvous = EventRendezvous(make_collective_cost_model(config), (0, 1))
+        failed_stages = []
+
+        class ErrorTap(ReplayHook):
+            def on_error(self, context, stage, error):
+                failed_stages.append((stage.name, type(error).__name__))
+
+        context = ReplayContext(trace=trace, config=config, runtime=runtime, hooks=[ErrorTap()])
+        with pytest.raises(ReplayPipelineError, match="rank blocked on collective") as raised:
+            ReplayPipeline.default().run(context)
+        assert not isinstance(raised.value, RankBlocked)
+        assert raised.value.__context__ is None and raised.value.__cause__ is None
+        assert failed_stages == [("execute", "ReplayPipelineError")]
 
 
 # ----------------------------------------------------------------------
@@ -248,23 +282,28 @@ class TestClusterReplayer:
         with pytest.raises(ClusterMatchError, match="duplicate ranks"):
             ClusterReplayer().replay([fleet_traces[0], fleet_traces[0]])
 
-    def test_serial_backend_rejects_multi_rank_fleets(self, fleet_traces):
-        with pytest.raises(ValueError, match="serial"):
-            ClusterReplayer(backend="serial").replay(fleet_traces)
-
     def test_unknown_rank_override_is_rejected(self, fleet_traces):
         with pytest.raises(ClusterMatchError, match="rank_overrides"):
             ClusterReplayer().replay(fleet_traces, rank_overrides={9: {"device": "V100"}})
-
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ClusterReplayer(backend="process")
 
     def test_world_smaller_than_fleet_is_rejected(self, fleet_traces):
         """A world that cannot cover the fleet's ranks would clamp replicas
         onto each other and deadlock the rendezvous — refuse it up front."""
         with pytest.raises(ClusterMatchError, match="cannot cover fleet ranks"):
             ClusterReplayer(ReplayConfig(device="A100", world_size=2)).replay(fleet_traces)
+
+    def test_parked_collectives_leave_no_reference_cycles(self, fleet_traces):
+        """Every rank parks on collectives, yet a co-replay's per-rank state
+        is freed by reference counting: a retained ``RankBlocked``
+        traceback would pin each aborted op's frames in a cycle."""
+        ClusterReplayer(ReplayConfig(device="A100")).replay(fleet_traces)
+        gc.collect()
+        gc.disable()
+        try:
+            ClusterReplayer(ReplayConfig(device="A100")).replay(fleet_traces)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_single_replica_failure_raises_cluster_replay_error(self, fleet_traces):
         """The one-replica fast path reports failures through the same

@@ -343,6 +343,48 @@ class TestReconstructionCacheBypassRule:
         assert "reconstruction-cache-bypass" not in self._find_offenders(tmp_path)
 
 
+class TestExecuteLoopForkRule:
+    """``scripts/check_deprecated_usage.py`` keeps reconstructed-op calls in
+    the one execute loop and the ``RankBlocked`` catch in its retry helper."""
+
+    _find_offenders = staticmethod(TestReconstructionCacheBypassRule._find_offenders)
+    _write = staticmethod(TestReconstructionCacheBypassRule._write)
+
+    def test_repo_is_clean(self):
+        offenders = self._find_offenders(Path(__file__).resolve().parents[1])
+        assert "execute-loop-fork" not in offenders
+
+    def test_flags_op_calls_and_blocked_catches_outside_the_loop(self, tmp_path):
+        self._write(
+            tmp_path,
+            "src/repro/cluster/scheduler.py",
+            "result = reconstructed.function(runtime, *tensors, stream=stream)\n"
+            "try:\n    call()\nexcept RankBlocked as blocked:\n    pass\n",
+        )
+        self._write(
+            tmp_path,
+            "src/repro/core/pipeline.py",
+            "try:\n    call()\nexcept (ValueError, RankBlocked):\n    pass\n",
+        )
+        offenders = self._find_offenders(tmp_path)
+        assert len(offenders["execute-loop-fork"]) == 3
+
+    def test_loop_modules_and_retry_helper_pass(self, tmp_path):
+        self._write(tmp_path, "src/repro/core/pipeline.py", "out = op.function(runtime)\n")
+        self._write(tmp_path, "src/repro/core/vectorize.py", "out = op.function(runtime)\n")
+        self._write(
+            tmp_path,
+            "src/repro/torchsim/distributed.py",
+            "try:\n    call()\nexcept RankBlocked as signal:\n    blocked = signal\n",
+        )
+        self._write(
+            tmp_path,
+            "src/repro/cluster/scheduler.py",
+            "blocked = cursor.advance()  # RankBlocked, not caught here\n",
+        )
+        assert "execute-loop-fork" not in self._find_offenders(tmp_path)
+
+
 class TestTensorManager:
     def test_classification_intermediate_vs_external(self, captured_runtime_pieces):
         trace = captured_runtime_pieces["trace"]

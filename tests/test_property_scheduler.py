@@ -171,11 +171,6 @@ class TestConfigDeterminism:
 # Scheduler contract pins (absorbed from the retired equivalence suite)
 # ----------------------------------------------------------------------
 class TestSchedulerContract:
-    def test_serial_backend_still_rejects_multi_rank_fleets(self, ddp_fleet):
-        """The backend contract predates the event engine and survives it."""
-        with pytest.raises(ValueError, match="serial"):
-            ClusterReplayer(backend="serial").replay(ddp_fleet(2))
-
     @pytest.mark.parametrize("world_size", [1, 4])
     def test_deterministic_across_runs(self, ddp_fleet, world_size):
         traces = ddp_fleet(world_size)
