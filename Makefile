@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-cluster test-memory test-profiling test-scheduler test-daemon test-telemetry test-insights bench bench-fast lint example-sweep clean
+.PHONY: test test-cluster test-memory test-scheduler test-daemon test-telemetry test-insights bench bench-fast lint example-sweep clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -20,12 +20,6 @@ test-memory:
 	$(PYTHON) -m pytest tests/test_memory_subsystem.py tests/test_property_memory.py -q
 	$(PYTHON) -m repro memory-report --help > /dev/null
 
-# Replay-throughput profiler + vectorized execute path: aggregation and
-# byte-identical-equivalence tests plus a CLI smoke run of `repro profile`.
-test-profiling:
-	$(PYTHON) -m pytest tests/test_profiling.py tests/test_vectorized_equivalence.py -q
-	$(PYTHON) -m repro profile --help > /dev/null
-
 # Event-driven cluster scheduler: the hypothesis property suite (the
 # scheduler's contract since the threaded oracle retired) and the
 # 1024-rank fleet-throughput benchmark.
@@ -39,9 +33,12 @@ test-daemon:
 	$(PYTHON) -m repro serve --help > /dev/null
 
 # Telemetry subsystem: tracer/metrics/export tests, the byte-identical
-# disabled-fast-path suite, and a CLI smoke run of replay-dist --trace-out.
+# disabled-fast-path suite, the replay profiler (ProfileHook) with the
+# vectorized == scalar equivalence suite, and CLI smoke runs of
+# `repro profile` and replay-dist --trace-out.
 test-telemetry:
-	$(PYTHON) -m pytest tests/test_telemetry.py tests/test_telemetry_fastpath.py -q
+	$(PYTHON) -m pytest tests/test_telemetry.py tests/test_telemetry_fastpath.py tests/test_profiling.py tests/test_vectorized_equivalence.py -q
+	$(PYTHON) -m repro profile --help > /dev/null
 	$(PYTHON) -m repro replay-dist --help > /dev/null
 
 # Insights subsystem: critical-path / diff / regression analyses, the

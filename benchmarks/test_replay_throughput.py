@@ -4,7 +4,7 @@ Unlike the table/figure benchmarks (which regenerate the *paper's*
 numbers), this one measures the replay engine itself and writes the
 versioned ``BENCH_replay_throughput.json`` trajectory file at the repo
 root: scalar vs vectorized execute-loop throughput for the PARAM-linear,
-RM and DDP-RM traces, plus the :class:`~repro.profiling.ProfileHook` and
+RM and DDP-RM traces, plus the :class:`~repro.telemetry.ProfileHook` and
 :class:`~repro.telemetry.TelemetryHook` overheads.  The assertions pin
 the vectorized executor's headline win (>=10x on RM) and the <5% per-op
 cost of either attached hook so future changes cannot silently regress

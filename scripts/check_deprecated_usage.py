@@ -11,7 +11,7 @@ Seven rules, one pass:
   (``repro.api.sweep``), the service layer, or the daemon's job queue, so
   cache policy, error reporting and pause semantics stay in one place.
 * ``time.time(`` is banned wherever the package measures *host* durations
-  (``src/repro/bench/`` and ``src/repro/profiling/``): it is not monotonic
+  (``src/repro/bench/`` and ``src/repro/telemetry/``): it is not monotonic
   (NTP slews and clock steps corrupt measured windows), so all wall-time
   deltas use ``time.perf_counter()``.
 * Bare ``print(`` is banned inside ``src/repro/`` outside the CLI and the
@@ -103,7 +103,7 @@ RULES = (
     Rule(
         name="non-monotonic-clock",
         pattern=re.compile(r"\btime\.time\("),
-        roots=("src/repro/bench", "src/repro/profiling"),
+        roots=("src/repro/bench", "src/repro/telemetry"),
         message=(
             "time.time() used where host durations are measured (it is not "
             "monotonic; use time.perf_counter())"

@@ -56,7 +56,6 @@ from repro.api.hooks import (
     MetricsTapHook,
     OpTraceHook,
     ProgressHook,
-    StageTimingHook,
 )
 from repro.api.cluster import ClusterSession, FleetSource
 from repro.api.session import ReplaySession, ReplaySource
@@ -100,9 +99,12 @@ from repro.insights import (
     analyze_replay_result,
     diff_runs,
 )
-from repro.profiling import ProfileHook, ProfileReport
 from repro.telemetry import (
+    PROFILE_SCHEMA_VERSION,
     MetricsRegistry,
+    OpProfile,
+    ProfileHook,
+    ProfileReport,
     Span,
     TelemetryHook,
     Tracer,
@@ -285,13 +287,14 @@ __all__ = [
     # ready-made hooks
     "ProgressHook",
     "OpTraceHook",
-    "StageTimingHook",
     "MetricsTapHook",
     "ErrorCollectorHook",
     "MemoryHook",
     # replay-engine profiling
     "ProfileHook",
     "ProfileReport",
+    "OpProfile",
+    "PROFILE_SCHEMA_VERSION",
     # telemetry (tracing / metrics / timeline export)
     "Tracer",
     "Span",

@@ -52,7 +52,6 @@ class ClusterSession:
         self._track_memory = False
         self._memory_budget: Optional[Any] = None
         self._profile = False
-        self._profile_at_exit = False
         self._tracer: Optional[Any] = None
         self._last_report: Optional[ClusterReport] = None
 
@@ -134,20 +133,20 @@ class ClusterSession:
         self._memory_budget = budget
         return self
 
-    def with_profiling(self, report_at_exit: bool = False) -> "ClusterSession":
+    def with_profiling(self) -> "ClusterSession":
         """Profile every replica's replay engine (host wall time per op).
 
-        Each rank runs with its own :class:`~repro.profiling.ProfileHook`
-        (so per-rank attribution stays separate; under the event engine the
-        scheduler re-anchors each hook via ``on_resume`` whenever it
-        switches ranks, so interleaving does not misattribute wall time);
-        the aggregated per-rank
-        :class:`~repro.profiling.ProfileReport` objects are available as
-        ``report.rank_report(r).profile`` / ``report.profile_reports``.
-        Timing results and cache digests are unaffected.
+        Each rank runs with its own :class:`~repro.telemetry.ProfileHook`
+        — with :meth:`with_telemetry` too, it is that rank's one stage-span
+        source on the session tracer.  The scheduler closes a rank's stage
+        spans when it parks (``on_park``) and reopens them on ``on_resume``,
+        so per-rank stage and op times count that rank's on-CPU work only.
+        The aggregated per-rank :class:`~repro.telemetry.ProfileReport`
+        objects are available as ``report.rank_report(r).profile`` /
+        ``report.profile_reports``.  Timing results and cache digests are
+        unaffected.
         """
         self._profile = True
-        self._profile_at_exit = report_at_exit
         return self
 
     def with_telemetry(
@@ -156,8 +155,9 @@ class ClusterSession:
         """Trace the co-replay on the unified telemetry timeline.
 
         Every replica gets a per-rank
-        :class:`~repro.telemetry.TelemetryHook` (stage spans), the event
-        scheduler emits park/wake/rendezvous markers, and after
+        :class:`~repro.telemetry.TelemetryHook` (on-CPU stage spans; the
+        rank's :class:`~repro.telemetry.ProfileHook` when profiling), the
+        event scheduler emits park/wake/rendezvous markers, and after
         :meth:`run` the fleet's virtual-time Gantt — per-rank
         compute / comms / exposed-comms / stall lanes — is recorded onto
         ``tracer`` (a fresh :class:`~repro.telemetry.Tracer` when none is
@@ -205,13 +205,12 @@ class ClusterSession:
         """Pre-flight-match, co-replay the fleet, and aggregate the report."""
         profile_hook_factory = None
         if self._profile:
-            from repro.profiling import ProfileHook
+            from repro.telemetry import ProfileHook
 
-            at_exit = self._profile_at_exit
-            shared_tracer = self._tracer
+            tracer = self._tracer
 
             def profile_hook_factory(rank: int) -> ProfileHook:
-                return ProfileHook(report_at_exit=at_exit, tracer=shared_tracer)
+                return ProfileHook(tracer=tracer, rank=rank)
 
         replayer = ClusterReplayer(
             config=self._config,

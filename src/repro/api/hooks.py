@@ -9,7 +9,6 @@ any combination can observe the same replay.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, TextIO
 
@@ -81,26 +80,6 @@ class OpTraceHook(ReplayHook):
 
     def measured(self) -> List[OpRecord]:
         return [record for record in self.records if record.measuring]
-
-
-class StageTimingHook(ReplayHook):
-    """Taps wall-clock duration per stage into a dict — the 'where does my
-    replay spend its time' metric tap."""
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self.clock = clock
-        self.durations_s: Dict[str, float] = {}
-        self._starts: Dict[str, float] = {}
-
-    def on_stage_start(self, context: ReplayContext, stage: ReplayStage) -> None:
-        self._starts[stage.name] = self.clock()
-
-    def on_stage_end(self, context: ReplayContext, stage: ReplayStage) -> None:
-        started = self._starts.pop(stage.name, None)
-        if started is not None:
-            self.durations_s[stage.name] = self.durations_s.get(stage.name, 0.0) + (
-                self.clock() - started
-            )
 
 
 class MetricsTapHook(ReplayHook):

@@ -64,7 +64,7 @@ class ReplaySession:
         self._support = support
         self._pipeline = (pipeline if pipeline is not None else ReplayPipeline.default()).clone()
         self._runtime: Optional[Runtime] = None
-        self._profile_hook: Optional[Any] = None
+        self._profile = False
         self._tracer: Optional[Any] = None
         self._last_result: Optional[ReplayResult] = None
 
@@ -161,29 +161,19 @@ class ReplaySession:
             self._pipeline.insert_after("assign-streams", stage)
         return self
 
-    def with_profiling(
-        self, hook: Optional[Any] = None, report_at_exit: bool = False
-    ) -> "ReplaySession":
+    def with_profiling(self) -> "ReplaySession":
         """Profile the replay engine itself (host wall time per operator).
 
-        Attaches a :class:`~repro.profiling.ProfileHook` to the session's
-        pipeline; after :meth:`run` the aggregated
-        :class:`~repro.profiling.ProfileReport` is available as
-        ``result.profile_report``.  Profiling observes through the hook
-        protocol only — replay results and cache digests are unchanged, and
-        sessions without the hook pay zero per-op overhead.  Pass a
-        pre-built ``hook`` to share or customise aggregation;
-        ``report_at_exit=True`` prints the hot-first summary at interpreter
-        shutdown (tinygrad-style).
+        Each :meth:`run` attaches a fresh
+        :class:`~repro.telemetry.ProfileHook`; afterwards the aggregated
+        :class:`~repro.telemetry.ProfileReport` is available as
+        ``result.profile_report``.  With :meth:`with_telemetry` too, that
+        hook is the session's one stage-span source and records onto the
+        session tracer.  Profiling observes through the hook protocol only
+        — replay results and cache digests are unchanged, and sessions
+        without the hook pay zero per-op overhead.
         """
-        from repro.profiling import ProfileHook
-
-        self._profile_hook = (
-            hook if hook is not None else ProfileHook(report_at_exit=report_at_exit)
-        )
-        if self._tracer is not None and getattr(self._profile_hook, "tracer", None) is None:
-            self._profile_hook.tracer = self._tracer
-        self._pipeline.add_hook(self._profile_hook)
+        self._profile = True
         return self
 
     def with_telemetry(
@@ -191,23 +181,21 @@ class ReplaySession:
     ) -> "ReplaySession":
         """Trace the replay on the unified telemetry timeline.
 
-        Attaches a :class:`~repro.telemetry.TelemetryHook` recording one
-        wall+virtual span per pipeline stage onto ``tracer`` (a fresh
-        :class:`~repro.telemetry.Tracer` is created when none is given);
-        after :meth:`run` the measured kernel launches are folded in as
-        compute/comms/exposed-comms Gantt slices, and
+        Each :meth:`run` attaches a :class:`~repro.telemetry.TelemetryHook`
+        (the :class:`~repro.telemetry.ProfileHook` when profiling is on)
+        recording one wall+virtual span per pipeline stage onto ``tracer``
+        (a fresh :class:`~repro.telemetry.Tracer` is created when none is
+        given); after :meth:`run` the measured kernel launches are folded
+        in as compute/comms/exposed-comms Gantt slices, and
         :meth:`export_trace` writes the whole thing as Chrome-trace JSON.
         Telemetry observes through the hook protocol only, so replay
         results and cache digests are byte-identical with it on, off
         (``enabled=False``) or absent — the disabled path costs one
         attribute read per callback.
         """
-        from repro.telemetry import TelemetryHook, Tracer
+        from repro.telemetry import Tracer
 
         self._tracer = tracer if tracer is not None else Tracer(enabled=enabled)
-        if self._profile_hook is not None and getattr(self._profile_hook, "tracer", None) is None:
-            self._profile_hook.tracer = self._tracer
-        self._pipeline.add_hook(TelemetryHook(self._tracer))
         return self
 
     @property
@@ -290,12 +278,29 @@ class ReplaySession:
             runtime=self._runtime,
         )
 
+    def _attach_stage_hook(self, context: ReplayContext) -> Optional[Any]:
+        """Attach the one stage-span hook a run gets and return it: a fresh
+        :class:`~repro.telemetry.ProfileHook` when profiling (sharing the
+        session tracer), else a :class:`~repro.telemetry.TelemetryHook`
+        when tracing, else none."""
+        from repro.telemetry import ProfileHook, TelemetryHook
+
+        if self._profile:
+            hook = ProfileHook(tracer=self._tracer)
+        elif self._tracer is not None:
+            hook = TelemetryHook(self._tracer)
+        else:
+            return None
+        context.hooks.append(hook)
+        return hook
+
     def run(self) -> ReplayResult:
         """Execute the pipeline and return the full measurement."""
         context = self.build_context()
+        hook = self._attach_stage_hook(context)
         result = self._pipeline.run(context)
-        if self._profile_hook is not None:
-            result.profile_report = self._profile_hook.report(
+        if self._profile:
+            result.profile_report = hook.report(
                 trace_name=str(context.trace.metadata.get("workload", "")),
                 device=self._config.device,
                 vectorized=getattr(self._config, "vectorized", True),
@@ -334,7 +339,9 @@ class ReplaySession:
         for partial pipelines (e.g. ``.without_stage("measure")`` dry
         builds, or build-phase-only inspection).
         """
-        return self._pipeline.run_context(self.build_context())
+        context = self.build_context()
+        self._attach_stage_hook(context)
+        return self._pipeline.run_context(context)
 
     def summarize(self) -> ReplayResultSummary:
         """Execute and return only the compact, cacheable summary."""

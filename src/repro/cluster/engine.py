@@ -158,7 +158,7 @@ class RankReport:
     #: fleet was replayed with memory tracking enabled.
     memory: Optional[Any] = None
     #: Host wall-time profile of this rank's replay engine
-    #: (:class:`~repro.profiling.ProfileReport`); ``None`` unless the fleet
+    #: (:class:`~repro.telemetry.ProfileReport`); ``None`` unless the fleet
     #: was replayed with profiling enabled.
     profile: Optional[Any] = None
 
@@ -273,7 +273,7 @@ class ClusterReport:
 
     @property
     def profile_reports(self) -> Dict[int, Any]:
-        """Per-rank :class:`~repro.profiling.ProfileReport` objects, for
+        """Per-rank :class:`~repro.telemetry.ProfileReport` objects, for
         fleets replayed with profiling enabled (empty dict otherwise)."""
         return {
             rank.rank: rank.profile
@@ -352,21 +352,22 @@ class ClusterReplayer:
         #: the max-rank summary onto the :class:`ClusterReport`.
         self.track_memory = track_memory
         self.memory_budget = memory_budget
-        #: rank -> :class:`~repro.profiling.ProfileHook` factory.  When set,
+        #: rank -> :class:`~repro.telemetry.ProfileHook` factory.  When set,
         #: every replica runs with its own profiling hook and the aggregated
-        #: :class:`~repro.profiling.ProfileReport` lands on its
+        #: :class:`~repro.telemetry.ProfileReport` lands on its
         #: :class:`RankReport` — one hook per rank because the scheduler
         #: interleaves the replicas, so each rank's ops and stages must be
         #: attributed to that rank alone.
         self.profile_hook_factory = profile_hook_factory
         #: Optional :class:`~repro.telemetry.Tracer` (set by
         #: ``ClusterSession.with_telemetry()`` or the ``--trace-out`` CLI
-        #: path).  When enabled, every replica gets a per-rank
-        #: :class:`~repro.telemetry.TelemetryHook`, the scheduler emits
-        #: park/wake/rendezvous events, and :meth:`replay` records the
-        #: per-rank virtual-time Gantt (compute / comms / exposed-comms /
-        #: stall lanes) onto the tracer.  ``None`` keeps every replay path
-        #: telemetry-free.
+        #: path).  When enabled, every replica gets one per-rank stage-span
+        #: hook on it — its profile hook when that already records onto
+        #: this tracer, else a :class:`~repro.telemetry.TelemetryHook` —
+        #: the scheduler emits park/wake/rendezvous events, and
+        #: :meth:`replay` records the per-rank virtual-time Gantt (compute /
+        #: comms / exposed-comms / stall lanes) onto the tracer.  ``None``
+        #: keeps every replay path telemetry-free.
         self.tracer = None
 
     # ------------------------------------------------------------------
@@ -437,14 +438,16 @@ class ClusterReplayer:
         replicas = []
         for trace, profiler in zip(fleet, profilers):
             rank = int(trace.metadata.get("rank", 0))
-            hooks: Optional[Tuple[Any, ...]] = None
+            profile_hook = None
             if self.profile_hook_factory is not None:
-                profile_hooks[rank] = self.profile_hook_factory(rank)
-                hooks = (profile_hooks[rank],)
-            if tracer is not None:
+                profile_hook = profile_hooks[rank] = self.profile_hook_factory(rank)
+            hooks: Tuple[Any, ...] = () if profile_hook is None else (profile_hook,)
+            # One stage-span source per rank: a profile hook that already
+            # records onto the shared tracer is it; otherwise add one.
+            if tracer is not None and getattr(profile_hook, "tracer", None) is not tracer:
                 from repro.telemetry import TelemetryHook
 
-                hooks = (hooks or ()) + (TelemetryHook(tracer, rank=rank),)
+                hooks += (TelemetryHook(tracer, rank=rank),)
             replicas.append(
                 RankReplica.from_trace(
                     trace,

@@ -38,6 +38,15 @@ from repro.core.pipeline import ReplayContext, ReplayPipelineError
 PickFunction = Callable[[List[int], int], int]
 
 
+def _notify(context: ReplayContext, event: str) -> None:
+    """Dispatch a scheduler event (``on_resume`` / ``on_park``) to the
+    hooks that implement it; hooks need not subclass ``ReplayHook``."""
+    for hook in context.hooks:
+        callback = getattr(hook, event, None)
+        if callback is not None:
+            callback(context)
+
+
 class ClusterPaused(BaseException):
     """Control-flow signal: the event scheduler honoured an interrupt
     request at a scheduling boundary (the top of its run loop — each rank
@@ -207,10 +216,7 @@ class VirtualTimeScheduler:
                 cursor = cursors[rank]
                 context = cursor.context
                 if context.hooks:
-                    for hook in context.hooks:
-                        on_resume = getattr(hook, "on_resume", None)
-                        if on_resume is not None:
-                            on_resume(context)
+                    _notify(context, "on_resume")
                 try:
                     blocked = cursor.advance()
                 except StopIteration:
@@ -232,6 +238,8 @@ class VirtualTimeScheduler:
                         )
                 else:
                     parked.setdefault(blocked.slot, []).append(rank)
+                    if context.hooks:
+                        _notify(context, "on_park")
                     if telemetry is not None:
                         telemetry.event(
                             "park",

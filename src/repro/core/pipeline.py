@@ -276,13 +276,21 @@ class ReplayHook:
     def on_error(self, context: ReplayContext, stage: "ReplayStage", error: BaseException) -> None:
         """Called when the stage raised; the error re-raises."""
 
+    def on_park(self, context: ReplayContext) -> None:
+        """Called when a cooperative scheduler parks this replay on an
+        unresolved collective and goes on to run other work (the
+        event-driven cluster engine interleaves many ranks on one thread).
+        Wall-clock observers should stop their clocks here; the matching
+        :meth:`on_resume` restarts them.  Never called in single-replay
+        (non-interleaved) runs."""
+
     def on_resume(self, context: ReplayContext) -> None:
         """Called when a cooperative scheduler hands control back to this
-        replay after running other work (the event-driven cluster engine
-        interleaves many ranks on one thread).  Wall-clock observers should
-        re-anchor their marks here so time spent replaying *other* ranks is
-        not attributed to this replay's next operator.  Never called in
-        single-replay (non-interleaved) runs."""
+        replay after running other work — before its first step and after
+        every :meth:`on_park`.  Wall-clock observers should re-anchor their
+        marks here so time spent replaying *other* ranks is not attributed
+        to this replay's next operator.  Never called in single-replay
+        (non-interleaved) runs."""
 
 
 # ----------------------------------------------------------------------

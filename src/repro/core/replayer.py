@@ -192,10 +192,11 @@ class ReplayResult:
     #: when a ``track-memory`` stage ran; ``None`` otherwise.  Not part of
     #: :meth:`summarize`, so cached result digests are unaffected.
     memory_report: Optional[Any] = None
-    #: Wall-clock profile of the replay itself (``repro.profiling``),
-    #: populated only when the session ran ``.with_profiling()``; ``None``
-    #: otherwise.  Not part of :meth:`summarize` either — profiling a
-    #: replay never changes what it measures.
+    #: Wall-clock profile of the replay itself
+    #: (:class:`~repro.telemetry.ProfileReport`), populated only when the
+    #: session ran ``.with_profiling()``; ``None`` otherwise.  Not part of
+    #: :meth:`summarize` either — profiling a replay never changes what it
+    #: measures.
     profile_report: Optional[Any] = None
 
     @property

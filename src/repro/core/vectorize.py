@@ -2,9 +2,10 @@
 
 The scalar execute loop interprets one operator at a time: schema-compiled
 callable → runtime dispatch → per-kernel cost-model pricing, all in pure
-Python.  Profiling (``repro.profiling``) shows that for a converged replay
-every iteration repeats *exactly* the same operator programs — same inputs,
-same kernels, same durations — so re-interpreting them is wasted work.
+Python.  Profiling (``repro.telemetry.ProfileHook``) shows that for a
+converged replay every iteration repeats *exactly* the same operator
+programs — same inputs, same kernels, same durations — so re-interpreting
+them is wasted work.
 
 This module groups operators Chakra-style by an *operator signature*
 ``(reconstructed IR, stream, input tensor fingerprints)`` and captures, on

@@ -23,8 +23,8 @@ Seven subcommands drive the service layer:
     communication-delay scales, iterations ...), batched and cached.
 ``profile``
     Profile the replay *engine itself* per trace (host wall time per
-    operator, replay throughput in ops/sec) — the :mod:`repro.profiling`
-    hot-first summary; ``--scalar`` profiles the scalar execute path for
+    operator, replay throughput in ops/sec) — the
+    :class:`~repro.telemetry.ProfileHook` hot-first summary; ``--scalar`` profiles the scalar execute path for
     comparison against the vectorized default.  Also reachable as
     ``replay --profile`` (which replays sequentially through the session
     API, bypassing the worker pool and the result cache).

@@ -127,12 +127,12 @@ def memory_payload(
 
 
 def profile_payload(reports: Mapping[str, Any]) -> Dict[str, Any]:
-    """``profile``: one :class:`~repro.profiling.ProfileReport` per trace.
+    """``profile``: one :class:`~repro.telemetry.ProfileReport` per trace.
 
     The payload carries the profiling schema version once at the top level
     (every report in one payload shares it) so consumers can gate parsing.
     """
-    from repro.profiling import PROFILE_SCHEMA_VERSION
+    from repro.telemetry import PROFILE_SCHEMA_VERSION
 
     return {
         "schema_version": PROFILE_SCHEMA_VERSION,

@@ -11,10 +11,18 @@ surface:
 
 ``hook``
     :class:`TelemetryHook` — a :class:`~repro.core.pipeline.ReplayHook`
-    that turns pipeline stage boundaries into spans.  It rides the
+    and the only code that turns pipeline stage boundaries into spans
+    (on-CPU segments under the cluster scheduler).  It rides the
     existing ``notify = bool(context.hooks)`` fast path, so replays
     without telemetry keep the zero-overhead guarantee and byte-identical
     results/digests.
+
+``profile``
+    :class:`ProfileHook` — a :class:`TelemetryHook` that adds the
+    replay engine's per-operator host wall time, measured throughput and
+    an opt-in atexit summary, aggregated into a versioned
+    :class:`ProfileReport` whose ``stage_wall_s`` is the sum of the
+    hook's own stage spans.
 
 ``metrics``
     :class:`MetricsRegistry` — counters, gauges and histograms with a
@@ -40,6 +48,12 @@ from repro.telemetry.tracer import (
     Tracer,
 )
 from repro.telemetry.hook import TelemetryHook
+from repro.telemetry.profile import (
+    PROFILE_SCHEMA_VERSION,
+    OpProfile,
+    ProfileHook,
+    ProfileReport,
+)
 from repro.telemetry.metrics import (
     METRICS_SCHEMA_VERSION,
     Counter,
@@ -61,6 +75,10 @@ __all__ = [
     "Span",
     "Tracer",
     "TelemetryHook",
+    "PROFILE_SCHEMA_VERSION",
+    "OpProfile",
+    "ProfileHook",
+    "ProfileReport",
     "Counter",
     "Gauge",
     "Histogram",

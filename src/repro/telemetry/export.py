@@ -30,7 +30,7 @@ _LANE_STRIDE = 8
 _OTHER_SUB = 4
 
 #: Host-lane thread ids per span category.
-_HOST_TIDS = {"pipeline": 1, "scheduler": 2, "daemon": 3, "profiling": 4}
+_HOST_TIDS = {"pipeline": 1, "scheduler": 2, "daemon": 3}
 _HOST_OTHER_TID = 9
 _HOST_RANK_TID_BASE = 100
 

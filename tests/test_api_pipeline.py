@@ -245,16 +245,17 @@ class TestHooks:
 
     def test_optrace_and_timing_hooks(self, small_linear_capture):
         op_trace = api.OpTraceHook()
-        timings = api.StageTimingHook()
         taps = []
         result = (
             api.replay(small_linear_capture)
             .iterations(1)
-            .hook(op_trace, timings, api.MetricsTapHook(taps.append))
+            .hook(op_trace, api.MetricsTapHook(taps.append))
+            .with_profiling()
             .run()
         )
         assert len(op_trace.measured()) == result.replayed_ops
-        assert set(timings.durations_s) == set(EXPECTED_ORDER)
+        # Stage timing is a view over the profile hook's stage spans.
+        assert set(result.profile_report.stage_wall_s) == set(EXPECTED_ORDER)
         assert len(taps) == 1
         assert taps[0]["replayed_ops"] == result.replayed_ops
 

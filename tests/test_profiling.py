@@ -1,10 +1,10 @@
-"""Tests for the replay-engine profiler (``repro.profiling``).
+"""Tests for the replay-engine profiler (``repro.telemetry.ProfileHook``).
 
 Covers the three guarantees the profiling subsystem makes:
 
 * **Aggregation correctness** — per-op counts/totals/min/max/shares and
-  per-stage wall times, driven through the hook protocol with a fake
-  clock so every expected number is exact.
+  per-stage on-CPU wall times, driven through the hook protocol with a
+  fake clock so every expected number is exact.
 * **Zero overhead when disabled** — a pipeline without hooks never even
   calls the per-op notification path (asserted by making that path
   explode), and ``result.profile_report`` stays ``None``.
@@ -23,8 +23,14 @@ import pytest
 
 import repro.api as api
 from repro.core.pipeline import ReplayContext
-from repro.profiling import PROFILE_SCHEMA_VERSION, OpProfile, ProfileHook, ProfileReport
-from repro.profiling import profiler as profiler_module
+from repro.telemetry import (
+    PROFILE_SCHEMA_VERSION,
+    OpProfile,
+    ProfileHook,
+    ProfileReport,
+    Tracer,
+)
+from repro.telemetry import profile as profile_module
 from repro.service import serialize
 
 
@@ -141,12 +147,42 @@ class TestProfileHookAggregation:
         assert "replay profile" in report.format_table()
 
     def test_atexit_registration_is_opt_in(self):
-        before = list(profiler_module._atexit_hooks)
+        before = list(profile_module._atexit_hooks)
         ProfileHook(clock=FakeClock())
-        assert profiler_module._atexit_hooks == before
+        assert profile_module._atexit_hooks == before
         hook = ProfileHook(clock=FakeClock(), report_at_exit=True)
-        assert profiler_module._atexit_hooks[-1] is hook
-        profiler_module._atexit_hooks.remove(hook)
+        assert profile_module._atexit_hooks[-1] is hook
+        profile_module._atexit_hooks.remove(hook)
+
+    def test_parked_time_is_not_billed_to_the_stage(self):
+        """Under the cluster scheduler a stage is on the CPU only between
+        resume and park; the time other ranks run in between is not its."""
+        clock = FakeClock()
+        hook = ProfileHook(clock=clock)
+        hook.on_stage_start(_context(), _stage("execute"))
+        clock.advance(0.002)
+        hook.on_park(_context())
+        clock.advance(0.050)  # other ranks run
+        hook.on_resume(_context())
+        clock.advance(0.003)
+        hook.on_stage_end(_context(), _stage("execute"))
+
+        assert hook.report().stage_wall_s["execute"] == pytest.approx(0.005)
+        segments = hook.stage_spans
+        assert [span.name for span in segments] == ["stage:execute"] * 2
+        assert [span.wall_duration_s for span in segments] == pytest.approx(
+            [0.002, 0.003]
+        )
+
+    def test_disabled_tracer_falls_back_to_a_private_one(self):
+        clock = FakeClock()
+        shared = Tracer(enabled=False)
+        hook = ProfileHook(clock=clock, tracer=shared)
+        hook.on_stage_start(_context(), _stage("select"))
+        clock.advance(0.004)
+        hook.on_stage_end(_context(), _stage("select"))
+        assert hook.report().stage_wall_s == {"select": pytest.approx(0.004)}
+        assert hook.tracer is not shared and shared.spans == ()
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +342,7 @@ def _load_usage_checker():
 
 class TestMonotonicClockGuard:
     """``scripts/check_deprecated_usage.py`` bans ``time.time(`` wherever
-    host durations are measured (bench + profiling)."""
+    host durations are measured (bench + telemetry)."""
 
     def test_repository_is_clean(self):
         checker = _load_usage_checker()
@@ -315,7 +351,7 @@ class TestMonotonicClockGuard:
 
     def test_rule_fires_on_time_time(self, tmp_path):
         checker = _load_usage_checker()
-        bad = tmp_path / "src" / "repro" / "profiling"
+        bad = tmp_path / "src" / "repro" / "telemetry"
         bad.mkdir(parents=True)
         (bad / "x.py").write_text("import time\nstart = time.time()\n")
         offenders = checker.find_offenders(tmp_path)
@@ -329,10 +365,10 @@ class TestMonotonicClockGuard:
         (ok / "x.py").write_text("import time\nstart = time.perf_counter()\n")
         assert checker.find_offenders(tmp_path) == {}
 
-    def test_bench_and_profiling_are_both_covered(self):
+    def test_bench_and_telemetry_are_both_covered(self):
         checker = _load_usage_checker()
         clock_rule = next(r for r in checker.RULES if r.name == "non-monotonic-clock")
-        assert set(clock_rule.roots) == {"src/repro/bench", "src/repro/profiling"}
+        assert set(clock_rule.roots) == {"src/repro/bench", "src/repro/telemetry"}
 
 
 class TestBatchReplayerGuard:

@@ -16,8 +16,8 @@ adversity:
 
 It also absorbs the scheduler-adjacent regression pins that used to live in
 the (now deleted) differential-equivalence suite: the hierarchical topology
-model, ``ProfileHook`` re-anchoring under the single-threaded event loop,
-and the ``replay-dist`` CLI flag surface.
+model, ``ProfileHook`` re-anchoring and on-CPU stage spans under the
+single-threaded event loop, and the ``replay-dist`` CLI flag surface.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -42,9 +43,9 @@ from repro.hardware.network import (
     TopologyTier,
     topology_from_name,
 )
-from repro.profiling import ProfileHook
 from repro.service import serialize
 from repro.service.cli import main as cli_main
+from repro.telemetry import ProfileHook
 from repro.workloads.ddp import DistributedRunner
 from tests.conftest import make_small_rm
 
@@ -323,6 +324,24 @@ class TestProfileAttribution:
         hook.on_op_replayed(context, entry, None)
         (op,) = hook.report().ops
         assert op.max_us == pytest.approx(9e6)
+
+    def test_stage_spans_count_on_cpu_time_only(self):
+        """Regression: a rank's execute span stayed open while it was
+        parked, billing it for every other rank's work — on 8 ranks the
+        per-rank execute times summed to ~5x the fleet wall.  Spans now
+        close on ``on_park``, so one thread's on-CPU segments cannot add
+        up to more than the wall they ran in."""
+        fleet = DistributedRunner(
+            lambda rank, world: make_small_rm(rank=rank, world_size=world), world_size=8
+        ).run()
+        session = api.replay_cluster(fleet).on("A100").with_profiling()
+        start = time.perf_counter()
+        report = session.run()
+        fleet_wall_s = time.perf_counter() - start
+        profiles = report.profile_reports
+        assert sorted(profiles) == list(range(8))
+        assert all(profile.stage_wall_s["execute"] > 0.0 for profile in profiles.values())
+        assert sum(p.stage_wall_s["execute"] for p in profiles.values()) <= fleet_wall_s
 
     def test_event_engine_profiles_each_rank_separately(self, ddp_fleet):
         traces = ddp_fleet(2)

@@ -8,6 +8,9 @@ metrics registry and its Prometheus exposition, the pipeline TelemetryHook
   under ``json.loads``, every lane's ``ts`` values are monotonic, and the
   rank lanes carry compute / comms / stall slices from the virtual clock;
 * ``python -m repro replay-dist --trace-out`` writes that file;
+* profiling and telemetry share one stage-span source: no duplicate
+  spans, one span per build stage per rank, and each rank's
+  ``ProfileReport.stage_wall_s`` is the sum of its own ``pipeline`` spans;
 * the daemon serves Prometheus-parseable ``GET /metrics`` while a job is
   running, and ``/health`` carries the telemetry counter totals;
 * the bare-print lint rule catches offenders and the tree is clean.
@@ -271,15 +274,6 @@ class TestSessionTelemetry:
         assert compute, "kernel Gantt slices missing"
         assert all(s.virtual_duration_us >= 0.0 for s in compute)
 
-    def test_profile_hook_publishes_spans_to_shared_tracer(self):
-        capture = api.capture(make_small_rm(), warmup_iterations=0)
-        tracer = Tracer()
-        session = (
-            api.replay(capture).iterations(1).with_telemetry(tracer).with_profiling()
-        )
-        session.run()
-        assert any(s.category == "profiling" for s in tracer.spans)
-
     def test_export_trace_without_telemetry_raises(self, tmp_path):
         capture = api.capture(make_small_rm(), warmup_iterations=0)
         with pytest.raises(RuntimeError):
@@ -378,6 +372,52 @@ class TestClusterChromeTrace:
         )
         # --json output on stdout stays parseable despite the trace export.
         assert json.loads(proc.stdout)["world_size"] == 4
+
+
+# ----------------------------------------------------------------------
+# One stage-span source: profiling is a view over the telemetry spans
+# ----------------------------------------------------------------------
+def _assert_one_stage_span_source(tracer, profiles):
+    """``profiles`` maps each rank's correlation value (``None`` for a
+    single-rank session) to its ProfileReport."""
+    assert not [span for span in tracer.spans if span.category == "profiling"]
+    by_rank = {}
+    for span in tracer.iter_spans("pipeline"):
+        assert span.name.startswith("stage:")
+        by_rank.setdefault(span.correlation.get("rank"), []).append(span)
+    assert set(by_rank) == set(profiles)
+    for rank, spans in by_rank.items():
+        counts, totals = {}, {}
+        for span in spans:
+            name = span.name[len("stage:"):]
+            counts[name] = counts.get(name, 0) + 1
+            totals[name] = totals.get(name, 0.0) + span.wall_duration_s
+        # Build stages never park, so each is exactly one span per rank.
+        assert all(count == 1 for name, count in counts.items() if name != "execute")
+        assert profiles[rank].stage_wall_s == pytest.approx(totals)
+
+
+class TestOneStageSpanSource:
+    def test_single_rank_profiling_and_telemetry_share_spans(self):
+        capture = api.capture(make_small_rm(), warmup_iterations=0)
+        tracer = Tracer()
+        result = (
+            api.replay(capture).iterations(1).with_telemetry(tracer).with_profiling().run()
+        )
+        _assert_one_stage_span_source(tracer, {None: result.profile_report})
+
+    def test_cluster_profiling_and_telemetry_share_spans(self, rm_fleet):
+        tracer = Tracer()
+        report = (
+            api.replay_cluster(rm_fleet)
+            .on("A100")
+            .iterations(1)
+            .with_telemetry(tracer)
+            .with_profiling()
+            .run()
+        )
+        assert sorted(report.profile_reports) == [0, 1, 2, 3]
+        _assert_one_stage_span_source(tracer, report.profile_reports)
 
 
 # ----------------------------------------------------------------------
