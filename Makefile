@@ -8,10 +8,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Multi-rank distributed replay subsystem: unit/integration tests plus a
+# Multi-rank distributed replay subsystem: unit/integration tests, the
+# vectorized == scalar suite (fleet-shared programs included), plus a
 # 4-rank DDP smoke replay through the public facade.
 test-cluster:
-	$(PYTHON) -m pytest tests/test_cluster_replay.py tests/test_collective_costmodel.py -q
+	$(PYTHON) -m pytest tests/test_cluster_replay.py tests/test_collective_costmodel.py tests/test_vectorized_equivalence.py -q
 	$(PYTHON) examples/cluster_straggler.py
 
 # Device-memory simulation subsystem: allocator/lifetime/timeline tests,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Seven rules, one pass:
+Eight rules, one pass:
 
 * The deprecated ``Replayer`` entry point must not be used inside ``src/``
   outside its own shim module — every replay goes through
@@ -34,6 +34,12 @@ Seven rules, one pass:
   ``core/vectorize.py``, and ``RankBlocked`` is caught only by the retry
   helper in ``torchsim/distributed.py``; anything else is a second copy of
   the loop or of its collective retry.
+* Compute operators do not depend on the rank.  Inside
+  ``src/repro/torchsim/ops/`` and ``torchsim/nn.py``, ``.rank`` is read
+  only in ``ops/comms.py``: the comms ops are never vectorized, and every
+  other op's captured program is shared by all ranks of a co-replay
+  (``repro.core.vectorize.ProgramStore``), which is sound only while its
+  effect cannot differ from rank to rank.
 
 Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 1 with a file:line listing otherwise.  ``tests/test_profiling.py`` drives
@@ -55,7 +61,8 @@ class Rule:
 
     name: str
     pattern: re.Pattern
-    #: Directories (relative to the repo root) the rule scans.
+    #: Directories or single files (relative to the repo root) the rule
+    #: scans.
     roots: Tuple[str, ...]
     message: str
     #: Paths (relative to the repo root) exempt from the rule: exact files,
@@ -169,6 +176,17 @@ RULES = (
         exempt=("src/repro/torchsim/distributed.py",),
         message=_EXECUTE_LOOP_FORK,
     ),
+    Rule(
+        name="rank-dependent-op",
+        pattern=re.compile(r"\.rank\b"),
+        roots=("src/repro/torchsim/ops", "src/repro/torchsim/nn.py"),
+        exempt=("src/repro/torchsim/ops/comms.py",),
+        message=(
+            "operator reads the rank outside ops/comms.py (vectorized programs "
+            "are shared across the ranks of a co-replay, so a compute op's "
+            "effect must not depend on its rank)"
+        ),
+    ),
 )
 
 
@@ -180,9 +198,13 @@ def find_offenders(root: Path = Path(".")) -> Dict[str, List[str]]:
         exempt_dirs = [root / path for path in rule.exempt if path.endswith("/")]
         for scan_root in rule.roots:
             base = root / scan_root
-            if not base.is_dir():
+            if base.is_file():
+                paths = [base]
+            elif base.is_dir():
+                paths = sorted(base.rglob("*.py"))
+            else:
                 continue
-            for path in sorted(base.rglob("*.py")):
+            for path in paths:
                 if path in exempt_files:
                     continue
                 if any(directory in path.parents for directory in exempt_dirs):

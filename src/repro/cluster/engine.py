@@ -37,10 +37,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.comms_replay import CommReplayManager
 from repro.core.registry import ReplaySupport
 from repro.core.replayer import ReplayConfig, ReplayResult, ReplayResultSummary
+from repro.core.vectorize import ProgramStore
 from repro.cluster.rendezvous import CollectiveKey, EventRendezvous, normalize_op
 from repro.cluster.replica import RankReplica
 from repro.et.trace import ExecutionTrace
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
+from repro.torchsim.distributed import group_key
 from repro.torchsim.profiler import ProfilerTrace
 
 #: What :meth:`ClusterReplayer.replay` accepts per rank: a trace, a path to
@@ -92,7 +94,7 @@ def _comm_keys(trace: ExecutionTrace) -> List[CollectiveKey]:
         if not isinstance(ranks, (list, tuple)) or not ranks:
             # No recorded group means the default group over the full world.
             ranks = range(world_size)
-        keys.append((tuple(sorted(int(r) for r in ranks)), normalize_op(record.name)))
+        keys.append((group_key(ranks), normalize_op(record.name)))
     return keys
 
 
@@ -433,6 +435,10 @@ class ClusterReplayer:
             cost_model=self._cost_model(),
             participants=ranks,
         )
+        # One program store per co-replay: the first rank to reach an
+        # operator signature captures its program, the next occurrence on
+        # any rank verifies it, and every later one runs the fast path.
+        programs = ProgramStore()
         tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         profile_hooks: Dict[int, Any] = {}
         replicas = []
@@ -459,6 +465,7 @@ class ClusterReplayer:
                     hooks=hooks,
                     track_memory=self.track_memory,
                     memory_budget=self.memory_budget,
+                    programs=programs,
                 )
             )
 

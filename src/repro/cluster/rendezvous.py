@@ -147,6 +147,8 @@ class EventRendezvous:
         self.cost_model = cost_model
         self.participants = frozenset(int(r) for r in participants)
         self._seq: Dict[Tuple[int, CollectiveKey], int] = {}
+        #: key -> the replayed members a slot of that key waits for.
+        self._expected: Dict[CollectiveKey, frozenset] = {}
         self._pending: Dict[CollectiveSlot, _Pending] = {}
         self._retired: set = set()
         self.events: List[CollectiveEvent] = []
@@ -240,20 +242,33 @@ class EventRendezvous:
         self,
         rank: int,
         op: str,
-        group_ranks: Sequence[int],
+        group_key: Sequence[int],
         bytes_per_rank: float,
         arrival_us: float,
     ) -> Tuple[float, Optional[float]]:
-        """Announce a collective; return ``(start_us, duration_us)`` when
-        the slot is resolved, raise :class:`RankBlocked` when it is not."""
-        key: CollectiveKey = (tuple(sorted(int(r) for r in group_ranks)), normalize_op(op))
+        """Announce a collective over the group whose canonical key is
+        ``group_key``; return ``(start_us, duration_us)`` when the slot is
+        resolved, raise :class:`RankBlocked` when it is not.
+
+        ``group_key`` must be the group's members in ascending order —
+        pass :attr:`~repro.torchsim.distributed.ProcessGroup.key`, not
+        ``ProcessGroup.ranks``.  It is not re-sorted per call; an unsorted
+        key raises :class:`ValueError` the first time it is seen."""
+        key: CollectiveKey = (tuple(group_key), normalize_op(op))
         slot = self._inflight.get(rank)
         if slot is None:
             # First announcement of this invocation: consume a sequence
             # number and register the arrival.  A retry after RankBlocked
             # skips this block — the op replays from the same cursor
             # position, so key and arrival are unchanged.
-            expected = frozenset(key[0]) & self.participants
+            expected = self._expected.get(key)
+            if expected is None:
+                if list(key[0]) != sorted(key[0]):
+                    raise ValueError(
+                        f"collective group key {list(key[0])} is not sorted; "
+                        "pass ProcessGroup.key"
+                    )
+                expected = self._expected[key] = frozenset(key[0]) & self.participants
             seq = self._seq.get((rank, key), 0)
             self._seq[(rank, key)] = seq + 1
             if len(expected) <= 1:
@@ -268,17 +283,19 @@ class EventRendezvous:
             pending.arrivals[rank] = arrival_us
             pending.bytes_per_rank = max(pending.bytes_per_rank, bytes_per_rank)
             self._inflight[rank] = slot
-            if set(pending.arrivals) >= pending.expected:
+            if len(pending.arrivals) >= len(pending.expected) and (
+                set(pending.arrivals) >= pending.expected
+            ):
                 start = max(pending.arrivals.values())
                 duration = self._price(key, pending.bytes_per_rank)
                 pending.resolved = (start, duration)
                 self._record(key, seq, start, duration, dict(pending.arrivals), pending.bytes_per_rank)
                 self._ready.append(slot)
-            else:
-                missing = pending.expected - set(pending.arrivals) - self._retired
-                if not missing:
-                    pending.failed = self._mismatch_message(key, seq, pending)
-                    self._ready.append(slot)
+            elif self._retired and not (
+                pending.expected - set(pending.arrivals) - self._retired
+            ):
+                pending.failed = self._mismatch_message(key, seq, pending)
+                self._ready.append(slot)
         else:
             if slot[0] != key:
                 raise CollectiveSyncError(

@@ -12,7 +12,9 @@ synchronises with its peers instead of being priced purely locally.
 
 The replica only builds the pipeline and holds the outcome; the
 :class:`~repro.cluster.scheduler.RankCursor` drives it as a step generator
-so the event scheduler can interleave ranks.
+so the event scheduler can interleave ranks, and hands the replica's
+:attr:`~RankReplica.programs` (the co-replay's shared operator-program
+store) to its execute stage.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.core.pipeline import (
 )
 from repro.core.registry import ReplaySupport
 from repro.core.replayer import ReplayConfig, ReplayResult
+from repro.core.vectorize import ProgramStore
 from repro.cluster.rendezvous import EventRendezvous
 from repro.et.trace import ExecutionTrace
 from repro.torchsim.profiler import ProfilerTrace
@@ -77,6 +80,10 @@ class RankReplica:
     track_memory: bool = False
     #: Optional what-if pool bound for the memory simulation.
     memory_budget: Optional[Any] = None
+    #: The co-replay's operator-program store, shared by every replica so
+    #: a program learned on one rank serves them all; ``None`` gives this
+    #: replica a private one.
+    programs: Optional[ProgramStore] = None
     result: Optional[ReplayResult] = None
     error: Optional[str] = None
     #: Virtual start of this rank's measured region (set by the cursor);
@@ -97,6 +104,7 @@ class RankReplica:
         hooks: Optional[Sequence[ReplayHook]] = None,
         track_memory: bool = False,
         memory_budget: Optional[Any] = None,
+        programs: Optional[ProgramStore] = None,
     ) -> "RankReplica":
         """Build a replica for ``trace``, with the config's ``rank`` pinned
         to the trace's recorded rank (plus optional per-rank overrides —
@@ -113,6 +121,7 @@ class RankReplica:
             hooks=tuple(hooks or ()),
             track_memory=track_memory,
             memory_budget=memory_budget,
+            programs=programs,
         )
 
     # ------------------------------------------------------------------

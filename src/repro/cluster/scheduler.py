@@ -22,6 +22,11 @@ included); only its collectives differ.  Each goes through
 :func:`~repro.torchsim.distributed.retry_collective`, which rolls the
 runtime back to the op boundary and yields the blocked slot; the cursor
 parks on it and re-executes the op verbatim once the slot resolves.
+
+The ranks' vectorized executors learn into one shared
+:class:`~repro.core.vectorize.ProgramStore`, which needs no lock because
+of this single thread: a cursor yields only at a blocked collective, never
+while it learns a program.
 """
 
 from __future__ import annotations
@@ -86,6 +91,7 @@ class RankCursor:
             config=replica.config,
             support=replica.support,
             hooks=list(replica.hooks),
+            programs=replica.programs,
         )
         self._generator = self._run()
 

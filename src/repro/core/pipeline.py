@@ -204,6 +204,10 @@ class ReplayContext:
     support: Optional[ReplaySupport] = None
     runtime: Optional[Runtime] = None
     hooks: List["ReplayHook"] = field(default_factory=list)
+    #: Operator programs the vectorized executor learns into, shared with
+    #: the other ranks of a co-replay (set by the cluster scheduler's
+    #: cursors); ``None`` gives the replay a private store.
+    programs: Optional[vectorize.ProgramStore] = None
 
     # Build products.
     selection: Optional[SelectionResult] = None
@@ -563,14 +567,19 @@ class ExecuteStage(ReplayStage):
         events, but not observer callbacks).  Both paths produce
         byte-identical replay results.  The executor persists on
         ``context.extras`` so programs learned during warm-up iterations
-        pay off across every measured iteration.
+        pay off across every measured iteration; it learns into
+        ``context.programs`` (a co-replay's fleet-shared store) or, when
+        that is ``None``, into a store private to this replay.
         """
         if getattr(context.config, "vectorized", True) and (
             runtime.observer is None or not runtime.observer.enabled
         ):
             executor = context.extras.get(vectorize.EXTRAS_KEY)
             if executor is None:
-                executor = vectorize.VectorizedExecutor()
+                store = context.programs
+                if store is None:
+                    store = vectorize.ProgramStore()
+                executor = vectorize.VectorizedExecutor(store.partition(runtime))
                 context.extras[vectorize.EXTRAS_KEY] = executor
             return executor.replay_entries(context, runtime)
         return self._replay_once_scalar(context, runtime)

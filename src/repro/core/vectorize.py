@@ -30,11 +30,32 @@ verification (value-dependent ops, comms, clock-reading internals) is bound
 to the scalar path forever, so correctness never depends on the fast path
 applying.
 
+Programs live in a :class:`ProgramStore`, partitioned by the *program
+environment* (:func:`program_environment`: device spec, cost-model clock,
+mode and efficiency tables, operator registry — never the rank).  A
+single-rank replay owns a private store; a multi-rank co-replay shares one
+store across every rank, so rank 0 captures a signature, the next
+occurrence (on rank 0 or any other rank) verifies it, and every later rank
+starts on the fast path.  Verification does not prove a program
+rank-independent — its second occurrence is often on the capturing rank —
+so sharing rests on which operators a program dispatches:
+
+* Built-in operators (implemented in ``repro.torchsim.ops``) do not read
+  the rank; only the comms operators do, and they are never vectorized.
+  ``scripts/check_deprecated_usage.py`` pins that with its
+  ``rank-dependent-op`` rule.  Their programs are shared by every rank.
+* Any other implementation — a user op from
+  ``ReplaySupport.register_custom_op`` or an overridden built-in — may read
+  ``ctx.runtime.rank``.  A top-level one gets the rank in its signature, so
+  each rank captures and verifies its own program; a built-in that
+  dispatches one is bound to the scalar path.
+
 Equivalence contract: with ``ReplayConfig.vectorized=True`` (the default)
 every replay product — iteration times, timeline stats, kernel launches,
-profiler traces, cached result digests — is byte-identical to
-``vectorized=False``.  ``tests/test_vectorized_equivalence.py`` asserts
-this property over randomized workloads.
+profiler traces, cached result digests, cluster reports — is
+byte-identical to ``vectorized=False``.
+``tests/test_vectorized_equivalence.py`` asserts this property over
+randomized workloads and multi-rank fleets.
 
 Operators that are *not* eligible, and why:
 
@@ -62,8 +83,13 @@ from repro.torchsim.profiler import Profiler, TraceEvent
 from repro.torchsim.runtime import Runtime
 from repro.torchsim.tensor import Tensor
 
-#: Key under which the per-replay executor lives in ``context.extras``.
+#: Key under which a replay's executor lives in ``context.extras``.
 EXTRAS_KEY = "vectorized_executor"
+
+#: Module prefix of the built-in operators, and their one module that reads
+#: the rank (see :func:`_rank_blind`).
+_BUILTIN_OPS = "repro.torchsim.ops."
+_COMMS_OPS = "repro.torchsim.ops.comms"
 
 #: Sentinel distinguishing "node never seen" from "node bound to scalar".
 _UNSEEN = object()
@@ -186,17 +212,75 @@ class _FastBinding:
         self.pairs = pairs
 
 
-class VectorizedExecutor:
-    """Per-replay state of the vectorized execute loop.
+def program_environment(runtime: Runtime) -> tuple:
+    """Everything besides its signature that a compute operator's captured
+    effect depends on: the device (dispatch and launch overheads, SM
+    count), the kernel cost model (clock, mode, efficiency tables) and the
+    operator registry that dispatches it.  The rank is deliberately not
+    part of it — see the module docstring."""
+    cost = runtime.cost_model
+    return (
+        runtime.spec,
+        cost.spec,
+        cost.clock_scale,
+        cost.mode,
+        frozenset(cost.compute_efficiency.items()),
+        frozenset(cost.memory_efficiency.items()),
+        runtime.registry,
+    )
 
-    Owned by one :class:`~repro.core.pipeline.ReplayContext` (stored in
-    ``context.extras``) so programs learned during warm-up iterations are
-    reused across every later iteration of the same replay.
+
+def _rank_blind(registry, op_name: str) -> bool:
+    """True when ``op_name`` dispatches to a built-in compute operator,
+    whose effect the ``rank-dependent-op`` lint rule keeps independent of
+    the rank; user and overridden implementations may read it."""
+    if not registry.has(op_name):
+        return False
+    module = getattr(registry.get(op_name).fn, "__module__", None) or ""
+    return module.startswith(_BUILTIN_OPS) and module != _COMMS_OPS
+
+
+class ProgramStore:
+    """Learned operator programs, shared by every replay handed the store.
+
+    One partition (``signature → OpProgram``) per
+    :func:`program_environment`, so a rank on another device or under a
+    power cap learns its own programs while every rank of the same
+    environment shares one table (a program of a non-built-in operator
+    keys on its rank too — see the module docstring).  A single-rank
+    replay gets a private store;
+    :class:`~repro.cluster.engine.ClusterReplayer` creates one per
+    co-replay and hands it to every replica.
+
+    The store takes no lock: the cluster scheduler drives every rank's
+    cursor on one thread, and a cursor yields only at a blocked collective,
+    never inside the learning path, so no two executors ever touch the
+    store at once.  Do not share a store across threads or across jobs.
     """
 
     def __init__(self) -> None:
-        #: signature → learned program (any state).
-        self._programs: Dict[Any, OpProgram] = {}
+        self._partitions: Dict[tuple, Dict[Any, OpProgram]] = {}
+
+    def partition(self, runtime: Runtime) -> Dict[Any, OpProgram]:
+        """The program table of ``runtime``'s environment."""
+        return self._partitions.setdefault(program_environment(runtime), {})
+
+
+class VectorizedExecutor:
+    """One replay's state of the vectorized execute loop.
+
+    Lives on its :class:`~repro.core.pipeline.ReplayContext` (in
+    ``context.extras``), so the node bindings, the fingerprint cache and
+    :attr:`stats` are per replay (per rank in a co-replay).  The programs
+    themselves are a :class:`ProgramStore` partition that other replays of
+    the same environment may share: a program learned by any of them —
+    in any iteration — serves all of them.
+    """
+
+    def __init__(self, programs: Dict[Any, OpProgram]) -> None:
+        #: signature → learned program (any state): a
+        #: :meth:`ProgramStore.partition`.
+        self._programs = programs
         #: node id → :class:`_FastBinding` (verified), an unverified
         #: :class:`OpProgram`, or ``None`` for scalar-forever.
         self._bindings: Dict[int, Any] = {}
@@ -312,6 +396,10 @@ class VectorizedExecutor:
             self._bindings[node_id] = None
             self.stats["scalar_ops"] += 1
             return reconstructed.function(runtime, *tensors, stream=stream)
+        rank_blind = _rank_blind(runtime.registry, reconstructed.op_name)
+        if not rank_blind:
+            # Its effect may depend on the rank: learn it for this rank only.
+            signature = (signature, runtime.rank)
 
         program = self._programs.get(signature)
         if program is not None and program.state == _VERIFIED:
@@ -323,10 +411,13 @@ class VectorizedExecutor:
             self.stats["scalar_ops"] += 1
             return reconstructed.function(runtime, *tensors, stream=stream)
 
-        capture, result = self._capture(runtime, signature, reconstructed, tensors, stream)
+        capture, result = self._capture(
+            runtime, signature, reconstructed, tensors, stream, rank_blind
+        )
         self.stats["scalar_ops"] += 1
         if capture is None:
-            # Not capturable (thread switch, Work outputs, inconsistent IDs).
+            # Not capturable (thread switch, Work outputs, inconsistent IDs,
+            # a dispatched op that may read the rank).
             dead = OpProgram(
                 signature=signature,
                 op_name=reconstructed.op_name,
@@ -350,9 +441,10 @@ class VectorizedExecutor:
             self.stats["programs_captured"] += 1
             return result
 
-        # Second occurrence: verify the stored program against a fresh
-        # capture, then price the kernel group through the batched entry
-        # point.  Any divergence kills the signature for the whole replay.
+        # Second occurrence (on this rank or any other sharing the store):
+        # verify the stored program against a fresh capture, then price the
+        # kernel group through the batched entry point.  Any divergence
+        # kills the signature for every replay sharing the store.
         if program.matches(capture):
             self._batch_price(runtime, program)
             program.state = _VERIFIED
@@ -377,13 +469,15 @@ class VectorizedExecutor:
         reconstructed,
         tensors: Sequence[Any],
         stream: int,
+        rank_blind: bool,
     ) -> Tuple[Optional[OpProgram], Any]:
         """Run one scalar occurrence, recording its effect on the runtime.
 
         Returns ``(program, result)``; ``program`` is ``None`` when the
-        operator's effect cannot be replayed from a template.  The
-        operator's side effects (clock, kernels, profiler events) are real
-        — capture observes, it never replays.
+        operator's effect cannot be replayed from a template, or when a
+        ``rank_blind`` (shared by every rank) operator dispatched one that
+        may read the rank.  The operator's side effects (clock, kernels,
+        profiler events) are real — capture observes, it never replays.
         """
         thread = runtime.current_thread
         clocks_before = runtime.cpu_clocks()
@@ -449,6 +543,12 @@ class VectorizedExecutor:
         if tainted[0] or not self._capture_is_replayable(
             runtime, thread, clocks_before, result, launches,
             node_base, node_count, correlation_count, values, increments,
+        ):
+            return None, result
+        if rank_blind and not all(
+            _rank_blind(runtime.registry, event.name)
+            for event in capture_profiler.trace.events
+            if event.cat == "cpu_op"
         ):
             return None, result
 

@@ -9,9 +9,18 @@ clients.  Writes are atomic (tmp file + ``os.replace``), the same
 discipline as the result cache, so a crash mid-write leaves the previous
 record rather than a torn one.
 
+Records survive a crash of the daemon *process*, not of the *host*: the
+store never calls ``fsync``, so after a power loss or kernel crash the
+latest writes may be missing or, depending on the filesystem, a replaced
+record may be empty (``load_all`` skips it).  An fsync per state
+transition would cost more than the replay of a small job; it waits for
+a deployment that needs host-crash durability.
+
 Layout::
 
     <state_dir>/jobs/<job_id>.json
+    <state_dir>/jobs/<job_id>.tmp-<pid>   (a save in flight, or one a
+                                            crash cut short)
 
 :meth:`JobStore.recover` is the restart path: it loads every record,
 re-marks jobs that were mid-flight when the process died (``running`` /
@@ -87,8 +96,14 @@ class JobStore:
 
         Jobs that were ``running`` or ``pausing`` when the daemon died go
         back to ``queued`` (write-through, so the repair is durable too);
-        ``paused`` jobs stay paused — resuming is the owner's call.
+        ``paused`` jobs stay paused — resuming is the owner's call.  Tmp
+        files of saves a crash cut short are deleted: the record they were
+        replacing is still intact.
         """
+        if self.jobs_dir.is_dir():
+            with self._lock:
+                for stale in self.jobs_dir.glob("*.tmp-*"):
+                    stale.unlink(missing_ok=True)
         records = self.load_all()
         for record in records:
             if record.state in ("running", "pausing"):

@@ -15,13 +15,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
 from repro.torchsim.kernel import KernelLaunch
 
 #: Backends accepted by :func:`DistributedContext.new_group`, mirroring c10d.
 SUPPORTED_BACKENDS = ("nccl", "gloo", "mpi", "ucc")
+
+
+def group_key(ranks: Iterable[int]) -> Tuple[int, ...]:
+    """A group's canonical identity for matching collectives across ranks:
+    its members as sorted ints.  The one derivation of that key —
+    :attr:`ProcessGroup.key` and the cluster engine's pre-flight match
+    both use it."""
+    return tuple(sorted(map(int, ranks)))
 
 
 @dataclass(frozen=True)
@@ -31,6 +39,10 @@ class ProcessGroup:
     pg_id: int
     ranks: Tuple[int, ...]
     backend: str = "nccl"
+    #: :func:`group_key` of :attr:`ranks`, computed once: every collective
+    #: over the group is matched on it, and a world-sized group must not
+    #: be re-sorted per collective per rank.
+    key: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.backend not in SUPPORTED_BACKENDS:
@@ -39,6 +51,7 @@ class ProcessGroup:
             )
         if len(set(self.ranks)) != len(self.ranks):
             raise ValueError("process group ranks must be unique")
+        object.__setattr__(self, "key", group_key(self.ranks))
 
     @property
     def size(self) -> int:
@@ -89,9 +102,14 @@ class RankBlocked(Exception):
     """
 
     def __init__(self, slot: Tuple[Tuple[Tuple[int, ...], str], int]) -> None:
-        key, seq = slot
-        super().__init__(f"rank blocked on collective {key[1]}[{seq}] over ranks {list(key[0])}")
+        super().__init__(slot)
         self.slot = slot
+
+    def __str__(self) -> str:
+        # Rendered on demand: a fleet blocks on world-sized groups once per
+        # collective per rank, and almost nobody reads the message.
+        (ranks, op), seq = self.slot
+        return f"rank blocked on collective {op}[{seq}] over ranks {list(ranks)}"
 
 
 def retry_collective(
@@ -181,9 +199,15 @@ class DistributedContext:
         them onto the groups recorded in the trace (Section 4.3.2); this is
         the find-or-create half of that mapping.
         """
-        ranks = tuple(int(r) for r in description.get("ranks", range(self.world_size)))
+        ranks = description.get("ranks")
+        ranks = self.default_group.ranks if ranks is None else tuple(ranks)
         backend = str(description.get("backend", self.backend))
         existing = self._group_index.get((ranks, backend))
+        if existing is None:
+            # Recorded ranks are ints in every trace we write; convert only
+            # when the plain lookup misses, not per collective per rank.
+            ranks = tuple(map(int, ranks))
+            existing = self._group_index.get((ranks, backend))
         if existing is not None:
             return existing
         return self.new_group(ranks, backend)

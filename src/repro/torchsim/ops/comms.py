@@ -67,7 +67,7 @@ def _collective(
             start, duration = dist.rendezvous.sync(
                 rank=dist.rank,
                 op=op_name,
-                group_ranks=group.ranks,
+                group_key=group.key,
                 bytes_per_rank=total_bytes,
                 arrival_us=arrival,
             )
@@ -171,7 +171,7 @@ def c10d_barrier(ctx, pg=None, async_op: bool = False):
             start, duration = dist.rendezvous.sync(
                 rank=dist.rank,
                 op="barrier",
-                group_ranks=group.ranks,
+                group_key=group.key,
                 bytes_per_rank=0.0,
                 arrival_us=arrival,
             )

@@ -36,11 +36,14 @@ from repro.core.pipeline import (
     make_replay_runtime,
     run_replay,
 )
+from repro.core import vectorize
 from repro.core.replayer import ReplayConfig
+from repro.core.vectorize import ProgramStore, program_environment
 from repro.et.analyzer import CATEGORY_COMMS, categorize_node
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
 from repro.service.cli import main as cli_main
-from repro.torchsim.distributed import DistributedContext
+from repro.torchsim.distributed import DistributedContext, ProcessGroup, group_key
+from repro.torchsim.ops.registry import OperatorRegistry
 from repro.torchsim.runtime import Runtime
 from repro.workloads.ddp import DistributedRunner
 from tests.conftest import make_small_rm
@@ -399,6 +402,112 @@ class TestGroupIndex:
                 {"ranks": [rank, rank + 32], "backend": "nccl"}
             )
             assert found is group
+
+    def test_description_without_ranks_is_the_default_group(self):
+        dist = DistributedContext(rank=0, world_size=8)
+        assert dist.group_for_description({"pg_id": 0, "backend": "nccl"}) is dist.default_group
+        assert len(dist.groups) == 1
+
+    def test_non_int_recorded_ranks_resolve_without_new_groups(self):
+        dist = DistributedContext(rank=0, world_size=8)
+        group = dist.group_for_description({"ranks": ["0", "2"], "backend": "nccl"})
+        assert group.ranks == (0, 2)
+        assert dist.group_for_description({"ranks": ["0", "2"], "backend": "nccl"}) is group
+        assert len(dist.groups) == 2
+
+
+# ----------------------------------------------------------------------
+# One collective key
+# ----------------------------------------------------------------------
+class TestCollectiveKey:
+    """A group's sorted-ranks key is derived once, by one helper, and the
+    rendezvous, the pre-flight match and group lookup all use it."""
+
+    def test_process_group_key_is_sorted_and_not_identity(self):
+        group = ProcessGroup(1, (3, 1, 2))
+        assert group.key == group_key([3, 1, 2]) == (1, 2, 3)
+        assert group.ranks == (3, 1, 2)
+        # Derived, so it stays out of equality and repr.
+        assert group == ProcessGroup(1, (3, 1, 2))
+        assert "key" not in repr(group)
+
+    def test_rendezvous_matches_on_the_group_key(self):
+        rendezvous = EventRendezvous(CollectiveCostModel(InterconnectSpec()), (0, 1))
+        key = ProcessGroup(0, (1, 0)).key
+        with pytest.raises(RankBlocked) as blocked:
+            rendezvous.sync(0, "all_reduce", key, 1024, arrival_us=0.0)
+        assert blocked.value.slot == (((0, 1), "all_reduce"), 0)
+        assert str(blocked.value) == "rank blocked on collective all_reduce[0] over ranks [0, 1]"
+        rendezvous.sync(1, "c10d::all_reduce", key, 1024, arrival_us=5.0)
+        assert rendezvous.sync(0, "all_reduce", key, 1024, arrival_us=0.0)[0] == 5.0
+
+    def test_rendezvous_rejects_an_unsorted_key(self):
+        rendezvous = EventRendezvous(CollectiveCostModel(InterconnectSpec()), (0, 1))
+        group = ProcessGroup(0, (1, 0))
+        with pytest.raises(ValueError, match="pass ProcessGroup.key"):
+            rendezvous.sync(0, "all_reduce", group.ranks, 1024, arrival_us=0.0)
+
+    def test_preflight_keys_equal_the_replayed_groups_keys(self, fleet_traces):
+        from repro.cluster.engine import _comm_keys
+
+        dist = DistributedContext(rank=0, world_size=WORLD)
+        for key, op in _comm_keys(fleet_traces[0]):
+            assert key == dist.default_group.key
+            assert op in ("all_reduce", "all_to_all")
+
+
+# ----------------------------------------------------------------------
+# Fleet-shared program store
+# ----------------------------------------------------------------------
+class TestProgramStore:
+    """Each co-replay creates one store and hands it to every replica; a
+    single-rank replay, or a second co-replay, never sees it."""
+
+    def test_one_store_per_co_replay(self, fleet_traces):
+        seen = []
+
+        class StoreProbe(ReplayHook):
+            def on_stage_end(self, context, stage):
+                if stage.name == "execute":
+                    seen.append(context.programs)
+
+            def report(self, **_):
+                return None
+
+        replayer = ClusterReplayer(
+            ReplayConfig(iterations=1, warmup_iterations=0),
+            profile_hook_factory=lambda rank: StoreProbe(),
+        )
+        replayer.replay(fleet_traces)
+        first = seen[:]
+        replayer.replay(fleet_traces)
+        assert len(first) == WORLD and all(store is first[0] for store in first)
+        assert isinstance(first[0], ProgramStore)
+        assert all(store is seen[WORLD] for store in seen[WORLD:])
+        assert seen[WORLD] is not first[0]
+
+    def test_single_rank_replay_keeps_a_private_store(self, fleet_traces):
+        context = ReplayContext(trace=fleet_traces[0], config=ReplayConfig(world_size=1))
+        ReplayPipeline.default().run(context)
+        assert context.programs is None
+        assert context.extras[vectorize.EXTRAS_KEY].stats["programs_captured"] > 0
+
+    def test_environment_excludes_the_rank(self):
+        base = program_environment(Runtime(device="A100", rank=0))
+        assert program_environment(Runtime(device="A100", rank=5)) == base
+        for other in (
+            Runtime(device="V100"),
+            Runtime(device="A100", power_limit_w=250.0),
+            Runtime(device="A100", cost_model_mode="flops"),
+            Runtime(device="A100", registry=OperatorRegistry()),
+        ):
+            assert program_environment(other) != base
+
+    def test_partitions_follow_the_environment(self):
+        store = ProgramStore()
+        shared = store.partition(Runtime(rank=0))
+        assert store.partition(Runtime(rank=3)) is shared
+        assert store.partition(Runtime(device="V100", rank=1)) is not shared
 
 
 # ----------------------------------------------------------------------

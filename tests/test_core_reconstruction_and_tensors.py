@@ -385,6 +385,35 @@ class TestExecuteLoopForkRule:
         assert "execute-loop-fork" not in self._find_offenders(tmp_path)
 
 
+class TestRankDependentOpRule:
+    """``scripts/check_deprecated_usage.py`` keeps rank reads out of every
+    operator but the (never vectorized) comms ops, which is what makes
+    sharing captured programs across a co-replay's ranks sound."""
+
+    _find_offenders = staticmethod(TestReconstructionCacheBypassRule._find_offenders)
+    _write = staticmethod(TestReconstructionCacheBypassRule._write)
+
+    def test_repo_is_clean(self):
+        offenders = self._find_offenders(Path(__file__).resolve().parents[1])
+        assert "rank-dependent-op" not in offenders
+
+    def test_flags_rank_reads_in_compute_ops_and_nn(self, tmp_path):
+        self._write(
+            tmp_path,
+            "src/repro/torchsim/ops/custom.py",
+            "skew = 0.5 * ctx.runtime.rank\n",
+        )
+        self._write(tmp_path, "src/repro/torchsim/nn.py", "shard = runtime.dist.rank % 2\n")
+        offenders = self._find_offenders(tmp_path)
+        assert len(offenders["rank-dependent-op"]) == 2
+
+    def test_comms_ops_and_other_modules_pass(self, tmp_path):
+        self._write(tmp_path, "src/repro/torchsim/ops/comms.py", "rank = dist.rank\n")
+        self._write(tmp_path, "src/repro/torchsim/ops/aten.py", "group = pg.ranks\n")
+        self._write(tmp_path, "src/repro/torchsim/runtime.py", "pid = self.rank\n")
+        assert "rank-dependent-op" not in self._find_offenders(tmp_path)
+
+
 class TestTensorManager:
     def test_classification_intermediate_vs_external(self, captured_runtime_pieces):
         trace = captured_runtime_pieces["trace"]

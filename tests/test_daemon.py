@@ -245,6 +245,37 @@ class TestJobStore:
         (store.jobs_dir / "torn.json").write_text("{ not json")
         assert [record.id for record in store.load_all()] == ["j1"]
 
+    def test_recover_deletes_tmp_files_of_cut_short_saves(self, tmp_path):
+        store = JobStore(tmp_path)
+        store.save(self.make_record("j1", state="running"))
+        # What a crash between write_text and os.replace leaves behind.
+        stale = store.jobs_dir / "j1.tmp-4242"
+        stale.write_text('{"id": "j1", "state": "compl')
+        (store.jobs_dir / "j2.tmp-77").write_text("")
+        assert [record.id for record in store.recover()] == ["j1"]
+        assert sorted(path.name for path in store.jobs_dir.iterdir()) == ["j1.json"]
+        assert store.load("j1").state == "queued"
+
+    def test_crash_between_write_and_replace_keeps_the_previous_record(
+        self, tmp_path, monkeypatch
+    ):
+        """The documented guarantee: a process crash mid-save leaves the
+        previous record, and the next start cleans up the tmp file."""
+        store = JobStore(tmp_path)
+        store.save(self.make_record("j1", state="queued"))
+
+        def killed(src, dst):
+            raise OSError("process killed before os.replace")
+
+        monkeypatch.setattr("repro.daemon.store.os.replace", killed)
+        with pytest.raises(OSError):
+            store.save(self.make_record("j1", state="completed"))
+        monkeypatch.undo()
+        assert store.load("j1").state == "queued"
+        assert len(list(store.jobs_dir.glob("j1.tmp-*"))) == 1
+        JobStore(tmp_path).recover()
+        assert sorted(path.name for path in store.jobs_dir.iterdir()) == ["j1.json"]
+
     def test_load_all_orders_by_submission(self, tmp_path):
         store = JobStore(tmp_path)
         store.save(self.make_record("jz", seq=2))

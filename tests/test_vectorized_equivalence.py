@@ -15,15 +15,24 @@ enough" float comparisons but exact equality of every observable:
 
 A hypothesis property sweep varies the workload shapes (PARAM-linear, RM,
 DDP-RM) so the equivalence holds across program structures — repeated op
-groups, embedding lookups, and scalar-forever comms ops alike.
+groups, embedding lookups, and scalar-forever comms ops alike.  The
+fleet-shared program store gets its own pins: an 8-rank co-replay, ranks
+in other program environments, and a program that diverges across ranks.
 """
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
 import repro.api as api
+from repro.bench.throughput import synthesize_fleet
+from repro.cluster import ClusterReplayer
+from repro.core import vectorize
+from repro.core.pipeline import ReplayHook
 from repro.core.replayer import ReplayConfig
+from repro.torchsim.ops.registry import OperatorDef, global_registry
 from repro.workloads.ddp import DistributedRunner
 from repro.workloads.param_linear import ParamLinearConfig, ParamLinearWorkload
 from repro.workloads.rm import RMConfig, RMWorkload
@@ -208,3 +217,167 @@ class TestEquivalenceProperties:
         )
         capture = runner.run_rank(0)
         assert_equivalent(capture.execution_trace, capture.profiler_trace)
+
+
+# ----------------------------------------------------------------------
+# Fleet-shared programs
+# ----------------------------------------------------------------------
+class _ExecutorStats(ReplayHook):
+    """Records one rank's executor counters and program store when its
+    execute stage ends (a ``profile_hook_factory`` hook with no report)."""
+
+    def __init__(self, rank, sink):
+        self.rank = rank
+        self.sink = sink
+
+    def on_stage_end(self, context, stage):
+        executor = context.extras.get(vectorize.EXTRAS_KEY)
+        if stage.name == "execute" and executor is not None:
+            self.sink[self.rank] = (
+                dict(executor.stats),
+                context.programs.partition(context.runtime),
+            )
+
+    def report(self, **_):
+        return None
+
+
+def _replay_fleet(fleet, vectorized=True, overrides=None):
+    """Co-replay at ``iterations=1, warmup=0``; returns the report's
+    canonical JSON and ``rank -> (executor stats, program partition)``."""
+    sink = {}
+    replayer = ClusterReplayer(
+        ReplayConfig(
+            iterations=1, warmup_iterations=0, world_size=8, vectorized=vectorized
+        ),
+        profile_hook_factory=lambda rank: _ExecutorStats(rank, sink),
+    )
+    report = replayer.replay(fleet, rank_overrides=overrides)
+    return json.dumps(report.to_dict(), sort_keys=True), sink
+
+
+def _total(stats, key, ranks=None):
+    return sum(s[key] for rank, (s, _) in stats.items() if ranks is None or rank in ranks)
+
+
+class TestFleetSharedPrograms:
+    """One co-replay shares one program store: each signature is captured
+    and verified once for the whole fleet, and the report stays
+    byte-identical to the scalar loop — also for ranks in another program
+    environment and for ops whose effect may depend on the rank."""
+
+    @staticmethod
+    def _signatures(fleet):
+        """Distinct programs of one rank's trace, learned with no peers."""
+        _, stats = _replay_fleet(fleet[:1])
+        return stats[0][0]["programs_captured"]
+
+    def test_eight_rank_fleet_is_identical_either_way(self):
+        fleet = synthesize_fleet(8)
+        assert _replay_fleet(fleet, vectorized=True)[0] == _replay_fleet(fleet, vectorized=False)[0]
+
+    def test_each_program_is_learned_once_for_the_fleet(self):
+        fleet = synthesize_fleet(8)
+        signatures = self._signatures(fleet)
+        _, stats = _replay_fleet(fleet)
+        # Every rank learns into one table, and nothing died.
+        assert len({id(programs) for _, programs in stats.values()}) == 1
+        assert len(stats[0][1]) == signatures > 0
+        assert _total(stats, "programs_captured") == signatures
+        assert _total(stats, "programs_verified") == signatures
+        assert _total(stats, "programs_dead") == 0
+        # Only two occurrences per signature take the learning path fleet
+        # wide (capture, verify); all other compute ops replay fast.
+        comms = sum(
+            1 for entry in fleet[0].operators() if entry.name.startswith("c10d::")
+        ) * len(fleet)
+        assert _total(stats, "scalar_ops") == 2 * signatures + comms
+        assert _total(stats, "fast_ops") >= 300
+
+    def test_other_environments_learn_their_own_programs(self):
+        fleet = synthesize_fleet(8)
+        signatures = self._signatures(fleet)
+        overrides = {3: {"device": "V100"}, 5: {"power_limit_w": 250.0}}
+        fast, stats = _replay_fleet(fleet, overrides=overrides)
+        assert fast == _replay_fleet(fleet, vectorized=False, overrides=overrides)[0]
+        tables = {rank: id(programs) for rank, (_, programs) in stats.items()}
+        assert len(set(tables.values())) == 3
+        # Each lone rank captures every program of its own environment.
+        assert stats[3][0]["programs_captured"] == signatures
+        assert stats[5][0]["programs_captured"] == signatures
+        shared = set(stats) - {3, 5}
+        assert _total(stats, "programs_captured", shared) == signatures
+
+    @staticmethod
+    def _with_straggler(name, fleet_replays):
+        """Run ``fleet_replays()`` with ``name`` overridden by an
+        implementation outside the built-in ops (as a user op registered
+        through ``ReplaySupport.register_custom_op`` would be) that models
+        a straggler: it adds CPU time on rank 3 only."""
+        original = global_registry.get(name)
+
+        def straggler(ctx, *args, **kwargs):
+            result = original.fn(ctx, *args, **kwargs)
+            if ctx.runtime.rank == 3:
+                ctx.runtime.advance_cpu(7.0)
+            return result
+
+        global_registry.register(
+            OperatorDef(
+                name=name,
+                schema_str=original.schema_str,
+                category=original.category,
+                fn=straggler,
+                library=original.library,
+            ),
+            overwrite=True,
+        )
+        try:
+            return fleet_replays()
+        finally:
+            global_registry.register(original, overwrite=True)
+
+    def test_rank_skewed_top_level_op_is_learned_per_rank(self):
+        """Each rank replays ``aten::relu_`` several times with one
+        signature before its first collective, so a shared program would be
+        captured and verified on rank 0 alone and replayed on rank 3 with
+        rank 0's timing.  A non-built-in op keys on the rank instead."""
+        name = "aten::relu_"
+        fleet = synthesize_fleet(8)
+        alone = _replay_fleet(fleet[:1])[1][0][1]
+        relus = sum(1 for p in alone.values() if p.op_name == name)
+        (fast, stats), (scalar, _) = self._with_straggler(
+            name, lambda: (_replay_fleet(fleet), _replay_fleet(fleet, vectorized=False))
+        )
+        assert fast == scalar
+        assert _total(stats, "programs_dead") == 0
+        programs = stats[0][1]
+        skewed = [p for p in programs.values() if p.op_name == name]
+        # One verified program per relu signature per rank ...
+        assert relus > 0 and len(skewed) == 8 * relus
+        assert {p.signature[1] for p in skewed} == set(range(8))
+        assert all(p.state == vectorize._VERIFIED for p in skewed)
+        # ... while every other op is still learned once for the fleet.
+        assert len(programs) - len(skewed) == len(alone) - relus
+
+    def test_builtin_dispatching_a_rank_skewed_op_dies_fleet_wide(self):
+        """``aten::linear`` is built in but dispatches ``aten::addmm``;
+        with ``addmm`` overridden its effect may depend on the rank, so
+        the linear programs end dead for the whole fleet (bound to the
+        scalar path on every rank) and the report equals scalar."""
+        fleet = synthesize_fleet(8)
+        linears = sum(
+            1
+            for p in _replay_fleet(fleet[:1])[1][0][1].values()
+            if p.op_name == "aten::linear"
+        )
+        (fast, stats), (scalar, _) = self._with_straggler(
+            "aten::addmm",
+            lambda: (_replay_fleet(fleet), _replay_fleet(fleet, vectorized=False)),
+        )
+        assert fast == scalar
+        programs = stats[0][1]
+        dead = [p for p in programs.values() if p.state == vectorize._DEAD]
+        assert linears > 0
+        assert len(dead) == linears == _total(stats, "programs_dead")
+        assert {p.op_name for p in dead} == {"aten::linear"}
