@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Eight rules, one pass:
+Nine rules, one pass:
 
 * The deprecated ``Replayer`` entry point must not be used inside ``src/``
   outside its own shim module — every replay goes through
@@ -40,6 +40,10 @@ Eight rules, one pass:
   other op's captured program is shared by all ranks of a co-replay
   (``repro.core.vectorize.ProgramStore``), which is sound only while its
   effect cannot differ from rank to rank.
+* Traces are decoded at one boundary.  Inside ``src/repro/``,
+  ``decode_tensor_ref(`` is called only from ``et/schema.py``: every
+  ``ETNode`` decodes its tensor refs once, and everything else reads them
+  from the node (``input_refs``/``output_refs``, ``input_tensor_refs()``).
 
 Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 1 with a file:line listing otherwise.  ``tests/test_profiling.py`` drives
@@ -185,6 +189,16 @@ RULES = (
             "operator reads the rank outside ops/comms.py (vectorized programs "
             "are shared across the ranks of a co-replay, so a compute op's "
             "effect must not depend on its rank)"
+        ),
+    ),
+    Rule(
+        name="trace-boundary",
+        pattern=re.compile(r"(?<!def )\bdecode_tensor_ref\("),
+        roots=("src/repro",),
+        exempt=("src/repro/et/schema.py",),
+        message=(
+            "decode_tensor_ref called outside et/schema.py (read the refs the "
+            "ETNode decoded once: input_refs/output_refs or input_tensor_refs())"
         ),
     ),
 )

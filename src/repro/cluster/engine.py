@@ -380,13 +380,12 @@ class ClusterReplayer:
         from repro.service.repository import TraceRepository
 
         repository = TraceRepository(directory)
-        records = repository.discover()
-        if not records:
+        traces = repository.load_all()
+        if not traces:
             raise ClusterMatchError(
                 f"no execution traces found under {directory!r}"
                 + (f" (skipped: {len(repository.invalid)} invalid file(s))" if repository.invalid else "")
             )
-        traces = [ExecutionTrace.load(record.path) for record in records]
         return sorted(traces, key=lambda trace: int(trace.metadata.get("rank", 0)))
 
     # ------------------------------------------------------------------

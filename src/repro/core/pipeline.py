@@ -32,7 +32,7 @@ implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, Iterator, List, Optional, Sequence
 
 from repro.core import vectorize
@@ -946,13 +946,9 @@ def run_replay(
 
 def _with_remapped_group(node, group_mapper: CommReplayManager):
     """Copy of a communication node with its process group remapped."""
-    from repro.et.schema import ETNode
-
-    copy = ETNode.from_dict(node.to_dict())
-    copy.inputs = [
+    return replace(node, inputs=[
         group_mapper.map_group(value)
         if type_str == "Dict" and isinstance(value, dict) and "ranks" in value
         else value
-        for value, type_str in zip(copy.inputs, copy.input_types)
-    ]
-    return copy
+        for value, type_str in zip(node.inputs, node.input_types)
+    ])

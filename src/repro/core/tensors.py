@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.selection import ReplayPlanEntry
 from repro.et.analyzer import dtype_from_type_string
-from repro.et.schema import ETNode, decode_tensor_ref, is_tensor_list_type, is_tensor_type
+from repro.et.schema import ETNode, decode_arg_refs, is_tensor_list_type, is_tensor_type
 from repro.torchsim.device import Device
 from repro.torchsim.dtypes import DType
 from repro.torchsim.tensor import Tensor
@@ -134,8 +134,12 @@ class TensorManager:
 
     def get_input(self, value: Any, shape: Any, type_str: str) -> Any:
         """Resolve one recorded input argument into a replay tensor (or list)."""
+        return self._resolve(value, decode_arg_refs(value, type_str), shape, type_str)
+
+    def _resolve(self, value: Any, refs: Tuple, shape: Any, type_str: str) -> Any:
+        """:meth:`get_input` with the argument's refs already decoded."""
         if is_tensor_type(type_str):
-            ref = decode_tensor_ref(value)
+            ref = refs[0]
             key = (ref[0], ref[1]) if ref else None
             if key is not None and key in self._registry:
                 return self._registry[key]
@@ -146,19 +150,19 @@ class TensorManager:
         if is_tensor_list_type(type_str) and isinstance(value, (list, tuple)):
             inner_types = _split_generic_list(type_str)
             tensors = []
-            for index, item in enumerate(value):
+            for index, (item, ref) in enumerate(zip(value, refs)):
                 item_type = inner_types[index] if index < len(inner_types) else "Tensor(float32)"
                 item_shape = shape[index] if isinstance(shape, (list, tuple)) and index < len(shape) else []
-                tensors.append(self.get_input(item, item_shape, item_type))
+                tensors.append(self._resolve(item, (ref,), item_shape, item_type))
             return tensors
         return value
 
     def gather_inputs(self, node: ETNode) -> List[Any]:
         """Tensor-typed inputs of a node, in recorded order (for the callable)."""
         tensors: List[Any] = []
-        for value, shape, type_str in zip(node.inputs, node.input_shapes, node.input_types):
+        for value, refs, shape, type_str in zip(node.inputs, node.input_refs, node.input_shapes, node.input_types):
             if is_tensor_type(type_str) or is_tensor_list_type(type_str):
-                tensors.append(self.get_input(value, shape, type_str))
+                tensors.append(self._resolve(value, refs, shape, type_str))
         return tensors
 
     # ------------------------------------------------------------------
@@ -166,19 +170,15 @@ class TensorManager:
     # ------------------------------------------------------------------
     def register_outputs(self, node: ETNode, result: Any) -> None:
         """Associate the replayed outputs with the recorded output tensors."""
-        outputs = _normalize_result(result)
-        output_refs = node.output_tensor_refs()
-        for ref, tensor in zip(output_refs, outputs):
-            if isinstance(tensor, Tensor):
-                self._registry[(ref[0], ref[1])] = tensor
+        self.register_pairs(self.output_pairs(node, result))
 
     def output_pairs(self, node: ETNode, result: Any) -> List[Tuple[TensorKey, Tensor]]:
         """Precompute the registrations :meth:`register_outputs` would do.
 
         The vectorized replay path replays the same node with the same
-        output objects every iteration; decoding the node's output refs
-        once and replaying the ``(key, tensor)`` pairs via
-        :meth:`register_pairs` skips that per-iteration decoding.
+        output objects every iteration; pairing them once and replaying
+        the ``(key, tensor)`` pairs via :meth:`register_pairs` skips the
+        per-iteration pairing.
         """
         outputs = _normalize_result(result)
         return [

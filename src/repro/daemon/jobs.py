@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 #: Version stamped on every persisted job record and daemon payload; bump
 #: on any shape change so a restarted daemon never misreads old state.
@@ -102,7 +102,9 @@ class JobSpec:
         return {"kind": self.kind, "payload": dict(self.payload)}
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
+    def from_dict(cls, data: Any) -> "JobSpec":
+        if not isinstance(data, dict) or not isinstance(data.get("payload") or {}, dict):
+            raise ValueError("job spec is not an object with an object payload")
         return cls(kind=data["kind"], payload=dict(data.get("payload") or {}))
 
 
@@ -160,12 +162,15 @@ class JobRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "JobRecord":
-        version = data.get("schema_version")
+    def from_dict(cls, data: Any) -> "JobRecord":
+        """Raises ``ValueError`` or ``KeyError`` on a malformed record."""
+        version = data.get("schema_version") if isinstance(data, dict) else None
         if version != DAEMON_SCHEMA_VERSION:
             raise ValueError(
                 f"job record schema version {version!r} != {DAEMON_SCHEMA_VERSION}"
             )
+        if data.get("state") not in JOB_STATES or not all(isinstance(data.get(key, 0), int) for key in ("priority", "seq")):
+            raise ValueError("job record has an unknown state or a non-int priority/seq")
         return cls(
             id=data["id"],
             owner=data["owner"],
@@ -217,9 +222,3 @@ def cluster_snapshot(completed_steps: int) -> Dict[str, Any]:
 def job_sort_key(record: JobRecord) -> tuple:
     """Canonical listing order: submission order."""
     return (record.seq, record.id)
-
-
-def validate_states(records: List[JobRecord]) -> None:
-    for record in records:
-        if record.state not in JOB_STATES:
-            raise ValueError(f"job {record.id} has unknown state {record.state!r}")

@@ -7,7 +7,7 @@ granularity.  This subpackage contains:
 
 * :mod:`~repro.et.schema` — the node schema of Table 2 and argument
   encoding/decoding helpers,
-* :mod:`~repro.et.trace` — the trace container with (de)serialisation,
+* :mod:`~repro.et.trace` — the trace container and its one load path,
 * :mod:`~repro.et.analyzer` — trace statistics, operator-category breakdowns
   and population-weight selection over a trace database,
 * :mod:`~repro.et.builder` — preprocessing, validation and composition of

@@ -10,11 +10,11 @@ and composition of several traces/subtraces into a single replayable trace
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.et.analyzer import categorize_node
-from repro.et.schema import ETNode, ROOT_NODE_ID
+from repro.et.schema import ETNode, ROOT_NODE_ID, is_tensor_type
 from repro.et.trace import ExecutionTrace
 
 
@@ -73,10 +73,9 @@ class ETBuilder:
         if not has_root:
             cleaned.add_node(ETNode(name="[pytorch|profiler|execution_graph|process]", id=ROOT_NODE_ID, parent=0))
         for node in trace.sorted_nodes():
-            copy = ETNode.from_dict(node.to_dict())
-            if copy.id != ROOT_NODE_ID and copy.parent not in ids:
-                copy.parent = ROOT_NODE_ID
-            cleaned.add_node(copy)
+            if node.id != ROOT_NODE_ID and node.parent not in ids:
+                node = replace(node, parent=ROOT_NODE_ID)
+            cleaned.add_node(node)
         return cleaned
 
     # ------------------------------------------------------------------
@@ -99,13 +98,11 @@ class ETBuilder:
         for anchor in anchors:
             keep_ids.add(anchor.id)
             keep_ids.update(node.id for node in trace.descendants(anchor.id))
+        anchor_ids = {anchor.id for anchor in anchors}
         for node in trace.sorted_nodes():
             if node.id not in keep_ids:
                 continue
-            copy = ETNode.from_dict(node.to_dict())
-            if copy.id in {anchor.id for anchor in anchors}:
-                copy.parent = ROOT_NODE_ID
-            sub.add_node(copy)
+            sub.add_node(replace(node, parent=ROOT_NODE_ID) if node.id in anchor_ids else node)
         return sub
 
     @staticmethod
@@ -126,10 +123,7 @@ class ETBuilder:
         for node in trace.sorted_nodes():
             if node.id not in keep_ids:
                 continue
-            copy = ETNode.from_dict(node.to_dict())
-            if copy.parent not in keep_ids:
-                copy.parent = ROOT_NODE_ID
-            filtered.add_node(copy)
+            filtered.add_node(node if node.parent in keep_ids else replace(node, parent=ROOT_NODE_ID))
         return filtered
 
     # ------------------------------------------------------------------
@@ -149,6 +143,7 @@ class ETBuilder:
         composed.add_node(ETNode(name="[pytorch|profiler|execution_graph|process]", id=ROOT_NODE_ID, parent=0))
         next_id = itertools.count(ROOT_NODE_ID + 1)
         for trace_index, trace in enumerate(traces):
+            offset = (trace_index + 1) * 10_000_000
             id_map: Dict[int, int] = {ROOT_NODE_ID: ROOT_NODE_ID}
             for node in trace.sorted_nodes():
                 if node.id == ROOT_NODE_ID:
@@ -158,36 +153,27 @@ class ETBuilder:
             for node in trace.sorted_nodes():
                 if node.id == ROOT_NODE_ID:
                     continue
-                copy = ETNode.from_dict(node.to_dict())
-                copy.id = id_map[node.id]
-                copy.parent = id_map.get(node.parent, ROOT_NODE_ID)
-                copy.inputs = _remap_tensor_ids(copy.inputs, copy.input_types, trace_index)
-                copy.outputs = _remap_tensor_ids(copy.outputs, copy.output_types, trace_index)
-                composed.add_node(copy)
+                composed.add_node(replace(
+                    node,
+                    id=id_map[node.id],
+                    parent=id_map.get(node.parent, ROOT_NODE_ID),
+                    inputs=_remap_tensor_ids(node.inputs, node.input_types, node.input_refs, offset),
+                    outputs=_remap_tensor_ids(node.outputs, node.output_types, node.output_refs, offset),
+                ))
         return composed
 
 
-def _remap_tensor_ids(values: List, types: List[str], trace_index: int) -> List:
-    """Shift tensor/storage IDs into a per-source-trace namespace."""
-    from repro.et.schema import decode_tensor_ref, is_tensor_type, is_tensor_list_type
+def _remap_tensor_ids(values: List, types: List[str], arg_refs, offset: int) -> List:
+    """Shift tensor/storage IDs by ``offset`` (a per-source-trace namespace)."""
 
-    offset = (trace_index + 1) * 10_000_000
+    def shift(ref, item):
+        return item if ref is None else [ref[0] + offset, ref[1] + offset, *ref[2:]]
+
     remapped = []
-    for value, type_str in zip(values, types):
+    for value, type_str, refs in zip(values, types, arg_refs):
         if is_tensor_type(type_str):
-            ref = decode_tensor_ref(value)
-            if ref is not None:
-                remapped.append([ref[0] + offset, ref[1] + offset, *ref[2:]])
-                continue
-        elif is_tensor_list_type(type_str) and isinstance(value, list):
-            new_list = []
-            for item in value:
-                ref = decode_tensor_ref(item)
-                if ref is not None:
-                    new_list.append([ref[0] + offset, ref[1] + offset, *ref[2:]])
-                else:
-                    new_list.append(item)
-            remapped.append(new_list)
-            continue
+            value = shift(refs[0], value)
+        elif refs:  # a tensor list
+            value = [shift(ref, item) for ref, item in zip(refs, value)]
         remapped.append(value)
     return remapped

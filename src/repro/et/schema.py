@@ -25,8 +25,9 @@ which are assigned in increasing execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Tuple
 
 #: ID of the synthetic root node every trace contains.
 ROOT_NODE_ID = 1
@@ -98,9 +99,38 @@ def decode_tensor_ref(value: Any) -> Optional[Tuple[int, int, int, int, int, str
     return None
 
 
-@dataclass
+#: One decoded tensor reference (see :func:`decode_tensor_ref`).
+TensorRef = Tuple[int, int, int, int, int, str]
+
+
+class TraceValidationError(ValueError):
+    """Serialised data is not an execution trace of the Table 2 shape."""
+
+
+def decode_arg_refs(value: Any, type_str: str) -> Tuple[Optional[TensorRef], ...]:
+    """Decoded tensor refs of one argument: one slot for a tensor, one per item
+    for a tensor list, none otherwise; a slot is ``None`` where no ref decodes."""
+    if is_tensor_type(type_str):
+        return (decode_tensor_ref(value),)
+    if is_tensor_list_type(type_str) and isinstance(value, (list, tuple)):
+        return tuple(decode_tensor_ref(item) for item in value)
+    return ()
+
+
+#: Serialised node fields in ``ETNode`` order, with the exact JSON type ``from_dict``
+#: requires and the default of an optional field (``None`` marks a required one).
+_NAMES, _KINDS, _DEFAULTS = zip(
+    ("name", str, None), ("id", int, None), ("parent", int, None), ("op_schema", str, ""),
+    ("inputs", list, []), ("input_shapes", list, []), ("input_types", list, []),
+    ("outputs", list, []), ("output_shapes", list, []), ("output_types", list, []),
+    ("attrs", dict, {}),
+)
+
+
+@dataclass(frozen=True)
 class ETNode:
-    """One node of an execution trace (Table 2 schema)."""
+    """One node of an execution trace (Table 2 schema).  Immutable (copy with
+    :func:`dataclasses.replace`); decodes its tensor refs once, on first use."""
 
     name: str
     id: int
@@ -134,19 +164,29 @@ class ETNode:
         """
         return bool(self.op_schema)
 
-    def input_tensor_refs(self) -> List[Tuple[int, int, int, int, int, str]]:
-        """All tensor identity tuples appearing in the inputs."""
-        refs = []
-        for value, type_str in zip(self.inputs, self.input_types):
-            refs.extend(_collect_tensor_refs(value, type_str))
-        return refs
+    @cached_property
+    def input_refs(self) -> Tuple[Tuple[Optional[TensorRef], ...], ...]:
+        """:func:`decode_arg_refs` of each input argument."""
+        return tuple(map(decode_arg_refs, self.inputs, self.input_types))
 
-    def output_tensor_refs(self) -> List[Tuple[int, int, int, int, int, str]]:
+    @cached_property
+    def output_refs(self) -> Tuple[Tuple[Optional[TensorRef], ...], ...]:
+        """:func:`decode_arg_refs` of each output argument."""
+        return tuple(map(decode_arg_refs, self.outputs, self.output_types))
+
+    @cached_property
+    def _tensor_refs(self) -> Tuple[Tuple[TensorRef, ...], ...]:
+        """The (input, output) refs, flattened and without ``None`` slots."""
+        both = (self.input_refs, self.output_refs)
+        return tuple(tuple(ref for refs in arg_refs for ref in refs if ref) for arg_refs in both)
+
+    def input_tensor_refs(self) -> Tuple[TensorRef, ...]:
+        """All tensor identity tuples appearing in the inputs."""
+        return self._tensor_refs[0]
+
+    def output_tensor_refs(self) -> Tuple[TensorRef, ...]:
         """All tensor identity tuples appearing in the outputs."""
-        refs = []
-        for value, type_str in zip(self.outputs, self.output_types):
-            refs.extend(_collect_tensor_refs(value, type_str))
-        return refs
+        return self._tensor_refs[1]
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -167,31 +207,22 @@ class ETNode:
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ETNode":
-        return cls(
-            name=data["name"],
-            id=int(data["id"]),
-            parent=int(data["parent"]),
-            op_schema=data.get("op_schema", ""),
-            inputs=list(data.get("inputs", [])),
-            input_shapes=list(data.get("input_shapes", [])),
-            input_types=list(data.get("input_types", [])),
-            outputs=list(data.get("outputs", [])),
-            output_shapes=list(data.get("output_shapes", [])),
-            output_types=list(data.get("output_types", [])),
-            attrs=dict(data.get("attrs", {})),
-        )
-
-
-def _collect_tensor_refs(value: Any, type_str: str) -> List[Tuple[int, int, int, int, int, str]]:
-    refs: List[Tuple[int, int, int, int, int, str]] = []
-    if is_tensor_type(type_str):
-        ref = decode_tensor_ref(value)
-        if ref is not None:
-            refs.append(ref)
-    elif is_tensor_list_type(type_str) and isinstance(value, (list, tuple)):
-        for item in value:
-            ref = decode_tensor_ref(item)
-            if ref is not None:
-                refs.append(ref)
-    return refs
+    def from_dict(cls, data: Any) -> "ETNode":
+        """Decode one serialised node, raising :class:`TraceValidationError` on a
+        mistyped field (a bool id too) or unequal or non-str argument arrays.
+        Orphans are legal: :meth:`repro.et.builder.ETBuilder.preprocess` repairs them."""
+        if type(data) is not dict:
+            raise TraceValidationError("node is not an object")
+        values = tuple(map(data.get, _NAMES, _DEFAULTS))
+        if tuple(map(type, values)) != _KINDS:
+            key, kind = next((key, kind) for key, value, kind in zip(_NAMES, values, _KINDS) if type(value) is not kind)
+            raise TraceValidationError(f"node {key} {data.get(key)!r} is missing or not a {kind.__name__}")
+        name, node_id, parent, op_schema, *arrays, attrs = values
+        inputs, input_shapes, input_types, outputs, output_shapes, output_types = arrays
+        if not (len(inputs) == len(input_shapes) == len(input_types) and len(outputs) == len(output_shapes) == len(output_types)
+                and all(map(str.__instancecheck__, input_types + output_types))):
+            raise TraceValidationError("node value/shape/type arrays differ in length or hold a non-string type")
+        # Loading is hot and the frozen __init__ sets fields one at a time.
+        node = object.__new__(cls)
+        node.__dict__.update(zip(_NAMES, (name, node_id, parent, op_schema, *map(list, arrays), dict(attrs))))
+        return node

@@ -4,21 +4,27 @@ An :class:`ExecutionTrace` is an ordered collection of
 :class:`~repro.et.schema.ETNode` objects plus trace-level metadata (rank,
 world size, workload name, capture platform).  Node IDs are assigned in
 execution order, so iterating nodes sorted by ID reproduces the original
-execution order — the property Mystique's replayer relies on.
+execution order — the property Mystique's replayer relies on.  Every trace
+enters through :meth:`ExecutionTrace.from_dict` (behind ``load`` and
+``from_json``), which validates as it decodes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Union
 
-from repro.et.schema import ETNode, ROOT_NODE_ID
+from repro.et.schema import ETNode, ROOT_NODE_ID, TraceValidationError
 
 #: Version string written into serialised traces.
 TRACE_SCHEMA_VERSION = "1.0.2-repro"
+
+#: Largest serialised trace accepted; a bigger input fails before parsing.
+MAX_TRACE_BYTES = 256 << 20
 
 
 @dataclass
@@ -131,9 +137,14 @@ class ExecutionTrace:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExecutionTrace":
-        nodes = [ETNode.from_dict(entry) for entry in data.get("nodes", [])]
-        return cls(nodes=nodes, metadata=dict(data.get("metadata", {})))
+    def from_dict(cls, data: Any) -> "ExecutionTrace":
+        """Validate and decode a serialised trace: an object with a non-empty
+        ``nodes`` array (each checked by :meth:`ETNode.from_dict`) and an
+        optional object ``metadata``; raises :class:`TraceValidationError`."""
+        nodes, metadata = (data.get("nodes"), data.get("metadata", {})) if isinstance(data, dict) else (None, None)
+        if not isinstance(nodes, list) or not nodes or not isinstance(metadata, dict):
+            raise TraceValidationError("not an object with a non-empty 'nodes' array and an object 'metadata'")
+        return cls(nodes=[ETNode.from_dict(entry) for entry in nodes], metadata=dict(metadata))
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -153,7 +164,7 @@ class ExecutionTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "ExecutionTrace":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(_parse(text))
 
     def save(self, path: "str | Path") -> Path:
         """Write the trace to a JSON file and return the path."""
@@ -164,4 +175,16 @@ class ExecutionTrace:
 
     @classmethod
     def load(cls, path: "str | Path") -> "ExecutionTrace":
-        return cls.from_json(Path(path).read_text())
+        """Decode one trace file, reading no more than it holds or :data:`MAX_TRACE_BYTES` + 1."""
+        with Path(path).open("rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            return cls.from_dict(_parse(handle.read(min(size, MAX_TRACE_BYTES) + 1)))
+
+
+def _parse(raw: Union[str, bytes]) -> Any:
+    if len(raw) > MAX_TRACE_BYTES:
+        raise TraceValidationError(f"trace exceeds the {MAX_TRACE_BYTES}-byte limit")
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as error:
+        raise TraceValidationError(f"unreadable JSON: {error}") from None

@@ -24,9 +24,10 @@ See ``docs/architecture.md`` for how this layer sits on top of ``et``,
 ``core``, ``hardware`` and ``bench``.
 """
 
+from repro.et.schema import TraceValidationError
 from repro.service.batch import BatchReplayer, BatchResult, ReplayJob, ReplayJobResult
 from repro.service.cache import ResultCache
-from repro.service.repository import TraceRecord, TraceRepository, TraceValidationError
+from repro.service.repository import TraceRecord, TraceRepository
 from repro.service.sweep import SweepRunner, SweepSpec
 
 __all__ = [

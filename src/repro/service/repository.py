@@ -3,27 +3,22 @@
 A repository is a directory of execution traces serialised as JSON by
 :meth:`repro.et.trace.ExecutionTrace.save` (the same files
 :class:`repro.core.generator.BenchmarkGenerator` emits next to generated
-benchmarks).  Discovery walks the directory, validates each candidate file
-against the ET schema, and produces lightweight :class:`TraceRecord` entries
-— path, content digest, node counts, metadata — without keeping the full
-traces in memory.  Files that parse as JSON but are not execution traces
-(for instance the profiler traces the generator writes alongside) are
-skipped and reported in :attr:`TraceRepository.invalid`.
+benchmarks).  Discovery walks the directory, loads each candidate file
+through :meth:`ExecutionTrace.load`, and produces lightweight
+:class:`TraceRecord` entries — path, content digest, node counts, metadata —
+without keeping the full traces in memory.  Files that are not execution
+traces (for instance the profiler traces the generator writes alongside)
+are skipped and reported in :attr:`TraceRepository.invalid`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.et.schema import ETNode
+from repro.et.schema import TraceValidationError
 from repro.et.trace import ExecutionTrace
-
-
-class TraceValidationError(Exception):
-    """A file under the repository root is not a valid execution trace."""
 
 
 @dataclass
@@ -36,7 +31,6 @@ class TraceRecord:
     digest: str
     num_nodes: int
     num_operators: int
-    schema_version: str
     metadata: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -76,40 +70,41 @@ class TraceRepository:
         Results are memoised; pass ``refresh=True`` to re-scan after files
         changed on disk.
         """
-        if self._records is not None and not refresh:
-            return list(self._records)
-        records: List[TraceRecord] = []
-        self.invalid = {}
-        if self.root.is_dir():
-            for path in sorted(self.root.rglob(self.pattern)):
-                if not path.is_file():
-                    continue
-                # Hidden files/directories (.cache, .git ...) are never traces.
-                relative = path.relative_to(self.root)
-                if any(part.startswith(".") for part in relative.parts):
-                    continue
-                try:
-                    records.append(self._record_for(path))
-                except TraceValidationError as error:
-                    self.invalid[path] = str(error)
-        self._records = records
-        return list(records)
+        if self._records is None or refresh:
+            self._records = [record for record, _ in self._scan()]
+        return list(self._records)
 
-    def _record_for(self, path: Path) -> TraceRecord:
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise TraceValidationError(f"unreadable JSON: {error}") from error
-        trace = decode_trace_dict(data)
+    def load_all(self) -> List[ExecutionTrace]:
+        """Re-scan the root (refreshing :meth:`discover`) and return every valid
+        trace, sorted by name; each file is read and parsed once."""
+        loaded = list(self._scan())
+        self._records = [record for record, _ in loaded]
+        return [trace for _, trace in loaded]
+
+    def _scan(self) -> Iterator[Tuple[TraceRecord, ExecutionTrace]]:
+        self.invalid = {}
+        for path in sorted(self.root.rglob(self.pattern)):  # empty when root is missing
+            if not path.is_file():
+                continue
+            # Hidden files/directories (.cache, .git ...) are never traces.
+            relative = path.relative_to(self.root)
+            if any(part.startswith(".") for part in relative.parts):
+                continue
+            try:
+                yield self._load(path)
+            except (OSError, TraceValidationError) as error:
+                self.invalid[path] = str(error)
+
+    def _load(self, path: Path) -> Tuple[TraceRecord, ExecutionTrace]:
+        trace = ExecutionTrace.load(path)
         return TraceRecord(
             name=self._name_for(path),
             path=path,
             digest=trace.digest(),
             num_nodes=len(trace),
             num_operators=len(trace.operators()),
-            schema_version=str(data.get("schema", "")),
             metadata=dict(trace.metadata),
-        )
+        ), trace
 
     def _name_for(self, path: Path) -> str:
         relative = path.relative_to(self.root)
@@ -144,37 +139,5 @@ class TraceRepository:
         path = self.root / f"{name}.json"
         trace.save(path)
         self._records = None  # force re-discovery
-        return self._record_for(path)
+        return self._load(path)[0]
 
-
-def decode_trace_dict(data: Any) -> ExecutionTrace:
-    """Validate and decode a serialised execution trace in one pass.
-
-    Raises :class:`TraceValidationError` unless ``data`` is the
-    ``et.schema`` Table 2 shape; each node is decoded exactly once.
-    """
-    if not isinstance(data, dict):
-        raise TraceValidationError("top-level JSON value is not an object")
-    raw_nodes = data.get("nodes")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise TraceValidationError("missing or empty 'nodes' array")
-    nodes = []
-    for index, entry in enumerate(raw_nodes):
-        if not isinstance(entry, dict):
-            raise TraceValidationError(f"node {index} is not an object")
-        missing = {"name", "id", "parent"} - set(entry)
-        if missing:
-            raise TraceValidationError(
-                f"node {index} is missing required keys: {sorted(missing)}"
-            )
-        try:
-            nodes.append(ETNode.from_dict(entry))
-        except (KeyError, TypeError, ValueError) as error:
-            raise TraceValidationError(f"node {index} failed to decode: {error}") from error
-    return ExecutionTrace(nodes=nodes, metadata=dict(data.get("metadata", {})))
-
-
-def validate_trace_dict(data: Any) -> None:
-    """Raise :class:`TraceValidationError` unless ``data`` is a serialised
-    execution trace (the ``et.schema`` Table 2 shape)."""
-    decode_trace_dict(data)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import copy
 import gc
 import json
+from collections import Counter
 from dataclasses import replace as dataclass_replace
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +258,20 @@ class TestClusterReplayer:
             [c.execution_trace for c in fleet_captures]
         )
         assert from_disk.to_dict() == in_memory.to_dict()
+
+    def test_load_fleet_reads_each_file_once(self, fleet_captures, tmp_path, monkeypatch):
+        paths = DistributedRunner.save_captures(fleet_captures, tmp_path)
+        reads = Counter()
+        real_open = Path.open
+
+        def counting_open(path, *args, **kwargs):
+            reads[path] += 1
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        fleet = ClusterReplayer.load_fleet(tmp_path)
+        assert [int(trace.metadata["rank"]) for trace in fleet] == list(range(WORLD))
+        assert reads == Counter({Path(path): 1 for path in paths})
 
     def test_report_to_dict_and_formatting(self, fleet_captures):
         report = ClusterReplayer(ReplayConfig(device="A100")).replay(fleet_captures)

@@ -1,5 +1,6 @@
 """Tests for operator reconstruction and tensor management."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -96,10 +97,11 @@ def _reconstruct_all(trace):
 
 def _with_constant(node: ETNode, value, type_str: str = "Int") -> ETNode:
     """A copy of ``node`` whose last input is the constant ``value``."""
-    copy = ETNode.from_dict(node.to_dict())
-    copy.inputs = [*copy.inputs[:-1], value]
-    copy.input_types = [*copy.input_types[:-1], type_str]
-    return copy
+    return dataclasses.replace(
+        node,
+        inputs=[*node.inputs[:-1], value],
+        input_types=[*node.input_types[:-1], type_str],
+    )
 
 
 def _canonical_sha(payload: dict) -> str:

@@ -245,6 +245,22 @@ class TestJobStore:
         (store.jobs_dir / "torn.json").write_text("{ not json")
         assert [record.id for record in store.load_all()] == ["j1"]
 
+    def test_wrong_shape_records_do_not_wedge_startup(self, tmp_path):
+        store = JobStore(tmp_path)
+        store.save(self.make_record("j1", state="running"))
+        bad_spec = self.make_record("j2").to_dict()
+        bad_spec["spec"] = [1]
+        bad_seq = self.make_record("j3").to_dict()
+        bad_seq["seq"] = [1]
+        bad_state = self.make_record("j4").to_dict()
+        bad_state["state"] = ["running"]
+        (store.jobs_dir / "list.json").write_text("[]")
+        (store.jobs_dir / "j2.json").write_text(json.dumps(bad_spec))
+        (store.jobs_dir / "j3.json").write_text(json.dumps(bad_seq))
+        (store.jobs_dir / "j4.json").write_text(json.dumps(bad_state))
+        assert [record.id for record in store.recover()] == ["j1"]
+        assert store.load("j2") is None
+
     def test_recover_deletes_tmp_files_of_cut_short_saves(self, tmp_path):
         store = JobStore(tmp_path)
         store.save(self.make_record("j1", state="running"))

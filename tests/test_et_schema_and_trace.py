@@ -1,9 +1,27 @@
 """Tests for the execution-trace node schema and trace container."""
 
+import dataclasses
+import functools
+import json
+from collections import Counter
+
 import pytest
 
-from repro.et.schema import ETNode, ROOT_NODE_ID, decode_tensor_ref, encode_arg, is_tensor_type
+import repro.api as api
+from repro.bench.throughput import synthesize_fleet
+from repro.cluster import ClusterReplayer
+from repro.core.replayer import ReplayConfig
+from repro.et import schema, trace as trace_module
+from repro.et.schema import (
+    ETNode,
+    ROOT_NODE_ID,
+    TraceValidationError,
+    decode_tensor_ref,
+    encode_arg,
+    is_tensor_type,
+)
 from repro.et.trace import ExecutionTrace
+from repro.service import TraceRepository
 from repro.torchsim.tensor import Tensor
 from repro.torchsim.dtypes import DType
 
@@ -75,8 +93,8 @@ class TestETNode:
             inputs=[value], input_shapes=[shape], input_types=[type_str],
             outputs=[value], output_shapes=[shape], output_types=[type_str],
         )
-        assert node.input_tensor_refs() == [tensor.id]
-        assert node.output_tensor_refs() == [tensor.id]
+        assert node.input_tensor_refs() == (tensor.id,)
+        assert node.output_tensor_refs() == (tensor.id,)
 
     def test_round_trip_dict(self):
         node = ETNode(
@@ -151,3 +169,168 @@ class TestExecutionTrace:
                               op_schema="aten::sum(Tensor a) -> Tensor"))
         assert trace.has(7)
         assert [c.id for c in trace.children(ROOT_NODE_ID)] == [2, 5, 7]
+
+
+# ----------------------------------------------------------------------
+# The load boundary: one bounded, validating path for every trace
+# ----------------------------------------------------------------------
+def _valid_dict():
+    return {
+        "schema": "1.0.2-repro",
+        "metadata": {"workload": "w"},
+        "nodes": [
+            {"name": "[root]", "id": 1, "parent": 0},
+            {
+                "name": "aten::relu", "id": 2, "parent": 1,
+                "op_schema": "aten::relu(Tensor self) -> Tensor",
+                "inputs": [[7, 7, 0, 4, 4, "cuda:0"]], "input_shapes": [[4]],
+                "input_types": ["Tensor(float32)"],
+                "outputs": [[8, 8, 0, 4, 4, "cuda:0"]], "output_shapes": [[4]],
+                "output_types": ["Tensor(float32)"],
+            },
+        ],
+    }
+
+
+def _mutated(path, value):
+    """``_valid_dict()`` with the key at ``path`` set to ``value``."""
+    data = _valid_dict()
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+MALFORMED = {
+    "top-level-list": [1, 2],
+    "top-level-string": "trace",
+    "no-nodes": {"metadata": {}},
+    "empty-nodes": _mutated(("nodes",), []),
+    "nodes-not-array": _mutated(("nodes",), {"name": "r"}),
+    "metadata-list": _mutated(("metadata",), [1]),
+    "node-not-object": _mutated(("nodes", 1), [2]),
+    "missing-parent": {"nodes": [{"name": "r", "id": 1}]},
+    "attrs-list": _mutated(("nodes", 1, "attrs"), ["tid"]),
+    "id-string": _mutated(("nodes", 1, "id"), "2"),
+    "id-float": _mutated(("nodes", 1, "id"), 2.0),
+    "id-bool": _mutated(("nodes", 1, "id"), True),
+    "parent-null": _mutated(("nodes", 1, "parent"), None),
+    "parent-bool": _mutated(("nodes", 1, "parent"), False),
+    "name-int": _mutated(("nodes", 1, "name"), 3),
+    "op-schema-list": _mutated(("nodes", 1, "op_schema"), ["aten::relu"]),
+    "input-types-non-str": _mutated(("nodes", 1, "input_types"), [4]),
+    "output-types-non-str": _mutated(("nodes", 1, "output_types"), [None]),
+    "inputs-not-array": _mutated(("nodes", 1, "inputs"), "abc"),
+    "input-lengths-differ": _mutated(("nodes", 1, "input_shapes"), [[4], [4]]),
+    "output-lengths-differ": _mutated(("nodes", 1, "output_types"), []),
+}
+
+
+class TestLoadBoundary:
+    def test_valid_trace_round_trips(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(_valid_dict()))
+        trace = ExecutionTrace.load(path)
+        assert ExecutionTrace.load(trace.save(tmp_path / "u.json")).digest() == trace.digest()
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_input_raises_typed_error_everywhere(self, tmp_path, name):
+        text = json.dumps(MALFORMED[name])
+        with pytest.raises(TraceValidationError):
+            ExecutionTrace.from_json(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(TraceValidationError):
+            ExecutionTrace.load(path)
+        repository = TraceRepository(tmp_path)
+        assert repository.discover() == []
+        assert list(repository.invalid) == [path]
+
+    def test_orphan_parents_stay_legal(self):
+        trace = ExecutionTrace.from_dict(_mutated(("nodes", 1, "parent"), 99))
+        assert trace.get(2).parent == 99
+
+    def test_oversized_file_fails_before_parsing(self, tmp_path, monkeypatch):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(_valid_dict()))
+        limit = path.stat().st_size - 1
+        monkeypatch.setattr(trace_module, "MAX_TRACE_BYTES", limit)
+
+        def parse_called(*args, **kwargs):
+            raise AssertionError("an oversized trace was parsed")
+
+        monkeypatch.setattr(trace_module.json, "loads", parse_called)
+        with pytest.raises(TraceValidationError, match=f"{limit}-byte limit"):
+            ExecutionTrace.load(path)
+        repository = TraceRepository(tmp_path)
+        assert repository.discover() == []
+        assert "byte limit" in repository.invalid[path]
+
+    def test_file_at_the_limit_loads(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(_valid_dict()))
+        monkeypatch.setattr(trace_module, "MAX_TRACE_BYTES", path.stat().st_size)
+        assert len(ExecutionTrace.load(path)) == 2
+
+    def test_nodes_are_frozen(self):
+        node = ETNode(name="aten::relu", id=2, parent=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.parent = 3
+        assert dataclasses.replace(node, parent=3).parent == 3
+
+
+# ----------------------------------------------------------------------
+# Decode once: every ETNode decodes each encoded tensor ref at most once
+# ----------------------------------------------------------------------
+class TestDecodeOnce:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count ``decode_tensor_ref`` calls and which node objects decoded.
+
+        Returns ``(calls, decoded, nodes)``: the total call count; per
+        ``(node object id, direction)``, how often that node decoded that
+        direction; and the decoding nodes by id (kept alive so ids stay
+        unique).
+        """
+        calls = Counter()
+        decoded = Counter()
+        nodes = {}
+        real_decode = schema.decode_tensor_ref
+
+        def counting_decode(value):
+            calls["decode"] += 1
+            return real_decode(value)
+
+        monkeypatch.setattr(schema, "decode_tensor_ref", counting_decode)
+        for name in ("input_refs", "output_refs"):
+            compute = ETNode.__dict__[name].func
+
+            def wrapped(node, compute=compute, name=name):
+                nodes[id(node)] = node
+                decoded[(id(node), name)] += 1
+                return compute(node)
+
+            prop = functools.cached_property(wrapped)
+            prop.__set_name__(ETNode, name)
+            monkeypatch.setattr(ETNode, name, prop)
+        return calls, decoded, nodes
+
+    @staticmethod
+    def _bound(nodes):
+        """Encoded tensor refs held by every node object that decoded."""
+        return sum(
+            len(refs)
+            for node in nodes.values()
+            for refs in node.__dict__.get("input_refs", ()) + node.__dict__.get("output_refs", ())
+        )
+
+    def test_fleet_and_single_rank_replays_decode_each_ref_once(self, counted):
+        calls, decoded, nodes = counted
+        config = ReplayConfig(iterations=2, warmup_iterations=0, world_size=8)
+        fleet = synthesize_fleet(8)
+        ClusterReplayer(config).replay(fleet)
+        api.replay(fleet[0]).using(ReplayConfig(iterations=2, warmup_iterations=0)).run()
+        assert nodes, "the replays decoded no node"
+        assert set(decoded.values()) == {1}
+        assert 0 < calls["decode"] <= self._bound(nodes)

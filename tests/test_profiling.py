@@ -399,3 +399,27 @@ class TestBatchReplayerGuard:
         rule = next(r for r in checker.RULES if r.name == "direct-batch-replayer")
         assert "src/repro/service/" in rule.exempt
         assert "src/repro/daemon/" in rule.exempt
+
+
+class TestTraceBoundaryGuard:
+    """``scripts/check_deprecated_usage.py`` keeps tensor-ref decoding in
+    ``et/schema.py``: every ``ETNode`` decodes its refs once and all other
+    code reads them from the node."""
+
+    def test_rule_fires_outside_the_schema(self, tmp_path):
+        checker = _load_usage_checker()
+        bad = tmp_path / "src" / "repro" / "core"
+        bad.mkdir(parents=True)
+        (bad / "x.py").write_text("ref = decode_tensor_ref(value)\n")
+        offenders = checker.find_offenders(tmp_path)
+        assert list(offenders) == ["trace-boundary"]
+        assert "x.py:1" in offenders["trace-boundary"][0]
+
+    def test_schema_module_is_exempt(self, tmp_path):
+        checker = _load_usage_checker()
+        ok = tmp_path / "src" / "repro" / "et"
+        ok.mkdir(parents=True)
+        (ok / "schema.py").write_text(
+            "def decode_tensor_ref(value):\n    return None\nref = decode_tensor_ref(1)\n"
+        )
+        assert checker.find_offenders(tmp_path) == {}

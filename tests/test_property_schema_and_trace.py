@@ -1,8 +1,12 @@
 """Property-based tests (hypothesis) for schemas, traces and argument encoding."""
 
-from hypothesis import given, settings, strategies as st
+import json
+import tempfile
+from pathlib import Path
 
-from repro.et.schema import ETNode, ROOT_NODE_ID, decode_tensor_ref, encode_arg
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.et.schema import ETNode, ROOT_NODE_ID, TraceValidationError, decode_tensor_ref, encode_arg
 from repro.et.builder import ETBuilder
 from repro.et.trace import ExecutionTrace
 from repro.torchsim.dtypes import DType
@@ -140,3 +144,99 @@ class TestTraceProperties:
         for node in selected:
             descendant_ids = {d.id for d in trace.descendants(node.id)}
             assert not (descendant_ids & selected_ids), "a selected operator's descendant was also selected"
+
+
+# ----------------------------------------------------------------------
+# Load-path fuzzing: every input round-trips or raises the typed error
+# ----------------------------------------------------------------------
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+NODE_FIELDS = (
+    "name", "id", "parent", "op_schema", "inputs", "input_shapes", "input_types",
+    "outputs", "output_shapes", "output_types", "attrs",
+)
+
+
+@st.composite
+def valid_trace_dicts(draw):
+    """Serialised traces whose operators carry tensor and scalar args."""
+    data = draw(trace_structures()).to_dict()
+    for entry in data["nodes"][1:]:
+        for direction in ("input", "output"):
+            args = draw(st.lists(
+                st.sampled_from(["tensor", "list", "int"]), max_size=3
+            ))
+            values, shapes, types = [], [], []
+            for kind in args:
+                ref = [draw(st.integers(1, 50)), draw(st.integers(1, 50)), 0, 4, 4, "cuda:0"]
+                if kind == "tensor":
+                    values.append(ref), shapes.append([4]), types.append("Tensor(float32)")
+                elif kind == "list":
+                    values.append([ref, ref]), shapes.append([[4], [4]])
+                    types.append("GenericList[Tensor(float32),Tensor(float32)]")
+                else:
+                    values.append(draw(st.integers())), shapes.append([]), types.append("Int")
+            entry[f"{direction}s"] = values
+            entry[f"{direction}_shapes"] = shapes
+            entry[f"{direction}_types"] = types
+    return data
+
+
+@st.composite
+def mutated_trace_dicts(draw):
+    """A valid serialised trace with one field replaced or deleted."""
+    data = draw(valid_trace_dicts())
+    target = draw(st.sampled_from(["top", "node"]))
+    if target == "top":
+        container, key = data, draw(st.sampled_from(["schema", "metadata", "nodes"]))
+    else:
+        container = draw(st.sampled_from(data["nodes"]))
+        key = draw(st.sampled_from(NODE_FIELDS))
+    if draw(st.booleans()):
+        container.pop(key, None)
+    else:
+        container[key] = draw(json_values)
+    return data
+
+
+def _round_trips_or_rejects(raw: bytes) -> None:
+    """``load`` either raises :class:`TraceValidationError` or returns a
+    trace with ``load(save(t)).digest() == t.digest()``; nothing else."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "trace.json"
+        path.write_bytes(raw)
+        try:
+            trace = ExecutionTrace.load(path)
+        except TraceValidationError:
+            return
+        saved = trace.save(Path(directory) / "saved.json")
+        assert ExecutionTrace.load(saved).digest() == trace.digest()
+
+
+class TestLoadPathFuzz:
+    @given(json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_random_json_round_trips_or_raises_typed_error(self, value):
+        _round_trips_or_rejects(json.dumps(value).encode())
+
+    @given(st.binary(max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_random_bytes_round_trip_or_raise_typed_error(self, raw):
+        _round_trips_or_rejects(raw)
+
+    @given(valid_trace_dicts())
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_valid_traces_round_trip(self, data):
+        trace = ExecutionTrace.from_dict(data)
+        assert trace.digest() == ExecutionTrace.from_json(trace.to_json()).digest()
+        _round_trips_or_rejects(json.dumps(data).encode())
+
+    @given(mutated_trace_dicts())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_field_mutations_round_trip_or_raise_typed_error(self, data):
+        _round_trips_or_rejects(json.dumps(data).encode())

@@ -26,7 +26,7 @@ from repro.service import (
     TraceValidationError,
 )
 from repro.service.cache import cache_key
-from repro.service.repository import validate_trace_dict
+from repro.et.trace import ExecutionTrace
 from repro.workloads.param_linear import ParamLinearConfig, ParamLinearWorkload
 
 
@@ -148,6 +148,17 @@ class TestTraceRepository:
         finally:
             junk.unlink()
 
+    def test_wrong_shape_file_does_not_break_discovery(self, repo, tmp_path):
+        good = repo.load("linear_2")
+        good.save(tmp_path / "good.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            {"metadata": [1], "nodes": [{"name": "r", "id": 1, "parent": 0}]}
+        ))
+        repository = TraceRepository(tmp_path)
+        assert [record.digest for record in repository.discover()] == [good.digest()]
+        assert list(repository.invalid) == [bad]
+
     def test_get_unknown_name_raises(self, repo):
         with pytest.raises(KeyError, match="no trace named"):
             repo.get("missing")
@@ -160,11 +171,11 @@ class TestTraceRepository:
 
     def test_validate_trace_dict_rejects_bad_shapes(self):
         with pytest.raises(TraceValidationError):
-            validate_trace_dict([1, 2])
+            ExecutionTrace.from_dict([1, 2])
         with pytest.raises(TraceValidationError):
-            validate_trace_dict({"nodes": []})
+            ExecutionTrace.from_dict({"nodes": []})
         with pytest.raises(TraceValidationError):
-            validate_trace_dict({"nodes": [{"name": "x"}]})
+            ExecutionTrace.from_dict({"nodes": [{"name": "x"}]})
 
 
 # ----------------------------------------------------------------------
