@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-cluster test-memory test-scheduler test-daemon test-telemetry test-insights bench bench-fast lint example-sweep clean
+.PHONY: test test-cluster test-memory test-scheduler test-daemon test-telemetry test-insights bench bench-fast lint examples example-sweep clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -28,9 +28,10 @@ test-scheduler:
 	$(PYTHON) -m pytest tests/test_property_scheduler.py benchmarks/test_cluster_scale.py -q
 
 # Replay daemon: job queue / REST API / pause-resume-snapshot tests, the
-# serialize round-trip suite, and a CLI smoke run of `repro serve`.
+# serialize round-trip suite, the persisted-shape fuzz suite, and a CLI
+# smoke run of `repro serve`.
 test-daemon:
-	$(PYTHON) -m pytest tests/test_daemon.py tests/test_serialize_payloads.py -q
+	$(PYTHON) -m pytest tests/test_daemon.py tests/test_serialize_payloads.py tests/test_property_persisted_shapes.py -q
 	$(PYTHON) -m repro serve --help > /dev/null
 
 # Telemetry subsystem: tracer/metrics/export tests, the byte-identical
@@ -66,6 +67,12 @@ lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples
 	$(PYTHON) -m repro --version
 	$(PYTHON) scripts/check_deprecated_usage.py
+
+# The examples that replay through repro.api directly (about 0.5 s each),
+# run end to end so an API change cannot break them unseen.
+examples:
+	$(PYTHON) examples/subtrace_and_custom_ops.py
+	$(PYTHON) examples/cross_platform_evaluation.py
 
 example-sweep:
 	$(PYTHON) examples/batch_sweep.py

@@ -11,9 +11,10 @@ the reproduction matters:
 
 import pytest
 
-from repro.bench.harness import capture_workload, replay_capture, unsupported_gpu_time_us
+import repro.api as api
+from repro.bench.harness import capture_workload, unsupported_gpu_time_us
 from repro.bench.reporting import format_table
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.core.selection import OperatorSelector
 from repro.core.tensors import EmbeddingValueConfig
 from repro.et.analyzer import iter_top_level_operators
@@ -30,10 +31,10 @@ def test_ablation_cost_model(benchmark, paper_captures):
 
     def run():
         capture = paper_captures["rm"]
-        roofline = Replayer(capture.execution_trace, capture.profiler_trace,
-                            ReplayConfig(cost_model_mode="roofline")).run()
-        flops_only = Replayer(capture.execution_trace, capture.profiler_trace,
-                              ReplayConfig(cost_model_mode="flops")).run()
+        roofline = api.replay(capture.execution_trace, capture.profiler_trace,
+                              config=ReplayConfig(cost_model_mode="roofline")).run()
+        flops_only = api.replay(capture.execution_trace, capture.profiler_trace,
+                                config=ReplayConfig(cost_model_mode="flops")).run()
         return roofline, flops_only
 
     roofline, flops_only = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -54,10 +55,10 @@ def test_ablation_embedding_values(benchmark, paper_captures):
 
     def run():
         capture = paper_captures["rm"]
-        value_aware = replay_capture(capture)
-        value_agnostic = Replayer(
+        value_aware = api.replay(capture).run()
+        value_agnostic = api.replay(
             capture.execution_trace, capture.profiler_trace,
-            ReplayConfig(embedding_config=None),
+            config=ReplayConfig(embedding_config=None),
         ).run()
         return capture, value_aware, value_agnostic
 
@@ -90,10 +91,10 @@ def test_ablation_parallel_streams(benchmark):
         workload = RMWorkload(RMConfig(), rank=0, world_size=16)
         capture = capture_workload(workload, warmup_iterations=0, runtime=runtime)
         capture.execution_trace.metadata["world_size"] = 16
-        multi_stream = Replayer(capture.execution_trace, capture.profiler_trace,
-                                ReplayConfig(use_streams=True)).run()
-        single_stream = Replayer(capture.execution_trace, capture.profiler_trace,
-                                 ReplayConfig(use_streams=False)).run()
+        multi_stream = api.replay(capture.execution_trace, capture.profiler_trace,
+                                  config=ReplayConfig(use_streams=True)).run()
+        single_stream = api.replay(capture.execution_trace, capture.profiler_trace,
+                                   config=ReplayConfig(use_streams=False)).run()
         return capture, multi_stream, single_stream
 
     capture, multi_stream, single_stream = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -120,7 +121,7 @@ def test_ablation_operator_selection(benchmark, paper_captures):
         capture = paper_captures["param_linear"]
         deduplicated = iter_top_level_operators(capture.execution_trace)
         all_operators = capture.execution_trace.operators()
-        replay = replay_capture(capture)
+        replay = api.replay(capture).run()
         return capture, deduplicated, all_operators, replay
 
     capture, deduplicated, all_operators, replay = benchmark.pedantic(run, rounds=1, iterations=1)

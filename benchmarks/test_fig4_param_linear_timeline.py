@@ -8,7 +8,7 @@ the comparable quantities: end-to-end time, per-operator GPU time for the
 top operators, thread structure and kernel counts.
 """
 
-from repro.bench.harness import replay_capture
+import repro.api as api
 from repro.bench.metrics import operator_gpu_time_breakdown
 from repro.bench.reporting import format_table
 from repro.et.comparator import TraceComparator
@@ -17,7 +17,7 @@ from benchmarks.conftest import save_report
 
 
 def run_fig4(capture):
-    replay = replay_capture(capture)
+    replay = api.replay(capture).run()
     original_ops = operator_gpu_time_breakdown(capture.kernel_launches)
     replay_ops = operator_gpu_time_breakdown(replay.kernel_launches)
     return replay, original_ops, replay_ops

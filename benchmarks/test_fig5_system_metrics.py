@@ -6,7 +6,7 @@ and the replayed benchmarks track the originals closely, with ASR showing
 the largest HBM-bandwidth gap because of its unsupported custom operators.
 """
 
-from repro.bench.harness import replay_capture
+import repro.api as api
 from repro.bench.reporting import format_table
 from repro.et.comparator import TraceComparator
 
@@ -17,7 +17,7 @@ def run_fig5(paper_captures):
     results = {}
     for name in PAPER_WORKLOADS:
         capture = paper_captures[name]
-        replay = replay_capture(capture)
+        replay = api.replay(capture).run()
         results[name] = (capture.system_metrics, replay.system_metrics)
     return results
 

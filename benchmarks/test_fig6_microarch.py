@@ -5,7 +5,7 @@ replay on IPC, L1 hit rate, L2 hit rate and SM throughput, normalised to the
 original, and reports the overall deviation across all kernels within 2%.
 """
 
-from repro.bench.harness import replay_capture
+import repro.api as api
 from repro.bench.metrics import kernel_counters_by_name, top_kernel_names
 from repro.bench.reporting import format_table
 from repro.hardware.counters import aggregate_kernel_counters
@@ -15,7 +15,7 @@ from benchmarks.conftest import save_report
 
 
 def run_fig6(capture):
-    replay = replay_capture(capture)
+    replay = api.replay(capture).run()
     original_counters = kernel_counters_by_name(capture.kernel_launches, A100)
     replay_counters = kernel_counters_by_name(replay.kernel_launches, A100)
     top = top_kernel_names(capture.kernel_launches, top_k=10)

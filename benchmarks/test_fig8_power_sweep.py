@@ -7,9 +7,10 @@ claim: the replay tracks the original's sensitivity curve, so the benchmark
 can stand in for the real workload in power-efficiency studies.
 """
 
+import repro.api as api
 from repro.bench.harness import run_original
 from repro.bench.reporting import format_series
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.hardware.power import PowerModel
 from repro.hardware.specs import A100
 from repro.workloads import build_workload
@@ -41,9 +42,9 @@ def run_fig8(paper_captures):
             original_curve[limit] = _efficiency(
                 original.mean_iteration_time_us, original.timeline_stats, limit
             )
-            replay = Replayer(
+            replay = api.replay(
                 capture.execution_trace, capture.profiler_trace,
-                ReplayConfig(device="A100", power_limit_w=limit),
+                config=ReplayConfig(device="A100", power_limit_w=limit),
             ).run()
             replay_curve[limit] = _efficiency(
                 replay.mean_iteration_time_us, replay.timeline_stats, limit

@@ -12,8 +12,9 @@ replays a subset of ranks while the collective cost model still prices the
 full 64-rank topology.
 """
 
+import repro.api as api
 from repro.bench.reporting import format_table
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.workloads.ddp import DistributedRunner
 from repro.workloads.rm import RMConfig, RMWorkload
 
@@ -37,9 +38,9 @@ def run_table5():
 
     replay_metrics = []
     for capture in captures:
-        result = Replayer(
+        result = api.replay(
             capture.execution_trace, capture.profiler_trace,
-            ReplayConfig(device="A100", rank=capture.rank),
+            config=ReplayConfig(device="A100", rank=capture.rank),
         ).run()
         replay_metrics.append({
             "execution_time_ms": result.mean_iteration_time_ms,

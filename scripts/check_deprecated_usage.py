@@ -1,11 +1,8 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Nine rules, one pass:
+Eight rules, one pass:
 
-* The deprecated ``Replayer`` entry point must not be used inside ``src/``
-  outside its own shim module — every replay goes through
-  ``repro.core.pipeline.ReplayPipeline`` (usually via ``repro.api``).
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
   and ``src/repro/daemon/`` — batch work flows through the facade
   (``repro.api.sweep``), the service layer, or the daemon's job queue, so
@@ -83,18 +80,6 @@ _EXECUTE_LOOP_FORK = (
 )
 
 RULES = (
-    Rule(
-        name="deprecated-replayer",
-        # Word boundary keeps subclasses and wrappers like
-        # ``BatchReplayer(`` out of scope.
-        pattern=re.compile(r"\bReplayer\("),
-        roots=("src",),
-        exempt=("src/repro/core/replayer.py",),
-        message=(
-            "deprecated Replayer used directly inside src/ (use repro.api or "
-            "repro.core.pipeline.ReplayPipeline instead)"
-        ),
-    ),
     Rule(
         name="direct-batch-replayer",
         # Batch execution policy (cache, error capture, pause semantics)

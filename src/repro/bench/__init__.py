@@ -23,7 +23,6 @@ from repro.bench.harness import (
     OriginalRunResult,
     capture_workload,
     compare_workload,
-    replay_capture,
     run_original,
 )
 from repro.bench.metrics import kernel_counters_by_name, top_kernel_names, operator_gpu_time_breakdown
@@ -54,7 +53,6 @@ __all__ = [
     "OriginalRunResult",
     "capture_workload",
     "compare_workload",
-    "replay_capture",
     "run_original",
     "kernel_counters_by_name",
     "top_kernel_names",

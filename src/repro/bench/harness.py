@@ -5,8 +5,9 @@ This is the workflow of Figure 3 wired end to end for a single process:
 1. run the workload with the ExecutionGraphObserver and profiler attached
    and capture one iteration (:func:`capture_workload`),
 2. measure the original workload (:func:`run_original`),
-3. replay the captured traces as a generated benchmark
-   (:func:`replay_capture`),
+3. replay the captured traces as a generated benchmark (through
+   :func:`repro.api.replay`, or :func:`~repro.core.pipeline.run_replay`
+   directly),
 4. compare the two (:func:`compare_workload`), producing the Table 4 /
    Figure 5 quantities: original time, original time excluding unsupported
    operators, replay time, and the macro system metrics of both runs.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.pipeline import ReplayHook, ReplayPipeline, run_replay
+from repro.core.pipeline import run_replay
 from repro.core.registry import ReplaySupport
 from repro.core.replayer import ReplayConfig, ReplayResult
 from repro.core.selection import OperatorSelector
@@ -168,29 +169,6 @@ def run_original(
     )
 
 
-def replay_capture(
-    capture: CaptureResult,
-    config: Optional[ReplayConfig] = None,
-    support: Optional[ReplaySupport] = None,
-    hooks: Optional[List[ReplayHook]] = None,
-    pipeline: Optional[ReplayPipeline] = None,
-) -> ReplayResult:
-    """Replay a captured iteration as a generated benchmark.
-
-    Runs through the stage pipeline; pass ``hooks`` to observe the replay
-    or ``pipeline`` to customise its stages.
-    """
-    config = config if config is not None else ReplayConfig(device=capture.device)
-    return run_replay(
-        capture.execution_trace,
-        config=config,
-        profiler_trace=capture.profiler_trace,
-        support=support,
-        hooks=hooks,
-        pipeline=pipeline,
-    )
-
-
 def unsupported_gpu_time_us(capture: CaptureResult, support: Optional[ReplaySupport] = None) -> float:
     """GPU time of the operators the replay policy cannot reproduce."""
     selector = OperatorSelector(support if support is not None else ReplaySupport())
@@ -289,7 +267,12 @@ def compare_workload(
         capture = capture_workload(workload, device=device, power_limit_w=power_limit_w)
     if config is None:
         config = ReplayConfig(device=device, iterations=replay_iterations, power_limit_w=power_limit_w)
-    replay = replay_capture(capture, config=config, support=support)
+    replay = run_replay(
+        capture.execution_trace,
+        config=config,
+        profiler_trace=capture.profiler_trace,
+        support=support,
+    )
 
     missing = unsupported_gpu_time_us(capture, support)
     calibrated = max(0.0, capture.iteration_time_us - missing)

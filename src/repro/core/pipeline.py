@@ -4,15 +4,13 @@ One replay (Section 4 of the paper) is a sequence of well-defined steps:
 select the operators to replay, reconstruct a callable per operator,
 materialise the tensors they need, re-create the recorded stream placement,
 initialise the (possibly distributed) runtime, execute the operators in the
-recorded order, and measure the run.  Historically those steps were fused
-inside :meth:`repro.core.replayer.Replayer.run`; this module breaks them
-into first-class stage objects with a common protocol, composed by a
+recorded order, and measure the run.  This module makes each step a
+first-class stage object with a common protocol, composed by a
 :class:`ReplayPipeline` that threads a typed :class:`ReplayContext` between
 them.
 
-The pipeline is the single replay implementation in the package — the
-legacy :class:`~repro.core.replayer.Replayer` is a thin deprecated shim
-over it, and the public entry point is the :mod:`repro.api` facade.
+The pipeline is the single replay implementation in the package, and the
+public entry point is the :mod:`repro.api` facade.
 
 Why stages?  Every consumer can now
 
@@ -23,15 +21,11 @@ Why stages?  Every consumer can now
   core internals), and
 * *reuse* the build phase (run only the build stages to get a plan, then
   execute it many times).
-
-Determinism note: the stages reproduce the legacy ``Replayer`` execution
-order operation-for-operation, so results (and therefore the service
-layer's cached result digests) are byte-identical to the pre-pipeline
-implementation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, Iterator, List, Optional, Sequence
 
@@ -136,24 +130,70 @@ class ReplayCheckpoint:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ReplayCheckpoint":
-        version = int(data.get("schema_version", 0))
-        if version != CHECKPOINT_SCHEMA_VERSION:
+    def from_dict(cls, data: Any) -> "ReplayCheckpoint":
+        """Rebuild a checkpoint from :meth:`to_dict` output.
+
+        Raises :class:`CheckpointError`, and nothing else, on a malformed
+        token: a non-object, a schema-version mismatch, a missing or
+        non-string digest, a count that is not a non-negative integer, a
+        non-finite time, or a list field holding another JSON type.
+        """
+        if not isinstance(data, dict):
+            raise CheckpointError(f"checkpoint is a {type(data).__name__}, not an object")
+        version = data.get("schema_version")
+        if type(version) is not int or version != CHECKPOINT_SCHEMA_VERSION:
             raise CheckpointError(
-                f"checkpoint schema version {version} does not match this build's "
+                "checkpoint schema version does not match this build's "
                 f"{CHECKPOINT_SCHEMA_VERSION}; the job must be re-run from scratch"
             )
+        times = _checkpoint_field(data, "iteration_times_us", list, [])
         return cls(
-            trace_digest=str(data["trace_digest"]),
-            config_digest=str(data["config_digest"]),
-            completed_warmup=int(data["completed_warmup"]),
-            completed_iterations=int(data["completed_iterations"]),
-            clock_fingerprint=list(data.get("clock_fingerprint", [])),
-            iteration_times_us=[float(t) for t in data.get("iteration_times_us", [])],
-            replayed_ops=int(data.get("replayed_ops", 0)),
-            skipped_ops=int(data.get("skipped_ops", 0)),
-            measure_start_us=float(data.get("measure_start_us", 0.0)),
+            trace_digest=_checkpoint_field(data, "trace_digest", str),
+            config_digest=_checkpoint_field(data, "config_digest", str),
+            completed_warmup=_checkpoint_count(data, "completed_warmup"),
+            completed_iterations=_checkpoint_count(data, "completed_iterations"),
+            clock_fingerprint=list(_checkpoint_field(data, "clock_fingerprint", list, [])),
+            iteration_times_us=[_finite_time("iteration_times_us", t) for t in times],
+            replayed_ops=_checkpoint_count(data, "replayed_ops", 0),
+            skipped_ops=_checkpoint_count(data, "skipped_ops", 0),
+            measure_start_us=_finite_time(
+                "measure_start_us", data.get("measure_start_us", 0.0)
+            ),
         )
+
+
+_REQUIRED = object()
+
+
+def _checkpoint_field(data: Dict[str, Any], key: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """``data[key]``, which must be a ``kind``; absent, ``default`` (or a
+    :class:`CheckpointError` when the field is required)."""
+    value = data.get(key, default)
+    if value is _REQUIRED:
+        raise CheckpointError(f"checkpoint is missing {key!r}")
+    if not isinstance(value, kind):
+        raise CheckpointError(
+            f"checkpoint {key!r} must be of type {kind.__name__}, not {type(value).__name__}"
+        )
+    return value
+
+
+def _checkpoint_count(data: Dict[str, Any], key: str, default: Any = _REQUIRED) -> int:
+    value = _checkpoint_field(data, key, int, default)
+    if type(value) is not int or value < 0:
+        raise CheckpointError(f"checkpoint {key!r} must be a non-negative integer")
+    return value
+
+
+def _finite_time(key: str, value: Any) -> float:
+    """A checkpoint time: a finite JSON number (never a bool or a string)."""
+    if type(value) in (int, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise CheckpointError(f"checkpoint {key!r} must hold finite numbers")
 
 
 def _clock_fingerprint(runtime: Runtime) -> List[Any]:

@@ -34,7 +34,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import ClusterPaused, ClusterReplayer
-from repro.core.pipeline import ReplayCheckpoint, ReplayPaused
+from repro.core.pipeline import CheckpointError, ReplayCheckpoint, ReplayPaused
 from repro.core.replayer import ReplayConfig, ReplayResultSummary
 from repro.daemon.jobs import JobRecord, cluster_snapshot, sweep_snapshot
 from repro.service.batch import BatchReplayer, ReplayJob, _error_details
@@ -137,7 +137,7 @@ def run_sweep_job(
             if checkpoint_data is not None and point.label == checkpoint_label:
                 try:
                     resume = ReplayCheckpoint.from_dict(checkpoint_data)
-                except Exception as error:  # noqa: BLE001 - corrupt snapshot
+                except CheckpointError as error:  # a corrupt snapshot
                     return "failed", _error_details(error)
             span = None
             if tracer is not None and tracer.enabled:

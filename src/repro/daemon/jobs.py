@@ -103,9 +103,10 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "JobSpec":
+        """Raises ``ValueError`` on a malformed spec."""
         if not isinstance(data, dict) or not isinstance(data.get("payload") or {}, dict):
             raise ValueError("job spec is not an object with an object payload")
-        return cls(kind=data["kind"], payload=dict(data.get("payload") or {}))
+        return cls(kind=data.get("kind"), payload=dict(data.get("payload") or {}))
 
 
 @dataclass
@@ -163,21 +164,30 @@ class JobRecord:
 
     @classmethod
     def from_dict(cls, data: Any) -> "JobRecord":
-        """Raises ``ValueError`` or ``KeyError`` on a malformed record."""
+        """Raises ``ValueError`` on a malformed record.
+
+        The ``id`` and ``owner`` must be strings: the id keys the daemon's
+        job table and names the record's file (the store also checks that
+        it matches that file's name).
+        """
         version = data.get("schema_version") if isinstance(data, dict) else None
         if version != DAEMON_SCHEMA_VERSION:
             raise ValueError(
                 f"job record schema version {version!r} != {DAEMON_SCHEMA_VERSION}"
             )
-        if data.get("state") not in JOB_STATES or not all(isinstance(data.get(key, 0), int) for key in ("priority", "seq")):
+        if not all(isinstance(data.get(key), str) for key in ("id", "owner")):
+            raise ValueError("job record has a missing or non-string id/owner")
+        if data.get("state") not in JOB_STATES or not all(
+            type(data.get(key, 0)) is int for key in ("priority", "seq")
+        ):
             raise ValueError("job record has an unknown state or a non-int priority/seq")
         return cls(
             id=data["id"],
             owner=data["owner"],
-            spec=JobSpec.from_dict(data["spec"]),
-            priority=int(data.get("priority", 0)),
+            spec=JobSpec.from_dict(data.get("spec")),
+            priority=data.get("priority", 0),
             state=data["state"],
-            seq=int(data.get("seq", 0)),
+            seq=data.get("seq", 0),
             error=data.get("error"),
             error_type=data.get("error_type"),
             traceback=data.get("traceback"),

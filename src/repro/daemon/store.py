@@ -62,24 +62,31 @@ class JobStore:
             os.replace(tmp, path)
         return path
 
-    def load(self, job_id: str) -> Optional[JobRecord]:
-        path = self._path(job_id)
+    @staticmethod
+    def _read(path: Path) -> Optional[JobRecord]:
+        """The record stored at ``path``, or ``None`` when the file is
+        unreadable, malformed, or holds a record that does not name itself
+        (its id differs from the file's stem — saving it back would write
+        to a different path, possibly outside the jobs directory)."""
         try:
-            return JobRecord.from_dict(json.loads(path.read_text()))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError):
+            record = JobRecord.from_dict(json.loads(path.read_text()))
+        except (OSError, ValueError):  # JSONDecodeError is a ValueError
             return None
+        return record if record.id == path.stem else None
+
+    def load(self, job_id: str) -> Optional[JobRecord]:
+        return self._read(self._path(job_id))
 
     def load_all(self) -> List[JobRecord]:
         """Every readable record, in submission order; unreadable files
         are skipped (a torn tmp file must not wedge startup)."""
         if not self.jobs_dir.is_dir():
             return []
-        records = []
-        for path in sorted(self.jobs_dir.glob("*.json")):
-            try:
-                records.append(JobRecord.from_dict(json.loads(path.read_text())))
-            except (OSError, json.JSONDecodeError, KeyError, ValueError):
-                continue
+        records = [
+            record
+            for record in map(self._read, sorted(self.jobs_dir.glob("*.json")))
+            if record is not None
+        ]
         records.sort(key=job_sort_key)
         return records
 

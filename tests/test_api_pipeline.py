@@ -1,32 +1,33 @@
 """Tests for the stage pipeline and the ``repro.api`` facade.
 
 Covers stage order and context threading, hook invocation, pipeline
-composition (insert/replace/skip), the fluent session builder, and the
-facade-vs-legacy equivalence guarantee: ``repro.api.replay(...)`` must
-produce byte-identical ``ReplayResultSummary`` dicts (and cache keys) to
-the deprecated ``Replayer.run()`` path.
+composition (insert/replace/skip), the fluent session builder, the
+facade's cache-key stability, and the execute stage's pause/resume
+checkpoints.
 """
 
+import itertools
 import json
-import warnings
 
 import pytest
 
 import repro.api as api
-from repro.bench.harness import capture_workload
 from repro.core.pipeline import (
     BUILD_STAGE_NAMES,
+    CheckpointError,
     ExecuteStage,
     MeasureStage,
+    ReplayCheckpoint,
     ReplayContext,
     ReplayHook,
+    ReplayPaused,
     ReplayPipeline,
     ReplayPipelineError,
     ReplayStage,
+    run_replay,
 )
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.service.cache import cache_key
-from tests.conftest import make_small_rm
 
 EXPECTED_ORDER = [
     "select",
@@ -37,15 +38,6 @@ EXPECTED_ORDER = [
     "execute",
     "measure",
 ]
-
-
-def _legacy_run(capture, config):
-    """Run the deprecated Replayer path with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return Replayer(
-            capture.execution_trace, capture.profiler_trace, config
-        ).run()
 
 
 def _summary_json(result) -> str:
@@ -321,49 +313,13 @@ class TestReplaySession:
 
 
 # ----------------------------------------------------------------------
-# Facade <-> legacy equivalence
+# Cache-key stability
 # ----------------------------------------------------------------------
 class TestEquivalenceWithLegacyReplayer:
-    def test_param_linear_summaries_byte_identical(self, small_linear_capture):
-        config = ReplayConfig(iterations=2, warmup_iterations=1)
-        legacy = _legacy_run(small_linear_capture, config)
-        modern = api.replay(small_linear_capture).using(config).run()
-        assert _summary_json(modern) == _summary_json(legacy)
-
-    def test_rm_summaries_byte_identical(self):
-        capture = capture_workload(make_small_rm(), warmup_iterations=0)
-        config = ReplayConfig(iterations=1)
-        legacy = _legacy_run(capture, config)
-        modern = api.replay(capture).using(config).run()
-        assert legacy.skipped_ops > 0  # RM exercises the unsupported path
-        assert _summary_json(modern) == _summary_json(legacy)
-
     def test_cache_keys_unchanged_across_paths(self, small_linear_capture):
         config = ReplayConfig(iterations=2)
         digest = small_linear_capture.execution_trace.digest()
         assert cache_key(digest, config) == cache_key(digest, ReplayConfig(iterations=2))
-
-    def test_legacy_run_emits_deprecation_warning(self, small_linear_capture):
-        replayer = Replayer(
-            small_linear_capture.execution_trace,
-            small_linear_capture.profiler_trace,
-            ReplayConfig(),
-        )
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            replayer.run()
-
-    def test_legacy_prebuilt_plan_respected(self, small_linear_capture):
-        replayer = Replayer(
-            small_linear_capture.execution_trace,
-            small_linear_capture.profiler_trace,
-            ReplayConfig(),
-        )
-        plan = replayer.build()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = replayer.run()
-        assert replayer.plan is plan
-        assert result.replayed_ops == len(plan.reconstructed)
 
 
 # ----------------------------------------------------------------------
@@ -403,3 +359,121 @@ class TestFacadeEntryPoints:
 
         with pytest.raises(ValueError, match="not both"):
             api.sweep(tmp_path, spec=SweepSpec(), devices=["V100"])
+
+
+# ----------------------------------------------------------------------
+# Pause/resume checkpoints
+# ----------------------------------------------------------------------
+class TestCheckpointFromDict:
+    VALID = ReplayCheckpoint(
+        trace_digest="t" * 64,
+        config_digest="c" * 64,
+        completed_warmup=2,
+        completed_iterations=1,
+        clock_fingerprint=[{"0": 12.5}, 7, 9, "main"],
+        iteration_times_us=[12.0],
+        replayed_ops=4,
+        measure_start_us=3.5,
+    ).to_dict()
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            ["not", "an", "object"],
+            {key: value for key, value in VALID.items() if key != "trace_digest"},
+            {**VALID, "completed_warmup": None},
+            {**VALID, "completed_warmup": -1},
+            {**VALID, "completed_iterations": True},
+            {**VALID, "iteration_times_us": "12"},
+            {**VALID, "iteration_times_us": [float("inf")]},
+            {**VALID, "clock_fingerprint": "abc"},
+            {**VALID, "schema_version": True},
+        ],
+        ids=[
+            "non-object", "missing-digest", "null-count", "negative-count",
+            "bool-count", "string-times", "infinite-time", "string-fingerprint",
+            "bool-version",
+        ],
+    )
+    def test_malformed_token_raises_checkpoint_error(self, token):
+        with pytest.raises(CheckpointError):
+            ReplayCheckpoint.from_dict(token)
+
+
+class TestPauseResumePin:
+    """Single-rank pause/resume through ``run_replay``.  The pause request
+    comes from a boundary counter, never a timer, so it cannot lose a race
+    to the finish."""
+
+    CONFIG = ReplayConfig(iterations=3, warmup_iterations=2)
+    #: (completed warm-up, completed measured) at each pausable boundary;
+    #: the fifth boundary ends the replay, where finishing beats pausing.
+    BOUNDARIES = [(1, 0), (2, 0), (2, 1), (2, 2)]
+
+    @staticmethod
+    def _pause_at(boundary: int):
+        calls = itertools.count(1)
+        return lambda: next(calls) == boundary
+
+    def _paused_token(self, capture, boundary: int) -> dict:
+        with pytest.raises(ReplayPaused) as paused:
+            run_replay(
+                capture.execution_trace,
+                config=self.CONFIG,
+                profiler_trace=capture.profiler_trace,
+                pause_check=self._pause_at(boundary),
+            )
+        return json.loads(json.dumps(paused.value.checkpoint.to_dict()))
+
+    def test_resume_at_every_boundary_is_byte_identical(self, small_linear_capture):
+        trace = small_linear_capture.execution_trace
+        profiler_trace = small_linear_capture.profiler_trace
+        reference = _summary_json(
+            run_replay(trace, config=self.CONFIG, profiler_trace=profiler_trace)
+        )
+        for boundary, position in enumerate(self.BOUNDARIES, start=1):
+            checkpoint = ReplayCheckpoint.from_dict(
+                self._paused_token(small_linear_capture, boundary)
+            )
+            assert (checkpoint.completed_warmup, checkpoint.completed_iterations) == position
+            resumed = run_replay(
+                trace, config=self.CONFIG, profiler_trace=profiler_trace,
+                resume_from=checkpoint,
+            )
+            assert _summary_json(resumed) == reference, boundary
+        finished = run_replay(
+            trace, config=self.CONFIG, profiler_trace=profiler_trace,
+            pause_check=self._pause_at(len(self.BOUNDARIES) + 1),
+        )
+        assert _summary_json(finished) == reference
+
+    def test_resume_under_another_config_raises(self, small_linear_capture):
+        checkpoint = ReplayCheckpoint.from_dict(self._paused_token(small_linear_capture, 3))
+        with pytest.raises(CheckpointError, match="different ReplayConfig"):
+            run_replay(
+                small_linear_capture.execution_trace,
+                config=ReplayConfig(iterations=3, warmup_iterations=2, device="V100"),
+                profiler_trace=small_linear_capture.profiler_trace,
+                resume_from=checkpoint,
+            )
+
+    def test_resume_on_another_trace_raises(self, small_linear_capture, captured_runtime_pieces):
+        checkpoint = ReplayCheckpoint.from_dict(self._paused_token(small_linear_capture, 3))
+        with pytest.raises(CheckpointError, match="trace digest"):
+            run_replay(
+                captured_runtime_pieces["trace"],
+                config=self.CONFIG,
+                profiler_trace=captured_runtime_pieces["profiler_trace"],
+                resume_from=checkpoint,
+            )
+
+    def test_resume_with_tampered_fingerprint_raises(self, small_linear_capture):
+        token = self._paused_token(small_linear_capture, 3)
+        token["clock_fingerprint"][1] += 1  # the next ET node id
+        with pytest.raises(CheckpointError, match="clock fingerprint"):
+            run_replay(
+                small_linear_capture.execution_trace,
+                config=self.CONFIG,
+                profiler_trace=small_linear_capture.profiler_trace,
+                resume_from=ReplayCheckpoint.from_dict(token),
+            )

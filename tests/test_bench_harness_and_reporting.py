@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bench.harness import compare_workload, capture_workload, run_original, replay_capture
+import repro.api as api
+from repro.bench.harness import compare_workload, capture_workload, run_original
 from repro.bench.metrics import (
     kernel_counters_by_name,
     normalize_to,
@@ -43,7 +44,7 @@ class TestHarness:
 
     def test_replay_capture_roundtrip(self):
         capture = capture_workload(small_linear(), warmup_iterations=0)
-        replay = replay_capture(capture)
+        replay = api.replay(capture).run()
         assert replay.mean_iteration_time_us == pytest.approx(capture.iteration_time_us, rel=0.10)
 
     def test_compare_workload_full_coverage(self):

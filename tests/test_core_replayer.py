@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.api as api
 from repro.core.comms_replay import CommReplayManager
 from repro.core.registry import ReplaySupport
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.pipeline import ReplayPipeline
+from repro.core.replayer import ReplayConfig
 from repro.core.streams import StreamAssigner
 from repro.torchsim.distributed import DistributedContext
 from repro.torchsim.stream import COMM_STREAM, DEFAULT_COMPUTE_STREAM
@@ -86,22 +88,22 @@ class TestCommReplayManager:
 
 class TestReplayer:
     def test_replay_reproduces_iteration_time(self, small_linear_capture):
-        replayer = Replayer(
+        session = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
-            ReplayConfig(iterations=1),
+            config=ReplayConfig(iterations=1),
         )
-        result = replayer.run()
+        result = session.run()
         original = small_linear_capture.iteration_time_us
         assert result.mean_iteration_time_us == pytest.approx(original, rel=0.10)
         assert result.skipped_ops == 0
         assert result.coverage.count_coverage == pytest.approx(1.0)
 
     def test_replay_system_metrics_close_to_original(self, small_linear_capture):
-        result = Replayer(
+        result = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
-            ReplayConfig(),
+            config=ReplayConfig(),
         ).run()
         original = small_linear_capture.system_metrics
         assert result.system_metrics.sm_utilization_pct == pytest.approx(
@@ -112,10 +114,10 @@ class TestReplayer:
         )
 
     def test_multiple_iterations_recorded(self, small_linear_capture):
-        result = Replayer(
+        result = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
-            ReplayConfig(iterations=3),
+            config=ReplayConfig(iterations=3),
         ).run()
         assert len(result.iteration_times_us) == 3
         spread = max(result.iteration_times_us) - min(result.iteration_times_us)
@@ -123,42 +125,46 @@ class TestReplayer:
 
     def test_unsupported_ops_skipped_and_counted(self):
         capture = capture_workload(make_small_rm(), warmup_iterations=0)
-        result = Replayer(capture.execution_trace, capture.profiler_trace, ReplayConfig()).run()
+        result = api.replay(
+            capture.execution_trace, capture.profiler_trace, config=ReplayConfig()
+        ).run()
         assert result.skipped_ops > 0
         assert result.coverage.count_coverage < 1.0
         assert result.mean_iteration_time_us < capture.iteration_time_us
 
     def test_registering_custom_ops_improves_coverage(self, small_asr):
         capture = capture_workload(small_asr, warmup_iterations=0)
-        default_result = Replayer(
-            capture.execution_trace, capture.profiler_trace, ReplayConfig()
+        default_result = api.replay(
+            capture.execution_trace, capture.profiler_trace, config=ReplayConfig()
         ).run()
         support = ReplaySupport()
         support.register_library("fairseq")
-        extended_result = Replayer(
-            capture.execution_trace, capture.profiler_trace, ReplayConfig(), support=support
+        extended_result = api.replay(
+            capture.execution_trace, capture.profiler_trace, config=ReplayConfig(), support=support
         ).run()
         assert extended_result.coverage.time_coverage > default_result.coverage.time_coverage
         assert extended_result.mean_iteration_time_us > default_result.mean_iteration_time_us
 
     def test_subtrace_replay_shorter_than_full(self, small_linear_capture):
-        full = Replayer(
-            small_linear_capture.execution_trace, small_linear_capture.profiler_trace, ReplayConfig()
-        ).run()
-        forward_only = Replayer(
+        full = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
-            ReplayConfig(subtrace_label="## forward ##"),
+            config=ReplayConfig(),
+        ).run()
+        forward_only = api.replay(
+            small_linear_capture.execution_trace,
+            small_linear_capture.profiler_trace,
+            config=ReplayConfig(subtrace_label="## forward ##"),
         ).run()
         assert 0 < forward_only.mean_iteration_time_us < full.mean_iteration_time_us
         assert forward_only.replayed_ops < full.replayed_ops
 
     def test_category_filtered_replay(self):
         capture = _distributed_rm_capture()
-        comm_only = Replayer(
+        comm_only = api.replay(
             capture.execution_trace,
             capture.profiler_trace,
-            ReplayConfig(categories=["comms"], world_size=4),
+            config=ReplayConfig(categories=["comms"], world_size=4),
         ).run()
         assert comm_only.replayed_ops > 0
         assert comm_only.mean_iteration_time_us < capture.iteration_time_us
@@ -167,30 +173,34 @@ class TestReplayer:
 
     def test_distributed_trace_replay_uses_world_size(self):
         capture = _distributed_rm_capture(world_size=4)
-        result = Replayer(capture.execution_trace, capture.profiler_trace, ReplayConfig()).run()
+        result = api.replay(
+            capture.execution_trace, capture.profiler_trace, config=ReplayConfig()
+        ).run()
         assert result.mean_iteration_time_us == pytest.approx(capture.iteration_time_us, rel=0.25)
 
     def test_profiling_can_be_disabled(self, small_linear_capture):
-        result = Replayer(
+        result = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
-            ReplayConfig(profile=False),
+            config=ReplayConfig(profile=False),
         ).run()
         assert result.profiler_trace is None
         assert result.mean_iteration_time_us > 0
 
     def test_warmup_iterations_not_measured(self, small_linear_capture):
-        result = Replayer(
+        result = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
-            ReplayConfig(iterations=1, warmup_iterations=2),
+            config=ReplayConfig(iterations=1, warmup_iterations=2),
         ).run()
         assert len(result.iteration_times_us) == 1
 
     def test_build_reports_reconstruction_failures(self, small_linear_capture):
-        replayer = Replayer(
-            small_linear_capture.execution_trace, small_linear_capture.profiler_trace, ReplayConfig()
-        )
-        plan = replayer.build()
+        plan = api.replay(
+            small_linear_capture.execution_trace,
+            small_linear_capture.profiler_trace,
+            config=ReplayConfig(),
+            pipeline=ReplayPipeline.build_only(),
+        ).run_context()
         assert plan.reconstruction_failures == {}
         assert len(plan.reconstructed) == len(plan.selection.supported_entries())

@@ -151,6 +151,16 @@ class TestJobModel:
         with pytest.raises(ValueError, match="schema version"):
             JobRecord.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("id", ["x"]), ("id", None), ("owner", 7), ("priority", True), ("seq", False)],
+    )
+    def test_record_fields_are_typed(self, field, value):
+        data = JobRecord(id="j4", owner="a", spec=JobSpec("sweep")).to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match="id/owner|priority/seq"):
+            JobRecord.from_dict(data)
+
     def test_snapshots_are_versioned(self):
         assert sweep_snapshot({}, None, None)["schema_version"] == DAEMON_SCHEMA_VERSION
         assert cluster_snapshot(4)["schema_version"] == DAEMON_SCHEMA_VERSION
@@ -260,6 +270,25 @@ class TestJobStore:
         (store.jobs_dir / "j4.json").write_text(json.dumps(bad_state))
         assert [record.id for record in store.recover()] == ["j1"]
         assert store.load("j2") is None
+
+    def test_unhashable_record_id_does_not_crash_daemon_startup(self, tmp_path):
+        store = JobStore(tmp_path)
+        store.save(self.make_record("j1"))
+        bad = self.make_record("j2").to_dict()
+        bad["id"] = ["x"]
+        (store.jobs_dir / "j2.json").write_text(json.dumps(bad))
+        daemon = ReplayDaemon(tmp_path, workers=1)  # never started
+        assert [record.id for record in daemon.list_jobs("alice")] == ["j1"]
+
+    def test_record_naming_another_path_is_not_requeued(self, tmp_path):
+        state_dir = tmp_path / "state"
+        store = JobStore(state_dir)
+        escape = self.make_record("../../escape", state="running").to_dict()
+        store.jobs_dir.mkdir(parents=True)
+        (store.jobs_dir / "j1.json").write_text(json.dumps(escape))
+        assert store.recover() == []
+        assert store.load("j1") is None
+        assert sorted(path.name for path in tmp_path.rglob("*.json")) == ["j1.json"]
 
     def test_recover_deletes_tmp_files_of_cut_short_saves(self, tmp_path):
         store = JobStore(tmp_path)

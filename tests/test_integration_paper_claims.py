@@ -7,8 +7,9 @@ test suite guards the qualitative behaviour.
 
 import pytest
 
-from repro.bench.harness import capture_workload, compare_workload, replay_capture
-from repro.core.replayer import ReplayConfig, Replayer
+import repro.api as api
+from repro.bench.harness import capture_workload, compare_workload
+from repro.core.replayer import ReplayConfig
 from repro.core.registry import ReplaySupport
 from repro.et.analyzer import ETAnalyzer
 from repro.et.comparator import TraceComparator
@@ -51,7 +52,7 @@ class TestFigure6Claim:
         from repro.bench.metrics import kernel_counters_by_name, top_kernel_names
 
         capture = capture_workload(linear_workload(), warmup_iterations=0)
-        replay = replay_capture(capture)
+        replay = api.replay(capture).run()
         original_counters = kernel_counters_by_name(capture.kernel_launches, A100)
         replay_counters = kernel_counters_by_name(replay.kernel_launches, A100)
         for name in top_kernel_names(capture.kernel_launches, top_k=5):
@@ -73,8 +74,8 @@ class TestFigure7Claim:
         from repro.bench.harness import run_original
 
         original = run_original(workload, device=device, iterations=1, warmup_iterations=0)
-        replay = Replayer(
-            capture.execution_trace, capture.profiler_trace, ReplayConfig(device=device)
+        replay = api.replay(
+            capture.execution_trace, capture.profiler_trace, config=ReplayConfig(device=device)
         ).run()
         assert replay.mean_iteration_time_us == pytest.approx(
             original.mean_iteration_time_us, rel=0.15
@@ -85,8 +86,8 @@ class TestFigure7Claim:
         capture = capture_workload(workload, device="A100", warmup_iterations=0)
         times = {}
         for device in ("CPU", "V100", "A100"):
-            replay = Replayer(
-                capture.execution_trace, capture.profiler_trace, ReplayConfig(device=device)
+            replay = api.replay(
+                capture.execution_trace, capture.profiler_trace, config=ReplayConfig(device=device)
             ).run()
             times[device] = replay.mean_iteration_time_us
         assert times["CPU"] > times["V100"] > times["A100"]
@@ -109,9 +110,9 @@ class TestFigure8Claim:
                 1.0, original.mean_iteration_time_us,
                 original.timeline_stats.busy_fraction, original.timeline_stats.sm_utilization,
             )
-            replay = Replayer(
+            replay = api.replay(
                 capture.execution_trace, capture.profiler_trace,
-                ReplayConfig(device="A100", power_limit_w=limit),
+                config=ReplayConfig(device="A100", power_limit_w=limit),
             ).run()
             replay_eff = power_model.energy_efficiency(
                 1.0, replay.mean_iteration_time_us,
@@ -135,8 +136,8 @@ class TestFigure10Claim:
         capture = capture_workload(workload, device="A100", warmup_iterations=0)
         replay_times = {}
         for device in ("CPU", "A100", "NewPlatform"):
-            replay = Replayer(
-                capture.execution_trace, capture.profiler_trace, ReplayConfig(device=device)
+            replay = api.replay(
+                capture.execution_trace, capture.profiler_trace, config=ReplayConfig(device=device)
             ).run()
             replay_times[device] = replay.mean_iteration_time_us
         speedup_a100 = replay_times["CPU"] / replay_times["A100"]
@@ -166,10 +167,10 @@ class TestCustomOpInterfaceClaim:
 
     def test_asr_coverage_with_and_without_fairseq(self, small_asr):
         capture = capture_workload(small_asr, warmup_iterations=0)
-        default = replay_capture(capture)
+        default = api.replay(capture).run()
         support = ReplaySupport()
         support.register_library("fairseq")
-        extended = replay_capture(capture, support=support)
+        extended = api.replay(capture, support=support).run()
         assert default.coverage.time_coverage < 0.95
         assert extended.coverage.time_coverage > default.coverage.time_coverage
         assert extended.coverage.count_coverage >= default.coverage.count_coverage
