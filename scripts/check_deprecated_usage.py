@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Eight rules, one pass:
+Nine rules, one pass:
 
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
   and ``src/repro/daemon/`` — batch work flows through the facade
@@ -41,6 +41,10 @@ Eight rules, one pass:
   ``decode_tensor_ref(`` is called only from ``et/schema.py``: every
   ``ETNode`` decodes its tensor refs once, and everything else reads them
   from the node (``input_refs``/``output_refs``, ``input_tensor_refs()``).
+* A rank joins the fleet in one place.  Inside ``src/repro/``, a
+  distributed context's ``.rendezvous`` is assigned only in
+  ``cluster/scheduler.py``, where each co-replay rank's runtime is created;
+  every other rank-setup path would be a second per-rank replay object.
 
 Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 1 with a file:line listing otherwise.  ``tests/test_profiling.py`` drives
@@ -184,6 +188,19 @@ RULES = (
         message=(
             "decode_tensor_ref called outside et/schema.py (read the refs the "
             "ETNode decoded once: input_refs/output_refs or input_tensor_refs())"
+        ),
+    ),
+    Rule(
+        name="fleet-join",
+        # An assignment (not a comparison) to a distributed context's
+        # rendezvous, e.g. ``runtime.dist.rendezvous = ...``.
+        pattern=re.compile(r"\bdist\.rendezvous\s*=(?!=)"),
+        roots=("src/repro",),
+        exempt=("src/repro/cluster/scheduler.py",),
+        message=(
+            "a distributed context joins a rendezvous outside "
+            "cluster/scheduler.py (a co-replay rank is a ReplayContext driven "
+            "by the scheduler; do not build a second per-rank replay object)"
         ),
     ),
 )

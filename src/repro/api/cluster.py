@@ -108,9 +108,12 @@ class ClusterSession:
         """Scale/offset collective durations (scale-down emulation knobs)."""
         return self.configure(comm_delay_scale=scale, comm_extra_delay_us=extra_us)
 
-    def configure_rank(self, rank: int, **fields: Any) -> "ClusterSession":
-        """Override config fields for one replica only — the straggler
-        modelling knob (e.g. ``configure_rank(0, device="V100")``)."""
+    def configure_rank(self, rank: int, /, **fields: Any) -> "ClusterSession":
+        """Override config fields for one rank only — the straggler
+        modelling knob (e.g. ``configure_rank(0, device="V100")``).
+        Fleet-wide fields (``rank``, the world, the collective cost model)
+        raise :class:`~repro.cluster.engine.ClusterMatchError` at run
+        time."""
         self._rank_overrides.setdefault(int(rank), {}).update(fields)
         return self
 

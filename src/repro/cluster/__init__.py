@@ -9,15 +9,14 @@ overlap first-class measurements:
   collective across ranks by (process-group ranks, sequence id, operator
   name), prices it once, and releases all participants at the same
   virtual completion time;
-* :class:`~repro.cluster.replica.RankReplica` builds one rank's stage
-  pipeline with the rendezvous-aware
-  :class:`~repro.cluster.replica.SyncCollectivesStage`;
 * :class:`~repro.cluster.scheduler.VirtualTimeScheduler` advances every
-  rank's op cursor on a single thread, parking cursors on unresolved
-  collectives and waking them when the rendezvous resolves — this is what
-  lets one process co-replay thousands of ranks (and, via its
-  ``interrupt`` hook, lets the daemon pause a cluster job at a
-  rendezvous boundary);
+  rank on a single thread.  A rank is one
+  :class:`~repro.core.pipeline.ReplayContext` on the co-replay's one
+  default stage pipeline, its runtime joined to the rendezvous.  The
+  scheduler parks ranks on unresolved collectives and wakes them when the
+  rendezvous resolves, which lets one process co-replay thousands of
+  ranks (and, via its ``interrupt`` hook, lets the daemon pause a cluster
+  job at a rendezvous boundary);
 * :class:`~repro.cluster.engine.ClusterReplayer` pre-flight-matches the
   fleet, drives the scheduler, and aggregates the
   :class:`~repro.cluster.engine.ClusterReport` (per-rank
@@ -37,7 +36,6 @@ from repro.cluster.engine import (
     RankReport,
     match_collectives,
 )
-from repro.cluster.replica import RankReplica, SyncCollectivesStage
 from repro.cluster.rendezvous import (
     CollectiveEvent,
     CollectiveSyncError,
@@ -45,7 +43,7 @@ from repro.cluster.rendezvous import (
     RankBlocked,
     RendezvousStats,
 )
-from repro.cluster.scheduler import ClusterPaused, RankCursor, VirtualTimeScheduler
+from repro.cluster.scheduler import ClusterPaused, VirtualTimeScheduler
 
 __all__ = [
     "ClusterMatchError",
@@ -58,11 +56,8 @@ __all__ = [
     "CollectiveSyncError",
     "EventRendezvous",
     "RankBlocked",
-    "RankCursor",
-    "RankReplica",
     "RankReport",
     "RendezvousStats",
-    "SyncCollectivesStage",
     "VirtualTimeScheduler",
     "match_collectives",
 ]

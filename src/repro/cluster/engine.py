@@ -9,10 +9,10 @@ virtual-time collective scheduler:
    matched across ranks by (process-group ranks, sequence number, operator
    name) *before* anything replays, so a malformed fleet fails with a
    precise report instead of a mid-replay stall.
-2. **Event loop**: one :class:`~repro.cluster.replica.RankReplica` per
-   trace, each running the standard stage pipeline (with the
-   rendezvous-aware ``sync-collectives`` stage) as an op *cursor* advanced
-   by the single-threaded
+2. **Event loop**: one :class:`~repro.core.pipeline.ReplayContext` per
+   trace (its config's ``rank`` pinned, plus any per-rank overrides), all
+   running the co-replay's one default stage pipeline as op *cursors*
+   advanced by the single-threaded
    :class:`~repro.cluster.scheduler.VirtualTimeScheduler` — a cursor parks
    when its next collective cannot resolve yet and is woken when the
    :class:`~repro.cluster.rendezvous.EventRendezvous` resolves the slot,
@@ -30,18 +30,23 @@ asserted in ``tests/test_cluster_replay.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dataclass_replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.comms_replay import CommReplayManager
+from repro.core.pipeline import (
+    ReplayContext,
+    ReplayPipeline,
+    TrackMemoryStage,
+    make_collective_cost_model,
+)
 from repro.core.registry import ReplaySupport
-from repro.core.replayer import ReplayConfig, ReplayResult, ReplayResultSummary
+from repro.core.replayer import ReplayConfig, ReplayResultSummary
 from repro.core.vectorize import ProgramStore
 from repro.cluster.rendezvous import CollectiveKey, EventRendezvous, normalize_op
-from repro.cluster.replica import RankReplica
+from repro.cluster.scheduler import VirtualTimeScheduler
 from repro.et.trace import ExecutionTrace
-from repro.hardware.network import CollectiveCostModel, InterconnectSpec
 from repro.torchsim.distributed import group_key
 from repro.torchsim.profiler import ProfilerTrace
 
@@ -49,6 +54,20 @@ from repro.torchsim.profiler import ProfilerTrace
 #: a serialised trace, or a ``RankCapture``/``CaptureResult``-like object
 #: carrying ``execution_trace`` (and optionally ``profiler_trace``).
 TraceLike = Union[ExecutionTrace, str, Path, object]
+
+
+#: ReplayConfig fields that describe the fleet, not one rank: the rank
+#: itself, the world and its group folding, and the collective cost model
+#: the shared rendezvous prices every collective with.
+_FLEET_WIDE_FIELDS = frozenset({
+    "rank",
+    "world_size",
+    "remap_world_size",
+    "interconnect",
+    "topology",
+    "comm_delay_scale",
+    "comm_extra_delay_us",
+})
 
 
 class ClusterMatchError(ValueError):
@@ -316,8 +335,8 @@ class ClusterReplayer:
     Parameters
     ----------
     config:
-        Base :class:`ReplayConfig` every replica runs under; each replica
-        gets its ``rank`` pinned to its trace's recorded rank.  The
+        Base :class:`ReplayConfig` every rank runs under; each rank's copy
+        has its ``rank`` pinned to its trace's recorded rank.  The
         interconnect / comm-delay / topology fields also parameterise the
         shared collective cost model.
     strict_match:
@@ -398,19 +417,30 @@ class ClusterReplayer:
         """Co-replay the fleet and aggregate the :class:`ClusterReport`.
 
         ``rank_overrides`` maps a rank to :class:`ReplayConfig` field
-        overrides for that replica only (e.g. ``{0: {"power_limit_w":
-        250.0}}`` to model a power-capped straggler).
+        overrides for that rank only (e.g. ``{0: {"power_limit_w":
+        250.0}}`` to model a power-capped straggler).  Fields that describe
+        the whole fleet (the rank, the world and the collective cost
+        model) cannot be overridden per rank: they raise
+        :class:`ClusterMatchError`.
         """
         fleet, profilers = self._normalize(traces, profiler_traces)
+        rank_overrides = rank_overrides or {}
         ranks = [int(trace.metadata.get("rank", 0)) for trace in fleet]
         if len(set(ranks)) != len(ranks):
             raise ClusterMatchError(f"duplicate ranks in fleet: {sorted(ranks)}")
-        unknown = set(rank_overrides or {}) - set(ranks)
+        unknown = set(rank_overrides) - set(ranks)
         if unknown:
             raise ClusterMatchError(
                 f"rank_overrides for rank(s) {sorted(unknown)} not present in the fleet "
                 f"(fleet ranks: {sorted(ranks)})"
             )
+        for rank, fields in sorted(rank_overrides.items()):
+            fleet_wide = sorted(_FLEET_WIDE_FIELDS.intersection(fields))
+            if fleet_wide:
+                raise ClusterMatchError(
+                    f"rank_overrides for rank {rank} set fleet-wide field(s) {fleet_wide}; "
+                    "set them on the base config instead"
+                )
         if self.config.world_size is not None and self.config.world_size <= max(ranks):
             # A replica's runtime clamps its rank into the configured world
             # (rank = min(rank, world_size - 1)); clamped replicas would
@@ -430,46 +460,64 @@ class ClusterReplayer:
                 + "\n  ".join(match.unmatched)
             )
 
+        # The shared pricing model is built exactly the way each rank's own
+        # runtime builds it, so a one-rank co-replay prices every
+        # collective identically to the single-rank pipeline.
         rendezvous = EventRendezvous(
-            cost_model=self._cost_model(),
+            cost_model=make_collective_cost_model(self.config),
             participants=ranks,
         )
-        # One program store per co-replay: the first rank to reach an
-        # operator signature captures its program, the next occurrence on
-        # any rank verifies it, and every later one runs the fast path.
+        # One pipeline and one program store per co-replay: every rank
+        # runs the single-rank default stages, and the first rank to reach
+        # an operator signature captures its program, the next occurrence
+        # on any rank verifies it, and every later one runs the fast path.
+        pipeline = ReplayPipeline.default()
+        if self.track_memory:
+            # OOMs are recorded on the per-rank report, never raised: one
+            # over-budget rank must not deadlock the fleet's rendezvous.
+            pipeline.insert_after(
+                "assign-streams", TrackMemoryStage(budget=self.memory_budget, on_oom="record")
+            )
         programs = ProgramStore()
         tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         profile_hooks: Dict[int, Any] = {}
-        replicas = []
+        contexts = []
         for trace, profiler in zip(fleet, profilers):
             rank = int(trace.metadata.get("rank", 0))
             profile_hook = None
             if self.profile_hook_factory is not None:
                 profile_hook = profile_hooks[rank] = self.profile_hook_factory(rank)
-            hooks: Tuple[Any, ...] = () if profile_hook is None else (profile_hook,)
+            hooks = [] if profile_hook is None else [profile_hook]
             # One stage-span source per rank: a profile hook that already
             # records onto the shared tracer is it; otherwise add one.
             if tracer is not None and getattr(profile_hook, "tracer", None) is not tracer:
                 from repro.telemetry import TelemetryHook
 
-                hooks += (TelemetryHook(tracer, rank=rank),)
-            replicas.append(
-                RankReplica.from_trace(
-                    trace,
-                    rendezvous,
-                    self.config,
+                hooks.append(TelemetryHook(tracer, rank=rank))
+            contexts.append(
+                ReplayContext(
+                    trace=trace,
+                    config=dataclass_replace(
+                        self.config, rank=rank, **rank_overrides.get(rank, {})
+                    ),
                     profiler_trace=profiler,
-                    overrides=(rank_overrides or {}).get(rank),
                     support=self.support,
                     hooks=hooks,
-                    track_memory=self.track_memory,
-                    memory_budget=self.memory_budget,
                     programs=programs,
                 )
             )
 
-        results = self._execute(replicas)
-        return self._aggregate(fleet, replicas, results, rendezvous, match, profile_hooks)
+        errors = VirtualTimeScheduler(
+            contexts,
+            pipeline,
+            rendezvous,
+            pick=self.scheduler_pick,
+            interrupt=self.scheduler_interrupt,
+            telemetry=self.tracer,
+        ).run()
+        if errors:
+            raise ClusterReplayError(errors)
+        return self._aggregate(contexts, rendezvous, match, profile_hooks)
 
     # ------------------------------------------------------------------
     def _normalize(
@@ -510,49 +558,23 @@ class ClusterReplayer:
         )
         return [fleet[i] for i in order], [profilers[i] for i in order]
 
-    def _cost_model(self) -> CollectiveCostModel:
-        """The shared pricing model — built exactly the way each replica's
-        own runtime builds it, so a one-replica cluster replay prices every
-        collective identically to the single-rank pipeline."""
-        from repro.core.pipeline import make_collective_cost_model
-
-        return make_collective_cost_model(self.config)
-
-    # ------------------------------------------------------------------
-    def _execute(self, replicas: List[RankReplica]) -> List[ReplayResult]:
-        from repro.cluster.scheduler import VirtualTimeScheduler
-
-        scheduler = VirtualTimeScheduler(
-            replicas,
-            replicas[0].rendezvous,
-            pick=self.scheduler_pick,
-            interrupt=self.scheduler_interrupt,
-            telemetry=self.tracer,
-        )
-        errors = scheduler.run()
-        if errors:
-            raise ClusterReplayError(errors)
-        return [replica.result for replica in replicas]
-
     # ------------------------------------------------------------------
     def _aggregate(
         self,
-        fleet: List[ExecutionTrace],
-        replicas: List[RankReplica],
-        results: List[ReplayResult],
+        contexts: List[ReplayContext],
         rendezvous: EventRendezvous,
         match: CollectiveMatchReport,
-        profile_hooks: Optional[Dict[int, Any]] = None,
+        profile_hooks: Dict[int, Any],
     ) -> ClusterReport:
-        stats = rendezvous.stats(
-            measure_start_by_rank={
-                replica.rank: replica.measure_start_us for replica in replicas
-            }
-        )
+        measure_start_by_rank = {
+            context.config.rank: context.measure_start_us for context in contexts
+        }
+        stats = rendezvous.stats(measure_start_by_rank=measure_start_by_rank)
         world_size = self.config.world_size
         if world_size is None:
             world_size = max(
-                (int(trace.metadata.get("world_size", 1)) for trace in fleet), default=1
+                (int(context.trace.metadata.get("world_size", 1)) for context in contexts),
+                default=1,
             )
         report = ClusterReport(
             device=self.config.device,
@@ -562,23 +584,24 @@ class ClusterReplayer:
             max_skew_us=stats.max_skew_us,
             mean_skew_us=stats.mean_skew_us,
         )
-        for replica, result in zip(replicas, results):
+        for context in contexts:
+            rank, result = context.config.rank, context.result
             timeline = result.timeline_stats
             profile = None
-            hook = (profile_hooks or {}).get(replica.rank)
+            hook = profile_hooks.get(rank)
             if hook is not None:
                 profile = hook.report(
-                    trace_name=str(replica.trace.metadata.get("workload", "")),
-                    device=replica.config.device,
-                    vectorized=getattr(replica.config, "vectorized", True),
+                    trace_name=str(context.trace.metadata.get("workload", "")),
+                    device=context.config.device,
+                    vectorized=context.config.vectorized,
                 )
             report.ranks.append(
                 RankReport(
-                    rank=replica.rank,
+                    rank=rank,
                     summary=result.summarize(),
                     comm_time_us=timeline.category_kernel_time_us.get("comms", 0.0),
                     exposed_comm_us=timeline.category_exposed_time_us.get("comms", 0.0),
-                    stall_us=stats.stall_us_by_rank.get(replica.rank, 0.0),
+                    stall_us=stats.stall_us_by_rank.get(rank, 0.0),
                     memory=result.memory_report,
                     profile=profile,
                 )
@@ -589,10 +612,8 @@ class ClusterReplayer:
 
             record_cluster_timeline(
                 tracer,
-                {replica.rank: result for replica, result in zip(replicas, results)},
+                {context.config.rank: context.result for context in contexts},
                 collective_events=getattr(rendezvous, "events", ()),
-                measure_start_by_rank={
-                    replica.rank: replica.measure_start_us for replica in replicas
-                },
+                measure_start_by_rank=measure_start_by_rank,
             )
         return report

@@ -6,10 +6,11 @@ capped at thread-pool width and wasteful at scale (a 1024-rank fleet would
 need 1024 live threads that spend most of their time parked on a condition
 variable).  This module replays the same fleet on **one** thread:
 
-* every :class:`~repro.cluster.replica.RankReplica` becomes a
-  :class:`RankCursor`, which drives the replica's stage pipeline as a step
-  generator (:meth:`~repro.core.pipeline.ReplayPipeline.steps`) that
-  *yields* whenever its next collective cannot resolve yet;
+* every rank is one :class:`~repro.core.pipeline.ReplayContext`, and its
+  op cursor is the co-replay's one default
+  :class:`~repro.core.pipeline.ReplayPipeline` driven as a step generator
+  (:meth:`~repro.core.pipeline.ReplayPipeline.steps`) that *yields*
+  whenever the rank's next collective cannot resolve yet;
 * the shared :class:`~repro.cluster.rendezvous.EventRendezvous` raises
   :class:`~repro.cluster.rendezvous.RankBlocked` instead of blocking, and
   queues resolved/failed slots for the scheduler;
@@ -17,8 +18,10 @@ variable).  This module replays the same fleet on **one** thread:
   ones on their slot, and wakes exactly the parked cursors whose slot
   resolved — classic discrete-event simulation over per-rank op cursors.
 
-Every rank runs the single-rank execute loop itself (vectorized fast path
-included); only its collectives differ.  Each goes through
+Every rank runs the single-rank default stages (vectorized fast path
+included); only its runtime differs: it joins the fleet's rendezvous before
+the pipeline starts, so ``init-comms`` only pre-creates the recorded
+process groups.  Each collective goes through
 :func:`~repro.torchsim.distributed.retry_collective`, which rolls the
 runtime back to the op boundary and yields the blocked slot; the cursor
 parks on it and re-executes the op verbatim once the slot resolves.
@@ -32,10 +35,10 @@ while it learns a program.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cluster.rendezvous import EventRendezvous, RankBlocked
-from repro.core.pipeline import ReplayContext, ReplayPipelineError
+from repro.core.pipeline import ReplayContext, ReplayPipeline, make_replay_runtime
 
 #: Scheduler pick function: ``(runnable ranks, step index) -> index`` into
 #: the runnable list.  Injectable for the insertion-order-independence
@@ -72,58 +75,24 @@ class ClusterPaused(BaseException):
         self.completed_steps = completed_steps
 
 
-class RankCursor:
-    """One rank's replay as a resumable op cursor.
+def _rank_steps(
+    context: ReplayContext, pipeline: ReplayPipeline, rendezvous: EventRendezvous
+) -> Iterator[RankBlocked]:
+    """One rank's replay as a resumable op cursor: the pipeline's step
+    generator on a runtime joined to the fleet's rendezvous.
 
-    Drives the :class:`~repro.cluster.replica.RankReplica`'s stage pipeline
-    as a step generator: it yields the blocked
-    :class:`~repro.cluster.rendezvous.RankBlocked` signal whenever the
-    execute stage hits an unresolved collective.  When the pipeline ends,
-    the cursor records the replica's result or error on the replica and
-    retires its rank from the rendezvous.
+    The runtime is created here, inside the rank's failure boundary, so a
+    config the runtime rejects fails this rank like any other replay
+    error.  However the generator ends — finished, failed or closed — the
+    rank retires from the rendezvous.
     """
-
-    def __init__(self, replica) -> None:
-        self.replica = replica
-        self.context = ReplayContext(
-            trace=replica.trace,
-            profiler_trace=replica.profiler_trace,
-            config=replica.config,
-            support=replica.support,
-            hooks=list(replica.hooks),
-            programs=replica.programs,
-        )
-        self._generator = self._run()
-
-    def advance(self) -> RankBlocked:
-        """Run until the next park point.  Raises ``StopIteration`` when
-        the replica finished; replay errors propagate (and are recorded on
-        the replica)."""
-        return next(self._generator)
-
-    def close(self) -> None:
-        """Abandon the cursor (runs its ``finally`` blocks → retires the
-        rank from the rendezvous)."""
-        self._generator.close()
-
-    # ------------------------------------------------------------------
-    def _run(self):
-        replica = self.replica
-        context = self.context
-        try:
-            yield from replica.build_pipeline().steps(context)
-            if context.result is None:
-                raise ReplayPipelineError(
-                    "pipeline finished without producing a result — it has no "
-                    "result-producing stage"
-                )
-            replica.result = context.result
-            replica.measure_start_us = context.measure_start_us
-        except BaseException as error:  # noqa: BLE001 - recorded, then re-raised
-            replica.error = f"{type(error).__name__}: {error}"
-            raise
-        finally:
-            replica.rendezvous.retire(replica.rank)
+    try:
+        context.runtime = make_replay_runtime(context.trace, context.config)
+        if context.runtime.dist is not None:
+            context.runtime.dist.rendezvous = rendezvous
+        yield from pipeline.steps(context)
+    finally:
+        rendezvous.retire(context.config.rank)
 
 
 class VirtualTimeScheduler:
@@ -148,13 +117,15 @@ class VirtualTimeScheduler:
 
     def __init__(
         self,
-        replicas: Iterable,
+        contexts: Iterable[ReplayContext],
+        pipeline: ReplayPipeline,
         rendezvous: EventRendezvous,
         pick: Optional[PickFunction] = None,
         interrupt: Optional[Callable[[], bool]] = None,
         telemetry=None,
     ) -> None:
-        self.replicas = list(replicas)
+        self.contexts = list(contexts)
+        self.pipeline = pipeline
         self.rendezvous = rendezvous
         self.pick = pick
         #: Polled at the top of every scheduling step; a truthy return
@@ -170,11 +141,13 @@ class VirtualTimeScheduler:
     # ------------------------------------------------------------------
     def run(self) -> Dict[int, str]:
         """Drive every cursor to completion; returns ``{rank: error}`` for
-        replicas that failed (empty dict = clean fleet).  Results land on
-        the replicas themselves."""
-        cursors: Dict[int, RankCursor] = {}
-        for replica in self.replicas:
-            cursors[replica.rank] = RankCursor(replica)
+        ranks that failed (empty dict = clean fleet).  Results land on the
+        contexts themselves."""
+        contexts = {context.config.rank: context for context in self.contexts}
+        cursors = {
+            rank: _rank_steps(context, self.pipeline, self.rendezvous)
+            for rank, context in contexts.items()
+        }
         runnable = deque(sorted(cursors))
         parked: Dict[Tuple, List[int]] = {}
         errors: Dict[int, str] = {}
@@ -219,21 +192,20 @@ class VirtualTimeScheduler:
                 else:
                     rank = runnable.popleft()
                 step += 1
-                cursor = cursors[rank]
-                context = cursor.context
+                context = contexts[rank]
                 if context.hooks:
                     _notify(context, "on_resume")
                 try:
-                    blocked = cursor.advance()
+                    blocked = next(cursors[rank])
                 except StopIteration:
                     outstanding.discard(rank)
                     if telemetry is not None:
                         telemetry.event(
                             "finish", "scheduler", correlation={"rank": rank}, step=step
                         )
-                except Exception as error:  # noqa: BLE001 - aggregated like the pool path
+                except Exception as error:  # noqa: BLE001 - aggregated per rank
                     outstanding.discard(rank)
-                    errors[rank] = cursor.replica.error or f"{type(error).__name__}: {error}"
+                    errors[rank] = f"{type(error).__name__}: {error}"
                     if telemetry is not None:
                         telemetry.event(
                             "rank-error",

@@ -245,8 +245,8 @@ class ReplayContext:
     runtime: Optional[Runtime] = None
     hooks: List["ReplayHook"] = field(default_factory=list)
     #: Operator programs the vectorized executor learns into, shared with
-    #: the other ranks of a co-replay (set by the cluster scheduler's
-    #: cursors); ``None`` gives the replay a private store.
+    #: the other ranks of a co-replay (set by the cluster engine);
+    #: ``None`` gives the replay a private store.
     programs: Optional[vectorize.ProgramStore] = None
 
     # Build products.

@@ -250,7 +250,7 @@ class ProgramStore:
     keys on its rank too — see the module docstring).  A single-rank
     replay gets a private store;
     :class:`~repro.cluster.engine.ClusterReplayer` creates one per
-    co-replay and hands it to every replica.
+    co-replay and puts it on every rank's context.
 
     The store takes no lock: the cluster scheduler drives every rank's
     cursor on one thread, and a cursor yields only at a blocked collective,

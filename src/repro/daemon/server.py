@@ -25,7 +25,9 @@ job-specific route enforces ownership (403 on someone else's job).
 Errors map onto status codes: 400 malformed request / illegal state, 403
 not the owner, 404 unknown job or route, 413 a request body larger than
 :data:`MAX_BODY_BYTES`, always with a JSON body
-``{"error": ..., "error_type": ...}``.
+``{"error": ..., "error_type": ...}``.  A client that stalls for
+:attr:`DaemonRequestHandler.timeout` seconds, or closes its connection
+before the declared body arrives, is dropped without a reply.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-daemon"
     protocol_version = "HTTP/1.1"
+    #: Seconds the socket may wait for a client's next bytes before the
+    #: connection is dropped (``StreamRequestHandler`` applies it), so a
+    #: stalled client cannot hold a handler thread while it stays
+    #: connected.  A job spec is well under 1 KiB.
+    timeout = 30.0
 
     # The ThreadingHTTPServer subclass below attaches the daemon here.
     @property
@@ -137,7 +144,13 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
             )
         if length == 0:
             return {}
-        data = json.loads(self.rfile.read(length).decode("utf-8"))
+        raw = self.rfile.read(length)
+        if len(raw) < length:
+            # The client closed the connection mid-body.
+            raise ConnectionAbortedError(
+                f"request body ended after {len(raw)} of {length} bytes"
+            )
+        data = json.loads(raw.decode("utf-8"))
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
         return data
@@ -213,6 +226,9 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
                 self._reply(200, serialize.job_payload(record))
             else:
                 self._reply(404, {"error": f"no route {self.path!r}", "error_type": "LookupError"})
+        except ConnectionError:
+            # The client went away mid-request: nobody is left to answer.
+            self.close_connection = True
         except BodyTooLargeError as error:
             self._error(413, error)
         except UnknownJobError as error:

@@ -305,6 +305,29 @@ class TestClusterReplayer:
         with pytest.raises(ClusterMatchError, match="rank_overrides"):
             ClusterReplayer().replay(fleet_traces, rank_overrides={9: {"device": "V100"}})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rank", 3),
+            ("world_size", 8),
+            ("remap_world_size", 2),
+            ("interconnect", InterconnectSpec()),
+            ("topology", "rail-spine"),
+            ("comm_delay_scale", 2.0),
+            ("comm_extra_delay_us", 5.0),
+        ],
+    )
+    def test_fleet_wide_rank_override_is_rejected(self, fleet_traces, field, value):
+        """The rank, the world and the collective cost model describe the
+        whole fleet: a per-rank override of one would be ignored by the
+        shared rendezvous or cross-wire the ranks, so it is refused."""
+        with pytest.raises(ClusterMatchError, match=field):
+            ClusterReplayer(ReplayConfig(device="A100")).replay(
+                fleet_traces, rank_overrides={1: {field: value}}
+            )
+        with pytest.raises(ClusterMatchError, match=field):
+            api.replay_cluster(fleet_traces).configure_rank(1, **{field: value}).run()
+
     def test_world_smaller_than_fleet_is_rejected(self, fleet_traces):
         """A world that cannot cover the fleet's ranks would clamp replicas
         onto each other and deadlock the rendezvous — refuse it up front."""
@@ -325,12 +348,37 @@ class TestClusterReplayer:
             gc.enable()
 
     def test_single_replica_failure_raises_cluster_replay_error(self, fleet_traces):
-        """The one-replica fast path reports failures through the same
-        ClusterReplayError contract as the pooled path (the CLI relies on it)."""
+        """A one-rank co-replay reports failures through the same
+        ClusterReplayError contract as a full fleet (the CLI relies on it),
+        even when the rank fails while creating its runtime."""
         from repro.cluster import ClusterReplayError
 
         with pytest.raises(ClusterReplayError, match="rank 0"):
             ClusterReplayer(ReplayConfig(device="NoSuchDevice")).replay([fleet_traces[0]])
+
+    def test_all_ranks_parked_fails_every_rank(self, fleet_traces):
+        """With one collective removed from rank 2, every rank ends up
+        parked on a collective no peer will reach.  The scheduler fails
+        the pending slots instead of hanging, so a lenient co-replay raises
+        ClusterReplayError naming every rank with CollectiveSyncError."""
+        from repro.cluster import ClusterReplayError
+
+        tampered = [copy.deepcopy(trace) for trace in fleet_traces]
+        victim = tampered[2]
+        comm_ids = [n.id for n in victim.operators() if categorize_node(n) == CATEGORY_COMMS]
+        victim.nodes = [n for n in victim.nodes if n.id != comm_ids[0]]
+        runs = (
+            lambda: ClusterReplayer(ReplayConfig(device="A100"), strict_match=False).replay(
+                tampered
+            ),
+            lambda: api.replay_cluster(tampered).lenient_match().run(),
+        )
+        for run in runs:
+            with pytest.raises(ClusterReplayError) as raised:
+                run()
+            assert sorted(raised.value.errors) == list(range(WORLD))
+            for message in raised.value.errors.values():
+                assert message.startswith("CollectiveSyncError: ")
 
     def test_warmup_iterations_do_not_inflate_rendezvous_stats(self, fleet_captures):
         """Stall/skew/matched are windowed to the measured region, like

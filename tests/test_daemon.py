@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -37,7 +38,7 @@ from repro.daemon import (
 from repro.daemon.client import DaemonClient, DaemonClientError
 from repro.daemon.daemon import JobAccessError, UnknownJobError
 from repro.daemon.jobs import TERMINAL_STATES, cluster_snapshot, sweep_snapshot
-from repro.daemon.server import MAX_BODY_BYTES, DaemonServer
+from repro.daemon.server import MAX_BODY_BYTES, DaemonRequestHandler, DaemonServer
 from repro.service import TraceRepository
 from repro.service.cache import ResultCache
 from repro.workloads.ddp import DistributedRunner
@@ -674,6 +675,64 @@ class TestHttpApi:
         assert str(MAX_BODY_BYTES) in payload["error"]
         assert connection == "close"
         assert DaemonClient(server.url).health()["schema_version"] == DAEMON_SCHEMA_VERSION
+
+    @staticmethod
+    def _open_partial_submit(server, declared: int, body: bytes) -> socket.socket:
+        """A raw connection that POSTs /jobs declaring ``declared`` body
+        bytes and sends only ``body``."""
+        connection = socket.create_connection(server.address, timeout=10)
+        connection.sendall(
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nX-Repro-Client: alice\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {declared}\r\n\r\n".encode()
+            + body
+        )
+        return connection
+
+    @staticmethod
+    def _request_threads() -> int:
+        return sum(
+            "process_request_thread" in thread.name for thread in threading.enumerate()
+        )
+
+    def test_stalled_clients_release_their_threads(self, server, monkeypatch):
+        """Clients that stop sending mid-body hold a handler thread only
+        until the read timeout; the daemon stays healthy meanwhile."""
+        assert 0 < DaemonRequestHandler.timeout <= 60
+        monkeypatch.setattr(DaemonRequestHandler, "timeout", 0.5)
+        stalled = [self._open_partial_submit(server, 100, b'{"sp') for _ in range(5)]
+        try:
+            deadline = time.monotonic() + 10
+            while self._request_threads() < 5 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert self._request_threads() >= 5
+            assert DaemonClient(server.url).health()["schema_version"] == DAEMON_SCHEMA_VERSION
+            for connection in stalled:
+                # Dropped without a reply once the timeout passes.
+                assert connection.recv(1024) == b""
+            while self._request_threads() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert self._request_threads() == 0
+            assert DaemonClient(server.url).health()["schema_version"] == DAEMON_SCHEMA_VERSION
+            assert server.daemon.list_jobs(None) == []
+        finally:
+            for connection in stalled:
+                connection.close()
+
+    def test_client_disconnecting_mid_body_creates_no_job(self, server, daemon_repo, capsys):
+        """A body cut short by the client's close is not a request: even a
+        complete job spec in the bytes that did arrive submits nothing, and
+        the server answers nothing and logs no traceback."""
+        body = json.dumps({"spec": {"kind": "sweep", "payload": sweep_payload(daemon_repo)}})
+        connection = self._open_partial_submit(server, len(body) + 10, body.encode())
+        try:
+            connection.shutdown(socket.SHUT_WR)
+            assert connection.recv(1024) == b""
+        finally:
+            connection.close()
+        assert DaemonClient(server.url).health()["schema_version"] == DAEMON_SCHEMA_VERSION
+        assert server.daemon.list_jobs(None) == []
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_health_endpoint(self, server):
         health = DaemonClient(server.url).health()

@@ -423,3 +423,29 @@ class TestTraceBoundaryGuard:
             "def decode_tensor_ref(value):\n    return None\nref = decode_tensor_ref(1)\n"
         )
         assert checker.find_offenders(tmp_path) == {}
+
+
+class TestFleetJoinGuard:
+    """``scripts/check_deprecated_usage.py`` keeps the one place a rank's
+    distributed context joins the fleet's rendezvous in
+    ``cluster/scheduler.py``."""
+
+    def test_rule_fires_outside_the_scheduler(self, tmp_path):
+        checker = _load_usage_checker()
+        bad = tmp_path / "src" / "repro" / "cluster"
+        bad.mkdir(parents=True)
+        (bad / "replica.py").write_text(
+            "if runtime.dist.rendezvous == None:\n"
+            "    context.runtime.dist.rendezvous = rendezvous\n"
+        )
+        offenders = checker.find_offenders(tmp_path)
+        assert list(offenders) == ["fleet-join"]
+        assert len(offenders["fleet-join"]) == 1
+        assert "replica.py:2" in offenders["fleet-join"][0]
+
+    def test_scheduler_module_is_exempt(self, tmp_path):
+        checker = _load_usage_checker()
+        ok = tmp_path / "src" / "repro" / "cluster"
+        ok.mkdir(parents=True)
+        (ok / "scheduler.py").write_text("runtime.dist.rendezvous = rendezvous\n")
+        assert checker.find_offenders(tmp_path) == {}
