@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Nine rules, one pass:
+Ten rules, one pass:
 
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
   and ``src/repro/daemon/`` — batch work flows through the facade
@@ -45,6 +45,11 @@ Nine rules, one pass:
   distributed context's ``.rendezvous`` is assigned only in
   ``cluster/scheduler.py``, where each co-replay rank's runtime is created;
   every other rank-setup path would be a second per-rank replay object.
+* The daemon keeps one trace repository per root.  Inside
+  ``src/repro/daemon/``, ``TraceRepository(`` is constructed only in
+  ``daemon.py``, by the map every sweep job gets its repository from; a
+  repository built anywhere else would re-read and re-digest the whole
+  root for each job.
 
 Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 1 with a file:line listing otherwise.  ``tests/test_profiling.py`` drives
@@ -201,6 +206,17 @@ RULES = (
             "a distributed context joins a rendezvous outside "
             "cluster/scheduler.py (a co-replay rank is a ReplayContext driven "
             "by the scheduler; do not build a second per-rank replay object)"
+        ),
+    ),
+    Rule(
+        name="daemon-repository",
+        pattern=re.compile(r"\bTraceRepository\("),
+        roots=("src/repro/daemon",),
+        exempt=("src/repro/daemon/daemon.py",),
+        message=(
+            "TraceRepository constructed in the daemon outside daemon.py (sweep "
+            "jobs share the daemon's TraceRepositories map, one repository per "
+            "root, so discovery re-reads only changed files)"
         ),
     ),
 )

@@ -14,6 +14,12 @@ wrapper over its public methods).  Responsibilities:
   fair across owners (:class:`~repro.daemon.queue.JobQueue`), and the
   shared :class:`~repro.service.cache.ResultCache` is bounded with
   LRU+TTL eviction that never touches a running job's pinned inputs.
+* **Shared trace repositories** — sweep jobs over the same root share
+  one :class:`~repro.service.repository.TraceRepository`
+  (:class:`TraceRepositories`, at most :data:`MAX_REPOSITORIES` roots),
+  so a job re-reads only the trace files that changed; the replay still
+  re-checks each trace's digest, so a rewrite between discovery and
+  replay fails the job instead of caching a stale result.
 * **Restart recovery** — construction replays the store: terminal jobs
   are served from their records, paused jobs keep their snapshots
   (resume works across restarts), and jobs that were mid-flight when the
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -44,6 +51,7 @@ from repro.daemon.jobs import (
 from repro.daemon.queue import JobQueue
 from repro.daemon.store import JobStore
 from repro.service.cache import ResultCache
+from repro.service.repository import TraceRepository
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.version import __version__
 
@@ -54,6 +62,47 @@ _TRANSITION_COUNTERS = {
     "cancelled": "repro_jobs_cancelled_total",
     "paused": "repro_jobs_paused_total",
 }
+
+
+#: Trace repositories the daemon keeps open.  Roots come from client
+#: payloads, so the map is bounded; the least recently used root goes first.
+MAX_REPOSITORIES = 64
+
+#: Lifecycle spans the daemon's tracer keeps (the newest ones), so its
+#: memory does not grow with the number of jobs it has run.
+MAX_TRACE_RECORDS = 1024
+
+
+class TraceRepositories:
+    """One :class:`~repro.service.repository.TraceRepository` per root,
+    shared by every sweep job: a job's discovery re-reads only the files
+    that changed since the root was last scanned.  Thread-safe; holds at
+    most :data:`MAX_REPOSITORIES` roots (least recently used evicted)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._repositories: "OrderedDict[Path, TraceRepository]" = OrderedDict()
+
+    def get(self, root: Union[str, Path]) -> TraceRepository:
+        key = Path(root)
+        with self._lock:
+            repository = self._repositories.get(key)
+            if repository is None:
+                repository = self._repositories[key] = TraceRepository(key)
+                if len(self._repositories) > MAX_REPOSITORIES:
+                    self._repositories.popitem(last=False)
+            else:
+                self._repositories.move_to_end(key)
+            return repository
+
+    def stats(self) -> Dict[str, int]:
+        """Open roots, and the invalid files their last scans skipped."""
+        with self._lock:
+            repositories = list(self._repositories.values())
+        return {
+            "open": len(repositories),
+            "invalid": sum(len(repository.invalid) for repository in repositories),
+        }
 
 
 class JobAccessError(PermissionError):
@@ -100,6 +149,7 @@ class ReplayDaemon:
             ttl_s=cache_ttl_s,
         )
         self.inflight = InflightRegistry()
+        self.repositories = TraceRepositories()
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
         self._records: Dict[str, JobRecord] = {}
@@ -110,8 +160,8 @@ class ReplayDaemon:
         #: and (counter totals) inside ``/health``.
         self.metrics = MetricsRegistry()
         #: Job lifecycle spans (one per executed job, correlated by
-        #: job id / owner / kind) land here.
-        self.tracer = Tracer()
+        #: job id / owner / kind) land here; the newest are kept.
+        self.tracer = Tracer(max_records=MAX_TRACE_RECORDS)
         self._init_metrics()
         self.executor = JobExecutor(self.queue, self._execute, workers=workers)
         self._recover()
@@ -319,6 +369,7 @@ class ReplayDaemon:
             "queue_by_owner": self.queue.depth_by_owner(),
             "workers": self.executor.workers,
             "cache": self.cache.stats(),
+            "repositories": self.repositories.stats(),
             "telemetry": self.metrics.counter_totals(),
         }
 
@@ -376,7 +427,12 @@ class ReplayDaemon:
             span = self.tracer.begin(f"job:{record.spec.kind}", "daemon")
             try:
                 status, value = run_job(
-                    record, control, self.cache, self.inflight, tracer=self.tracer
+                    record,
+                    control,
+                    self.cache,
+                    self.inflight,
+                    self.repositories,
+                    tracer=self.tracer,
                 )
             finally:
                 self.metrics.gauge("repro_jobs_running").add(-1)

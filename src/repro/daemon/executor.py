@@ -3,7 +3,8 @@
 The executor is where a :class:`~repro.daemon.jobs.JobRecord` meets the
 service layer.  A **sweep** job expands to its grid points
 (:class:`~repro.service.sweep.SweepRunner` — same expansion as the inline
-CLI) and replays them *one point per batch* through a serial
+CLI, against the daemon's shared repository for the job's root) and
+replays them *one point per batch* through a serial
 :class:`~repro.service.batch.BatchReplayer` with a ``pause_check``: that
 is the contract that makes a pause land at an op-program iteration
 boundary with a :class:`~repro.core.pipeline.ReplayCheckpoint` in hand.
@@ -31,7 +32,7 @@ Multi-tenant guarantees enforced here:
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.cluster import ClusterPaused, ClusterReplayer
 from repro.core.pipeline import CheckpointError, ReplayCheckpoint, ReplayPaused
@@ -39,8 +40,10 @@ from repro.core.replayer import ReplayConfig, ReplayResultSummary
 from repro.daemon.jobs import JobRecord, cluster_snapshot, sweep_snapshot
 from repro.service.batch import BatchReplayer, ReplayJob, _error_details
 from repro.service.cache import ResultCache
-from repro.service.repository import TraceRepository
 from repro.service.sweep import SweepRunner, SweepSpec
+
+if TYPE_CHECKING:
+    from repro.daemon.daemon import TraceRepositories
 
 #: Executor outcome: (status, value) where status selects the job's next
 #: state — "completed" (value: result payload), "paused" (value: snapshot),
@@ -94,16 +97,25 @@ class InflightRegistry:
 # ----------------------------------------------------------------------
 # Sweep jobs
 # ----------------------------------------------------------------------
-def expand_sweep_points(payload: Dict[str, Any]) -> List[ReplayJob]:
+def expand_sweep_points(
+    payload: Dict[str, Any], repositories: Optional["TraceRepositories"] = None
+) -> List[ReplayJob]:
     """The job's grid points, in deterministic order (same expansion the
-    inline ``repro sweep`` uses)."""
+    inline ``repro sweep`` uses).
+
+    ``repositories`` is the daemon's shared map, so a job re-reads only the
+    trace files that changed since any job last discovered its root;
+    without it the root is discovered from scratch.
+    """
     spec = SweepSpec(
         traces=payload.get("traces"),
         devices=list(payload.get("devices") or ("A100",)),
         axes={name: list(values) for name, values in (payload.get("axes") or {}).items()},
         base=ReplayConfig.from_dict(payload.get("base") or {}),
     )
-    return SweepRunner(TraceRepository(payload["repo"])).jobs_for(spec)
+    root = payload["repo"]
+    repository = repositories.get(root) if repositories is not None else root
+    return SweepRunner(repository).jobs_for(spec)
 
 
 def run_sweep_job(
@@ -111,12 +123,13 @@ def run_sweep_job(
     control: JobControl,
     cache: Optional[ResultCache],
     inflight: Optional[InflightRegistry],
+    repositories: Optional["TraceRepositories"] = None,
     tracer: Optional[Any] = None,
 ) -> Outcome:
     """Replay every grid point, honouring a prior snapshot and the control
     flags; see the module docstring for the guarantees."""
     try:
-        points = expand_sweep_points(record.spec.payload)
+        points = expand_sweep_points(record.spec.payload, repositories)
     except Exception as error:  # noqa: BLE001 - spec errors fail the job
         return "failed", _error_details(error)
 
@@ -313,11 +326,12 @@ def run_job(
     control: JobControl,
     cache: Optional[ResultCache],
     inflight: Optional[InflightRegistry],
+    repositories: Optional["TraceRepositories"] = None,
     tracer: Optional[Any] = None,
 ) -> Outcome:
     """Dispatch on the job kind."""
     if record.spec.kind == "sweep":
-        return run_sweep_job(record, control, cache, inflight, tracer=tracer)
+        return run_sweep_job(record, control, cache, inflight, repositories, tracer=tracer)
     return run_cluster_job(record, control, tracer=tracer)
 
 

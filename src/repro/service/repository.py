@@ -3,28 +3,42 @@
 A repository is a directory of execution traces serialised as JSON by
 :meth:`repro.et.trace.ExecutionTrace.save` (the same files
 :class:`repro.core.generator.BenchmarkGenerator` emits next to generated
-benchmarks).  Discovery walks the directory, loads each candidate file
-through :meth:`ExecutionTrace.load`, and produces lightweight
-:class:`TraceRecord` entries — path, content digest, node counts, metadata —
-without keeping the full traces in memory.  Files that are not execution
-traces (for instance the profiler traces the generator writes alongside)
-are skipped and reported in :attr:`TraceRepository.invalid`.
+benchmarks).  Discovery walks the directory, loads each new or changed
+candidate file through :meth:`ExecutionTrace.load`, and produces
+lightweight :class:`TraceRecord` entries — path, content digest, node
+counts, metadata — without keeping the full traces in memory.  Files that
+are not execution traces (for instance the profiler traces the generator
+writes alongside) are skipped and reported in
+:attr:`TraceRepository.invalid`.
 """
 
 from __future__ import annotations
 
+import stat
+import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.et.schema import TraceValidationError
 from repro.et.trace import ExecutionTrace
 
+#: ``(st_ino, st_size, st_mtime_ns, st_ctime_ns)``: a file whose signature
+#: is unchanged since the last scan is not read again.
+Signature = Tuple[int, int, int, int]
 
-@dataclass
+#: A file whose ctime is this close to the scan is read again on the next
+#: scan: a rewrite within the same timestamp tick (up to 2 s on coarse
+#: filesystems) would leave its signature unchanged.
+RACY_WINDOW_NS = 2_000_000_000
+
+
+@dataclass(frozen=True)
 class TraceRecord:
     """One discovered trace: everything the batch layer needs to schedule a
-    replay without loading the full trace."""
+    replay without loading the full trace.  Frozen: successive scans and
+    threads share an unchanged file's record."""
 
     name: str
     path: Path
@@ -45,6 +59,12 @@ class TraceRecord:
 class TraceRepository:
     """Discovers and loads execution traces under a directory tree.
 
+    One instance can serve a process for its lifetime: every
+    :meth:`discover` walks the tree again but reads only the files whose
+    ``stat`` signature changed since the previous scan, so a long-lived
+    repository (the daemon keeps one per root) stays current at the cost
+    of a ``stat`` per file.  Calls from several threads are safe.
+
     Parameters
     ----------
     root:
@@ -59,41 +79,69 @@ class TraceRepository:
         #: path -> reason, for files matching the pattern that failed
         #: validation during the last :meth:`discover`.
         self.invalid: Dict[Path, str] = {}
-        self._records: Optional[List[TraceRecord]] = None
+        #: path -> (stat signature, record or invalid reason) of the last scan.
+        self._entries: Dict[Path, Tuple[Signature, Union[TraceRecord, str]]] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Discovery
     # ------------------------------------------------------------------
-    def discover(self, refresh: bool = False) -> List[TraceRecord]:
-        """Scan the root and return all valid trace records, sorted by name.
+    def discover(self) -> List[TraceRecord]:
+        """Scan the root and return all valid trace records, sorted by path.
 
-        Results are memoised; pass ``refresh=True`` to re-scan after files
-        changed on disk.
+        Only new files and files whose ``stat`` signature changed are read
+        and digested; the others keep the record (or invalid reason) of the
+        previous scan, and removed files drop out.
         """
-        if self._records is None or refresh:
-            self._records = [record for record, _ in self._scan()]
-        return list(self._records)
+        with self._lock:
+            return [record for record, _ in self._scan(reuse=True)]
 
     def load_all(self) -> List[ExecutionTrace]:
-        """Re-scan the root (refreshing :meth:`discover`) and return every valid
-        trace, sorted by name; each file is read and parsed once."""
-        loaded = list(self._scan())
-        self._records = [record for record, _ in loaded]
+        """Re-scan the root and return every valid trace, sorted by path;
+        each file is read and parsed once, whatever the previous scan saw."""
+        with self._lock:
+            loaded = self._scan(reuse=False)
         return [trace for _, trace in loaded]
 
-    def _scan(self) -> Iterator[Tuple[TraceRecord, ExecutionTrace]]:
-        self.invalid = {}
+    def _scan(self, reuse: bool) -> List[Tuple[TraceRecord, Optional[ExecutionTrace]]]:
+        """Walk the root, refresh ``invalid`` and the entry table, and return
+        each valid file's record with its trace (``None`` when reused)."""
+        scan_ns = time.time_ns()
+        entries: Dict[Path, Tuple[Signature, Union[TraceRecord, str]]] = {}
+        invalid: Dict[Path, str] = {}
+        found: List[Tuple[TraceRecord, Optional[ExecutionTrace]]] = []
         for path in sorted(self.root.rglob(self.pattern)):  # empty when root is missing
-            if not path.is_file():
-                continue
             # Hidden files/directories (.cache, .git ...) are never traces.
             relative = path.relative_to(self.root)
             if any(part.startswith(".") for part in relative.parts):
                 continue
             try:
-                yield self._load(path)
-            except (OSError, TraceValidationError) as error:
-                self.invalid[path] = str(error)
+                status = path.stat()
+            except OSError:
+                continue  # vanished, or a dangling link
+            if not stat.S_ISREG(status.st_mode):
+                continue
+            signature = (status.st_ino, status.st_size, status.st_mtime_ns, status.st_ctime_ns)
+            previous = self._entries.get(path)
+            trace: Optional[ExecutionTrace] = None
+            if reuse and previous is not None and previous[0] == signature:
+                entry = previous[1]
+            else:
+                try:
+                    entry, trace = self._load(path)
+                except (OSError, TraceValidationError) as error:
+                    entry = str(error)
+            # A file changed less than a timestamp tick before the scan can
+            # change again without changing its signature: read it next time.
+            if scan_ns - status.st_ctime_ns > RACY_WINDOW_NS:
+                entries[path] = (signature, entry)
+            if isinstance(entry, str):
+                invalid[path] = entry
+            else:
+                found.append((entry, trace))
+        self._entries = entries
+        self.invalid = invalid
+        return found
 
     def _load(self, path: Path) -> Tuple[TraceRecord, ExecutionTrace]:
         trace = ExecutionTrace.load(path)
@@ -124,10 +172,15 @@ class TraceRepository:
 
     def get(self, name: str) -> TraceRecord:
         """Record for ``name`` (the path under the root, without ``.json``)."""
-        for record in self.discover():
-            if record.name == name:
-                return record
-        raise KeyError(f"no trace named {name!r} in {self.root}; known: {self.names()}")
+        return self.select([name])[0]
+
+    def select(self, names: Sequence[str]) -> List[TraceRecord]:
+        """Records for ``names``, in that order, from one :meth:`discover`."""
+        records = {record.name: record for record in self.discover()}
+        for name in names:
+            if name not in records:
+                raise KeyError(f"no trace named {name!r} in {self.root}; known: {list(records)}")
+        return [records[name] for name in names]
 
     def load(self, name_or_record: Union[str, TraceRecord]) -> ExecutionTrace:
         """Load the full execution trace for a name or record."""
@@ -138,6 +191,5 @@ class TraceRepository:
         """Serialise ``trace`` into the repository and return its record."""
         path = self.root / f"{name}.json"
         trace.save(path)
-        self._records = None  # force re-discovery
         return self._load(path)[0]
 

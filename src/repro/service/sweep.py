@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.replayer import ReplayConfig
 from repro.service.batch import BatchReplayer, BatchResult, ReplayJob
@@ -73,7 +74,8 @@ class SweepResult:
 
 
 class SweepRunner:
-    """Expands a :class:`SweepSpec` against a repository and runs it.
+    """Expands a :class:`SweepSpec` against a repository (or a root
+    directory, opened as one) and runs it.
 
     The runner owns the :class:`~repro.service.batch.BatchReplayer` it runs
     through: callers describe the execution policy (``cache``,
@@ -85,23 +87,26 @@ class SweepRunner:
 
     def __init__(
         self,
-        repository: TraceRepository,
+        repository: Union[str, Path, TraceRepository],
         replayer: Optional[BatchReplayer] = None,
         cache: Optional[ResultCache] = None,
         max_workers: Optional[int] = None,
         backend: str = "thread",
     ) -> None:
+        if not isinstance(repository, TraceRepository):
+            repository = TraceRepository(repository)
         self.repository = repository
         if replayer is None:
             replayer = BatchReplayer(cache=cache, max_workers=max_workers, backend=backend)
         self.replayer = replayer
 
     def records_for(self, spec: SweepSpec) -> List[TraceRecord]:
-        """The trace records ``spec`` targets (all, or the named subset)."""
+        """The trace records ``spec`` targets (all, or the named subset),
+        from one discovery pass."""
         if spec.traces is None:
             records = self.repository.discover()
         else:
-            records = [self.repository.get(name) for name in spec.traces]
+            records = self.repository.select(spec.traces)
         if not records:
             raise ValueError(f"no traces to sweep in {self.repository.root}")
         return records

@@ -60,7 +60,7 @@ class TelemetryHook(ReplayHook):
         #: Stages whose segment ``on_park`` closed, reopened by ``on_resume``.
         self._parked: List[str] = []
         #: Every closed stage span this hook recorded, in completion order
-        #: (kept even if the tracer drops records at ``max_records``).
+        #: (kept even when the tracer evicts them past ``max_records``).
         self.stage_spans: List[Span] = []
         #: Plain counter kept even when spans are off — folded into the
         #: metrics registry by whoever owns the hook.

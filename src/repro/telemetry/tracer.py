@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 #: Version of the span payload schema produced by :meth:`Tracer.to_dict`.
 #: Adding keys is fine; renaming or removing existing ones is breaking.
@@ -130,11 +131,12 @@ class Tracer:
         self.clock = clock
         #: Wall epoch: chrome-trace ``ts`` values are relative to this.
         self.epoch_s = clock()
-        self._max_records = max_records
         self._dropped = 0
         self._lock = threading.Lock()
-        self._spans: List[Span] = []
-        self._events: List[TraceEvent] = []
+        # Past ``max_records`` each new record evicts the oldest one (counted
+        # in ``dropped``), so a long-lived tracer keeps the latest activity.
+        self._spans: Deque[Span] = deque(maxlen=max_records)
+        self._events: Deque[TraceEvent] = deque(maxlen=max_records)
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -276,16 +278,14 @@ class Tracer:
             attributes=attributes,
         )
         with self._lock:
-            if len(self._events) >= self._max_records:
+            if len(self._events) == self._events.maxlen:
                 self._dropped += 1
-                return
             self._events.append(record)
 
     def _append_span(self, span: Span) -> None:
         with self._lock:
-            if len(self._spans) >= self._max_records:
+            if len(self._spans) == self._spans.maxlen:
                 self._dropped += 1
-                return
             self._spans.append(span)
 
     # ------------------------------------------------------------------

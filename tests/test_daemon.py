@@ -404,6 +404,67 @@ class TestDaemonLifecycle:
             assert health["jobs"] == {"completed": 1}
             assert health["workers"] == 1
             assert "entries" in health["cache"]
+            assert health["repositories"] == {"open": 1, "invalid": 0}
+
+    def test_health_counts_invalid_files_skipped(self, tmp_path, daemon_repo):
+        root = tmp_path / "traces"
+        root.mkdir()
+        for source in sorted(daemon_repo.glob("*.json")):
+            (root / source.name).write_bytes(source.read_bytes())
+        (root / "notes.json").write_text('{"kernels": []}')
+        with ReplayDaemon(tmp_path / "state", workers=1) as daemon:
+            record = daemon.submit("alice", JobSpec("sweep", sweep_payload(root)))
+            assert daemon.wait(record.id, timeout=WAIT_S).state == "completed"
+            assert daemon.health()["repositories"] == {"open": 1, "invalid": 1}
+
+
+# ----------------------------------------------------------------------
+# Shared trace repositories
+# ----------------------------------------------------------------------
+class TestSharedRepositories:
+    def test_sweep_after_rewrite_prices_the_new_digest(self, tmp_path, daemon_repo):
+        """A trace rewritten between two jobs is re-read: the second job keys
+        on the new digest and replays exactly what a fresh serial batch
+        replay of the rewritten file does."""
+        from repro.daemon.executor import expand_sweep_points
+        from repro.et.trace import ExecutionTrace
+        from repro.service import BatchReplayer
+
+        root = tmp_path / "traces"
+        trace = ExecutionTrace.load(daemon_repo / "param_linear.json")
+        trace.save(root / "param_linear.json")
+        payload = sweep_payload(root)
+        with ReplayDaemon(tmp_path / "state", workers=1) as daemon:
+            first = daemon.submit("alice", JobSpec("sweep", payload))
+            assert daemon.wait(first.id, timeout=WAIT_S).state == "completed"
+            trace.metadata["note"] = "rewritten"
+            trace.save(root / "param_linear.json")
+            second = daemon.submit("alice", JobSpec("sweep", payload))
+            assert daemon.wait(second.id, timeout=WAIT_S).state == "completed"
+            (row,) = daemon.result(second.id)["points"]
+            assert daemon.repositories.stats()["open"] == 1
+        assert row["cache_key"] != daemon.result(first.id)["points"][0]["cache_key"]
+        assert not row["cached"]
+        (fresh,) = list(BatchReplayer(backend="serial").run(expand_sweep_points(payload)))
+        assert row["cache_key"] == fresh.job.cache_key
+        assert json.dumps(row["summary"], sort_keys=True) == json.dumps(
+            fresh.summary.to_dict(), sort_keys=True
+        )
+
+    def test_map_is_bounded_by_recent_use(self, tmp_path):
+        from repro.daemon.daemon import MAX_REPOSITORIES
+
+        roots = [tmp_path / f"root{index}" for index in range(MAX_REPOSITORIES + 2)]
+        with ReplayDaemon(tmp_path / "state", workers=1) as daemon:
+            first = daemon.repositories.get(roots[0])
+            for root in roots[1:]:
+                record = daemon.submit("alice", JobSpec("sweep", sweep_payload(root)))
+                # An empty root fails its job ("no traces to sweep") after
+                # discovery, which is all this test needs.
+                assert daemon.wait(record.id, timeout=WAIT_S).state == "failed"
+            assert daemon.health()["repositories"]["open"] == MAX_REPOSITORIES
+            assert daemon.repositories.get(roots[-1]) is daemon.repositories.get(roots[-1])
+            assert daemon.repositories.get(roots[0]) is not first  # evicted, reopened
 
 
 # ----------------------------------------------------------------------

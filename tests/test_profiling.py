@@ -449,3 +449,28 @@ class TestFleetJoinGuard:
         ok.mkdir(parents=True)
         (ok / "scheduler.py").write_text("runtime.dist.rendezvous = rendezvous\n")
         assert checker.find_offenders(tmp_path) == {}
+
+
+class TestDaemonRepositoryGuard:
+    """``scripts/check_deprecated_usage.py`` keeps the daemon's trace
+    repositories in the one map in ``daemon/daemon.py`` that every sweep
+    job shares."""
+
+    def test_rule_fires_elsewhere_in_the_daemon(self, tmp_path):
+        checker = _load_usage_checker()
+        bad = tmp_path / "src" / "repro" / "daemon"
+        bad.mkdir(parents=True)
+        (bad / "executor.py").write_text(
+            "repository = TraceRepository(payload['repo'])\n"
+        )
+        offenders = checker.find_offenders(tmp_path)
+        assert list(offenders) == ["daemon-repository"]
+        assert "executor.py:1" in offenders["daemon-repository"][0]
+
+    def test_daemon_module_and_other_packages_are_exempt(self, tmp_path):
+        checker = _load_usage_checker()
+        for relative in ("daemon/daemon.py", "service/cli.py"):
+            path = tmp_path / "src" / "repro" / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("repository = TraceRepository(root)\n")
+        assert checker.find_offenders(tmp_path) == {}

@@ -133,7 +133,8 @@ class TestResultAndSnapshotPayloads:
 #: The pinned /health key set (what a live daemon's health() serves).
 HEALTH_KEYS = {
     "schema_version", "version", "jobs", "jobs_by_state", "uptime_s",
-    "queue_depth", "queue_by_owner", "workers", "cache", "telemetry",
+    "queue_depth", "queue_by_owner", "workers", "cache", "repositories",
+    "telemetry",
 }
 
 
@@ -151,6 +152,7 @@ class TestHealthPayload:
             "queue_by_owner": {},
             "workers": 2,
             "cache": {"entries": 2},
+            "repositories": {"open": 1, "invalid": 0},
             "telemetry": {"repro_jobs_submitted_total": 2.0},
         }
         assert set(health) == HEALTH_KEYS
@@ -171,6 +173,7 @@ class TestHealthPayload:
         assert all(count == 0 for count in health["jobs_by_state"].values())
         assert health["uptime_s"] >= 0.0
         assert health["telemetry"]["repro_jobs_submitted_total"] == 0.0
+        assert health["repositories"] == {"open": 0, "invalid": 0}
         assert roundtrip(serialize.daemon_health_payload(health)) == health
 
 

@@ -8,6 +8,9 @@ sweep expansion, and the config/trace digesting the cache keys on.
 from __future__ import annotations
 
 import json
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.service import (
     TraceRepository,
     TraceValidationError,
 )
+from repro.service import repository as repository_module
 from repro.service.cache import cache_key
 from repro.et.trace import ExecutionTrace
 from repro.workloads.param_linear import ParamLinearConfig, ParamLinearWorkload
@@ -176,6 +180,125 @@ class TestTraceRepository:
             ExecutionTrace.from_dict({"nodes": []})
         with pytest.raises(TraceValidationError):
             ExecutionTrace.from_dict({"nodes": [{"name": "x"}]})
+
+
+# ----------------------------------------------------------------------
+# Incremental discovery
+# ----------------------------------------------------------------------
+@pytest.fixture
+def load_calls(monkeypatch):
+    """File names passed to ``ExecutionTrace.load``, in call order."""
+    calls = []
+    original = ExecutionTrace.load.__func__
+
+    def counting(cls, path):
+        calls.append(Path(path).name)
+        return original(cls, path)
+
+    monkeypatch.setattr(ExecutionTrace, "load", classmethod(counting))
+    return calls
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """Treat every file as older than the racy window, so an unchanged
+    stat signature alone decides whether a file is read again."""
+    monkeypatch.setattr(repository_module, "RACY_WINDOW_NS", float("-inf"))
+
+
+@pytest.fixture
+def small_repo(repo, tmp_path) -> TraceRepository:
+    """A private, writable copy of two of the module's traces."""
+    for name in ("linear_2", "linear_3"):
+        repo.load(name).save(tmp_path / f"{name}.json")
+    return TraceRepository(tmp_path)
+
+
+class TestIncrementalDiscovery:
+    def test_unchanged_files_are_not_reparsed(self, small_repo, load_calls, settled):
+        first = small_repo.discover()
+        assert load_calls == ["linear_2.json", "linear_3.json"]
+        second = small_repo.discover()
+        assert load_calls == ["linear_2.json", "linear_3.json"]
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_rewrite_add_and_delete_are_picked_up(self, small_repo, load_calls, settled):
+        before = {record.name: record for record in small_repo.discover()}
+        trace = small_repo.load("linear_2")
+        trace.metadata["note"] = "rewritten"
+        trace.save(small_repo.root / "linear_2.json")
+        trace.save(small_repo.root / "added.json")
+        (small_repo.root / "linear_3.json").unlink()
+        load_calls.clear()
+        after = {record.name: record for record in small_repo.discover()}
+        assert sorted(load_calls) == ["added.json", "linear_2.json"]
+        assert sorted(after) == ["added", "linear_2"]
+        assert after["linear_2"].digest == trace.digest() != before["linear_2"].digest
+        assert after["added"].digest == trace.digest()
+
+    def test_file_turning_malformed_moves_to_invalid(self, small_repo, load_calls, settled):
+        small_repo.discover()
+        broken = small_repo.root / "linear_3.json"
+        broken.write_text("{ no longer json")
+        assert small_repo.names() == ["linear_2"]
+        assert "unreadable JSON" in small_repo.invalid[broken]
+        load_calls.clear()
+        assert small_repo.names() == ["linear_2"]
+        assert load_calls == []  # the unchanged invalid file keeps its reason
+        assert list(small_repo.invalid) == [broken]
+        broken.unlink()
+        small_repo.discover()
+        assert small_repo.invalid == {}
+
+    def test_recently_changed_file_is_read_again(self, small_repo, load_calls):
+        # Just written: a same-size rewrite within one timestamp tick would
+        # keep its signature, so the next scan must not trust it.
+        small_repo.discover()
+        small_repo.discover()
+        assert load_calls.count("linear_2.json") == 2
+
+    def test_concurrent_discovery_sees_identical_records(
+        self, small_repo, load_calls, settled, monkeypatch
+    ):
+        # Slow loads make the two scans overlap.
+        counted = ExecutionTrace.load.__func__
+        monkeypatch.setattr(
+            ExecutionTrace, "load",
+            classmethod(lambda cls, path: time.sleep(0.02) or counted(cls, path)),
+        )
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def scan(index):
+            barrier.wait()
+            results[index] = small_repo.discover()
+
+        threads = [threading.Thread(target=scan, args=(index,)) for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results[0] == results[1]
+        assert [record.name for record in results[0]] == ["linear_2", "linear_3"]
+        assert sorted(load_calls) == ["linear_2.json", "linear_3.json"]
+
+    def test_load_all_reads_every_file(self, small_repo, load_calls, settled):
+        small_repo.discover()
+        load_calls.clear()
+        assert [len(trace) for trace in small_repo.load_all()] == [
+            record.num_nodes for record in small_repo.discover()
+        ]
+        assert load_calls == ["linear_2.json", "linear_3.json"]
+
+    def test_sweep_resolves_named_traces_from_one_discovery(self, repo, monkeypatch):
+        scans = []
+        discover = repo.discover
+        monkeypatch.setattr(repo, "discover", lambda: scans.append(1) or discover())
+        records = SweepRunner(repo).records_for(SweepSpec(traces=["linear_4", "linear_2"]))
+        assert [record.name for record in records] == ["linear_4", "linear_2"]
+        assert len(scans) == 1
+        with pytest.raises(KeyError, match="no trace named 'missing'"):
+            SweepRunner(repo).records_for(SweepSpec(traces=["linear_2", "missing"]))
 
 
 # ----------------------------------------------------------------------

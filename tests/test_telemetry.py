@@ -119,6 +119,7 @@ class TestTracer:
         assert len(tracer.spans) == 2
         assert tracer.dropped == 2
         assert tracer.to_dict()["dropped"] == 2
+        assert [span.name for span in tracer.spans] == ["k2", "k3"]  # the newest
 
     def test_to_dict_is_versioned_json(self):
         tracer = Tracer()
