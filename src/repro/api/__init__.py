@@ -224,6 +224,7 @@ def sweep(
     pool, consulting (and filling) the result cache when ``cache_dir`` is
     given.
     """
+    repository = repo if isinstance(repo, TraceRepository) else TraceRepository(repo)
     if spec is not None:
         overrides = {
             "traces": traces is not None,
@@ -245,7 +246,7 @@ def sweep(
             base=base if base is not None else ReplayConfig(),
         )
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    runner = SweepRunner(repo, cache=cache, max_workers=workers, backend=backend)
+    runner = SweepRunner(repository, cache=cache, max_workers=workers, backend=backend)
     return runner.run(spec)
 
 

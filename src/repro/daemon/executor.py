@@ -104,8 +104,9 @@ def expand_sweep_points(
     inline ``repro sweep`` uses).
 
     ``repositories`` is the daemon's shared map, so a job re-reads only the
-    trace files that changed since any job last discovered its root;
-    without it the root is discovered from scratch.
+    trace files that changed since any job last discovered its root.  The
+    one-argument form (a reference replay outside the daemon) uses a
+    throwaway map and so discovers the root from scratch.
     """
     spec = SweepSpec(
         traces=payload.get("traces"),
@@ -113,9 +114,11 @@ def expand_sweep_points(
         axes={name: list(values) for name, values in (payload.get("axes") or {}).items()},
         base=ReplayConfig.from_dict(payload.get("base") or {}),
     )
-    root = payload["repo"]
-    repository = repositories.get(root) if repositories is not None else root
-    return SweepRunner(repository).jobs_for(spec)
+    if repositories is None:
+        from repro.daemon.daemon import TraceRepositories  # daemon.py imports this module
+
+        repositories = TraceRepositories()
+    return SweepRunner(repositories.get(payload["repo"])).jobs_for(spec)
 
 
 def run_sweep_job(
@@ -123,7 +126,7 @@ def run_sweep_job(
     control: JobControl,
     cache: Optional[ResultCache],
     inflight: Optional[InflightRegistry],
-    repositories: Optional["TraceRepositories"] = None,
+    repositories: "TraceRepositories",
     tracer: Optional[Any] = None,
 ) -> Outcome:
     """Replay every grid point, honouring a prior snapshot and the control
@@ -326,7 +329,7 @@ def run_job(
     control: JobControl,
     cache: Optional[ResultCache],
     inflight: Optional[InflightRegistry],
-    repositories: Optional["TraceRepositories"] = None,
+    repositories: "TraceRepositories",
     tracer: Optional[Any] = None,
 ) -> Outcome:
     """Dispatch on the job kind."""

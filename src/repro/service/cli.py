@@ -735,7 +735,7 @@ def _profile_traces(
     )
     reports = {}
     for name in names:
-        result = api.replay(repository.load(name)).using(config).with_profiling().run()
+        result = api.replay(repository.load(records[name])).using(config).with_profiling().run()
         report = result.profile_report
         if not report.trace_name:
             report.trace_name = name
@@ -823,7 +823,7 @@ def _memory_reports(
         )
     reports: Dict[str, MemoryReport] = {}
     for name in names:
-        trace = repository.load(name)
+        trace = repository.load(records[name])
         reports[name] = simulate_memory(
             trace, device=device, budget=budget_bytes, trace_name=name
         )

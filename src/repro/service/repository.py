@@ -63,7 +63,11 @@ class TraceRepository:
     :meth:`discover` walks the tree again but reads only the files whose
     ``stat`` signature changed since the previous scan, so a long-lived
     repository (the daemon keeps one per root) stays current at the cost
-    of a ``stat`` per file.  Calls from several threads are safe.
+    of a ``stat`` per file.  Calls from several threads are safe.  Nothing
+    is memoised between calls: ``len()``, iteration, :meth:`names`,
+    :meth:`get`, :meth:`select` and :meth:`load` by name each run one
+    :meth:`discover`, so a caller that already holds records should pass
+    them on (``load(record)`` reads just that file).
 
     Parameters
     ----------
@@ -183,7 +187,8 @@ class TraceRepository:
         return [records[name] for name in names]
 
     def load(self, name_or_record: Union[str, TraceRecord]) -> ExecutionTrace:
-        """Load the full execution trace for a name or record."""
+        """Load the full execution trace for a record, or for a name (which
+        first runs one :meth:`discover` to resolve it)."""
         record = name_or_record if isinstance(name_or_record, TraceRecord) else self.get(name_or_record)
         return ExecutionTrace.load(record.path)
 

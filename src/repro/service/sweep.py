@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.replayer import ReplayConfig
 from repro.service.batch import BatchReplayer, BatchResult, ReplayJob
@@ -74,8 +73,7 @@ class SweepResult:
 
 
 class SweepRunner:
-    """Expands a :class:`SweepSpec` against a repository (or a root
-    directory, opened as one) and runs it.
+    """Expands a :class:`SweepSpec` against a repository and runs it.
 
     The runner owns the :class:`~repro.service.batch.BatchReplayer` it runs
     through: callers describe the execution policy (``cache``,
@@ -87,14 +85,12 @@ class SweepRunner:
 
     def __init__(
         self,
-        repository: Union[str, Path, TraceRepository],
+        repository: TraceRepository,
         replayer: Optional[BatchReplayer] = None,
         cache: Optional[ResultCache] = None,
         max_workers: Optional[int] = None,
         backend: str = "thread",
     ) -> None:
-        if not isinstance(repository, TraceRepository):
-            repository = TraceRepository(repository)
         self.repository = repository
         if replayer is None:
             replayer = BatchReplayer(cache=cache, max_workers=max_workers, backend=backend)

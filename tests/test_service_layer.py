@@ -300,6 +300,18 @@ class TestIncrementalDiscovery:
         with pytest.raises(KeyError, match="no trace named 'missing'"):
             SweepRunner(repo).records_for(SweepSpec(traces=["linear_2", "missing"]))
 
+    def test_cli_reports_read_each_trace_twice(self, small_repo, load_calls):
+        # Freshly written files are read on every scan, so the reports must
+        # discover once and then load the records, not re-scan per trace.
+        from repro.service.cli import _memory_reports, _profile_traces
+
+        expected = ["linear_2.json"] * 2 + ["linear_3.json"] * 2
+        _memory_reports(str(small_repo.root), None, "A100", None)
+        assert sorted(load_calls) == expected
+        load_calls.clear()
+        _profile_traces(str(small_repo.root), None, "A100", 1, 0, True)
+        assert sorted(load_calls) == expected
+
 
 # ----------------------------------------------------------------------
 # Cache
