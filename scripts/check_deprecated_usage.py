@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Ten rules, one pass:
+Eleven rules, one pass:
 
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
   and ``src/repro/daemon/`` — batch work flows through the facade
@@ -50,6 +50,11 @@ Ten rules, one pass:
   ``daemon.py``, by the map every sweep job gets its repository from; a
   repository built anywhere else would re-read and re-digest the whole
   root for each job.
+* There is one pause signal.  Inside ``src/repro/``, a ``BaseException``
+  subclass is defined only in ``core/pipeline.py``: ``ReplayPaused``,
+  raised at an iteration boundary with a verified ``ReplayCheckpoint``,
+  pauses single replays, sweep points and fleet ranks alike.  A second
+  control-flow signal would be a second pause mechanism.
 
 Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 1 with a file:line listing otherwise.  ``tests/test_profiling.py`` drives
@@ -217,6 +222,22 @@ RULES = (
             "TraceRepository constructed in the daemon outside daemon.py (sweep "
             "jobs share the daemon's TraceRepositories map, one repository per "
             "root, so discovery re-reads only changed files)"
+        ),
+    ),
+    Rule(
+        name="pause-signal",
+        # A class statement deriving from BaseException or from one of its
+        # non-Exception subclasses (ReplayPaused included).
+        pattern=re.compile(
+            r"\bclass\s+\w+\s*\([^)]*\b(?:BaseException|KeyboardInterrupt|"
+            r"SystemExit|GeneratorExit|ReplayPaused)\b"
+        ),
+        roots=("src/repro",),
+        exempt=("src/repro/core/pipeline.py",),
+        message=(
+            "BaseException subclass defined outside core/pipeline.py (pause "
+            "through the one signal, ReplayPaused with a ReplayCheckpoint, "
+            "via a context's pause_check)"
         ),
     ),
 )

@@ -15,8 +15,9 @@ overlap first-class measurements:
   default stage pipeline, its runtime joined to the rendezvous.  The
   scheduler parks ranks on unresolved collectives and wakes them when the
   rendezvous resolves, which lets one process co-replay thousands of
-  ranks (and, via its ``interrupt`` hook, lets the daemon pause a cluster
-  job at a rendezvous boundary);
+  ranks.  A rank pauses and resumes like any single replay: at an
+  iteration boundary, with a verified
+  :class:`~repro.core.pipeline.ReplayCheckpoint`;
 * :class:`~repro.cluster.engine.ClusterReplayer` pre-flight-matches the
   fleet, drives the scheduler, and aggregates the
   :class:`~repro.cluster.engine.ClusterReport` (per-rank
@@ -43,11 +44,10 @@ from repro.cluster.rendezvous import (
     RankBlocked,
     RendezvousStats,
 )
-from repro.cluster.scheduler import ClusterPaused, VirtualTimeScheduler
+from repro.cluster.scheduler import VirtualTimeScheduler
 
 __all__ = [
     "ClusterMatchError",
-    "ClusterPaused",
     "ClusterReplayError",
     "ClusterReplayer",
     "ClusterReport",

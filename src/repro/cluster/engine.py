@@ -36,6 +36,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.comms_replay import CommReplayManager
 from repro.core.pipeline import (
+    CheckpointError,
+    ReplayCheckpoint,
     ReplayContext,
     ReplayPipeline,
     TrackMemoryStage,
@@ -326,6 +328,23 @@ class ClusterReport:
         return data
 
 
+def _resuming_rank(
+    contexts: Sequence[ReplayContext], checkpoint: ReplayCheckpoint
+) -> ReplayContext:
+    """The one rank a fleet checkpoint was captured on; its config digest
+    covers the rank, so no two ranks can match."""
+    for context in contexts:
+        if (
+            context.config.digest() == checkpoint.config_digest
+            and context.trace.digest() == checkpoint.trace_digest
+        ):
+            return context
+    raise CheckpointError(
+        "checkpoint matches no rank of this fleet: it was captured on another "
+        "fleet or under another config"
+    )
+
+
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -362,12 +381,6 @@ class ClusterReplayer:
         #: advances next.  Reports are pick-order independent; the property
         #: suite injects randomised picks here.
         self.scheduler_pick: Optional[Callable[[List[int], int], int]] = None
-        #: Optional scheduler interrupt callback, polled at every scheduling
-        #: step; a truthy return pauses the co-replay by raising
-        #: :class:`~repro.cluster.scheduler.ClusterPaused`.  The daemon's
-        #: executor uses this to pause cluster jobs at rendezvous
-        #: boundaries; resume re-runs the fleet deterministically.
-        self.scheduler_interrupt: Optional[Callable[[], bool]] = None
         #: Per-rank memory footprints (``repro.memory``): simulate each
         #: replica's device memory and aggregate the per-rank reports plus
         #: the max-rank summary onto the :class:`ClusterReport`.
@@ -413,6 +426,8 @@ class ClusterReplayer:
         traces: Sequence[TraceLike],
         profiler_traces: Optional[Sequence[Optional[ProfilerTrace]]] = None,
         rank_overrides: Optional[Dict[int, Dict[str, Any]]] = None,
+        pause_check: Optional[Callable[[], Any]] = None,
+        resume_from: Optional[ReplayCheckpoint] = None,
     ) -> ClusterReport:
         """Co-replay the fleet and aggregate the :class:`ClusterReport`.
 
@@ -422,6 +437,11 @@ class ClusterReplayer:
         the whole fleet (the rank, the world and the collective cost
         model) cannot be overridden per rank: they raise
         :class:`ClusterMatchError`.
+
+        ``pause_check`` goes to every rank, so the first rank iteration
+        boundary to find it truthy raises that rank's ``ReplayPaused``.
+        ``resume_from`` goes to the one rank whose digests it matches; no
+        match, or a diverged resume, raises ``CheckpointError``.
         """
         fleet, profilers = self._normalize(traces, profiler_traces)
         rank_overrides = rank_overrides or {}
@@ -504,15 +524,17 @@ class ClusterReplayer:
                     support=self.support,
                     hooks=hooks,
                     programs=programs,
+                    pause_check=pause_check,
                 )
             )
+        if resume_from is not None:
+            _resuming_rank(contexts, resume_from).resume_from = resume_from
 
         errors = VirtualTimeScheduler(
             contexts,
             pipeline,
             rendezvous,
             pick=self.scheduler_pick,
-            interrupt=self.scheduler_interrupt,
             telemetry=self.tracer,
         ).run()
         if errors:

@@ -19,9 +19,11 @@ variable).  This module replays the same fleet on **one** thread:
   resolved — classic discrete-event simulation over per-rank op cursors.
 
 Every rank runs the single-rank default stages (vectorized fast path
-included); only its runtime differs: it joins the fleet's rendezvous before
-the pipeline starts, so ``init-comms`` only pre-creates the recorded
-process groups.  Each collective goes through
+included), so it pauses and resumes exactly as a single replay does: at an
+iteration boundary of its execute stage, through its context's
+``pause_check``/``resume_from``.  Only its runtime differs: it joins the
+fleet's rendezvous before the pipeline starts, so ``init-comms`` only
+pre-creates the recorded process groups.  Each collective goes through
 :func:`~repro.torchsim.distributed.retry_collective`, which rolls the
 runtime back to the op boundary and yields the blocked slot; the cursor
 parks on it and re-executes the op verbatim once the slot resolves.
@@ -38,7 +40,12 @@ from collections import deque
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cluster.rendezvous import EventRendezvous, RankBlocked
-from repro.core.pipeline import ReplayContext, ReplayPipeline, make_replay_runtime
+from repro.core.pipeline import (
+    CheckpointError,
+    ReplayContext,
+    ReplayPipeline,
+    make_replay_runtime,
+)
 
 #: Scheduler pick function: ``(runnable ranks, step index) -> index`` into
 #: the runnable list.  Injectable for the insertion-order-independence
@@ -53,26 +60,6 @@ def _notify(context: ReplayContext, event: str) -> None:
         callback = getattr(hook, event, None)
         if callback is not None:
             callback(context)
-
-
-class ClusterPaused(BaseException):
-    """Control-flow signal: the event scheduler honoured an interrupt
-    request at a scheduling boundary (the top of its run loop — each rank
-    is either finished or parked at a rendezvous, never mid-op).
-
-    A paused cluster replay resumes by deterministic re-execution from
-    scratch: the fleet's virtual-time schedule is a pure function of
-    (traces, config), so the re-run's :class:`ClusterReport` is
-    byte-identical to an uninterrupted one.  Derives from
-    ``BaseException`` so per-job ``except Exception`` error handling cannot
-    mistake a cooperative pause for a failure.
-    """
-
-    def __init__(self, completed_steps: int) -> None:
-        super().__init__(
-            f"cluster replay paused after {completed_steps} scheduler step(s)"
-        )
-        self.completed_steps = completed_steps
 
 
 def _rank_steps(
@@ -121,18 +108,12 @@ class VirtualTimeScheduler:
         pipeline: ReplayPipeline,
         rendezvous: EventRendezvous,
         pick: Optional[PickFunction] = None,
-        interrupt: Optional[Callable[[], bool]] = None,
         telemetry=None,
     ) -> None:
         self.contexts = list(contexts)
         self.pipeline = pipeline
         self.rendezvous = rendezvous
         self.pick = pick
-        #: Polled at the top of every scheduling step; a truthy return
-        #: raises :class:`ClusterPaused`.  The ``finally`` block closes all
-        #: outstanding cursors (retiring their ranks from the rendezvous),
-        #: so abandonment is clean and a later re-run starts fresh.
-        self.interrupt = interrupt
         #: Optional :class:`~repro.telemetry.Tracer`.  Park/wake/rendezvous
         #: transitions become instant events on the ``scheduler`` category;
         #: ``None`` (the default) keeps the loop free of telemetry work.
@@ -142,7 +123,9 @@ class VirtualTimeScheduler:
     def run(self) -> Dict[int, str]:
         """Drive every cursor to completion; returns ``{rank: error}`` for
         ranks that failed (empty dict = clean fleet).  Results land on the
-        contexts themselves."""
+        contexts themselves.  A rank's ``ReplayPaused`` or
+        ``CheckpointError`` ends the whole fleet; the ``finally`` block
+        closes every other cursor, retiring its rank."""
         contexts = {context.config.rank: context for context in self.contexts}
         cursors = {
             rank: _rank_steps(context, self.pipeline, self.rendezvous)
@@ -161,10 +144,6 @@ class VirtualTimeScheduler:
         )
         try:
             while outstanding:
-                if self.interrupt is not None and self.interrupt():
-                    if telemetry is not None:
-                        telemetry.event("pause", "scheduler", step=step)
-                    raise ClusterPaused(step)
                 if not runnable:
                     # Every live cursor is parked: cross-wired collective
                     # orders.  Fail the unresolved slots; the woken cursors
@@ -203,6 +182,8 @@ class VirtualTimeScheduler:
                         telemetry.event(
                             "finish", "scheduler", correlation={"rank": rank}, step=step
                         )
+                except CheckpointError:
+                    raise  # a resume mismatch fails the fleet, not one rank
                 except Exception as error:  # noqa: BLE001 - aggregated per rank
                     outstanding.discard(rank)
                     errors[rank] = f"{type(error).__name__}: {error}"

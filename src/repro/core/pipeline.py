@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Generator, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence
 
 from repro.core import vectorize
 from repro.core.comms_replay import CommReplayManager
@@ -74,7 +74,8 @@ def drain(steps: Generator[RankBlocked, None, Any]) -> Any:
 class CheckpointError(RuntimeError):
     """A resume was attempted against a checkpoint that does not match the
     replay (different trace/config, or the re-executed prefix diverged from
-    the recorded clock fingerprint — the code or inputs changed)."""
+    the recorded clock fingerprint or measured prefix — the code or inputs
+    changed)."""
 
 
 #: Bumped whenever the serialized checkpoint shape changes; a version
@@ -89,13 +90,15 @@ class ReplayCheckpoint:
     Replay is a pure function of (trace, config): the virtual runtime is
     deterministic, so a paused replay *resumes by re-execution* — the build
     stages re-run (cheap), the completed warm-up/measured iterations replay
-    again, and the checkpoint's :attr:`clock_fingerprint` (the runtime's
+    again, and at the recorded boundary the re-executed replay must match
+    the checkpoint's :attr:`clock_fingerprint` (the runtime's
     :meth:`~repro.torchsim.runtime.Runtime.clock_state` at the pause point)
-    is verified before execution continues.  That discipline is what makes
-    the resumed result **byte-identical** to an uninterrupted run: nothing
-    is approximated or spliced, and any drift (a changed trace, config or
-    cost model) is caught as a :class:`CheckpointError` instead of
-    producing silently different numbers.
+    and its measured prefix (:attr:`iteration_times_us`, the op counts and
+    :attr:`measure_start_us`) before execution continues.  That discipline
+    is what makes the resumed result **byte-identical** to an uninterrupted
+    run: nothing is approximated or spliced, and any drift (a changed
+    trace, config or cost model) is caught as a :class:`CheckpointError`
+    instead of producing silently different numbers.
 
     The token is JSON-serialisable (``to_dict``/``from_dict``) so the
     daemon can snapshot it to disk and resume across process restarts.
@@ -248,6 +251,12 @@ class ReplayContext:
     #: the other ranks of a co-replay (set by the cluster engine);
     #: ``None`` gives the replay a private store.
     programs: Optional[vectorize.ProgramStore] = None
+    #: Polled (no arguments) at every iteration boundary of the execute
+    #: stage; a truthy return raises :class:`ReplayPaused`.
+    pause_check: Optional[Callable[[], Any]] = None
+    #: A checkpoint this replay continues: the execute stage verifies the
+    #: re-executed prefix against it at the recorded boundary.
+    resume_from: Optional[ReplayCheckpoint] = None
 
     # Build products.
     selection: Optional[SelectionResult] = None
@@ -450,27 +459,17 @@ class ExecuteStage(ReplayStage):
     """Replay the selected operators in the recorded order: warm-up
     iterations first (unmeasured, unprofiled), then the measured ones.
 
-    The stage is the pipeline's checkpoint boundary.  ``pause_check`` (a
-    zero-argument callable) is polled at every iteration boundary — the
-    point where all of the iteration's op programs have completed — and a
-    truthy return raises :class:`ReplayPaused` carrying a
-    :class:`ReplayCheckpoint`.  ``resume_from`` replays a previously
-    captured checkpoint: the completed iterations re-execute
-    deterministically and the runtime's clock state is verified against the
-    checkpoint's fingerprint at the recorded boundary (see
+    The stage is the pipeline's checkpoint boundary.  ``context.pause_check``
+    is polled at every iteration boundary — the point where all of the
+    iteration's op programs have completed — and a truthy return raises
+    :class:`ReplayPaused` carrying a :class:`ReplayCheckpoint`.
+    ``context.resume_from`` replays a previously captured checkpoint: the
+    completed iterations re-execute deterministically and, at the recorded
+    boundary, must re-create the checkpoint exactly (see
     :class:`ReplayCheckpoint` for why this yields byte-identical results).
-    Both default to ``None``, leaving the stage's behaviour unchanged.
     """
 
     name = "execute"
-
-    def __init__(
-        self,
-        pause_check: Optional[Any] = None,
-        resume_from: Optional[ReplayCheckpoint] = None,
-    ) -> None:
-        self.pause_check = pause_check
-        self.resume_from = resume_from
 
     def run(self, context: ReplayContext) -> None:
         drain(self.steps(context))
@@ -483,8 +482,8 @@ class ExecuteStage(ReplayStage):
         context.require("tensor_manager", self)
         context.require("stream_assignment", self)
 
-        if self.resume_from is not None:
-            self._check_resume_inputs(context, self.resume_from)
+        if context.resume_from is not None:
+            self._check_resume_inputs(context, context.resume_from)
 
         profiler: Optional[Profiler] = None
         if context.config.profile:
@@ -533,17 +532,18 @@ class ExecuteStage(ReplayStage):
         warmup_total: int,
         measured_total: int,
     ) -> None:
-        """One iteration boundary: verify a resume fingerprint when this is
-        the resumed checkpoint's position, then honour a pending pause
-        request (never after the final iteration — the replay is done)."""
-        resume = self.resume_from
+        """One iteration boundary: verify the resumed checkpoint when this is
+        its position, then honour a pending pause request (never after the
+        final iteration — the replay is done)."""
+        resume = context.resume_from
         if (
             resume is not None
             and warmup_done == resume.completed_warmup
             and measured_done == resume.completed_iterations
         ):
-            self._verify_fingerprint(context, runtime, resume)
-        if self.pause_check is None or not self.pause_check():
+            current = self._capture(context, runtime, warmup_done, measured_done)
+            self._verify_prefix(current.to_dict(), resume)
+        if context.pause_check is None or not context.pause_check():
             return
         if warmup_done >= warmup_total and measured_done >= measured_total:
             return  # all work done; finishing beats pausing
@@ -571,28 +571,30 @@ class ExecuteStage(ReplayStage):
     @staticmethod
     def _check_resume_inputs(context: ReplayContext, resume: ReplayCheckpoint) -> None:
         trace_digest = context.trace.digest()
-        if resume.trace_digest and trace_digest != resume.trace_digest:
+        if trace_digest != resume.trace_digest:
             raise CheckpointError(
                 f"checkpoint was captured for trace digest {resume.trace_digest[:12]}…, "
                 f"but the replay is running trace digest {trace_digest[:12]}…"
             )
         config_digest = context.config.digest()
-        if resume.config_digest and config_digest != resume.config_digest:
+        if config_digest != resume.config_digest:
             raise CheckpointError(
                 "checkpoint was captured under a different ReplayConfig "
                 f"({resume.config_digest[:12]}… vs {config_digest[:12]}…)"
             )
 
     @staticmethod
-    def _verify_fingerprint(
-        context: ReplayContext, runtime: Runtime, resume: ReplayCheckpoint
-    ) -> None:
-        current = _clock_fingerprint(runtime)
-        if resume.clock_fingerprint and current != resume.clock_fingerprint:
+    def _verify_prefix(current: Dict[str, Any], resume: ReplayCheckpoint) -> None:
+        diverged = [
+            key.replace("_", " ")
+            for key, value in resume.to_dict().items()
+            if current[key] != value
+        ]
+        if diverged:
             raise CheckpointError(
-                "re-executed replay prefix diverged from the checkpoint's clock "
-                "fingerprint — the trace, config or cost model changed since the "
-                f"pause (checkpoint at warmup={resume.completed_warmup}, "
+                f"re-executed replay prefix diverged from the checkpoint's "
+                f"{', '.join(diverged)} — the trace, config or cost model changed "
+                f"since the pause (checkpoint at warmup={resume.completed_warmup}, "
                 f"iteration={resume.completed_iterations})"
             )
 
@@ -946,7 +948,7 @@ def run_replay(
     hooks: Optional[Sequence[ReplayHook]] = None,
     pipeline: Optional[ReplayPipeline] = None,
     runtime: Optional[Runtime] = None,
-    pause_check: Optional[Any] = None,
+    pause_check: Optional[Callable[[], Any]] = None,
     resume_from: Optional[ReplayCheckpoint] = None,
 ) -> "ReplayResult":
     """One-shot replay of ``trace`` through the (default) stage pipeline.
@@ -958,15 +960,9 @@ def run_replay(
     :class:`ExecuteStage`): a truthy ``pause_check()`` at an iteration
     boundary raises :class:`ReplayPaused` with a :class:`ReplayCheckpoint`,
     and ``resume_from`` continues a previously captured checkpoint by
-    deterministic re-execution.  They configure the execute stage, so they
-    cannot be combined with an explicit ``pipeline``.
+    deterministic re-execution.  They live on the context, so any
+    ``pipeline`` with an execute stage honours them.
     """
-    if (pause_check is not None or resume_from is not None) and pipeline is not None:
-        raise ValueError(
-            "pause_check/resume_from configure the default execute stage and "
-            "cannot be combined with an explicit pipeline; construct the "
-            "pipeline with ExecuteStage(pause_check=..., resume_from=...) instead"
-        )
     context = ReplayContext(
         trace=trace,
         config=config,
@@ -974,14 +970,10 @@ def run_replay(
         support=support,
         runtime=runtime,
         hooks=list(hooks or []),
+        pause_check=pause_check,
+        resume_from=resume_from,
     )
-    if pause_check is not None or resume_from is not None:
-        active = ReplayPipeline.default().replace(
-            "execute", ExecuteStage(pause_check=pause_check, resume_from=resume_from)
-        )
-    else:
-        active = pipeline if pipeline is not None else ReplayPipeline.default()
-    return active.run(context)
+    return (pipeline if pipeline is not None else ReplayPipeline.default()).run(context)
 
 
 def _with_remapped_group(node, group_mapper: CommReplayManager):

@@ -27,10 +27,9 @@ from repro.daemon.jobs import (
     JOB_STATES,
     TERMINAL_STATES,
     JobRecord,
+    JobSnapshot,
     JobSpec,
     JobStateError,
-    cluster_snapshot,
-    sweep_snapshot,
 )
 from repro.daemon.queue import JobQueue
 from repro.daemon.store import JobStore
@@ -46,11 +45,10 @@ __all__ = [
     "JobExecutor",
     "JobQueue",
     "JobRecord",
+    "JobSnapshot",
     "JobSpec",
     "JobStateError",
     "JobStore",
     "ReplayDaemon",
     "UnknownJobError",
-    "cluster_snapshot",
-    "sweep_snapshot",
 ]

@@ -8,10 +8,10 @@ replays them *one point per batch* through a serial
 :class:`~repro.service.batch.BatchReplayer` with a ``pause_check``: that
 is the contract that makes a pause land at an op-program iteration
 boundary with a :class:`~repro.core.pipeline.ReplayCheckpoint` in hand.
-A **cluster** job drives :class:`~repro.cluster.ClusterReplayer` with a
-``scheduler_interrupt``, so its pause lands at a rendezvous/scheduler-step
-boundary (:class:`~repro.cluster.ClusterPaused`); resume re-runs the
-deterministic fleet from scratch, byte-identically.
+A **cluster** job hands the same ``pause_check`` to every rank of
+:meth:`~repro.cluster.ClusterReplayer.replay`.  Both kinds persist one
+:class:`~repro.daemon.jobs.JobSnapshot` shape and resume by verified,
+byte-identical re-execution; a malformed snapshot fails the job.
 
 Multi-tenant guarantees enforced here:
 
@@ -34,10 +34,10 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.cluster import ClusterPaused, ClusterReplayer
-from repro.core.pipeline import CheckpointError, ReplayCheckpoint, ReplayPaused
+from repro.cluster import ClusterReplayer
+from repro.core.pipeline import ReplayCheckpoint, ReplayPaused
 from repro.core.replayer import ReplayConfig, ReplayResultSummary
-from repro.daemon.jobs import JobRecord, cluster_snapshot, sweep_snapshot
+from repro.daemon.jobs import JobRecord, JobSnapshot
 from repro.service.batch import BatchReplayer, ReplayJob, _error_details
 from repro.service.cache import ResultCache
 from repro.service.sweep import SweepRunner, SweepSpec
@@ -60,7 +60,7 @@ class JobControl:
         self.cancel = threading.Event()
 
     def interrupted(self) -> bool:
-        """The ``pause_check`` / ``scheduler_interrupt`` callable."""
+        """The ``pause_check`` every replay of the job polls."""
         return self.pause.is_set() or self.cancel.is_set()
 
 
@@ -132,29 +132,20 @@ def run_sweep_job(
     """Replay every grid point, honouring a prior snapshot and the control
     flags; see the module docstring for the guarantees."""
     try:
+        snapshot = _snapshot_of(record)
         points = expand_sweep_points(record.spec.payload, repositories)
-    except Exception as error:  # noqa: BLE001 - spec errors fail the job
+    except Exception as error:  # noqa: BLE001 - snapshot and spec errors fail the job
         return "failed", _error_details(error)
 
-    snapshot = record.snapshot or {}
-    completed: Dict[str, Dict[str, Any]] = dict(snapshot.get("completed") or {})
-    checkpoint_data = snapshot.get("checkpoint")
-    checkpoint_label = snapshot.get("pending_label")
+    completed = snapshot.completed
     pinned: List[str] = []
     try:
         for point in points:
             if point.label in completed:
                 continue
-            if control.cancel.is_set():
-                return "cancelled", None
-            if control.pause.is_set():
-                return "paused", sweep_snapshot(completed, None, None)
-            resume: Optional[ReplayCheckpoint] = None
-            if checkpoint_data is not None and point.label == checkpoint_label:
-                try:
-                    resume = ReplayCheckpoint.from_dict(checkpoint_data)
-                except CheckpointError as error:  # a corrupt snapshot
-                    return "failed", _error_details(error)
+            if control.interrupted():
+                return _paused(control, JobSnapshot("sweep", completed))
+            resume = snapshot.checkpoint if point.label == snapshot.pending_label else None
             span = None
             if tracer is not None and tracer.enabled:
                 span = tracer.begin(
@@ -163,23 +154,13 @@ def run_sweep_job(
             try:
                 status, value = _run_point(point, control, cache, inflight, resume, pinned)
             except ReplayPaused as paused:
-                if tracer is not None:
-                    if span is not None:
-                        span.attributes["status"] = "paused"
-                    tracer.end(span)
-                if control.cancel.is_set():
-                    return "cancelled", None
-                return "paused", sweep_snapshot(
-                    completed, point.label, paused.checkpoint.to_dict()
+                _end_span(tracer, span, "paused")
+                return _paused(
+                    control, JobSnapshot("sweep", completed, point.label, paused.checkpoint)
                 )
-            if tracer is not None:
-                if span is not None:
-                    span.attributes["status"] = status
-                tracer.end(span)
-            if status == "cancelled":
-                return "cancelled", None
-            if status == "paused":
-                return "paused", sweep_snapshot(completed, None, None)
+            _end_span(tracer, span, status)
+            if status in ("cancelled", "paused"):
+                return _paused(control, JobSnapshot("sweep", completed))
             if status == "failed":
                 return "failed", value
             assert isinstance(value, ReplayResultSummary)
@@ -195,6 +176,28 @@ def run_sweep_job(
         if cache is not None:
             for key in pinned:
                 cache.unpin(key)
+
+
+def _snapshot_of(record: JobRecord) -> JobSnapshot:
+    """The snapshot a job resumes from (empty for a fresh job); raises
+    :class:`~repro.core.pipeline.CheckpointError` when it is malformed."""
+    if record.snapshot is None:
+        return JobSnapshot(record.spec.kind)
+    return JobSnapshot.from_dict(record.snapshot)
+
+
+def _paused(control: JobControl, snapshot: JobSnapshot) -> Outcome:
+    """The outcome of an interrupted job: a cancel wins over the snapshot."""
+    if control.cancel.is_set():
+        return "cancelled", None
+    return "paused", snapshot.to_dict()
+
+
+def _end_span(tracer: Optional[Any], span: Optional[Any], status: str) -> None:
+    if tracer is not None:
+        if span is not None:
+            span.attributes["status"] = status
+        tracer.end(span)
 
 
 def _run_point(
@@ -285,42 +288,33 @@ def _sweep_result(
 def run_cluster_job(
     record: JobRecord, control: JobControl, tracer: Optional[Any] = None
 ) -> Outcome:
-    """Co-replay a fleet; pause lands at a scheduler-step boundary and
-    resume re-runs from scratch (deterministic, so byte-identical)."""
+    """Co-replay a fleet; a pause lands at the next iteration boundary of
+    any rank, and resume re-executes the fleet, verifying the paused rank's
+    checkpoint (deterministic, so byte-identical)."""
     payload = record.spec.payload
     try:
+        snapshot = _snapshot_of(record)
         config = ReplayConfig.from_dict(payload.get("config") or {})
-        replayer = ClusterReplayer(config)
-        replayer.scheduler_interrupt = control.interrupted
         fleet = ClusterReplayer.load_fleet(payload["trace_dir"])
     except Exception as error:  # noqa: BLE001
         return "failed", _error_details(error)
     # Lifecycle spans only: the full per-rank Gantt would accumulate
-    # unbounded on a long-lived daemon tracer, so replayer.tracer stays
-    # unset here (export the Gantt via the CLI / ClusterSession instead).
+    # unbounded on a long-lived daemon tracer, so the replayer's tracer
+    # stays unset here (export the Gantt via the CLI / ClusterSession).
     span = None
     if tracer is not None and tracer.enabled:
         span = tracer.begin("cluster:replay", "daemon", ranks=len(fleet))
     try:
-        report = replayer.replay(fleet)
-    except ClusterPaused as paused:
-        if tracer is not None:
-            if span is not None:
-                span.attributes["status"] = "paused"
-            tracer.end(span)
-        if control.cancel.is_set():
-            return "cancelled", None
-        return "paused", cluster_snapshot(paused.completed_steps)
+        report = ClusterReplayer(config).replay(
+            fleet, pause_check=control.interrupted, resume_from=snapshot.checkpoint
+        )
+    except ReplayPaused as paused:
+        _end_span(tracer, span, "paused")
+        return _paused(control, JobSnapshot("cluster", checkpoint=paused.checkpoint))
     except Exception as error:  # noqa: BLE001
-        if tracer is not None:
-            if span is not None:
-                span.attributes["status"] = "failed"
-            tracer.end(span)
+        _end_span(tracer, span, "failed")
         return "failed", _error_details(error)
-    if tracer is not None:
-        if span is not None:
-            span.attributes["status"] = "completed"
-        tracer.end(span)
+    _end_span(tracer, span, "completed")
     return "completed", {"kind": "cluster", "report": report.to_dict()}
 
 

@@ -22,16 +22,17 @@ The **state machine**::
 
 plus ``running → failed`` when the replay itself errors.  ``pausing`` is
 the cooperative window between a client's pause request and the replay
-acknowledging it at the next checkpoint boundary (op-program iteration
-boundary for sweeps, scheduler-step boundary for cluster jobs).
+acknowledging it at the next iteration boundary — of the in-flight sweep
+point, or of whichever fleet rank reaches one first.  A replay in its
+final iteration finishes instead.
 
-A paused sweep job carries a :data:`snapshot <JobRecord.snapshot>`: the
-summaries of every completed grid point (so resume never re-prices them,
-even if the result cache evicted the entries meanwhile) plus the
-in-flight point's :class:`~repro.core.pipeline.ReplayCheckpoint`.  A
-paused cluster job records only how many scheduler steps had run: fleet
-replay is deterministic, so resume re-executes from scratch and is
-byte-identical to an uninterrupted run.
+A paused job carries a :data:`snapshot <JobRecord.snapshot>`, one
+:class:`JobSnapshot` shape for both kinds: the summaries of every
+completed sweep point (so resume never re-prices them, even if the result
+cache evicted the entries meanwhile) plus the paused replay's
+:class:`~repro.core.pipeline.ReplayCheckpoint`.  Replay is deterministic,
+so resume re-executes the paused sweep point or fleet, verifies the
+checkpoint at its boundary, and is byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
+
+from repro.core.pipeline import CheckpointError, ReplayCheckpoint
 
 #: Version stamped on every persisted job record and daemon payload; bump
 #: on any shape change so a restarted daemon never misreads old state.
@@ -128,7 +131,8 @@ class JobRecord:
     traceback: Optional[str] = None
     #: Populated on ``completed``: the job's JSON result payload.
     result: Optional[Dict[str, Any]] = None
-    #: Populated on ``paused``: enough to resume without recomputation.
+    #: Populated on ``paused``: enough to resume without recomputation
+    #: (:meth:`JobSnapshot.to_dict`, parsed when the job resumes).
     snapshot: Optional[Dict[str, Any]] = None
     schema_version: int = DAEMON_SCHEMA_VERSION
 
@@ -196,37 +200,70 @@ class JobRecord:
         )
 
 
-def sweep_snapshot(
-    completed: Dict[str, Dict[str, Any]],
-    pending_label: Optional[str],
-    checkpoint: Optional[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """Snapshot of a paused sweep job.
+@dataclass
+class JobSnapshot:
+    """What a paused job resumes from: one shape for both job kinds.
 
-    ``completed`` maps point labels to ``{"cache_key", "summary",
-    "cached"}`` — the summary rides in the snapshot itself so resume is
-    immune to cache eviction.  ``checkpoint`` is the in-flight point's
-    :meth:`~repro.core.pipeline.ReplayCheckpoint.to_dict` (or ``None``
-    when the pause landed exactly between points).
+    ``completed`` maps a sweep's finished point labels to ``{"cache_key",
+    "trace", "device", "cached", "summary"}`` (a fleet has none).
+    ``checkpoint`` is the paused replay's
+    :class:`~repro.core.pipeline.ReplayCheckpoint`; ``pending_label`` names
+    its sweep point (``None`` for a fleet: the digests name the rank).
     """
-    return {
-        "schema_version": DAEMON_SCHEMA_VERSION,
-        "kind": "sweep",
-        "completed": completed,
-        "pending_label": pending_label,
-        "checkpoint": checkpoint,
-    }
 
+    kind: str
+    completed: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    pending_label: Optional[str] = None
+    checkpoint: Optional[ReplayCheckpoint] = None
 
-def cluster_snapshot(completed_steps: int) -> Dict[str, Any]:
-    """Snapshot of a paused cluster job: the step count is purely
-    informational — resume re-runs the (deterministic) fleet from scratch
-    and produces a byte-identical report."""
-    return {
-        "schema_version": DAEMON_SCHEMA_VERSION,
-        "kind": "cluster",
-        "completed_steps": int(completed_steps),
-    }
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "schema_version": DAEMON_SCHEMA_VERSION,
+            "kind": self.kind,
+            "completed": {label: dict(entry) for label, entry in self.completed.items()},
+            "pending_label": self.pending_label,
+            "checkpoint": None if self.checkpoint is None else self.checkpoint.to_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "JobSnapshot":
+        """Parse a persisted snapshot; raises :class:`CheckpointError` and
+        nothing else on a malformed one.
+
+        An absent ``completed``, ``pending_label`` or ``checkpoint`` means
+        nothing to skip or verify, and other keys are ignored, so a fleet
+        snapshot from before fleets checkpointed (it held only a scheduler
+        step count) resumes by re-running from scratch.
+        """
+        if not isinstance(data, dict):
+            raise CheckpointError(f"job snapshot is a {type(data).__name__}, not an object")
+        kind = data.get("kind")
+        if kind not in JOB_KINDS:
+            raise CheckpointError(f"job snapshot has unknown kind {kind!r}")
+        completed = data.get("completed", {})
+        if not isinstance(completed, dict):
+            raise CheckpointError("job snapshot's 'completed' is not an object")
+        for label, entry in completed.items():
+            if not (
+                isinstance(entry, dict)
+                and all(isinstance(entry.get(key), str) for key in ("cache_key", "trace", "device"))
+                and type(entry.get("cached")) is bool
+                and isinstance(entry.get("summary"), dict)
+            ):
+                raise CheckpointError(
+                    f"job snapshot's completed point {label!r} needs string cache_key, "
+                    "trace and device, a bool cached and a summary object"
+                )
+        pending_label = data.get("pending_label")
+        if pending_label is not None and not isinstance(pending_label, str):
+            raise CheckpointError("job snapshot's 'pending_label' is not a string or null")
+        checkpoint = data.get("checkpoint")
+        return cls(
+            kind=kind,
+            completed={label: dict(entry) for label, entry in completed.items()},
+            pending_label=pending_label,
+            checkpoint=None if checkpoint is None else ReplayCheckpoint.from_dict(checkpoint),
+        )
 
 
 def job_sort_key(record: JobRecord) -> tuple:

@@ -198,7 +198,7 @@ def job_result_payload(record) -> Dict[str, Any]:
 
 def snapshot_payload(record) -> Dict[str, Any]:
     """``GET /jobs/<id>/snapshot``: the paused job's resume snapshot
-    (already versioned by the daemon's snapshot builders)."""
+    (already versioned by ``JobSnapshot.to_dict``)."""
     from repro.daemon.jobs import DAEMON_SCHEMA_VERSION
 
     return {

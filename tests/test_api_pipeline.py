@@ -477,3 +477,63 @@ class TestPauseResumePin:
                 profiler_trace=small_linear_capture.profiler_trace,
                 resume_from=ReplayCheckpoint.from_dict(token),
             )
+
+    def test_resume_with_tampered_measured_prefix_raises(self, small_linear_capture):
+        """Boundary 3 is (2 warm-up, 1 measured): the token carries one
+        measured iteration time, which the resumed replay re-creates."""
+        token = self._paused_token(small_linear_capture, 3)
+        assert len(token["iteration_times_us"]) == 1
+        token["iteration_times_us"][0] += 1.0
+        with pytest.raises(CheckpointError, match="iteration times"):
+            run_replay(
+                small_linear_capture.execution_trace,
+                config=self.CONFIG,
+                profiler_trace=small_linear_capture.profiler_trace,
+                resume_from=ReplayCheckpoint.from_dict(token),
+            )
+
+    def test_explicit_pipeline_honours_pause_and_resume(self, small_linear_capture):
+        """Pause and resume live on the context, so a composed pipeline
+        checkpoints exactly like the default one."""
+        tapped = []
+
+        class Tap(ReplayStage):
+            name = "tap"
+
+            def run(self, context):
+                tapped.append(context.replayed_ops)
+
+        def pipeline():
+            return ReplayPipeline.default().insert_after("execute", Tap())
+
+        trace = small_linear_capture.execution_trace
+        profiler_trace = small_linear_capture.profiler_trace
+        reference = _summary_json(
+            run_replay(trace, config=self.CONFIG, profiler_trace=profiler_trace)
+        )
+        with pytest.raises(ReplayPaused) as paused:
+            run_replay(
+                trace, config=self.CONFIG, profiler_trace=profiler_trace,
+                pipeline=pipeline(), pause_check=self._pause_at(2),
+            )
+        assert tapped == []
+        resumed = run_replay(
+            trace, config=self.CONFIG, profiler_trace=profiler_trace,
+            pipeline=pipeline(), resume_from=paused.value.checkpoint,
+        )
+        assert _summary_json(resumed) == reference
+        assert len(tapped) == 1
+
+    def test_execute_stage_reads_pause_from_the_context(self, small_linear_capture):
+        context = ReplayContext(
+            trace=small_linear_capture.execution_trace,
+            profiler_trace=small_linear_capture.profiler_trace,
+            config=self.CONFIG,
+            pause_check=lambda: True,
+        )
+        ReplayPipeline.build_only().run_context(context)
+        stages = {stage.name: stage for stage in ReplayPipeline.default_stages()}
+        stages["init-comms"].run(context)
+        with pytest.raises(ReplayPaused) as paused:
+            ExecuteStage().run(context)
+        assert paused.value.checkpoint.completed_warmup == 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import itertools
 import json
 from collections import Counter
 from dataclasses import replace as dataclass_replace
@@ -30,8 +31,11 @@ from repro.cluster import (
 )
 from repro.cluster.rendezvous import EventRendezvous, RankBlocked, normalize_op
 from repro.core.pipeline import (
+    CheckpointError,
+    ReplayCheckpoint,
     ReplayContext,
     ReplayHook,
+    ReplayPaused,
     ReplayPipeline,
     ReplayPipelineError,
     make_collective_cost_model,
@@ -41,6 +45,7 @@ from repro.core.pipeline import (
 from repro.core import vectorize
 from repro.core.replayer import ReplayConfig
 from repro.core.vectorize import ProgramStore, program_environment
+from repro.daemon.jobs import JobSnapshot
 from repro.et.analyzer import CATEGORY_COMMS, categorize_node
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
 from repro.service.cli import main as cli_main
@@ -606,6 +611,82 @@ class TestReplayClusterFacade:
         report = api.replay_cluster(tmp_path).on("A100").iterations(1).run()
         assert report.num_replicas == WORLD
         assert report.unmatched_collectives == 0
+
+
+# ----------------------------------------------------------------------
+# Pause/resume: a fleet checkpoints exactly like a single replay
+# ----------------------------------------------------------------------
+class TestFleetPauseResumePin:
+    """The pause request is a boundary counter shared by every rank, never
+    a timer: it lands at one rank's iteration boundary with that rank's
+    checkpoint, and resume re-executes the fleet and verifies it there."""
+
+    CONFIG = ReplayConfig(device="A100", iterations=2, warmup_iterations=1)
+    #: Each rank crosses three boundaries; the third ends its replay, where
+    #: finishing beats pausing.
+    BOUNDARY_CALLS = WORLD * 3
+    PAUSABLE = {(rank, 1, done) for rank in range(WORLD) for done in (0, 1)}
+
+    @staticmethod
+    def _pause_at(boundary: int):
+        calls = itertools.count(1)
+        return lambda: next(calls) == boundary
+
+    def _snapshot_round_trip(self, checkpoint) -> ReplayCheckpoint:
+        token = json.dumps(JobSnapshot("cluster", checkpoint=checkpoint).to_dict())
+        return JobSnapshot.from_dict(json.loads(token)).checkpoint
+
+    def _paused_checkpoint(self, traces, boundary: int) -> ReplayCheckpoint:
+        with pytest.raises(ReplayPaused) as paused:
+            ClusterReplayer(self.CONFIG).replay(traces, pause_check=self._pause_at(boundary))
+        return self._snapshot_round_trip(paused.value.checkpoint)
+
+    def test_resume_at_every_boundary_is_byte_identical(self, fleet_traces):
+        reference = ClusterReplayer(self.CONFIG).replay(fleet_traces).to_dict()
+        rank_of = {
+            dataclass_replace(self.CONFIG, rank=rank).digest(): rank for rank in range(WORLD)
+        }
+        paused_at = set()
+        for boundary in range(1, self.BOUNDARY_CALLS + 1):
+            try:
+                report = ClusterReplayer(self.CONFIG).replay(
+                    fleet_traces, pause_check=self._pause_at(boundary)
+                )
+            except ReplayPaused as paused:
+                checkpoint = self._snapshot_round_trip(paused.checkpoint)
+                paused_at.add((
+                    rank_of[checkpoint.config_digest],
+                    checkpoint.completed_warmup,
+                    checkpoint.completed_iterations,
+                ))
+                report = ClusterReplayer(self.CONFIG).replay(
+                    fleet_traces, resume_from=checkpoint
+                )
+            assert report.to_dict() == reference, boundary
+        assert paused_at == self.PAUSABLE
+
+    def test_tampered_fingerprint_fails_the_fleet(self, fleet_traces):
+        checkpoint = self._paused_checkpoint(fleet_traces, 5)
+        checkpoint.clock_fingerprint[1] += 1  # the next ET node id
+        with pytest.raises(CheckpointError, match="clock fingerprint"):
+            ClusterReplayer(self.CONFIG).replay(fleet_traces, resume_from=checkpoint)
+
+    @pytest.mark.parametrize("source", ["another fleet", "another config"])
+    def test_foreign_checkpoint_is_refused_before_any_rank_runs(self, fleet_traces, source):
+        if source == "another fleet":
+            other = DistributedRunner(
+                lambda rank, world: make_small_rm(rank=rank, world_size=world), world_size=2
+            ).run()
+            checkpoint = self._paused_checkpoint([c.execution_trace for c in other], 1)
+        else:
+            checkpoint = self._paused_checkpoint(fleet_traces, 1)
+            checkpoint.config_digest = dataclass_replace(self.CONFIG, iterations=3).digest()
+        polled = []
+        with pytest.raises(CheckpointError, match="matches no rank"):
+            ClusterReplayer(self.CONFIG).replay(
+                fleet_traces, pause_check=lambda: polled.append(1), resume_from=checkpoint
+            )
+        assert polled == []
 
 
 # ----------------------------------------------------------------------

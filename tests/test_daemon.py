@@ -37,7 +37,7 @@ from repro.daemon import (
 )
 from repro.daemon.client import DaemonClient, DaemonClientError
 from repro.daemon.daemon import JobAccessError, UnknownJobError
-from repro.daemon.jobs import TERMINAL_STATES, cluster_snapshot, sweep_snapshot
+from repro.daemon.jobs import TERMINAL_STATES, JobSnapshot
 from repro.daemon.server import MAX_BODY_BYTES, DaemonRequestHandler, DaemonServer
 from repro.service import TraceRepository
 from repro.service.cache import ResultCache
@@ -141,7 +141,7 @@ class TestJobModel:
             spec=JobSpec("sweep", {"repo": "traces/"}),
             priority=3,
             seq=7,
-            snapshot=sweep_snapshot({}, "rm@A100", None),
+            snapshot=JobSnapshot("sweep", pending_label="rm@A100").to_dict(),
         )
         clone = JobRecord.from_dict(record.to_dict())
         assert clone.to_dict() == record.to_dict()
@@ -163,8 +163,8 @@ class TestJobModel:
             JobRecord.from_dict(data)
 
     def test_snapshots_are_versioned(self):
-        assert sweep_snapshot({}, None, None)["schema_version"] == DAEMON_SCHEMA_VERSION
-        assert cluster_snapshot(4)["schema_version"] == DAEMON_SCHEMA_VERSION
+        for kind in ("sweep", "cluster"):
+            assert JobSnapshot(kind).to_dict()["schema_version"] == DAEMON_SCHEMA_VERSION
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +535,9 @@ class TestPauseResumeAcrossRestart:
             paused = self._pause_asap(first, record.id)
         if paused.state == "paused":
             assert paused.snapshot["kind"] == "cluster"
-            assert paused.snapshot["completed_steps"] >= 0
+            assert paused.snapshot["completed"] == {}
+            assert paused.snapshot["pending_label"] is None
+            assert paused.snapshot["checkpoint"] is not None
             second = ReplayDaemon(state_dir, workers=1)
             with second:
                 second.resume(record.id)
@@ -562,6 +564,93 @@ class TestPauseResumeAcrossRestart:
         with second:
             final = second.wait(record.id, timeout=WAIT_S)
         assert final.state == "completed"
+
+
+# ----------------------------------------------------------------------
+# Snapshots that cannot be resumed fail their job, never a worker
+# ----------------------------------------------------------------------
+def _resume_with_snapshot(state_dir: Path, spec: JobSpec, snapshot) -> ReplayDaemon:
+    """A daemon whose store holds one paused job ``j1`` carrying
+    ``snapshot`` as persisted on disk."""
+    JobStore(state_dir).save(
+        JobRecord(id="j1", owner="alice", spec=spec, state="paused", seq=1, snapshot=snapshot)
+    )
+    return ReplayDaemon(state_dir, workers=1)
+
+
+def _fleet_checkpoint(trace_dir: Path) -> dict:
+    """A fleet checkpoint paused at the first rank boundary, as a dict."""
+    from repro.cluster import ClusterReplayer
+    from repro.core.pipeline import ReplayPaused
+    from repro.core.replayer import ReplayConfig
+
+    config = ReplayConfig.from_dict(cluster_payload(trace_dir)["config"])
+    with pytest.raises(ReplayPaused) as paused:
+        ClusterReplayer(config).replay(
+            ClusterReplayer.load_fleet(trace_dir), pause_check=lambda: True
+        )
+    return paused.value.checkpoint.to_dict()
+
+
+class TestUnresumableSnapshots:
+    @pytest.mark.parametrize(
+        "snapshot",
+        [
+            ["not", "an", "object"],
+            {"kind": "sweep", "completed": 5},
+            {"kind": "sweep", "completed": {"rm@A100": {"cache_key": 7, "summary": {}}}},
+        ],
+        ids=["non-object", "non-object-completed", "malformed-point"],
+    )
+    def test_malformed_snapshot_fails_the_job_and_the_worker_serves_on(
+        self, tmp_path, daemon_repo, snapshot
+    ):
+        spec = JobSpec("sweep", sweep_payload(daemon_repo))
+        with _resume_with_snapshot(tmp_path / "state", spec, snapshot) as daemon:
+            daemon.resume("j1")
+            final = daemon.wait("j1", timeout=WAIT_S)
+            assert final.state == "failed"
+            assert final.error_type == "CheckpointError"
+            after = daemon.submit("alice", spec)
+            assert daemon.wait(after.id, timeout=WAIT_S).state == "completed"
+            assert all(thread.is_alive() for thread in daemon.executor._threads)
+
+    @pytest.mark.parametrize("tamper", ["fingerprint", "other-fleet"])
+    def test_fleet_checkpoint_mismatch_fails_the_job(
+        self, tmp_path, fleet_dir, tamper
+    ):
+        checkpoint = _fleet_checkpoint(fleet_dir)
+        if tamper == "fingerprint":
+            checkpoint["clock_fingerprint"][1] += 1  # the next ET node id
+        else:
+            other = tmp_path / "other_fleet"
+            runner = DistributedRunner(
+                lambda rank, world: make_small_rm(rank=rank, world_size=world), world_size=2
+            )
+            DistributedRunner.save_captures(runner.run(), other)
+            checkpoint = _fleet_checkpoint(other)
+        spec = JobSpec("cluster", cluster_payload(fleet_dir))
+        snapshot = {"kind": "cluster", "checkpoint": checkpoint}
+        with _resume_with_snapshot(tmp_path / "state", spec, snapshot) as daemon:
+            daemon.resume("j1")
+            final = daemon.wait("j1", timeout=WAIT_S)
+        assert final.state == "failed"
+        assert final.error_type == "CheckpointError"
+
+    def test_fleet_snapshot_without_checkpoint_reruns_from_scratch(
+        self, tmp_path, fleet_dir
+    ):
+        """A fleet snapshot written before fleets checkpointed held only a
+        scheduler step count; it resumes as a fresh run."""
+        spec = JobSpec("cluster", cluster_payload(fleet_dir))
+        snapshot = {"schema_version": DAEMON_SCHEMA_VERSION, "kind": "cluster", "steps": 17}
+        with _resume_with_snapshot(tmp_path / "state", spec, snapshot) as daemon:
+            daemon.resume("j1")
+            final = daemon.wait("j1", timeout=WAIT_S)
+            fresh = daemon.submit("alice", spec)
+            reference = daemon.wait(fresh.id, timeout=WAIT_S)
+        assert final.state == reference.state == "completed"
+        assert final.result["report"] == reference.result["report"]
 
 
 # ----------------------------------------------------------------------

@@ -474,3 +474,39 @@ class TestDaemonRepositoryGuard:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text("repository = TraceRepository(root)\n")
         assert checker.find_offenders(tmp_path) == {}
+
+
+class TestPauseSignalGuard:
+    """``scripts/check_deprecated_usage.py`` keeps one pause signal:
+    ``BaseException`` subclasses are defined only in ``core/pipeline.py``."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "class ClusterHalt(BaseException):\n",
+            "class Stop(RuntimeError, BaseException):\n",
+            "class Quit(KeyboardInterrupt):\n",
+            "class RankPaused(ReplayPaused):\n",
+        ],
+    )
+    def test_rule_fires_outside_the_pipeline(self, tmp_path, source):
+        checker = _load_usage_checker()
+        bad = tmp_path / "src" / "repro" / "cluster"
+        bad.mkdir(parents=True)
+        (bad / "scheduler.py").write_text(source)
+        offenders = checker.find_offenders(tmp_path)
+        assert list(offenders) == ["pause-signal"]
+        assert "scheduler.py:1" in offenders["pause-signal"][0]
+
+    def test_pipeline_and_ordinary_exceptions_are_exempt(self, tmp_path):
+        checker = _load_usage_checker()
+        pipeline = tmp_path / "src" / "repro" / "core" / "pipeline.py"
+        pipeline.parent.mkdir(parents=True)
+        pipeline.write_text("class ReplayPaused(BaseException):\n")
+        other = tmp_path / "src" / "repro" / "daemon" / "jobs.py"
+        other.parent.mkdir(parents=True)
+        other.write_text(
+            "class JobStateError(RuntimeError):\n"
+            "    def on_error(self, error: BaseException) -> None: ...\n"
+        )
+        assert checker.find_offenders(tmp_path) == {}

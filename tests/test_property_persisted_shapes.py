@@ -1,12 +1,12 @@
 """Property-based tests (hypothesis) for the daemon's persisted shapes.
 
-A job spec, a job record and a replay checkpoint are read back from disk
-or from a request body, so each ``from_dict`` must either accept its input
-(and the accepted value must survive ``to_dict`` -> JSON -> ``from_dict``
-unchanged) or raise that shape's typed error: ``ValueError`` for
-``JobSpec``/``JobRecord``, :class:`CheckpointError` for
-``ReplayCheckpoint``.  Anything else (a ``KeyError``, ``TypeError``,
-``AttributeError``...) is a bug this suite is here to catch.
+A job spec, a job record, a job snapshot and a replay checkpoint are read
+back from disk or from a request body, so each ``from_dict`` must either
+accept its input (and the accepted value must survive ``to_dict`` -> JSON
+-> ``from_dict`` unchanged) or raise that shape's typed error:
+``ValueError`` for ``JobSpec``/``JobRecord``, :class:`CheckpointError`
+for ``JobSnapshot``/``ReplayCheckpoint``.  Anything else (a ``KeyError``,
+``TypeError``, ``AttributeError``...) is a bug this suite is here to catch.
 """
 
 import json
@@ -14,7 +14,7 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import CheckpointError, ReplayCheckpoint
-from repro.daemon.jobs import JOB_KINDS, JOB_STATES, JobRecord, JobSpec
+from repro.daemon.jobs import JOB_KINDS, JOB_STATES, JobRecord, JobSnapshot, JobSpec
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -73,6 +73,43 @@ def checkpoint_dicts(draw):
         skipped_ops=draw(counts),
         measure_start_us=draw(finite_times),
     ).to_dict()
+
+
+@st.composite
+def completed_points(draw):
+    return {
+        "cache_key": draw(st.text(max_size=8)),
+        "trace": draw(st.text(max_size=8)),
+        "device": draw(st.text(max_size=8)),
+        "cached": draw(st.booleans()),
+        "summary": draw(json_objects),
+    }
+
+
+@st.composite
+def job_snapshot_dicts(draw):
+    checkpoint = draw(st.none() | checkpoint_dicts())
+    return JobSnapshot(
+        kind=draw(st.sampled_from(JOB_KINDS)),
+        completed=draw(st.dictionaries(st.text(max_size=8), completed_points(), max_size=3)),
+        pending_label=draw(st.none() | st.text(max_size=8)),
+        checkpoint=None if checkpoint is None else ReplayCheckpoint.from_dict(checkpoint),
+    ).to_dict()
+
+
+@st.composite
+def point_mutated_snapshots(draw):
+    """A valid snapshot with one field of one completed point replaced or
+    deleted."""
+    data = draw(job_snapshot_dicts())
+    data["completed"].setdefault("point", draw(completed_points()))
+    entry = data["completed"][draw(st.sampled_from(sorted(data["completed"])))]
+    key = draw(st.sampled_from(sorted(entry)))
+    if draw(st.booleans()):
+        del entry[key]
+    else:
+        entry[key] = draw(json_values)
+    return data
 
 
 def mutated(valid):
@@ -154,3 +191,25 @@ class TestReplayCheckpointFuzz:
     @settings(max_examples=150, deadline=None)
     def test_field_mutations_round_trip_or_raise_checkpoint_error(self, data):
         _round_trips_or_rejects(ReplayCheckpoint, CheckpointError, data)
+
+
+class TestJobSnapshotFuzz:
+    @given(json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_random_json_round_trips_or_raises_checkpoint_error(self, value):
+        _round_trips_or_rejects(JobSnapshot, CheckpointError, value)
+
+    @given(job_snapshot_dicts())
+    @settings(max_examples=50, deadline=None)
+    def test_valid_snapshots_round_trip(self, data):
+        assert JobSnapshot.from_dict(data).to_dict() == data
+
+    @given(mutated(job_snapshot_dicts()))
+    @settings(max_examples=150, deadline=None)
+    def test_field_mutations_round_trip_or_raise_checkpoint_error(self, data):
+        _round_trips_or_rejects(JobSnapshot, CheckpointError, data)
+
+    @given(point_mutated_snapshots())
+    @settings(max_examples=100, deadline=None)
+    def test_point_mutations_round_trip_or_raise_checkpoint_error(self, data):
+        _round_trips_or_rejects(JobSnapshot, CheckpointError, data)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.daemon import DAEMON_SCHEMA_VERSION, JobRecord, JobSpec
-from repro.daemon.jobs import cluster_snapshot, sweep_snapshot
+from repro.daemon.jobs import JobSnapshot
 from repro.service import serialize
 
 #: The pinned key sets — the CLI/REST contract.
@@ -28,10 +28,10 @@ BATCH_JOB_KEYS = {
     "label", "trace", "device", "cached", "error", "error_type", "traceback",
     "summary",
 }
-SWEEP_SNAPSHOT_KEYS = {
+#: One snapshot shape for sweep and cluster jobs alike.
+SNAPSHOT_BODY_KEYS = {
     "schema_version", "kind", "completed", "pending_label", "checkpoint"
 }
-CLUSTER_SNAPSHOT_KEYS = {"schema_version", "kind", "completed_steps"}
 
 
 def roundtrip(payload):
@@ -68,7 +68,7 @@ class TestJobPayload:
         done = serialize.job_payload(make_record())
         assert done["has_result"] is True and done["has_snapshot"] is False
         paused = serialize.job_payload(
-            make_record(state="paused", result=None, snapshot=sweep_snapshot({}, None, None))
+            make_record(state="paused", result=None, snapshot=JobSnapshot("sweep").to_dict())
         )
         assert paused["has_result"] is False and paused["has_snapshot"] is True
 
@@ -105,22 +105,25 @@ class TestResultAndSnapshotPayloads:
         assert roundtrip(payload) == payload
 
     def test_sweep_snapshot_payload(self):
-        snapshot = sweep_snapshot(
-            {"rm@A100": {"cache_key": "k", "summary": {}, "cached": False}},
+        snapshot = JobSnapshot(
+            "sweep",
+            {"rm@A100": {
+                "cache_key": "k", "trace": "rm", "device": "A100", "cached": False,
+                "summary": {},
+            }},
             "rm@V100",
-            {"schema_version": 1, "completed_iterations": 3},
-        )
-        assert set(snapshot) == SWEEP_SNAPSHOT_KEYS
+        ).to_dict()
+        assert set(snapshot) == SNAPSHOT_BODY_KEYS
         record = make_record(state="paused", result=None, snapshot=snapshot)
         payload = serialize.snapshot_payload(record)
         assert set(payload) == SNAPSHOT_KEYS
         assert payload["snapshot"] == snapshot
         assert roundtrip(payload) == payload
 
-    def test_cluster_snapshot_payload(self):
-        snapshot = cluster_snapshot(17)
-        assert set(snapshot) == CLUSTER_SNAPSHOT_KEYS
-        assert snapshot["completed_steps"] == 17
+    def test_fleet_snapshot_payload(self):
+        snapshot = JobSnapshot("cluster").to_dict()
+        assert set(snapshot) == SNAPSHOT_BODY_KEYS
+        assert snapshot["completed"] == {} and snapshot["pending_label"] is None
         record = make_record(
             spec=JobSpec("cluster", {"trace_dir": "fleet/"}),
             state="paused", result=None, snapshot=snapshot,
