@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Eleven rules, one pass:
+Twelve rules, one pass:
 
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
   and ``src/repro/daemon/`` — batch work flows through the facade
@@ -55,6 +55,13 @@ Eleven rules, one pass:
   raised at an iteration boundary with a verified ``ReplayCheckpoint``,
   pauses single replays, sweep points and fleet ranks alike.  A second
   control-flow signal would be a second pause mechanism.
+* Build products do not depend on the rank.  ``.rank`` is not read in the
+  build-stage modules (``core/selection.py``, ``core/tensors.py``,
+  ``core/streams.py``, ``core/reconstruction.py``,
+  ``core/comms_replay.py``) or in ``cluster/plan.py``: the ranks of a
+  co-replay with the same trace content share one ``FleetPlan`` of what
+  those modules build, which is sound only while none of it can differ
+  from rank to rank.
 
 Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 1 with a file:line listing otherwise.  ``tests/test_profiling.py`` drives
@@ -238,6 +245,23 @@ RULES = (
             "BaseException subclass defined outside core/pipeline.py (pause "
             "through the one signal, ReplayPaused with a ReplayCheckpoint, "
             "via a context's pause_check)"
+        ),
+    ),
+    Rule(
+        name="plan-rank-blind",
+        pattern=re.compile(r"\.rank\b"),
+        roots=(
+            "src/repro/core/selection.py",
+            "src/repro/core/tensors.py",
+            "src/repro/core/streams.py",
+            "src/repro/core/reconstruction.py",
+            "src/repro/core/comms_replay.py",
+            "src/repro/cluster/plan.py",
+        ),
+        message=(
+            "a build stage or the fleet plan reads the rank (the ranks of a "
+            "co-replay with the same trace content share one FleetPlan of build "
+            "products, so nothing that builds them may depend on the rank)"
         ),
     ),
 )

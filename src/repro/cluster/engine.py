@@ -5,11 +5,15 @@ produced by :class:`repro.workloads.ddp.DistributedRunner` — one trace per
 rank, captured from the same iteration) and co-replays them under the
 virtual-time collective scheduler:
 
-1. **Pre-flight match** (:func:`match_collectives`): every collective is
+1. **Fleet plans** (:mod:`repro.cluster.plan`): ranks with the same trace
+   content, config (rank aside) and profiler trace share one
+   :class:`~repro.cluster.plan.FleetPlan`, so their build products and
+   comm records are derived once per plan, not once per rank.
+2. **Pre-flight match** (:func:`match_collectives`): every collective is
    matched across ranks by (process-group ranks, sequence number, operator
    name) *before* anything replays, so a malformed fleet fails with a
    precise report instead of a mid-replay stall.
-2. **Event loop**: one :class:`~repro.core.pipeline.ReplayContext` per
+3. **Event loop**: one :class:`~repro.core.pipeline.ReplayContext` per
    trace (its config's ``rank`` pinned, plus any per-rank overrides), all
    running the co-replay's one default stage pipeline as op *cursors*
    advanced by the single-threaded
@@ -17,7 +21,7 @@ virtual-time collective scheduler:
    when its next collective cannot resolve yet and is woken when the
    :class:`~repro.cluster.rendezvous.EventRendezvous` resolves the slot,
    so fleets of thousands of ranks need no thread per rank.
-3. **Aggregate**: per-rank results and the rendezvous's event log fold into
+4. **Aggregate**: per-rank results and the rendezvous's event log fold into
    a :class:`ClusterReport` — per-rank timelines, exposed-communication
    time, rendezvous stall, and the slowest-rank critical path.
 
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field, replace as dataclass_replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.comms_replay import CommReplayManager
+from repro.core.comms_replay import CommPlan
 from repro.core.pipeline import (
     CheckpointError,
     ReplayCheckpoint,
@@ -46,10 +50,10 @@ from repro.core.pipeline import (
 from repro.core.registry import ReplaySupport
 from repro.core.replayer import ReplayConfig, ReplayResultSummary
 from repro.core.vectorize import ProgramStore
-from repro.cluster.rendezvous import CollectiveKey, EventRendezvous, normalize_op
+from repro.cluster.plan import FleetPlan, collective_keys, plan_for
+from repro.cluster.rendezvous import CollectiveKey, EventRendezvous
 from repro.cluster.scheduler import VirtualTimeScheduler
 from repro.et.trace import ExecutionTrace
-from repro.torchsim.distributed import group_key
 from repro.torchsim.profiler import ProfilerTrace
 
 #: What :meth:`ClusterReplayer.replay` accepts per rank: a trace, a path to
@@ -106,17 +110,8 @@ class CollectiveMatchReport:
         return not self.unmatched
 
 
-def _comm_keys(trace: ExecutionTrace) -> List[CollectiveKey]:
-    """The collective call sequence of one trace, keyed for matching."""
-    world_size = int(trace.metadata.get("world_size", 1))
-    keys: List[CollectiveKey] = []
-    for record in CommReplayManager.extract(trace):
-        ranks = record.recorded_group.get("ranks")
-        if not isinstance(ranks, (list, tuple)) or not ranks:
-            # No recorded group means the default group over the full world.
-            ranks = range(world_size)
-        keys.append((group_key(ranks), normalize_op(record.name)))
-    return keys
+def _world_size(trace: ExecutionTrace) -> int:
+    return int(trace.metadata.get("world_size", 1))
 
 
 def match_collectives(traces: Sequence[ExecutionTrace]) -> CollectiveMatchReport:
@@ -129,13 +124,22 @@ def match_collectives(traces: Sequence[ExecutionTrace]) -> CollectiveMatchReport
     partial, symmetric-rank replay) only need agreement among the replayed
     members.
     """
-    replayed = {int(trace.metadata.get("rank", 0)) for trace in traces}
+    return _match([
+        (
+            int(trace.metadata.get("rank", 0)),
+            collective_keys(CommPlan.build(trace), _world_size(trace)),
+        )
+        for trace in traces
+    ])
+
+
+def _match(rank_keys: Sequence[Tuple[int, Sequence[CollectiveKey]]]) -> CollectiveMatchReport:
+    """:func:`match_collectives` over each rank's collective keys."""
+    replayed = {rank for rank, _ in rank_keys}
     counts: Dict[int, Dict[CollectiveKey, int]] = {}
     report = CollectiveMatchReport()
-    for trace in traces:
-        rank = int(trace.metadata.get("rank", 0))
+    for rank, keys in rank_keys:
         per_key = counts.setdefault(rank, {})
-        keys = _comm_keys(trace)
         report.per_rank_counts[rank] = len(keys)
         for key in keys:
             per_key[key] = per_key.get(key, 0) + 1
@@ -473,7 +477,20 @@ class ClusterReplayer:
                 "replayed rank"
             )
 
-        match = match_collectives(fleet)
+        # One fleet plan per plan key: ranks with the same trace content,
+        # config and profiler trace share their build products, which
+        # also depend on the one replay support every rank gets.
+        support = self.support if self.support is not None else ReplaySupport()
+        plans: Dict[Any, List[FleetPlan]] = {}
+        ranked = []
+        for trace, profiler, rank in zip(fleet, profilers, ranks):
+            config = dataclass_replace(self.config, rank=rank, **rank_overrides.get(rank, {}))
+            ranked.append((trace, profiler, config, plan_for(plans, trace, config, profiler)))
+
+        match = _match([
+            (config.rank, plan.collective_keys(_world_size(trace)))
+            for trace, _, config, plan in ranked
+        ])
         if self.strict_match and not match.ok:
             raise ClusterMatchError(
                 "collectives cannot be matched across the fleet:\n  "
@@ -502,8 +519,8 @@ class ClusterReplayer:
         tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         profile_hooks: Dict[int, Any] = {}
         contexts = []
-        for trace, profiler in zip(fleet, profilers):
-            rank = int(trace.metadata.get("rank", 0))
+        for trace, profiler, config, plan in ranked:
+            rank = config.rank
             profile_hook = None
             if self.profile_hook_factory is not None:
                 profile_hook = profile_hooks[rank] = self.profile_hook_factory(rank)
@@ -517,14 +534,13 @@ class ClusterReplayer:
             contexts.append(
                 ReplayContext(
                     trace=trace,
-                    config=dataclass_replace(
-                        self.config, rank=rank, **rank_overrides.get(rank, {})
-                    ),
+                    config=config,
                     profiler_trace=profiler,
-                    support=self.support,
+                    support=support,
                     hooks=hooks,
                     programs=programs,
                     pause_check=pause_check,
+                    plan=plan,
                 )
             )
         if resume_from is not None:

@@ -35,6 +35,34 @@ class CommOpRecord:
 
 
 @dataclass
+class CommPlan:
+    """What a replay needs from a trace's communication operators, derived
+    in one pass: a co-replay's fleet plan builds it once and serves both the
+    pre-flight collective match and every rank's ``init-comms`` from it."""
+
+    records: List[CommOpRecord]
+    #: The distinct replay-side group descriptions
+    #: (:meth:`CommReplayManager.map_group`), in order of first use: the
+    #: groups ``init-comms`` pre-creates.
+    descriptions: List[Dict[str, object]]
+
+    @classmethod
+    def build(cls, trace: ExecutionTrace, remap_to_world_size: Optional[int] = None) -> "CommPlan":
+        records = CommReplayManager.extract(trace)
+        mapper = CommReplayManager(remap_to_world_size)
+        return cls(records=records, descriptions=mapper.group_descriptions(records))
+
+    def ensure_groups(self, dist: DistributedContext) -> List[ProcessGroup]:
+        """Pre-create every process group the replay will need on ``dist``.
+
+        Creating groups during initialisation (rather than lazily inside the
+        measured region) mirrors the paper's implementation and avoids
+        perturbing the replayed timing.
+        """
+        return [dist.group_for_description(description) for description in self.descriptions]
+
+
+@dataclass
 class CommSummary:
     """Aggregate communication pattern of a trace."""
 
@@ -47,10 +75,8 @@ class CommSummary:
 class CommReplayManager:
     """Maps recorded process groups onto replay-side groups."""
 
-    def __init__(self, dist: Optional[DistributedContext] = None, remap_to_world_size: Optional[int] = None):
-        self.dist = dist
+    def __init__(self, remap_to_world_size: Optional[int] = None):
         self.remap_to_world_size = remap_to_world_size
-        self._group_cache: Dict[str, ProcessGroup] = {}
 
     # ------------------------------------------------------------------
     # Extraction
@@ -121,27 +147,15 @@ class CommReplayManager:
             "backend": recorded_group.get("backend", "nccl"),
         }
 
-    def ensure_groups(self, records: Sequence[CommOpRecord]) -> List[ProcessGroup]:
-        """Pre-create every process group the replay will need.
-
-        Creating groups during initialisation (rather than lazily inside the
-        measured region) mirrors the paper's implementation and avoids
-        perturbing the replayed timing.
-        """
-        if self.dist is None:
-            return []
-        groups: List[ProcessGroup] = []
+    def group_descriptions(self, records: Sequence[CommOpRecord]) -> List[Dict[str, object]]:
+        """The distinct replay-side group descriptions of ``records``
+        (:meth:`map_group`), in order of first use."""
+        descriptions: Dict[str, Dict[str, object]] = {}
         for record in records:
             description = self.map_group(record.recorded_group)
-            if description is None:
-                continue
-            key = repr(sorted(description.items()))
-            if key in self._group_cache:
-                continue
-            group = self.dist.group_for_description(description)
-            self._group_cache[key] = group
-            groups.append(group)
-        return groups
+            if description is not None:
+                descriptions.setdefault(repr(sorted(description.items())), description)
+        return list(descriptions.values())
 
 
 # ----------------------------------------------------------------------

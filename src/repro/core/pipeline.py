@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import vectorize
-from repro.core.comms_replay import CommReplayManager
+from repro.core.comms_replay import CommPlan, CommReplayManager
 from repro.core.reconstruction import OperatorReconstructor, ReconstructionError, ReconstructedOp
 from repro.core.registry import ReplaySupport
 from repro.core.selection import OperatorSelector, SelectionResult
 from repro.core.streams import StreamAssigner, StreamAssignment
-from repro.core.tensors import TensorManager
+from repro.core.tensors import TensorManager, classify_tensors
 from repro.hardware.counters import compute_system_metrics
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
 from repro.torchsim.distributed import DistributedContext, RankBlocked, retry_collective
@@ -228,6 +228,26 @@ class ReplayPaused(BaseException):
         self.checkpoint = checkpoint
 
 
+def shared_product(plan: Optional[Any], name: str, build: Callable[[], Any]) -> Any:
+    """The product ``name`` of a fleet ``plan``, built by ``build()`` when
+    the plan lacks it; with no plan, just ``build()``."""
+    if plan is None:
+        return build()
+    products = plan.products
+    if name not in products:
+        products[name] = build()
+    return products[name]
+
+
+def comm_plan(plan: Optional[Any], trace: ExecutionTrace, config: "ReplayConfig") -> CommPlan:
+    """The :class:`CommPlan` of a replay of ``trace`` under ``config``, kept
+    on ``plan``: ``init-comms`` pre-creates its groups and a co-replay's
+    pre-flight match keys its records."""
+    return shared_product(
+        plan, "comms", lambda: CommPlan.build(trace, config.remap_world_size)
+    )
+
+
 # ----------------------------------------------------------------------
 # Context
 # ----------------------------------------------------------------------
@@ -257,6 +277,11 @@ class ReplayContext:
     #: A checkpoint this replay continues: the execute stage verifies the
     #: re-executed prefix against it at the recorded boundary.
     resume_from: Optional[ReplayCheckpoint] = None
+    #: The build products this replay shares with the other ranks of its
+    #: co-replay that have the same trace content, config and profiler
+    #: trace (a :class:`~repro.cluster.plan.FleetPlan`, set by the cluster
+    #: engine); ``None`` builds everything for this replay alone.
+    plan: Optional[Any] = None
 
     # Build products.
     selection: Optional[SelectionResult] = None
@@ -298,6 +323,13 @@ class ReplayContext:
                 f"stage produced — check the pipeline's stage order"
             )
         return value
+
+    def shared(self, name: str, build: Callable[[], Any]) -> Any:
+        """The build product ``name``: the copy on this replay's fleet plan
+        when another rank of the plan already built it, else ``build()``
+        (kept on the plan for the other ranks).  Build stages get every
+        product that does not depend on the rank through here."""
+        return shared_product(self.plan, name, build)
 
     def emit_op_replayed(self, entry, output) -> None:
         """Notify every registered hook that one operator was replayed."""
@@ -381,12 +413,14 @@ class SelectStage(ReplayStage):
     name = "select"
 
     def run(self, context: ReplayContext) -> None:
-        selector = OperatorSelector(context.support)
-        context.selection = selector.select(
-            context.trace,
-            profiler_trace=context.profiler_trace,
-            subtrace_label=context.config.subtrace_label,
-            categories=context.config.categories,
+        context.selection = context.shared(
+            "selection",
+            lambda: OperatorSelector(context.support).select(
+                context.trace,
+                profiler_trace=context.profiler_trace,
+                subtrace_label=context.config.subtrace_label,
+                categories=context.config.categories,
+            ),
         )
 
 
@@ -400,20 +434,31 @@ class ReconstructStage(ReplayStage):
 
     def run(self, context: ReplayContext) -> None:
         selection = context.require("selection", self)
+        context.reconstructed, context.reconstruction_failures = context.shared(
+            "reconstruct", lambda: self._reconstruct(context, selection)
+        )
+
+    @staticmethod
+    def _reconstruct(
+        context: ReplayContext, selection: SelectionResult
+    ) -> Tuple[Dict[int, ReconstructedOp], Dict[int, str]]:
+        """The callables by node id, and the reasons of the nodes that
+        failed (marked unsupported on the selection)."""
         reconstructor = OperatorReconstructor(context.support.registry)
-        group_mapper = CommReplayManager(None, context.config.remap_world_size)
-        context.reconstructed = {}
-        context.reconstruction_failures = {}
+        group_mapper = CommReplayManager(context.config.remap_world_size)
+        reconstructed: Dict[int, ReconstructedOp] = {}
+        failures: Dict[int, str] = {}
         for entry in selection.supported_entries():
             node = entry.node
             if context.config.remap_world_size is not None and entry.category == "comms":
                 node = _with_remapped_group(node, group_mapper)
             try:
-                context.reconstructed[entry.node.id] = reconstructor.reconstruct(node)
+                reconstructed[entry.node.id] = reconstructor.reconstruct(node)
             except ReconstructionError as error:
                 entry.supported = False
                 entry.reason = str(error)
-                context.reconstruction_failures[entry.node.id] = str(error)
+                failures[entry.node.id] = str(error)
+        return reconstructed, failures
 
 
 class MaterializeTensorsStage(ReplayStage):
@@ -424,8 +469,12 @@ class MaterializeTensorsStage(ReplayStage):
 
     def run(self, context: ReplayContext) -> None:
         selection = context.require("selection", self)
-        context.tensor_manager = TensorManager(embedding_config=context.config.embedding_config)
-        context.tensor_manager.classify(selection.entries)
+        context.tensor_manager = TensorManager(
+            embedding_config=context.config.embedding_config,
+            classification=context.shared(
+                "tensors", lambda: classify_tensors(selection.entries)
+            ),
+        )
 
 
 class AssignStreamsStage(ReplayStage):
@@ -435,7 +484,9 @@ class AssignStreamsStage(ReplayStage):
 
     def run(self, context: ReplayContext) -> None:
         profiler_trace = context.profiler_trace if context.config.use_streams else None
-        context.stream_assignment = StreamAssigner().assign(context.trace, profiler_trace)
+        context.stream_assignment = context.shared(
+            "streams", lambda: StreamAssigner().assign(context.trace, profiler_trace)
+        )
 
 
 class InitCommsStage(ReplayStage):
@@ -451,8 +502,9 @@ class InitCommsStage(ReplayStage):
         if context.runtime is None:
             context.runtime = make_replay_runtime(context.trace, context.config)
         if context.runtime.dist is not None:
-            comm_manager = CommReplayManager(context.runtime.dist, context.config.remap_world_size)
-            comm_manager.ensure_groups(CommReplayManager.extract(context.trace))
+            comm_plan(context.plan, context.trace, context.config).ensure_groups(
+                context.runtime.dist
+            )
 
 
 class ExecuteStage(ReplayStage):
@@ -611,7 +663,9 @@ class ExecuteStage(ReplayStage):
         ``context.extras`` so programs learned during warm-up iterations
         pay off across every measured iteration; it learns into
         ``context.programs`` (a co-replay's fleet-shared store) or, when
-        that is ``None``, into a store private to this replay.
+        that is ``None``, into a store private to this replay.  Its node
+        bindings are the fleet plan's when the plan may share them (see
+        :func:`~repro.core.vectorize.shared_bindings`).
         """
         if getattr(context.config, "vectorized", True) and (
             runtime.observer is None or not runtime.observer.enabled
@@ -621,7 +675,12 @@ class ExecuteStage(ReplayStage):
                 store = context.programs
                 if store is None:
                     store = vectorize.ProgramStore()
-                executor = vectorize.VectorizedExecutor(store.partition(runtime))
+                bindings = None
+                if context.plan is not None:
+                    bindings = context.shared(
+                        "bindings", lambda: vectorize.shared_bindings(runtime.registry)
+                    )
+                executor = vectorize.VectorizedExecutor(store.partition(runtime), bindings)
                 context.extras[vectorize.EXTRAS_KEY] = executor
             return executor.replay_entries(context, runtime)
         return self._replay_once_scalar(context, runtime)

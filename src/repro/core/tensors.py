@@ -69,50 +69,58 @@ class TensorClassification:
     external: List[TensorKey] = field(default_factory=list)
 
 
+def classify_tensors(entries: Sequence[ReplayPlanEntry]) -> TensorClassification:
+    """Classify every input tensor of the replay plan.
+
+    A tensor is *intermediate* when an earlier plan entry lists it among
+    its outputs; otherwise it is *external* and must be instantiated
+    before execution.
+    """
+    produced: set = set()
+    intermediate: List[TensorKey] = []
+    external: List[TensorKey] = []
+    seen: set = set()
+    for entry in entries:
+        for ref in entry.node.input_tensor_refs():
+            key = (ref[0], ref[1])
+            if key in seen:
+                continue
+            seen.add(key)
+            if key in produced:
+                intermediate.append(key)
+            else:
+                external.append(key)
+        for ref in entry.node.output_tensor_refs():
+            produced.add((ref[0], ref[1]))
+    return TensorClassification(intermediate=intermediate, external=external)
+
+
 class TensorManager:
-    """Creates and tracks the tensors used during replay."""
+    """Creates and tracks the tensors used during replay.
+
+    ``classification`` is the replay plan's (:func:`classify_tensors`);
+    the ranks of a co-replay that share one fleet plan share it, each with
+    its own tensors.
+    """
 
     def __init__(
         self,
         embedding_config: Optional[EmbeddingValueConfig] = None,
         device: Optional[Device] = None,
         materialize_values: bool = False,
+        classification: Optional[TensorClassification] = None,
     ) -> None:
         self.embedding_config = embedding_config
         self.device = device if device is not None else Device.cuda()
         self.materialize_values = materialize_values
         self._registry: Dict[TensorKey, Tensor] = {}
-        self._classification = TensorClassification()
+        self._classification = (
+            classification if classification is not None else TensorClassification()
+        )
 
     # ------------------------------------------------------------------
     # Classification (Section 4.4)
     # ------------------------------------------------------------------
-    def classify(self, entries: Sequence[ReplayPlanEntry]) -> TensorClassification:
-        """Classify every input tensor of the replay plan.
-
-        A tensor is *intermediate* when an earlier plan entry lists it among
-        its outputs; otherwise it is *external* and must be instantiated
-        before execution.
-        """
-        produced: set = set()
-        intermediate: List[TensorKey] = []
-        external: List[TensorKey] = []
-        seen: set = set()
-        for entry in entries:
-            for ref in entry.node.input_tensor_refs():
-                key = (ref[0], ref[1])
-                if key in seen:
-                    continue
-                seen.add(key)
-                if key in produced:
-                    intermediate.append(key)
-                else:
-                    external.append(key)
-            for ref in entry.node.output_tensor_refs():
-                produced.add((ref[0], ref[1]))
-        self._classification = TensorClassification(intermediate=intermediate, external=external)
-        return self._classification
-
     @property
     def classification(self) -> TensorClassification:
         return self._classification

@@ -50,6 +50,15 @@ so sharing rests on which operators a program dispatches:
   each rank captures and verifies its own program; a built-in that
   dispatches one is bound to the scalar path.
 
+The node *bindings* (node id → verified program, or scalar-forever) are
+the executor's record of what it learned, so a rank that finds a node bound
+skips its signature.  A single replay keeps them private.  The ranks of
+one co-replay fleet plan (same trace content, config and profiler trace;
+:class:`~repro.cluster.plan.FleetPlan`) share one table when
+:func:`shared_bindings` allows it: the first rank to verify a node binds
+it for the plan, and every other rank replays it on the fast path at its
+first occurrence.
+
 Equivalence contract: with ``ReplayConfig.vectorized=True`` (the default)
 every replay product — iteration times, timeline stats, kernel launches,
 profiler traces, cached result digests, cluster reports — is
@@ -230,14 +239,35 @@ def program_environment(runtime: Runtime) -> tuple:
     )
 
 
+def _module(op_def) -> str:
+    return getattr(op_def.fn, "__module__", None) or ""
+
+
 def _rank_blind(registry, op_name: str) -> bool:
     """True when ``op_name`` dispatches to a built-in compute operator,
     whose effect the ``rank-dependent-op`` lint rule keeps independent of
     the rank; user and overridden implementations may read it."""
     if not registry.has(op_name):
         return False
-    module = getattr(registry.get(op_name).fn, "__module__", None) or ""
+    module = _module(registry.get(op_name))
     return module.startswith(_BUILTIN_OPS) and module != _COMMS_OPS
+
+
+def shared_bindings(registry) -> Optional[Dict[int, Any]]:
+    """A node-binding table the ranks of one fleet plan can share, or
+    ``None`` when each rank must learn its bindings alone.
+
+    A rank that finds a node bound replays it without computing its
+    signature, which is sound only while the node's inputs — and so its
+    signature — are the same on every rank of the plan.  Built-in
+    operators keep them so: compute ops do not read the rank, and the comms
+    ops hand back their input tensors.  Any other implementation in
+    ``registry`` may hand rank-dependent outputs to the ops downstream of
+    it, so then every rank binds its nodes itself, as a lone replay does.
+    """
+    if all(_module(op_def).startswith(_BUILTIN_OPS) for op_def in registry):
+        return {}
+    return None
 
 
 class ProgramStore:
@@ -250,7 +280,10 @@ class ProgramStore:
     keys on its rank too — see the module docstring).  A single-rank
     replay gets a private store;
     :class:`~repro.cluster.engine.ClusterReplayer` creates one per
-    co-replay and puts it on every rank's context.
+    co-replay and puts it on every rank's context.  The store holds
+    programs only: which node replays which program is a binding, shared
+    by the ranks of one fleet plan (:func:`shared_bindings`) and otherwise
+    kept by each executor.
 
     The store takes no lock: the cluster scheduler drives every rank's
     cursor on one thread, and a cursor yields only at a blocked collective,
@@ -270,20 +303,24 @@ class VectorizedExecutor:
     """One replay's state of the vectorized execute loop.
 
     Lives on its :class:`~repro.core.pipeline.ReplayContext` (in
-    ``context.extras``), so the node bindings, the fingerprint cache and
-    :attr:`stats` are per replay (per rank in a co-replay).  The programs
-    themselves are a :class:`ProgramStore` partition that other replays of
-    the same environment may share: a program learned by any of them —
-    in any iteration — serves all of them.
+    ``context.extras``), so the fingerprint cache and :attr:`stats` are per
+    replay (per rank in a co-replay).  The programs themselves are a
+    :class:`ProgramStore` partition that other replays of the same
+    environment may share: a program learned by any of them — in any
+    iteration — serves all of them.  ``bindings`` is the node-binding
+    table of the replay's fleet plan (:func:`shared_bindings`); ``None``
+    gives the executor its own.
     """
 
-    def __init__(self, programs: Dict[Any, OpProgram]) -> None:
+    def __init__(
+        self, programs: Dict[Any, OpProgram], bindings: Optional[Dict[int, Any]] = None
+    ) -> None:
         #: signature → learned program (any state): a
         #: :meth:`ProgramStore.partition`.
         self._programs = programs
         #: node id → :class:`_FastBinding` (verified), an unverified
         #: :class:`OpProgram`, or ``None`` for scalar-forever.
-        self._bindings: Dict[int, Any] = {}
+        self._bindings: Dict[int, Any] = {} if bindings is None else bindings
         self._fingerprints = _DataFingerprintCache()
         #: Counters for tests and the profiling report: how many per-op
         #: replays took which path across all iterations so far.

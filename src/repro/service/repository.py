@@ -14,6 +14,7 @@ writes alongside) are skipped and reported in
 
 from __future__ import annotations
 
+import os
 import stat
 import threading
 import time
@@ -98,22 +99,55 @@ class TraceRepository:
         previous scan, and removed files drop out.
         """
         with self._lock:
-            return [record for record, _ in self._scan(reuse=True)]
+            scan_ns = time.time_ns()
+            entries: Dict[Path, Tuple[Signature, Union[TraceRecord, str]]] = {}
+            invalid: Dict[Path, str] = {}
+            found: List[TraceRecord] = []
+            for path, status in self._candidates():
+                signature = (status.st_ino, status.st_size, status.st_mtime_ns, status.st_ctime_ns)
+                previous = self._entries.get(path)
+                if previous is not None and previous[0] == signature:
+                    entry = previous[1]
+                else:
+                    try:
+                        entry = self._record(path)
+                    except (OSError, TraceValidationError) as error:
+                        entry = str(error)
+                # A file changed less than a timestamp tick before the scan
+                # can change again without changing its signature: read it
+                # next time.
+                if scan_ns - status.st_ctime_ns > RACY_WINDOW_NS:
+                    entries[path] = (signature, entry)
+                if isinstance(entry, str):
+                    invalid[path] = entry
+                else:
+                    found.append(entry)
+            self._entries = entries
+            self.invalid = invalid
+            return found
 
     def load_all(self) -> List[ExecutionTrace]:
-        """Re-scan the root and return every valid trace, sorted by path;
-        each file is read and parsed once, whatever the previous scan saw."""
-        with self._lock:
-            loaded = self._scan(reuse=False)
-        return [trace for _, trace in loaded]
+        """Parse and return every valid trace under the root, sorted by path.
 
-    def _scan(self, reuse: bool) -> List[Tuple[TraceRecord, Optional[ExecutionTrace]]]:
-        """Walk the root, refresh ``invalid`` and the entry table, and return
-        each valid file's record with its trace (``None`` when reused)."""
-        scan_ns = time.time_ns()
-        entries: Dict[Path, Tuple[Signature, Union[TraceRecord, str]]] = {}
+        Each file is read and parsed once, whatever the previous scan saw;
+        nothing is digested and the scan state :meth:`discover` reuses is
+        left alone.  Files that fail validation are listed in
+        :attr:`invalid`.
+        """
+        traces: List[ExecutionTrace] = []
         invalid: Dict[Path, str] = {}
-        found: List[Tuple[TraceRecord, Optional[ExecutionTrace]]] = []
+        for path, _ in self._candidates():
+            try:
+                traces.append(ExecutionTrace.load(path))
+            except (OSError, TraceValidationError) as error:
+                invalid[path] = str(error)
+        with self._lock:
+            self.invalid = invalid
+        return traces
+
+    def _candidates(self) -> Iterator[Tuple[Path, os.stat_result]]:
+        """Each regular, non-hidden file under the root that matches the
+        pattern, sorted by path, with its ``stat``."""
         for path in sorted(self.root.rglob(self.pattern)):  # empty when root is missing
             # Hidden files/directories (.cache, .git ...) are never traces.
             relative = path.relative_to(self.root)
@@ -123,31 +157,10 @@ class TraceRepository:
                 status = path.stat()
             except OSError:
                 continue  # vanished, or a dangling link
-            if not stat.S_ISREG(status.st_mode):
-                continue
-            signature = (status.st_ino, status.st_size, status.st_mtime_ns, status.st_ctime_ns)
-            previous = self._entries.get(path)
-            trace: Optional[ExecutionTrace] = None
-            if reuse and previous is not None and previous[0] == signature:
-                entry = previous[1]
-            else:
-                try:
-                    entry, trace = self._load(path)
-                except (OSError, TraceValidationError) as error:
-                    entry = str(error)
-            # A file changed less than a timestamp tick before the scan can
-            # change again without changing its signature: read it next time.
-            if scan_ns - status.st_ctime_ns > RACY_WINDOW_NS:
-                entries[path] = (signature, entry)
-            if isinstance(entry, str):
-                invalid[path] = entry
-            else:
-                found.append((entry, trace))
-        self._entries = entries
-        self.invalid = invalid
-        return found
+            if stat.S_ISREG(status.st_mode):
+                yield path, status
 
-    def _load(self, path: Path) -> Tuple[TraceRecord, ExecutionTrace]:
+    def _record(self, path: Path) -> TraceRecord:
         trace = ExecutionTrace.load(path)
         return TraceRecord(
             name=self._name_for(path),
@@ -156,7 +169,7 @@ class TraceRepository:
             num_nodes=len(trace),
             num_operators=len(trace.operators()),
             metadata=dict(trace.metadata),
-        ), trace
+        )
 
     def _name_for(self, path: Path) -> str:
         relative = path.relative_to(self.root)
@@ -196,5 +209,5 @@ class TraceRepository:
         """Serialise ``trace`` into the repository and return its record."""
         path = self.root / f"{name}.json"
         trace.save(path)
-        return self._load(path)[0]
+        return self._record(path)
 

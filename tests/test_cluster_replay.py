@@ -278,6 +278,19 @@ class TestClusterReplayer:
         assert [int(trace.metadata["rank"]) for trace in fleet] == list(range(WORLD))
         assert reads == Counter({Path(path): 1 for path in paths})
 
+    def test_load_fleet_digests_nothing(self, fleet_captures, tmp_path, monkeypatch):
+        from repro.et.trace import ExecutionTrace
+
+        DistributedRunner.save_captures(fleet_captures, tmp_path)
+        (tmp_path / "notes.json").write_text("{}")
+        digests = []
+        real_digest = ExecutionTrace.digest
+        monkeypatch.setattr(
+            ExecutionTrace, "digest", lambda trace: digests.append(1) or real_digest(trace)
+        )
+        assert len(ClusterReplayer.load_fleet(tmp_path)) == WORLD
+        assert digests == []
+
     def test_report_to_dict_and_formatting(self, fleet_captures):
         report = ClusterReplayer(ReplayConfig(device="A100")).replay(fleet_captures)
         data = report.to_dict()
@@ -517,10 +530,11 @@ class TestCollectiveKey:
             rendezvous.sync(0, "all_reduce", group.ranks, 1024, arrival_us=0.0)
 
     def test_preflight_keys_equal_the_replayed_groups_keys(self, fleet_traces):
-        from repro.cluster.engine import _comm_keys
+        from repro.cluster.plan import collective_keys
+        from repro.core.comms_replay import CommPlan
 
         dist = DistributedContext(rank=0, world_size=WORLD)
-        for key, op in _comm_keys(fleet_traces[0]):
+        for key, op in collective_keys(CommPlan.build(fleet_traces[0]), WORLD):
             assert key == dist.default_group.key
             assert op in ("all_reduce", "all_to_all")
 
@@ -577,6 +591,206 @@ class TestProgramStore:
         shared = store.partition(Runtime(rank=0))
         assert store.partition(Runtime(rank=3)) is shared
         assert store.partition(Runtime(device="V100", rank=1)) is not shared
+
+
+# ----------------------------------------------------------------------
+# Fleet plans
+# ----------------------------------------------------------------------
+class _PlanProbe(ReplayHook):
+    """Records each rank's fleet plan and executor when its execute stage
+    ends (a ``profile_hook_factory`` hook with no report)."""
+
+    def __init__(self, rank, sink):
+        self.rank = rank
+        self.sink = sink
+
+    def on_stage_end(self, context, stage):
+        if stage.name == "execute":
+            self.sink[self.rank] = (context.plan, context.extras.get(vectorize.EXTRAS_KEY))
+
+    def report(self, **_):
+        return None
+
+
+def _plans(fleet, overrides=None, profiler_traces=None):
+    """Co-replay ``fleet`` and return ``rank -> (plan, executor)``."""
+    sink = {}
+    replayer = ClusterReplayer(
+        ReplayConfig(iterations=1, warmup_iterations=0, world_size=len(fleet)),
+        profile_hook_factory=lambda rank: _PlanProbe(rank, sink),
+    )
+    replayer.replay(fleet, profiler_traces=profiler_traces, rank_overrides=overrides)
+    return sink
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` counts calls of ``owner.name`` from
+    now on; returns a one-element list holding the count."""
+
+    def install(owner, name, static=False):
+        calls = [0]
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, staticmethod(counting) if static else counting)
+        return calls
+
+    return install
+
+
+class TestFleetPlan:
+    """Ranks with the same trace content, config and profiler trace share
+    one plan: the build stages run once for it, the comm records are
+    extracted once for the pre-flight match and every rank's init-comms,
+    and the node bindings are the plan's."""
+
+    def test_build_stages_run_once_per_plan(self, count_calls):
+        from repro.bench.throughput import synthesize_fleet
+        from repro.core.comms_replay import CommReplayManager
+        from repro.core.selection import OperatorSelector
+
+        fleet = synthesize_fleet(8)
+        selects = count_calls(OperatorSelector, "select")
+        extracts = count_calls(CommReplayManager, "extract", static=True)
+        plans = _plans(fleet)
+        assert selects == [1] and extracts == [1]
+        assert len({id(plan) for plan, _ in plans.values()}) == 1
+        bindings = {id(executor._bindings) for _, executor in plans.values()}
+        assert len(bindings) == 1
+
+        overrides = {3: {"device": "V100"}, 5: {"power_limit_w": 250.0}}
+        first = plans[0][0]
+        plans = _plans(fleet, overrides=overrides)
+        assert selects == [4] and extracts == [4]
+        by_rank = {rank: plan for rank, (plan, _) in plans.items()}
+        # A plan lives for one co-replay.
+        assert first not in by_rank.values()
+        assert len({id(plan) for plan in by_rank.values()}) == 3
+        assert by_rank[3] is not by_rank[5]
+        assert all(by_rank[rank] is by_rank[0] for rank in (1, 2, 4, 6, 7))
+
+    def test_loaded_clones_share_one_plan(self, tmp_path, count_calls):
+        from repro.bench.throughput import synthesize_fleet
+        from repro.cluster.plan import FleetPlan
+        from repro.core.selection import OperatorSelector
+
+        for trace in synthesize_fleet(4):
+            trace.save(tmp_path / f"rank{trace.metadata['rank']}.json")
+        fleet = ClusterReplayer.load_fleet(tmp_path)
+        assert fleet[0].nodes is not fleet[1].nodes
+        selects = count_calls(OperatorSelector, "select")
+        compares = count_calls(FleetPlan, "serves")
+        plans = _plans(fleet)
+        # Every later rank compares its node list with the one plan's.
+        assert selects == [1] and compares == [3]
+        assert len({id(plan) for plan, _ in plans.values()}) == 1
+
+    def test_other_nodes_or_profiler_traces_get_their_own_plan(
+        self, fleet_captures, count_calls
+    ):
+        from repro.bench.throughput import synthesize_fleet
+        from repro.core.selection import OperatorSelector
+
+        fleet = synthesize_fleet(WORLD)
+        # Rank 2 records one more annotation attribute: other content.
+        nodes = list(fleet[2].nodes)
+        nodes[0] = dataclass_replace(nodes[0], attrs={**nodes[0].attrs, "note": "x"})
+        fleet[2] = dataclass_replace(fleet[2], nodes=nodes)
+        profiler = fleet_captures[0].profiler_trace
+        # Rank 3's profiler trace is an equal copy, but not the same one.
+        profilers = [profiler, profiler, profiler, copy.copy(profiler)]
+        selects = count_calls(OperatorSelector, "select")
+        plans = {rank: plan for rank, (plan, _) in _plans(fleet, profiler_traces=profilers).items()}
+        assert selects == [3]
+        assert plans[0] is plans[1]
+        assert len({id(plans[rank]) for rank in (0, 2, 3)}) == 3
+
+    def test_captured_ranks_get_their_own_plans_without_comparisons(
+        self, fleet_traces, count_calls
+    ):
+        """A captured fleet's ranks differ (each node records its rank and
+        the tensor ids count up across captures), so each rank gets its
+        own plan, and no rank compares its node list with another's."""
+        from repro.cluster.plan import FleetPlan
+        from repro.core.selection import OperatorSelector
+
+        assert fleet_traces[0].nodes != fleet_traces[1].nodes
+        selects = count_calls(OperatorSelector, "select")
+        compares = count_calls(FleetPlan, "serves")
+        plans = _plans(fleet_traces)
+        assert selects == [WORLD] and compares == [0]
+        assert len({id(plan) for plan, _ in plans.values()}) == WORLD
+
+    def test_single_replay_builds_no_plan(self, fleet_traces, count_calls):
+        from repro.cluster.plan import FleetPlan
+
+        plans = []
+
+        class Probe(ReplayHook):
+            def on_stage_end(self, context, stage):
+                plans.append(context.plan)
+
+        created = count_calls(FleetPlan, "__init__")
+        api.replay(fleet_traces[0]).configure(world_size=1).hook(Probe()).run()
+        assert created == [0]
+        assert plans and all(plan is None for plan in plans)
+
+    def test_a_user_op_keeps_bindings_per_rank(self):
+        """Built-in ops hand every rank the same inputs, so a plan shares
+        its bindings.  A user op may return rank-dependent outputs — here
+        ``aten::relu_`` returns a wider tensor on odd ranks, so the next
+        linear layer costs more there — and then each rank binds its own
+        nodes, and the report stays equal to the scalar loop's."""
+        from repro.bench.throughput import synthesize_fleet
+        from repro.torchsim.ops.registry import OperatorDef, global_registry
+        from repro.torchsim.tensor import Tensor
+
+        fleet = synthesize_fleet(WORLD)
+        name = "aten::relu_"
+        original = global_registry.get(name)
+
+        def rank_wide(ctx, tensor, *args, **kwargs):
+            result = original.fn(ctx, tensor, *args, **kwargs)
+            if ctx.runtime.rank % 2 and len(tensor.shape) == 2:
+                return Tensor(shape=(tensor.shape[0] * 64, tensor.shape[1]), dtype=tensor.dtype)
+            return result
+
+        def run(vectorized):
+            replayer = ClusterReplayer(
+                ReplayConfig(
+                    iterations=2, warmup_iterations=1, world_size=WORLD, vectorized=vectorized
+                ),
+                profile_hook_factory=lambda rank: _PlanProbe(rank, sink),
+            )
+            return json.dumps(replayer.replay(fleet).to_dict(), sort_keys=True)
+
+        global_registry.register(
+            OperatorDef(
+                name=name,
+                schema_str=original.schema_str,
+                category=original.category,
+                fn=rank_wide,
+                library=original.library,
+            ),
+            overwrite=True,
+        )
+        try:
+            sink = {}
+            scalar = run(False)
+            sink = {}
+            fast = run(True)
+        finally:
+            global_registry.register(original, overwrite=True)
+        assert fast == scalar
+        assert len({id(executor._bindings) for _, executor in sink.values()}) == WORLD
+        # The odd ranks really computed longer (the even ones stall for
+        # them), so a binding shared across ranks would have shown.
+        stalls = [rank["stall_us"] for rank in json.loads(fast)["ranks"]]
+        assert stalls[0] > stalls[1] and stalls[2] > stalls[3]
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.core import reconstruction
 from repro.core.reconstruction import OperatorReconstructor, ReconstructionError
 from repro.core.replayer import ReplayConfig
 from repro.core.selection import OperatorSelector
-from repro.core.tensors import EmbeddingValueConfig, TensorManager
+from repro.core.tensors import EmbeddingValueConfig, TensorManager, classify_tensors
 from repro.et.schema import ETNode
 from repro.et.trace import ExecutionTrace
 from repro.service import TraceRepository
@@ -420,8 +420,7 @@ class TestTensorManager:
     def test_classification_intermediate_vs_external(self, captured_runtime_pieces):
         trace = captured_runtime_pieces["trace"]
         selection = OperatorSelector().select(trace)
-        manager = TensorManager()
-        classification = manager.classify(selection.entries)
+        classification = classify_tensors(selection.entries)
         assert classification.external, "parameters and inputs must be external"
         assert classification.intermediate, "activations must be intermediate"
         overlap = set(classification.external) & set(classification.intermediate)
@@ -473,8 +472,7 @@ class TestTensorManager:
     def test_reset_intermediates_keeps_external(self, captured_runtime_pieces):
         trace = captured_runtime_pieces["trace"]
         selection = OperatorSelector().select(trace)
-        manager = TensorManager()
-        manager.classify(selection.entries)
+        manager = TensorManager(classification=classify_tensors(selection.entries))
         for entry in selection.entries:
             manager.gather_inputs(entry.node)
         before = manager.registered_count()

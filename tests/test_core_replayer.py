@@ -3,7 +3,7 @@
 import pytest
 
 import repro.api as api
-from repro.core.comms_replay import CommReplayManager
+from repro.core.comms_replay import CommPlan, CommReplayManager
 from repro.core.registry import ReplaySupport
 from repro.core.pipeline import ReplayPipeline
 from repro.core.replayer import ReplayConfig
@@ -79,8 +79,7 @@ class TestCommReplayManager:
     def test_ensure_groups_creates_replay_groups(self):
         capture = _distributed_rm_capture()
         dist = DistributedContext(rank=0, world_size=4)
-        manager = CommReplayManager(dist)
-        manager.ensure_groups(CommReplayManager.extract(capture.execution_trace))
+        CommPlan.build(capture.execution_trace).ensure_groups(dist)
         # The default all-rank group matches the recorded one, so no extra
         # groups beyond those recorded are needed.
         assert len(dist.groups) >= 1

@@ -510,3 +510,37 @@ class TestPauseSignalGuard:
             "    def on_error(self, error: BaseException) -> None: ...\n"
         )
         assert checker.find_offenders(tmp_path) == {}
+
+
+class TestPlanRankGuard:
+    """``scripts/check_deprecated_usage.py`` keeps the rank out of the
+    build-stage modules and the fleet plan: the ranks of a co-replay with
+    the same trace content share the products those modules build."""
+
+    GUARDED = (
+        "core/selection.py",
+        "core/tensors.py",
+        "core/streams.py",
+        "core/reconstruction.py",
+        "core/comms_replay.py",
+        "cluster/plan.py",
+    )
+
+    @pytest.mark.parametrize("relative", GUARDED)
+    def test_rule_fires_in_each_guarded_module(self, tmp_path, relative):
+        checker = _load_usage_checker()
+        path = tmp_path / "src" / "repro" / relative
+        path.parent.mkdir(parents=True)
+        path.write_text("ranks = [0, 1]\nseed = context.config.rank\n")
+        offenders = checker.find_offenders(tmp_path)
+        assert list(offenders) == ["plan-rank-blind"]
+        assert len(offenders["plan-rank-blind"]) == 1
+        assert f"{path.name}:2" in offenders["plan-rank-blind"][0]
+
+    def test_execution_modules_are_out_of_scope(self, tmp_path):
+        checker = _load_usage_checker()
+        for relative in ("core/pipeline.py", "core/vectorize.py", "cluster/engine.py"):
+            path = tmp_path / "src" / "repro" / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("rank = runtime.rank\n")
+        assert checker.find_offenders(tmp_path) == {}
