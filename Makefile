@@ -68,11 +68,13 @@ lint:
 	$(PYTHON) -m repro --version
 	$(PYTHON) scripts/check_deprecated_usage.py
 
-# The examples that replay through repro.api directly (about 0.5 s each),
-# run end to end so an API change cannot break them unseen.
+# The examples that replay through repro.api directly (about 0.5 s each)
+# and the batch sweep over a process pool (about 1.5 s), run end to end so
+# an API or backend change cannot break them unseen.
 examples:
 	$(PYTHON) examples/subtrace_and_custom_ops.py
 	$(PYTHON) examples/cross_platform_evaluation.py
+	$(PYTHON) examples/batch_sweep.py
 
 example-sweep:
 	$(PYTHON) examples/batch_sweep.py

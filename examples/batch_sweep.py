@@ -8,8 +8,8 @@ through :mod:`repro.service`:
 
 1. capture three workloads (PARAM linear, ResNet, RM) and store their
    execution traces in a :class:`TraceRepository` directory,
-2. sweep every trace across two devices and two power limits with a
-   2-worker pool, caching each result,
+2. sweep every trace across two devices and two power limits over a
+   pool of 2 worker processes, caching each result,
 3. run the same sweep again — every job is now a cache hit — and print the
    aggregate report.
 
@@ -63,9 +63,10 @@ def main() -> None:
         record = repository.add(workload.name, capture_workload(workload).execution_trace)
         print(f"   {record.name:14s} {record.num_nodes:4d} nodes  digest {record.digest[:12]}")
 
-    print("== 2. sweep: traces x (A100, NewPlatform) x (250 W, 400 W), 2 workers ==")
+    print("== 2. sweep: traces x (A100, NewPlatform) x (250 W, 400 W), 2 processes ==")
     cache = ResultCache(root / ".cache")
-    runner = SweepRunner(repository, BatchReplayer(cache=cache, max_workers=2, backend="thread"))
+    cache.clear()  # start cold, so step 2 replays through the pool on every run
+    runner = SweepRunner(repository, BatchReplayer(cache=cache, max_workers=2, backend="process"))
     spec = SweepSpec(
         devices=("A100", "NewPlatform"),
         axes={"power_limit_w": [250.0, 400.0]},

@@ -214,15 +214,16 @@ def sweep(
     spec: Optional[SweepSpec] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     workers: Optional[int] = None,
-    backend: str = "thread",
+    backend: str = "serial",
 ) -> SweepResult:
     """Replay a trace repository across devices and config axes, cached.
 
     Either pass a ready :class:`SweepSpec` via ``spec=`` or let the
     keyword arguments build one.  Every replay runs through the stage
-    pipeline inside a :class:`~repro.service.batch.BatchReplayer` worker
-    pool, consulting (and filling) the result cache when ``cache_dir`` is
-    given.
+    pipeline inside a :class:`~repro.service.batch.BatchReplayer`, in
+    process (``backend="serial"``) or over a pool of ``workers`` processes
+    (``backend="process"``), consulting (and filling) the result cache when
+    ``cache_dir`` is given.
     """
     repository = repo if isinstance(repo, TraceRepository) else TraceRepository(repo)
     if spec is not None:

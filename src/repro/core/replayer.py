@@ -68,9 +68,9 @@ class ReplayConfig:
     profile: bool = True
     #: Execution *strategy*, not replay semantics: group repeated operator
     #: invocations by (op, shape signature, dtype, stream) and replay each
-    #: group from a captured program priced through the batched cost-model
-    #: entry point, instead of one Python dispatch per op.  Results and
-    #: cache digests are byte-identical either way (asserted by
+    #: group from a verified captured program, instead of one Python
+    #: dispatch per op.  Results and cache digests are byte-identical
+    #: either way (asserted by
     #: ``tests/test_vectorized_equivalence.py``), which is why this field
     #: is excluded from :meth:`to_dict` and :meth:`digest` — the two modes
     #: must share cache entries.  ``False`` forces the scalar reference

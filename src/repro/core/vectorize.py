@@ -19,15 +19,14 @@ the runtime as an :class:`OpProgram`:
 
 The second occurrence is replayed scalar again and compared field-for-field
 against the stored program; only on an exact match is the program
-*verified* and its kernel group priced through the batched cost-model entry
-point (:meth:`~repro.hardware.costmodel.KernelCostModel.batch_duration_us`,
-bit-identical to scalar pricing).  From then on the signature replays
-through :meth:`VectorizedExecutor._fast_replay`, which reproduces the
-captured effect — same node IDs, same correlation IDs, same launch
-timestamps, same profiler events — without touching the operator registry
-or the per-op cost model at all.  Anything that fails capture or
-verification (value-dependent ops, comms, clock-reading internals) is bound
-to the scalar path forever, so correctness never depends on the fast path
+*verified*, keeping the kernel durations the cost model priced at capture.
+From then on the signature replays through
+:meth:`VectorizedExecutor._fast_replay`, which reproduces the captured
+effect — same node IDs, same correlation IDs, same launch timestamps, same
+profiler events — without touching the operator registry or the per-op
+cost model at all.  Anything that fails capture or verification
+(value-dependent ops, comms, clock-reading internals) is bound to the
+scalar path forever, so correctness never depends on the fast path
 applying.
 
 Programs live in a :class:`ProgramStore`, partitioned by the *program
@@ -192,9 +191,6 @@ class OpProgram:
     events: List[tuple]
     outputs: Any
     state: str = _UNVERIFIED
-    #: How many of the group's kernels the batched cost-model evaluation
-    #: confirmed (the rest carried explicit durations).
-    batch_priced: int = 0
 
     def matches(self, other: "OpProgram") -> bool:
         """Field-for-field equality of two captures of the same signature."""
@@ -330,7 +326,6 @@ class VectorizedExecutor:
             "programs_captured": 0,
             "programs_verified": 0,
             "programs_dead": 0,
-            "kernels_batch_priced": 0,
         }
 
     # ------------------------------------------------------------------
@@ -479,11 +474,9 @@ class VectorizedExecutor:
             return result
 
         # Second occurrence (on this rank or any other sharing the store):
-        # verify the stored program against a fresh capture, then price the
-        # kernel group through the batched entry point.  Any divergence
+        # verify the stored program against a fresh capture.  Any divergence
         # kills the signature for every replay sharing the store.
         if program.matches(capture):
-            self._batch_price(runtime, program)
             program.state = _VERIFIED
             self._bind_fast(tensor_manager, node, program)
             self.stats["programs_verified"] += 1
@@ -686,26 +679,6 @@ class VectorizedExecutor:
             if not node_base <= launch.op_node_id < node_base + node_count:
                 return False
         return True
-
-    def _batch_price(self, runtime: Runtime, program: OpProgram) -> None:
-        """Price the program's kernel group in one vectorized evaluation.
-
-        ``batch_duration_us`` is bit-identical to per-kernel scalar pricing,
-        so for cost-model-priced kernels the batched value replaces the
-        captured one without changing a single bit.  A mismatch means the
-        operator passed an explicit ``duration_us`` (comms-style); those
-        keep their captured duration.
-        """
-        if not program.kernels:
-            return
-        priced = runtime.cost_model.batch_duration_us(
-            [template.desc for template in program.kernels]
-        )
-        for template, duration in zip(program.kernels, priced):
-            if duration == template.duration:
-                template.duration = float(duration)
-                program.batch_priced += 1
-        self.stats["kernels_batch_priced"] += program.batch_priced
 
     # ------------------------------------------------------------------
     # The fast path

@@ -173,7 +173,7 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
         head, job_id, action = self._route()
         try:
             if head == "health" and job_id is None:
-                self._reply(200, serialize.daemon_health_payload(self.daemon_obj.health()))
+                self._reply(200, self.daemon_obj.health())
             elif head == "metrics" and job_id is None:
                 # Prometheus exposition format, not JSON.
                 self._reply_text(

@@ -187,7 +187,7 @@ class ETAnalyzer:
         # Exposed GPU time: per category, kernel busy intervals not covered
         # by kernels of any other category.  (Imported here: repro.hardware
         # imports repro.torchsim, which must finish loading first.)
-        from repro.hardware.gpu import merge_intervals, subtract_intervals, total_length
+        from repro.hardware.gpu import exposed_time_by_category
 
         descendants_category: Dict[int, str] = dict(node_category)
         for node in selected:
@@ -200,14 +200,7 @@ class ETAnalyzer:
             if category is None:
                 category = kernel.args.get("category", CATEGORY_ATEN)
             category_intervals.setdefault(category, []).append((kernel.ts, kernel.end))
-        for category, intervals in category_intervals.items():
-            own = merge_intervals(intervals)
-            others: List[Tuple[float, float]] = []
-            for other, other_intervals in category_intervals.items():
-                if other != category:
-                    others.extend(other_intervals)
-            exposed = subtract_intervals(own, merge_intervals(others))
-            breakdown.gpu_exposed_time_us[category] = total_length(exposed)
+        breakdown.gpu_exposed_time_us.update(exposed_time_by_category(category_intervals))
         return breakdown
 
     # ------------------------------------------------------------------

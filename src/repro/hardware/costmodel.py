@@ -18,9 +18,7 @@ ablation benchmark; the roofline model is the default everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from typing import Dict
 
 from repro.hardware.specs import DeviceSpec
 from repro.torchsim.kernel import KernelDesc, KernelKind
@@ -126,56 +124,6 @@ class KernelCostModel:
         else:
             body = max(compute, memory)
         return max(_MIN_KERNEL_US, body + 0.5)
-
-    def batch_duration_us(self, descs: Sequence[KernelDesc]) -> np.ndarray:
-        """Price a whole group of kernels in one vectorized evaluation.
-
-        Returns one duration per descriptor, **bit-identical** to calling
-        :meth:`duration_us` per kernel: every arithmetic step is the same
-        IEEE-double operation in the same order, just evaluated across the
-        group as numpy arrays instead of one Python dispatch per kernel.
-        This is the batched cost-evaluation entry point the vectorized
-        replay path prices operator groups through
-        (``tests/test_vectorized_equivalence.py`` asserts the exact
-        equality).
-        """
-        if not descs:
-            return np.zeros(0, dtype=np.float64)
-        flops = np.array([d.flops for d in descs], dtype=np.float64)
-        bytes_total = np.array([d.bytes_total for d in descs], dtype=np.float64)
-        occupancy = np.array([d.occupancy for d in descs], dtype=np.float64)
-        locality = np.array([d.locality for d in descs], dtype=np.float64)
-        compute_eff = np.array(
-            [self.compute_efficiency.get(d.kind, 0.4) for d in descs], dtype=np.float64
-        )
-        memory_eff = np.array(
-            [self.memory_efficiency.get(d.kind, 0.6) for d in descs], dtype=np.float64
-        )
-        peak = np.array(
-            [
-                self.spec.peak_fp16_flops
-                if d.metadata.get("dtype") in ("float16", "bfloat16")
-                else self.spec.peak_fp32_flops
-                for d in descs
-            ],
-            dtype=np.float64,
-        )
-
-        effective_compute = peak * compute_eff * occupancy * self.clock_scale
-        locality_factor = 0.45 + 0.55 * np.maximum(0.0, np.minimum(1.0, locality))
-        effective_memory = self.spec.mem_bandwidth_bps * memory_eff * locality_factor
-        with np.errstate(divide="ignore", invalid="ignore"):
-            compute = np.where(
-                flops <= 0,
-                0.0,
-                np.where(effective_compute <= 0, np.inf, flops / effective_compute * 1e6),
-            )
-            memory = np.where(bytes_total <= 0, 0.0, bytes_total / effective_memory * 1e6)
-        if self.mode == "flops":
-            body = np.where(compute > 0, compute, memory)
-        else:
-            body = np.maximum(compute, memory)
-        return np.maximum(_MIN_KERNEL_US, body + 0.5)
 
     def dominant_roof(self, desc: KernelDesc) -> str:
         """Which roof binds the kernel: ``"compute"`` or ``"memory"``."""

@@ -16,7 +16,9 @@ HBM bandwidth and average power.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.torchsim.kernel import KernelLaunch, OpCategory
@@ -44,26 +46,48 @@ def total_length(intervals: Sequence[Tuple[float, float]]) -> float:
 def subtract_intervals(
     base: Sequence[Tuple[float, float]], cover: Sequence[Tuple[float, float]]
 ) -> List[Tuple[float, float]]:
-    """Return the parts of ``base`` not covered by ``cover``."""
+    """Return the non-empty parts of ``base`` not covered by ``cover``.
+
+    ``cover`` must be merged and sorted, as :func:`merge_intervals` returns
+    it, so its ends ascend: each base interval is swept from the first cover
+    interval that ends after its start.  The result lists each base
+    interval's uncovered segments in ascending order, base by base.
+    """
     result: List[Tuple[float, float]] = []
-    cover = list(cover)
     for start, end in base:
-        segments = [(start, end)]
-        for c_start, c_end in cover:
-            next_segments: List[Tuple[float, float]] = []
-            for s_start, s_end in segments:
-                if c_end <= s_start or c_start >= s_end:
-                    next_segments.append((s_start, s_end))
-                    continue
-                if c_start > s_start:
-                    next_segments.append((s_start, c_start))
-                if c_end < s_end:
-                    next_segments.append((c_end, s_end))
-            segments = next_segments
-            if not segments:
+        cursor = start
+        index = bisect_right(cover, start, key=itemgetter(1))
+        while index < len(cover) and cursor < end:
+            c_start, c_end = cover[index]
+            if c_start >= end:
                 break
-        result.extend(segments)
+            if c_start > cursor:
+                result.append((cursor, c_start))
+            cursor = c_end
+            index += 1
+        if cursor < end:
+            result.append((cursor, end))
     return result
+
+
+def exposed_time_by_category(
+    category_intervals: Dict[str, List[Tuple[float, float]]]
+) -> Dict[str, float]:
+    """Per category, the length of its busy time not overlapped by the
+    intervals of any *other* category (Section 3.3's "exposed GPU time" for
+    communication operators), in ``category_intervals`` order."""
+    exposed: Dict[str, float] = {}
+    for category, intervals in category_intervals.items():
+        others = [
+            interval
+            for other, other_intervals in category_intervals.items()
+            if other != category
+            for interval in other_intervals
+        ]
+        exposed[category] = total_length(
+            subtract_intervals(merge_intervals(intervals), merge_intervals(others))
+        )
+    return exposed
 
 
 @dataclass
@@ -189,19 +213,6 @@ class GpuTimeline:
             bytes_moved += kernel.desc.bytes_total
             weighted_occupancy += length * kernel.desc.occupancy
 
-        # Exposed time per category: the part of that category's busy time
-        # not overlapped by kernels of any *other* category (Section 3.3's
-        # "exposed GPU time" for communication operators).
-        category_exposed: Dict[str, float] = {}
-        for category, cat_intervals in category_intervals.items():
-            own = merge_intervals(cat_intervals)
-            others: List[Tuple[float, float]] = []
-            for other, other_intervals in category_intervals.items():
-                if other != category:
-                    others.extend(other_intervals)
-            exposed = subtract_intervals(own, merge_intervals(others))
-            category_exposed[category] = total_length(exposed)
-
         return TimelineStats(
             wall_time_us=window,
             busy_time_us=busy,
@@ -210,6 +221,6 @@ class GpuTimeline:
             bytes_moved=bytes_moved,
             weighted_occupancy=weighted_occupancy,
             category_kernel_time_us=category_time,
-            category_exposed_time_us=category_exposed,
+            category_exposed_time_us=exposed_time_by_category(category_intervals),
             category_count=category_count,
         )

@@ -1,22 +1,18 @@
-"""Parallel fan-out of replay jobs over a ``concurrent.futures`` pool.
+"""Batch execution of replay jobs, in process or over a process pool.
 
 A :class:`ReplayJob` names a serialised trace on disk plus the
 :class:`~repro.core.replayer.ReplayConfig` to replay it under.  The
 :class:`BatchReplayer` resolves each job against the :class:`ResultCache`
-first and only ships cache misses to the worker pool.  Three backends are
-supported:
+first and only replays cache misses.  Two backends are supported:
 
-``"thread"``
-    ``ThreadPoolExecutor`` (the default).  The replay itself is pure
-    Python and GIL-bound, so threads buy little wall-clock parallelism —
-    but the setup cost is near zero, each unique trace is parsed only once
-    per batch, and the semantics match the other backends exactly.
+``"serial"``
+    In-process loop (the default).  The replay is pure Python and
+    GIL-bound, so in-process threads would buy no parallelism; each unique
+    trace is parsed only once per batch.
 ``"process"``
     ``ProcessPoolExecutor``.  True parallelism across cores; jobs are
     shipped as (path, config-dict) pairs so nothing unpicklable crosses the
     process boundary.  Use this when replay time dominates.
-``"serial"``
-    In-process loop, for debugging and deterministic profiling.
 
 Every worker verifies that the digest of the trace it actually loaded
 matches the digest recorded at discovery time, so a trace file rewritten
@@ -38,7 +34,7 @@ from __future__ import annotations
 import os
 import time
 import traceback as traceback_module
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
@@ -49,20 +45,7 @@ from repro.et.trace import ExecutionTrace
 from repro.service.cache import ResultCache, cache_key
 from repro.service.repository import TraceRecord
 
-BACKENDS = ("thread", "process", "serial")
-
-
-def make_worker_pool(backend: str, max_workers: int):
-    """Executor factory for the batch layer's pooled backends.
-
-    ``"serial"`` has no executor (callers loop in-process); only pooled
-    backends are valid here.
-    """
-    if backend == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers)
-    if backend == "process":
-        return ProcessPoolExecutor(max_workers=max_workers)
-    raise ValueError(f"no worker pool for backend {backend!r}; choose 'thread' or 'process'")
+BACKENDS = ("serial", "process")
 
 
 @dataclass
@@ -200,8 +183,8 @@ def _execute_job(
 ) -> Dict[str, Any]:
     """Worker entry point: load, verify, replay, summarise.
 
-    Takes and returns only JSON-ish values so it works identically under
-    thread and process pools (module-level so it pickles by reference).
+    Takes and returns only JSON-ish values so nothing unpicklable crosses
+    the process boundary (module-level so it pickles by reference).
     """
     return _replay_trace(_load_verified(trace_path, expected_digest), config_dict)
 
@@ -213,7 +196,7 @@ class BatchReplayer:
         self,
         cache: Optional[ResultCache] = None,
         max_workers: Optional[int] = None,
-        backend: str = "thread",
+        backend: str = "serial",
         pause_check: Optional[Any] = None,
     ) -> None:
         if backend not in BACKENDS:
@@ -261,7 +244,7 @@ class BatchReplayer:
             if self.backend == "process":
                 self._run_in_processes(jobs, pending, results)
             else:
-                self._run_in_threads_or_serial(jobs, pending, results, resume_from or {})
+                self._run_serial(jobs, pending, results, resume_from or {})
 
         batch = BatchResult(results=[result for result in results if result is not None])
         if self.cache is not None:
@@ -282,7 +265,7 @@ class BatchReplayer:
         self, jobs: Sequence[ReplayJob], pending: List[int], results: List[Optional[ReplayJobResult]]
     ) -> None:
         """Ship each job as (path, config dict, digest) to a process pool."""
-        with make_worker_pool("process", self.max_workers) as executor:
+        with ProcessPoolExecutor(max_workers=self.max_workers) as executor:
             futures: Dict[int, Future] = {
                 index: executor.submit(
                     _execute_job,
@@ -295,15 +278,16 @@ class BatchReplayer:
             for index, future in futures.items():
                 results[index] = self._collect(jobs[index], future)
 
-    def _run_in_threads_or_serial(
+    def _run_serial(
         self,
         jobs: Sequence[ReplayJob],
         pending: List[int],
         results: List[Optional[ReplayJobResult]],
         resume_from: Mapping[str, ReplayCheckpoint],
     ) -> None:
-        """Load and digest-check each unique trace once, then replay in
-        process (the trace is only read during replay, so sharing is safe)."""
+        """Load and digest-check each unique trace once, then replay each
+        job in turn (the trace is only read during replay, so its jobs
+        share it)."""
         traces: Dict[str, ExecutionTrace] = {}
         digests: Dict[str, str] = {}
         load_errors: Dict[str, Dict[str, str]] = {}
@@ -326,31 +310,19 @@ class BatchReplayer:
             else:
                 runnable.append(index)
 
-        if self.backend == "serial":
-            for index in runnable:
-                job = jobs[index]
-                try:
-                    payload = _replay_trace(
-                        traces[str(job.trace_path)],
-                        job.config.to_dict(),
-                        pause_check=self.pause_check,
-                        resume_from=resume_from.get(job.label),
-                    )
-                except Exception as error:  # noqa: BLE001 - jobs must not kill the batch
-                    results[index] = ReplayJobResult(job=job, **_error_details(error))
-                else:
-                    results[index] = self._from_payload(job, payload)
-            return
-
-        with make_worker_pool("thread", self.max_workers) as executor:
-            futures = {
-                index: executor.submit(
-                    _replay_trace, traces[str(jobs[index].trace_path)], jobs[index].config.to_dict()
+        for index in runnable:
+            job = jobs[index]
+            try:
+                payload = _replay_trace(
+                    traces[str(job.trace_path)],
+                    job.config.to_dict(),
+                    pause_check=self.pause_check,
+                    resume_from=resume_from.get(job.label),
                 )
-                for index in runnable
-            }
-            for index, future in futures.items():
-                results[index] = self._collect(jobs[index], future)
+            except Exception as error:  # noqa: BLE001 - jobs must not kill the batch
+                results[index] = ReplayJobResult(job=job, **_error_details(error))
+            else:
+                results[index] = self._from_payload(job, payload)
 
     def _collect(self, job: ReplayJob, future: Future) -> ReplayJobResult:
         try:

@@ -62,7 +62,8 @@ Examples
     python -m repro replay-dist traces/rm_4rank/ --device A100 -n 2 --memory
     python -m repro memory-report --repo traces/ --device V100 --budget-gb 8 --json
     python -m repro sweep --repo traces/ --device A100 --device NewPlatform \\
-        --power-limit 250 --power-limit 400 --cache .repro-cache --workers 4
+        --power-limit 250 --power-limit 400 --cache .repro-cache \\
+        --backend process --workers 4
     python -m repro profile --repo traces/ --trace rm_et -n 5 --top 10
     python -m repro version
     python -m repro serve --state-dir .repro-daemon --port 8642
@@ -81,7 +82,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.api as api
 from repro.bench.aggregate import cache_summary_line, format_batch_report, format_device_aggregate
@@ -90,7 +91,7 @@ from repro.core.replayer import ReplayConfig
 from repro.memory import MemoryReport, format_bytes, format_memory_report, simulate_memory
 from repro.service import serialize
 from repro.service.batch import BACKENDS
-from repro.service.repository import TraceRepository
+from repro.service.repository import TraceRecord, TraceRepository
 from repro.service.sweep import SweepSpec
 from repro.version import __version__
 
@@ -454,11 +455,11 @@ def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker-pool size (default: min(8, cpu count))",
+        help="process-pool size under --backend process (default: min(8, cpu count))",
     )
     parser.add_argument(
-        "--backend", choices=BACKENDS, default="thread",
-        help="worker-pool backend (default: thread)",
+        "--backend", choices=BACKENDS, default="serial",
+        help="replay in this process or in a process pool (default: serial)",
     )
 
 
@@ -498,6 +499,8 @@ def _reject_orphan_flag(args: argparse.Namespace) -> Optional[str]:
             return "--profile replays sequentially through the session API; drop --cache"
         if getattr(args, "workers", None) is not None:
             return "--profile replays sequentially through the session API; drop --workers"
+    if getattr(args, "workers", None) is not None and getattr(args, "backend", None) == "serial":
+        return "--workers sizes the process pool; pass --backend process too"
     return None
 
 
@@ -563,7 +566,7 @@ def _cmd_replay_dist(args: argparse.Namespace) -> int:
         path = session.export_trace(args.trace_out)
         print(f"telemetry timeline written to {path}", file=sys.stderr)
     if args.json:
-        print(serialize.dumps(serialize.cluster_payload(report)))
+        print(serialize.dumps(report))
     else:
         print(format_cluster_report(report))
         if report.has_memory:
@@ -603,7 +606,7 @@ def _cmd_analyze_critical_path(args: argparse.Namespace) -> int:
         top=args.top, straggler_threshold_pct=args.straggler_threshold
     )
     if args.json:
-        print(serialize.dumps(serialize.critical_path_payload(insights)))
+        print(serialize.dumps(insights))
     else:
         print(format_critical_path(insights, top=args.top))
     return 0
@@ -626,7 +629,7 @@ def _cmd_analyze_diff(args: argparse.Namespace) -> int:
             return 1
     report = diff_runs(profiles[0], profiles[1], threshold_pct=args.threshold)
     if args.json:
-        print(serialize.dumps(serialize.diff_payload(report)))
+        print(serialize.dumps(report))
     else:
         print(format_diff(report, top=args.top))
     return 0
@@ -662,7 +665,7 @@ def _cmd_analyze_regressions(args: argparse.Namespace) -> int:
     if args.record:
         store.append(bench, meta={"bench_path": str(bench_path)})
     if args.json:
-        print(serialize.dumps(serialize.regression_payload(report)))
+        print(serialize.dumps(report))
     else:
         print(format_regressions(report))
     return 0 if report.ok else 1
@@ -710,6 +713,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _resolve_traces(
+    repo: str, trace_names: Optional[Sequence[str]]
+) -> Tuple[TraceRepository, Dict[str, TraceRecord]]:
+    """The repository and, from one discovery, the records of the named
+    traces in the order named (every trace, by name, when none are)."""
+    repository = TraceRepository(repo)
+    records = {record.name: record for record in repository.discover()}
+    names = list(trace_names) if trace_names else sorted(records)
+    unknown = sorted(set(names) - set(records))
+    if unknown:
+        # ValueError, not KeyError: str(KeyError) repr-quotes the message.
+        raise ValueError(
+            f"trace(s) {unknown} not found in {repo!r} (known: {sorted(records)})"
+        )
+    return repository, {name: records[name] for name in names}
+
+
 def _profile_traces(
     repo: str,
     trace_names: Optional[Sequence[str]],
@@ -719,14 +739,7 @@ def _profile_traces(
     vectorized: bool,
 ):
     """Replay the named repository traces with a profiling hook attached."""
-    repository = TraceRepository(repo)
-    records = {record.name: record for record in repository.discover()}
-    names = list(trace_names) if trace_names else sorted(records)
-    unknown = sorted(set(names) - set(records))
-    if unknown:
-        raise ValueError(
-            f"trace(s) {unknown} not found in {repo!r} (known: {sorted(records)})"
-        )
+    repository, records = _resolve_traces(repo, trace_names)
     config = ReplayConfig(
         device=device,
         iterations=iterations,
@@ -734,8 +747,8 @@ def _profile_traces(
         vectorized=vectorized,
     )
     reports = {}
-    for name in names:
-        result = api.replay(repository.load(records[name])).using(config).with_profiling().run()
+    for name, record in records.items():
+        result = api.replay(repository.load(record)).using(config).with_profiling().run()
         report = result.profile_report
         if not report.trace_name:
             report.trace_name = name
@@ -812,18 +825,10 @@ def _memory_reports(
     budget_bytes: Optional[int],
 ) -> Dict[str, MemoryReport]:
     """Simulate the memory footprint of the named repository traces."""
-    repository = TraceRepository(repo)
-    records = {record.name: record for record in repository.discover()}
-    names = list(trace_names) if trace_names else sorted(records)
-    unknown = sorted(set(names) - set(records))
-    if unknown:
-        # ValueError, not KeyError: str(KeyError) repr-quotes the message.
-        raise ValueError(
-            f"trace(s) {unknown} not found in {repo!r} (known: {sorted(records)})"
-        )
+    repository, records = _resolve_traces(repo, trace_names)
     reports: Dict[str, MemoryReport] = {}
-    for name in names:
-        trace = repository.load(records[name])
+    for name, record in records.items():
+        trace = repository.load(record)
         reports[name] = simulate_memory(
             trace, device=device, budget=budget_bytes, trace_name=name
         )

@@ -4,9 +4,12 @@ Each ``python -m repro`` subcommand supports ``--json`` for machine-
 readable output; historically every command hand-rolled its own payload
 dict inline, which drifted (and made adding a field a five-place edit).
 This module centralises the payload builders: one function per payload
-shape, all routed through :func:`to_jsonable` — which understands the
-project's ``to_dict`` convention, dataclasses, paths and mappings — and
-one :func:`dumps` for the actual rendering.
+shape assembled here, all routed through :func:`to_jsonable` — which
+understands the project's ``to_dict`` convention, dataclasses, paths and
+mappings — and one :func:`dumps` for the actual rendering.  An object
+that already carries its versioned shape (a ``ClusterReport``, the
+insights reports, a ``Tracer``, the daemon's health dict) is passed to
+:func:`dumps` as it is.
 
 Keep the *shapes* stable: scripts parse them.  Adding keys is fine;
 renaming or removing them is a breaking change to the CLI contract.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional
 
 
 def to_jsonable(value: Any) -> Any:
@@ -105,12 +108,6 @@ def batch_payload(batch, memory_reports: Optional[Mapping[str, Any]] = None) -> 
             name: report.summary_dict() for name, report in memory_reports.items()
         }
     return payload
-
-
-def cluster_payload(report) -> Dict[str, Any]:
-    """``replay-dist``: the :class:`~repro.cluster.engine.ClusterReport`
-    (includes per-rank + fleet memory sections when tracking ran)."""
-    return report.to_dict()
 
 
 def memory_payload(
@@ -208,49 +205,6 @@ def snapshot_payload(record) -> Dict[str, Any]:
         "state": record.state,
         "snapshot": record.snapshot,
     }
-
-
-def daemon_health_payload(health: Mapping[str, Any]) -> Dict[str, Any]:
-    """``GET /health``: queue/cache/worker stats from
-    :meth:`~repro.daemon.daemon.ReplayDaemon.health` (already versioned)."""
-    return dict(health)
-
-
-# ----------------------------------------------------------------------
-# Telemetry payloads
-# ----------------------------------------------------------------------
-def metrics_payload(registry) -> Dict[str, Any]:
-    """JSON mirror of the metrics registry (the Prometheus exposition on
-    ``GET /metrics`` is the text twin of this shape; both are versioned
-    through ``METRICS_SCHEMA_VERSION``)."""
-    return registry.snapshot()
-
-
-def telemetry_trace_payload(tracer) -> Dict[str, Any]:
-    """A tracer's recorded spans/events as the versioned telemetry dict
-    (``TELEMETRY_SCHEMA_VERSION``); the Chrome-trace exporter renders the
-    same records for timeline viewers."""
-    return tracer.to_dict()
-
-
-def critical_path_payload(report) -> Dict[str, Any]:
-    """``analyze critical-path``: the versioned
-    :class:`~repro.insights.CriticalPathReport` dict
-    (``INSIGHTS_SCHEMA_VERSION``)."""
-    return report.to_dict()
-
-
-def diff_payload(report) -> Dict[str, Any]:
-    """``analyze diff``: the versioned
-    :class:`~repro.insights.DiffReport` dict (``INSIGHTS_SCHEMA_VERSION``)."""
-    return report.to_dict()
-
-
-def regression_payload(report) -> Dict[str, Any]:
-    """``analyze regressions``: the versioned
-    :class:`~repro.insights.RegressionReport` dict
-    (``INSIGHTS_SCHEMA_VERSION``)."""
-    return report.to_dict()
 
 
 def job_analysis_payload(record, analysis: Mapping[str, Any]) -> Dict[str, Any]:

@@ -89,7 +89,7 @@ class SweepRunner:
         replayer: Optional[BatchReplayer] = None,
         cache: Optional[ResultCache] = None,
         max_workers: Optional[int] = None,
-        backend: str = "thread",
+        backend: str = "serial",
     ) -> None:
         self.repository = repository
         if replayer is None:

@@ -14,14 +14,13 @@ import repro.api as api
 from repro.bench.harness import capture_workload
 from repro.bench.throughput import synthesize_fleet
 from repro.core import reconstruction
+from repro.core.pipeline import run_replay
 from repro.core.reconstruction import OperatorReconstructor, ReconstructionError
 from repro.core.replayer import ReplayConfig
 from repro.core.selection import OperatorSelector
 from repro.core.tensors import EmbeddingValueConfig, TensorManager, classify_tensors
 from repro.et.schema import ETNode
 from repro.et.trace import ExecutionTrace
-from repro.service import TraceRepository
-from repro.service.batch import BatchReplayer, ReplayJob
 from repro.torchsim import Runtime, Tensor
 from repro.torchsim.dtypes import DType
 from repro.torchsim.ops.registry import OperatorRegistry
@@ -280,27 +279,45 @@ class TestSharedReconstructionEquivalence:
         cold = summary()
         assert cold == summary()
 
-    def test_thread_batch_equals_serial(self, tmp_path):
-        repo = TraceRepository(tmp_path)
-        for layers in (2, 3):
-            workload = ParamLinearWorkload(
-                ParamLinearConfig(batch_size=8, num_layers=layers, hidden_size=32, input_size=32)
-            )
-            repo.add(f"linear_{layers}", capture_workload(workload, warmup_iterations=0).execution_trace)
-        jobs = [
-            ReplayJob.from_record(record, ReplayConfig(device=device))
-            for record in repo.discover()
+    def test_concurrent_threads_equal_serial(self):
+        """The daemon's worker threads replay concurrently through the one
+        reconstruction cache: two threads that miss it on the same trace at
+        once must produce the serial replay's summaries."""
+        traces = [
+            capture_workload(
+                ParamLinearWorkload(
+                    ParamLinearConfig(batch_size=8, num_layers=layers, hidden_size=32, input_size=32)
+                ),
+                warmup_iterations=0,
+            ).execution_trace
+            for layers in (2, 3)
+        ]
+        # Thread 0 replays every trace on A100 while thread 1 replays the
+        # same trace on V100, so both miss the cache for it together.
+        pairs = [
+            (trace, ReplayConfig(device=device))
+            for trace in traces
             for device in ("A100", "V100")
         ]
 
-        def summaries(batch):
-            assert batch.error_count == 0
-            return [json.dumps(result.summary.to_dict(), sort_keys=True) for result in batch]
+        def summary(trace, config):
+            result = run_replay(trace, config=config)
+            return json.dumps(result.summarize().to_dict(), sort_keys=True)
+
+        threaded = [None] * len(pairs)
+
+        def work(offset):
+            for index in range(offset, len(pairs), 2):
+                threaded[index] = summary(*pairs[index])
 
         reconstruction.clear_cache()
-        threaded = summaries(BatchReplayer(max_workers=2, backend="thread").run(jobs))
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         reconstruction.clear_cache()
-        serial = summaries(BatchReplayer(backend="serial").run(jobs))
+        serial = [summary(*pair) for pair in pairs]
         assert threaded == serial
 
 

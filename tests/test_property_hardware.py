@@ -3,7 +3,13 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.hardware.costmodel import KernelCostModel
-from repro.hardware.gpu import GpuTimeline
+from repro.hardware.gpu import (
+    GpuTimeline,
+    exposed_time_by_category,
+    merge_intervals,
+    subtract_intervals,
+    total_length,
+)
 from repro.hardware.network import CollectiveCostModel
 from repro.hardware.power import PowerModel
 from repro.hardware.specs import A100, V100
@@ -102,6 +108,85 @@ class TestTimelineProperties:
             assert exposed <= stats.category_kernel_time_us[category] + 1e-6
         # Invariant 5: utilisation bounded.
         assert 0.0 <= stats.sm_utilization <= 1.0
+
+
+def _reference_subtract(base, cover):
+    """The O(n*m) subtraction: split every base interval by every cover
+    interval in turn, keeping what each cover leaves (empty base intervals
+    included)."""
+    result = []
+    for start, end in base:
+        segments = [(start, end)]
+        for c_start, c_end in cover:
+            next_segments = []
+            for s_start, s_end in segments:
+                if c_end <= s_start or c_start >= s_end:
+                    next_segments.append((s_start, s_end))
+                    continue
+                if c_start > s_start:
+                    next_segments.append((s_start, c_start))
+                if c_end < s_end:
+                    next_segments.append((c_end, s_end))
+            segments = next_segments
+        result.extend(segments)
+    return result
+
+
+def _reference_exposed(category_intervals):
+    exposed = {}
+    for category, intervals in category_intervals.items():
+        others = []
+        for other, other_intervals in category_intervals.items():
+            if other != category:
+                others.extend(other_intervals)
+        exposed[category] = total_length(
+            _reference_subtract(merge_intervals(intervals), merge_intervals(others))
+        )
+    return exposed
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+# Points on a coarse grid make touching and zero-length intervals common;
+# arbitrary floats cover the rest.
+_points = st.one_of(
+    st.integers(min_value=0, max_value=12).map(float),
+    st.floats(min_value=0.0, max_value=12.0),
+)
+_intervals = st.lists(st.tuples(_points, _points).map(sorted).map(tuple), max_size=12)
+
+
+class TestIntervalAlgebraProperties:
+    @given(_intervals, _intervals)
+    @settings(max_examples=400, deadline=None)
+    def test_subtract_matches_reference(self, base, raw_cover):
+        cover = merge_intervals(raw_cover)
+        reference = _reference_subtract(base, cover)
+        swept = subtract_intervals(base, cover)
+        assert swept == [(s, e) for s, e in reference if e > s]
+        assert _bits(total_length(swept)) == _bits(total_length(reference))
+
+    @given(st.dictionaries(st.sampled_from(["aten", "comms", "data"]), _intervals, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_exposed_time_matches_reference(self, category_intervals):
+        exposed = exposed_time_by_category(category_intervals)
+        reference = _reference_exposed(category_intervals)
+        assert list(exposed) == list(reference)
+        assert [_bits(v) for v in exposed.values()] == [_bits(v) for v in reference.values()]
+
+    def test_touching_and_zero_length_intervals(self):
+        # A touching cover leaves the base whole; a zero-length cover inside
+        # the base splits it; a zero-length base interval is dropped.
+        assert subtract_intervals([(0.0, 5.0)], [(5.0, 7.0)]) == [(0.0, 5.0)]
+        assert subtract_intervals([(0.0, 10.0)], [(2.0, 2.0), (5.0, 5.0)]) == [
+            (0.0, 2.0), (2.0, 5.0), (5.0, 10.0)
+        ]
+        assert subtract_intervals([(3.0, 3.0)], []) == []
+        assert subtract_intervals([(1.0, 4.0), (6.0, 9.0)], [(0.0, 2.0), (3.0, 7.0)]) == [
+            (2.0, 3.0), (7.0, 9.0)
+        ]
 
 
 class TestPowerModelProperties:

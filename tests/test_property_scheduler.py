@@ -406,4 +406,4 @@ class TestReplayDistCliFlags:
             .topology("nvlink-island")
             .run()
         )
-        assert cli_payload == json.loads(serialize.dumps(serialize.cluster_payload(report)))
+        assert cli_payload == json.loads(serialize.dumps(report))

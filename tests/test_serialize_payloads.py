@@ -159,9 +159,7 @@ class TestHealthPayload:
             "telemetry": {"repro_jobs_submitted_total": 2.0},
         }
         assert set(health) == HEALTH_KEYS
-        payload = serialize.daemon_health_payload(health)
-        assert payload == health
-        assert roundtrip(payload) == payload
+        assert roundtrip(health) == health
 
     def test_live_daemon_health_matches_pinned_keys(self, tmp_path):
         """The real ReplayDaemon.health() serves exactly the pinned shape,
@@ -177,7 +175,7 @@ class TestHealthPayload:
         assert health["uptime_s"] >= 0.0
         assert health["telemetry"]["repro_jobs_submitted_total"] == 0.0
         assert health["repositories"] == {"open": 0, "invalid": 0}
-        assert roundtrip(serialize.daemon_health_payload(health)) == health
+        assert roundtrip(health) == health
 
 
 class TestTelemetryPayloads:
@@ -188,7 +186,7 @@ class TestTelemetryPayloads:
         registry.counter("jobs_total", "jobs").inc(3)
         registry.gauge("depth", "queue depth").set(2)
         registry.histogram("latency_seconds", "latency").observe(0.2)
-        payload = serialize.metrics_payload(registry)
+        payload = registry.snapshot()
         assert set(payload) == {
             "schema_version", "counters", "gauges", "histograms"
         }
@@ -203,14 +201,15 @@ class TestTelemetryPayloads:
         with tracer.span("work", "daemon"):
             pass
         tracer.event("mark", "daemon", virtual_us=5.0)
-        payload = serialize.telemetry_trace_payload(tracer)
+        payload = tracer.to_dict()
         assert set(payload) == {
             "schema_version", "span_count", "event_count", "dropped",
             "spans", "events",
         }
         assert payload["schema_version"] == TELEMETRY_SCHEMA_VERSION
         assert payload["span_count"] == 1 and payload["event_count"] == 1
-        assert roundtrip(payload) == payload
+        # The tracer itself renders as its dict: callers pass it to dumps.
+        assert roundtrip(tracer) == roundtrip(payload) == payload
 
 
 class TestBatchPayloadErrorKeys:

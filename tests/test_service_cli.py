@@ -104,6 +104,7 @@ class TestSweepAcceptance:
             "--cache", str(cache_dir),
             "--device", "A100",
             "--device", "NewPlatform",
+            "--backend", "process",
             "--workers", "2",
             "--json",
         ]
@@ -149,6 +150,16 @@ class TestSweepAcceptance:
         out = capsys.readouterr().out
         assert "power_limit_w=250.0" in out
         assert "power_limit_w=400.0" in out
+
+    @pytest.mark.parametrize("command", ["sweep", "replay"])
+    def test_workers_without_process_backend_is_a_usage_error(self, cli_repo_dir, command, capsys):
+        # The serial backend has no pool to size, so --workers alone would
+        # be silently ignored.
+        assert main([command, "--repo", str(cli_repo_dir), "--workers", "2"]) == 2
+        assert "pass --backend process" in capsys.readouterr().err
+        assert main(
+            [command, "--repo", str(cli_repo_dir), "--backend", "serial", "--workers", "2"]
+        ) == 2
 
     def test_empty_repo_fails_cleanly(self, tmp_path, capsys):
         code = main(["sweep", "--repo", str(tmp_path / "empty")])

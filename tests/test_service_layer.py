@@ -365,7 +365,7 @@ def _jobs_for(repo: TraceRepository, devices=("A100",)) -> list:
 class TestBatchReplayer:
     def test_two_worker_batch_equals_sequential(self, repo):
         jobs = _jobs_for(repo, devices=("A100", "V100"))
-        parallel = BatchReplayer(max_workers=2, backend="thread").run(jobs)
+        parallel = BatchReplayer(max_workers=2, backend="process").run(jobs)
         sequential = BatchReplayer(backend="serial").run(jobs)
         self._assert_batches_equal(parallel, sequential)
 
@@ -425,7 +425,7 @@ class TestBatchReplayer:
         trace.metadata["modified"] = True
         trace.save(copy_path)
         cache = ResultCache(tmp_path / "cache")
-        batch = BatchReplayer(cache=cache, backend="thread").run([job])
+        batch = BatchReplayer(cache=cache, backend="serial").run([job])
         assert batch.error_count == 1
         assert "digest mismatch" in batch.results[0].error
         assert len(cache) == 0
