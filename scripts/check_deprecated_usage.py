@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Twelve rules, one pass:
+Thirteen rules, one pass:
 
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
   and ``src/repro/daemon/`` — batch work flows through the facade
@@ -42,7 +42,8 @@ Twelve rules, one pass:
   ``ETNode`` decodes its tensor refs once, and everything else reads them
   from the node (``input_refs``/``output_refs``, ``input_tensor_refs()``).
 * A rank joins the fleet in one place.  Inside ``src/repro/``, a
-  distributed context's ``.rendezvous`` is assigned only in
+  distributed context's ``.rendezvous`` is assigned, and a runtime is
+  built on the fleet's process-group tables (``group_tables=``), only in
   ``cluster/scheduler.py``, where each co-replay rank's runtime is created;
   every other rank-setup path would be a second per-rank replay object.
 * The daemon keeps one trace repository per root.  Inside
@@ -62,6 +63,12 @@ Twelve rules, one pass:
   co-replay with the same trace content share one ``FleetPlan`` of what
   those modules build, which is sound only while none of it can differ
   from rank to rank.
+* There is one process-group table per world.  Inside ``src/repro/``,
+  ``ProcessGroup(`` and ``GroupTable(`` are constructed only in
+  ``torchsim/distributed.py``: a world's ``GroupTable`` interns one group
+  per (sorted ranks, backend), and the rendezvous and the pre-flight match
+  key on those interned groups by identity, so a group built anywhere
+  else would never match its peers.
 
 Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 1 with a file:line listing otherwise.  ``tests/test_profiling.py`` drives
@@ -210,14 +217,15 @@ RULES = (
     Rule(
         name="fleet-join",
         # An assignment (not a comparison) to a distributed context's
-        # rendezvous, e.g. ``runtime.dist.rendezvous = ...``.
-        pattern=re.compile(r"\bdist\.rendezvous\s*=(?!=)"),
+        # rendezvous, e.g. ``runtime.dist.rendezvous = ...``, or a runtime
+        # built on a fleet's group tables (``group_tables=...``).
+        pattern=re.compile(r"\bdist\.rendezvous\s*=(?!=)|\bgroup_tables="),
         roots=("src/repro",),
         exempt=("src/repro/cluster/scheduler.py",),
         message=(
-            "a distributed context joins a rendezvous outside "
-            "cluster/scheduler.py (a co-replay rank is a ReplayContext driven "
-            "by the scheduler; do not build a second per-rank replay object)"
+            "a distributed context joins a rendezvous or a fleet's group tables "
+            "outside cluster/scheduler.py (a co-replay rank is a ReplayContext "
+            "driven by the scheduler; do not build a second per-rank replay object)"
         ),
     ),
     Rule(
@@ -262,6 +270,18 @@ RULES = (
             "a build stage or the fleet plan reads the rank (the ranks of a "
             "co-replay with the same trace content share one FleetPlan of build "
             "products, so nothing that builds them may depend on the rank)"
+        ),
+    ),
+    Rule(
+        name="one-group-table",
+        # A call, not the class statement or a mention in prose.
+        pattern=re.compile(r"(?<!class )\b(?:ProcessGroup|GroupTable)\("),
+        roots=("src/repro",),
+        exempt=("src/repro/torchsim/distributed.py",),
+        message=(
+            "ProcessGroup or GroupTable constructed outside torchsim/distributed.py "
+            "(resolve groups through a world's table, dist.groups; a co-replay's "
+            "tables are its rendezvous's group_tables)"
         ),
     ),
 )

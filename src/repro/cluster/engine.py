@@ -10,7 +10,7 @@ virtual-time collective scheduler:
    :class:`~repro.cluster.plan.FleetPlan`, so their build products and
    comm records are derived once per plan, not once per rank.
 2. **Pre-flight match** (:func:`match_collectives`): every collective is
-   matched across ranks by (process-group ranks, sequence number, operator
+   matched across ranks by (process group, sequence number, operator
    name) *before* anything replays, so a malformed fleet fails with a
    precise report instead of a mid-replay stall.
 3. **Event loop**: one :class:`~repro.core.pipeline.ReplayContext` per
@@ -54,6 +54,7 @@ from repro.cluster.plan import FleetPlan, collective_keys, plan_for
 from repro.cluster.rendezvous import CollectiveKey, EventRendezvous
 from repro.cluster.scheduler import VirtualTimeScheduler
 from repro.et.trace import ExecutionTrace
+from repro.torchsim.distributed import GroupTables
 from repro.torchsim.profiler import ProfilerTrace
 
 #: What :meth:`ClusterReplayer.replay` accepts per rank: a trace, a path to
@@ -117,17 +118,18 @@ def _world_size(trace: ExecutionTrace) -> int:
 def match_collectives(traces: Sequence[ExecutionTrace]) -> CollectiveMatchReport:
     """Match collectives across the fleet before replaying anything.
 
-    For every collective key (group ranks + op name) the replayed members
+    For every collective key (group + op name) the replayed members
     of that group must record the *same number* of invocations; any
     shortfall is reported as unmatched, naming the key and the offending
     ranks.  Groups whose other members are not part of the fleet (a
     partial, symmetric-rank replay) only need agreement among the replayed
     members.
     """
+    group_tables = GroupTables()
     return _match([
         (
             int(trace.metadata.get("rank", 0)),
-            collective_keys(CommPlan.build(trace), _world_size(trace)),
+            collective_keys(CommPlan.build(trace), group_tables[_world_size(trace)]),
         )
         for trace in traces
     ])
@@ -146,7 +148,7 @@ def _match(rank_keys: Sequence[Tuple[int, Sequence[CollectiveKey]]]) -> Collecti
 
     all_keys = {key for per_key in counts.values() for key in per_key}
     for key in sorted(all_keys):
-        participants = sorted(set(key[0]) & replayed)
+        participants = sorted(set(key[0].ranks) & replayed)
         if len(participants) <= 1:
             report.matched += counts.get(participants[0], {}).get(key, 0) if participants else 0
             continue
@@ -157,7 +159,7 @@ def _match(rank_keys: Sequence[Tuple[int, Sequence[CollectiveKey]]]) -> Collecti
         if want != have:
             short = sorted(rank for rank, count in per_rank.items() if count < want)
             report.unmatched.append(
-                f"{key[1]} over ranks {list(key[0])}: rank(s) {short} record fewer "
+                f"{key[1]} over ranks {list(key[0].ranks)}: rank(s) {short} record fewer "
                 f"invocations than their peers ({per_rank})"
             )
     return report
@@ -487,16 +489,6 @@ class ClusterReplayer:
             config = dataclass_replace(self.config, rank=rank, **rank_overrides.get(rank, {}))
             ranked.append((trace, profiler, config, plan_for(plans, trace, config, profiler)))
 
-        match = _match([
-            (config.rank, plan.collective_keys(_world_size(trace)))
-            for trace, _, config, plan in ranked
-        ])
-        if self.strict_match and not match.ok:
-            raise ClusterMatchError(
-                "collectives cannot be matched across the fleet:\n  "
-                + "\n  ".join(match.unmatched)
-            )
-
         # The shared pricing model is built exactly the way each rank's own
         # runtime builds it, so a one-rank co-replay prices every
         # collective identically to the single-rank pipeline.
@@ -504,6 +496,15 @@ class ClusterReplayer:
             cost_model=make_collective_cost_model(self.config),
             participants=ranks,
         )
+        match = _match([
+            (config.rank, plan.collective_keys(rendezvous.group_tables[_world_size(trace)]))
+            for trace, _, config, plan in ranked
+        ])
+        if self.strict_match and not match.ok:
+            raise ClusterMatchError(
+                "collectives cannot be matched across the fleet:\n  "
+                + "\n  ".join(match.unmatched)
+            )
         # One pipeline and one program store per co-replay: every rank
         # runs the single-rank default stages, and the first rank to reach
         # an operator signature captures its program, the next occurrence

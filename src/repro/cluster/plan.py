@@ -5,7 +5,7 @@ operator graph and differs only in its rank.  What the build stages derive
 from a trace — the selection (with the ``supported`` flags reconstruction
 sets), the reconstructed callables and their failures, the tensor
 classification, the stream assignment and the communication records with
-their group keys and de-duplicated group descriptions — depends on the
+their de-duplicated group descriptions — depends on the
 node list, the config, the profiler trace and the support registry, never
 on the rank.  :class:`~repro.cluster.engine.ClusterReplayer` therefore
 gives every rank of one co-replay the :class:`FleetPlan` of its *plan key*:
@@ -51,7 +51,7 @@ from repro.cluster.rendezvous import CollectiveKey, normalize_op
 from repro.core.comms_replay import CommPlan
 from repro.core.pipeline import comm_plan
 from repro.et.trace import ExecutionTrace
-from repro.torchsim.distributed import group_key
+from repro.torchsim.distributed import GroupTable
 
 
 class FleetPlan:
@@ -65,7 +65,7 @@ class FleetPlan:
         self.profiler_trace = profiler_trace
         #: Build product name -> product, filled as the ranks' stages run.
         self.products: Dict[str, Any] = {}
-        self._collective_keys: Dict[int, List[CollectiveKey]] = {}
+        self._collective_keys: Dict[GroupTable, List[CollectiveKey]] = {}
 
     def serves(self, trace: ExecutionTrace, config: Any, profiler_trace: Any) -> bool:
         """Whether a rank with these inputs (``config`` rank-cleared) has
@@ -81,25 +81,26 @@ class FleetPlan:
         pre-creates its process groups from."""
         return comm_plan(self, self.trace, self.config)
 
-    def collective_keys(self, world_size: int) -> List[CollectiveKey]:
+    def collective_keys(self, groups: GroupTable) -> List[CollectiveKey]:
         """The plan's collective call sequence, keyed for the pre-flight
-        match; a record with no recorded group runs over the default group
-        of ``world_size`` ranks (its trace's recorded world)."""
-        keys = self._collective_keys.get(world_size)
+        match on ``groups``, its trace's recorded world's."""
+        keys = self._collective_keys.get(groups)
         if keys is None:
-            keys = self._collective_keys[world_size] = collective_keys(self.comms(), world_size)
+            keys = self._collective_keys[groups] = collective_keys(self.comms(), groups)
         return keys
 
 
-def collective_keys(comms: CommPlan, world_size: int) -> List[CollectiveKey]:
+def collective_keys(comms: CommPlan, groups: GroupTable) -> List[CollectiveKey]:
     """The collective call sequence of ``comms``, keyed for matching."""
     keys: List[CollectiveKey] = []
     for record in comms.records:
         ranks = record.recorded_group.get("ranks")
-        if not isinstance(ranks, (list, tuple)) or not ranks:
+        if isinstance(ranks, (list, tuple)) and ranks:
+            group = groups.group(ranks, record.recorded_group.get("backend"))
+        else:
             # No recorded group means the default group over the full world.
-            ranks = range(world_size)
-        keys.append((group_key(ranks), normalize_op(record.name)))
+            group = groups.default_group
+        keys.append((group, normalize_op(record.name)))
     return keys
 
 

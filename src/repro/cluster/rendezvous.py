@@ -4,7 +4,7 @@ The paper's distributed replay (Section 4.3.2) captures one execution trace
 per rank, from the same iteration, precisely so that the communication
 operators can be *matched* across ranks during replay.  A rendezvous is
 where that matching happens at replay time: every rank replica announces
-each collective it reaches — identified by (process-group ranks, per-group
+each collective it reaches — identified by (process group, per-group
 sequence number, operator name) — along with the virtual time at which its
 GPU could start the kernel.  Once every participating replica has arrived,
 the rendezvous
@@ -31,29 +31,42 @@ slots that resolve (or fail) are queued for
 :meth:`~EventRendezvous.take_ready` so the scheduler knows exactly which
 cursors to wake.
 
+The group is an interned, identity-hashed
+:class:`~repro.torchsim.distributed.ProcessGroup` of the fleet's table for
+the rank's world (:attr:`EventRendezvous.group_tables`), so no map here
+re-hashes a world-sized tuple of ranks per collective per rank.
+
 Because a collective resolves only after **all** participants arrive, the
 resolved schedule is deterministic regardless of cursor scheduling order;
 :meth:`~EventRendezvous.stats` additionally sorts the event log
-canonically before accumulating, so the aggregated floats are
-byte-identical across schedules too.
+canonically (by group ranks, not creation order) before accumulating, so
+the aggregated floats are byte-identical across schedules too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.hardware.network import CollectiveCostModel
-# Raised by sync() below; defined next to the retry helper that catches it.
-from repro.torchsim.distributed import RankBlocked
+# RankBlocked: raised by sync() below, defined next to the retry helper that catches it.
+from repro.torchsim.distributed import GroupTables, ProcessGroup, RankBlocked
 
-#: Identity of one collective call site: (sorted group ranks, op name).
+#: Identity of one collective call site: (interned group, op name).
 #: Together with a per-rank, per-key sequence number this matches calls
 #: across ranks the way NCCL matches them: by issue order within a group.
-CollectiveKey = Tuple[Tuple[int, ...], str]
+CollectiveKey = Tuple[ProcessGroup, str]
 
-#: One matching slot: a collective key plus its per-group sequence number.
-CollectiveSlot = Tuple[CollectiveKey, int]
+
+class CollectiveSlot(NamedTuple):
+    """One matching slot: the ``seq``-th call of ``op`` over ``group``."""
+
+    group: ProcessGroup
+    op: str
+    seq: int
+
+    def __str__(self) -> str:
+        return f"{self.op}[{self.seq}] over ranks {list(self.group.ranks)}"
 
 
 class CollectiveSyncError(RuntimeError):
@@ -146,9 +159,12 @@ class EventRendezvous:
     ) -> None:
         self.cost_model = cost_model
         self.participants = frozenset(int(r) for r in participants)
-        self._seq: Dict[Tuple[int, CollectiveKey], int] = {}
-        #: key -> the replayed members a slot of that key waits for.
-        self._expected: Dict[CollectiveKey, frozenset] = {}
+        #: The fleet's process-group tables, one per world size; each rank's
+        #: distributed context is built on its world's (cluster/scheduler.py).
+        self.group_tables = GroupTables()
+        self._seq: Dict[Tuple[int, ProcessGroup, str], int] = {}
+        #: group -> the replayed members a slot over it waits for.
+        self._expected: Dict[ProcessGroup, frozenset] = {}
         self._pending: Dict[CollectiveSlot, _Pending] = {}
         self._retired: set = set()
         self.events: List[CollectiveEvent] = []
@@ -200,17 +216,15 @@ class EventRendezvous:
         )
 
     # ------------------------------------------------------------------
-    def _price(self, key: CollectiveKey, bytes_per_rank: float) -> Optional[float]:
-        group_size = len(key[0])
-        if group_size <= 1:
+    def _price(self, slot: CollectiveSlot, bytes_per_rank: float) -> Optional[float]:
+        if slot.group.size <= 1:
             # Degenerate singleton "collective": free of alpha-beta cost.
             return None
-        return self.cost_model.collective_us(key[1], bytes_per_rank, group_size)
+        return self.cost_model.collective_us(slot.op, bytes_per_rank, slot.group.size)
 
     def _record(
         self,
-        key: CollectiveKey,
-        seq: int,
+        slot: CollectiveSlot,
         start: float,
         duration: Optional[float],
         arrivals: Dict[int, float],
@@ -218,8 +232,8 @@ class EventRendezvous:
     ) -> None:
         self.events.append(
             CollectiveEvent(
-                key=key,
-                seq=seq,
+                key=(slot.group, slot.op),
+                seq=slot.seq,
                 start_us=start,
                 duration_us=duration if duration is not None else 0.0,
                 arrivals=arrivals,
@@ -228,10 +242,10 @@ class EventRendezvous:
         )
 
     @staticmethod
-    def _mismatch_message(key: CollectiveKey, seq: int, pending: _Pending) -> str:
+    def _mismatch_message(slot: CollectiveSlot, pending: _Pending) -> str:
         missing = sorted(pending.expected - set(pending.arrivals))
         return (
-            f"collective {key[1]}[{seq}] over ranks {list(key[0])} can never complete: "
+            f"collective {slot} can never complete: "
             f"participant(s) {missing} finished their trace without issuing it "
             f"(arrived: {sorted(pending.arrivals)})"
         )
@@ -242,40 +256,30 @@ class EventRendezvous:
         self,
         rank: int,
         op: str,
-        group_key: Sequence[int],
+        group: ProcessGroup,
         bytes_per_rank: float,
         arrival_us: float,
     ) -> Tuple[float, Optional[float]]:
-        """Announce a collective over the group whose canonical key is
-        ``group_key``; return ``(start_us, duration_us)`` when the slot is
-        resolved, raise :class:`RankBlocked` when it is not.
-
-        ``group_key`` must be the group's members in ascending order —
-        pass :attr:`~repro.torchsim.distributed.ProcessGroup.key`, not
-        ``ProcessGroup.ranks``.  It is not re-sorted per call; an unsorted
-        key raises :class:`ValueError` the first time it is seen."""
-        key: CollectiveKey = (tuple(group_key), normalize_op(op))
+        """Announce a collective over ``group``, an interned group of one
+        of :attr:`group_tables`; return ``(start_us, duration_us)`` when
+        the slot is resolved, raise :class:`RankBlocked` when it is not."""
+        op = normalize_op(op)
         slot = self._inflight.get(rank)
         if slot is None:
             # First announcement of this invocation: consume a sequence
             # number and register the arrival.  A retry after RankBlocked
             # skips this block — the op replays from the same cursor
             # position, so key and arrival are unchanged.
-            expected = self._expected.get(key)
+            expected = self._expected.get(group)
             if expected is None:
-                if list(key[0]) != sorted(key[0]):
-                    raise ValueError(
-                        f"collective group key {list(key[0])} is not sorted; "
-                        "pass ProcessGroup.key"
-                    )
-                expected = self._expected[key] = frozenset(key[0]) & self.participants
-            seq = self._seq.get((rank, key), 0)
-            self._seq[(rank, key)] = seq + 1
+                expected = self._expected[group] = frozenset(group.ranks) & self.participants
+            seq = self._seq.get((rank, group, op), 0)
+            self._seq[(rank, group, op)] = seq + 1
+            slot = CollectiveSlot(group, op, seq)
             if len(expected) <= 1:
-                duration = self._price(key, bytes_per_rank)
-                self._record(key, seq, arrival_us, duration, {rank: arrival_us}, bytes_per_rank)
+                duration = self._price(slot, bytes_per_rank)
+                self._record(slot, arrival_us, duration, {rank: arrival_us}, bytes_per_rank)
                 return arrival_us, duration
-            slot = (key, seq)
             pending = self._pending.get(slot)
             if pending is None:
                 pending = _Pending(expected=expected, consumers=set(expected))
@@ -287,26 +291,24 @@ class EventRendezvous:
                 set(pending.arrivals) >= pending.expected
             ):
                 start = max(pending.arrivals.values())
-                duration = self._price(key, pending.bytes_per_rank)
+                duration = self._price(slot, pending.bytes_per_rank)
                 pending.resolved = (start, duration)
-                self._record(key, seq, start, duration, dict(pending.arrivals), pending.bytes_per_rank)
+                self._record(slot, start, duration, dict(pending.arrivals), pending.bytes_per_rank)
                 self._ready.append(slot)
             elif self._retired and not (
                 pending.expected - set(pending.arrivals) - self._retired
             ):
-                pending.failed = self._mismatch_message(key, seq, pending)
+                pending.failed = self._mismatch_message(slot, pending)
                 self._ready.append(slot)
-        else:
-            if slot[0] != key:
-                raise CollectiveSyncError(
-                    f"rank {rank} retried collective {key[1]} over ranks {list(key[0])} "
-                    f"while parked on {slot[0][1]}[{slot[1]}] over ranks {list(slot[0][0])} "
-                    "— the replay diverged across retries"
-                )
+        elif slot.group is not group or slot.op != op:
+            raise CollectiveSyncError(
+                f"rank {rank} retried collective {op} over ranks {list(group.ranks)} "
+                f"while parked on {slot} — the replay diverged across retries"
+            )
         pending = self._pending.get(slot)
         if pending is None:
             raise CollectiveSyncError(
-                f"internal error: slot {slot[0][1]}[{slot[1]}] consumed before rank {rank} read it"
+                f"internal error: slot {slot.op}[{slot.seq}] consumed before rank {rank} read it"
             )
         if pending.failed is not None:
             self._inflight.pop(rank, None)
@@ -333,7 +335,7 @@ class EventRendezvous:
                 continue
             missing = pending.expected - set(pending.arrivals) - self._retired
             if not missing:
-                pending.failed = self._mismatch_message(slot[0], slot[1], pending)
+                pending.failed = self._mismatch_message(slot, pending)
                 self._ready.append(slot)
 
     # ------------------------------------------------------------------
@@ -348,9 +350,8 @@ class EventRendezvous:
         live cursor is parked, so no slot can ever resolve)."""
         for slot, pending in self._pending.items():
             if pending.resolved is None and pending.failed is None:
-                key, seq = slot
                 pending.failed = (
-                    f"collective {key[1]}[{seq}] over ranks {list(key[0])} cannot resolve: "
+                    f"collective {slot} cannot resolve: "
                     f"{reason} (arrived: {sorted(pending.arrivals)}, "
                     f"expected: {sorted(pending.expected)})"
                 )

@@ -22,8 +22,8 @@ Every rank runs the single-rank default stages (vectorized fast path
 included), so it pauses and resumes exactly as a single replay does: at an
 iteration boundary of its execute stage, through its context's
 ``pause_check``/``resume_from``.  Only its runtime differs: it joins the
-fleet's rendezvous before the pipeline starts, so ``init-comms`` only
-pre-creates the recorded process groups.  Each collective goes through
+fleet's rendezvous and group tables before the pipeline starts, so
+``init-comms`` only resolves the recorded process groups.  Each collective goes through
 :func:`~repro.torchsim.distributed.retry_collective`, which rolls the
 runtime back to the op boundary and yields the blocked slot; the cursor
 parks on it and re-executes the op verbatim once the slot resolves.
@@ -37,9 +37,9 @@ while it learns a program.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from repro.cluster.rendezvous import EventRendezvous, RankBlocked
+from repro.cluster.rendezvous import CollectiveSlot, EventRendezvous, RankBlocked
 from repro.core.pipeline import (
     CheckpointError,
     ReplayContext,
@@ -74,7 +74,9 @@ def _rank_steps(
     rank retires from the rendezvous.
     """
     try:
-        context.runtime = make_replay_runtime(context.trace, context.config)
+        context.runtime = make_replay_runtime(
+            context.trace, context.config, group_tables=rendezvous.group_tables
+        )
         if context.runtime.dist is not None:
             context.runtime.dist.rendezvous = rendezvous
         yield from pipeline.steps(context)
@@ -132,7 +134,7 @@ class VirtualTimeScheduler:
             for rank, context in contexts.items()
         }
         runnable = deque(sorted(cursors))
-        parked: Dict[Tuple, List[int]] = {}
+        parked: Dict[CollectiveSlot, List[int]] = {}
         errors: Dict[int, str] = {}
         outstanding = set(cursors)
         step = 0
@@ -218,7 +220,7 @@ class VirtualTimeScheduler:
         return errors
 
     # ------------------------------------------------------------------
-    def _wake(self, parked: Dict[Tuple, List[int]], runnable: deque) -> None:
+    def _wake(self, parked: Dict[CollectiveSlot, List[int]], runnable: deque) -> None:
         telemetry = self.telemetry if self.telemetry is not None and self.telemetry.enabled else None
         for slot in self.rendezvous.take_ready():
             if telemetry is not None:

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.et.analyzer import CATEGORY_COMMS, categorize_node, node_input_tensor_bytes
 from repro.et.schema import ETNode
 from repro.et.trace import ExecutionTrace
-from repro.torchsim.distributed import DistributedContext, ProcessGroup
+from repro.torchsim.distributed import DistributedContext, GroupTable, ProcessGroup
 
 
 @dataclass
@@ -59,7 +59,7 @@ class CommPlan:
         measured region) mirrors the paper's implementation and avoids
         perturbing the replayed timing.
         """
-        return [dist.group_for_description(description) for description in self.descriptions]
+        return [dist.groups.for_description(description) for description in self.descriptions]
 
 
 @dataclass
@@ -150,11 +150,12 @@ class CommReplayManager:
     def group_descriptions(self, records: Sequence[CommOpRecord]) -> List[Dict[str, object]]:
         """The distinct replay-side group descriptions of ``records``
         (:meth:`map_group`), in order of first use."""
-        descriptions: Dict[str, Dict[str, object]] = {}
+        descriptions: Dict[object, Dict[str, object]] = {}
         for record in records:
             description = self.map_group(record.recorded_group)
             if description is not None:
-                descriptions.setdefault(repr(sorted(description.items())), description)
+                ranks = GroupTable.canonical_ranks(description.get("ranks") or ())
+                descriptions.setdefault((ranks, description.get("backend")), description)
         return list(descriptions.values())
 
 

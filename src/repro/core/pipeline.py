@@ -38,7 +38,9 @@ from repro.core.streams import StreamAssigner, StreamAssignment
 from repro.core.tensors import TensorManager, classify_tensors
 from repro.hardware.counters import compute_system_metrics
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
-from repro.torchsim.distributed import DistributedContext, RankBlocked, retry_collective
+from repro.torchsim.distributed import (
+    DistributedContext, GroupTables, RankBlocked, retry_collective,
+)
 from repro.torchsim.profiler import Profiler
 from repro.torchsim.runtime import Runtime
 from repro.et.trace import ExecutionTrace
@@ -830,19 +832,22 @@ def make_collective_cost_model(config: "ReplayConfig") -> CollectiveCostModel:
     )
 
 
-def make_replay_runtime(trace: ExecutionTrace, config: "ReplayConfig") -> Runtime:
+def make_replay_runtime(
+    trace: ExecutionTrace, config: "ReplayConfig", group_tables: Optional[GroupTables] = None
+) -> Runtime:
     """The runtime (and distributed context) a replay of ``trace`` under
-    ``config`` runs on.  World size defaults to the trace metadata's."""
+    ``config`` runs on.  World size defaults to the trace metadata's; the
+    context uses that world's table of ``group_tables`` (a co-replay's)."""
     world_size = config.world_size
     if world_size is None:
         world_size = int(trace.metadata.get("world_size", 1))
     dist: Optional[DistributedContext] = None
     if world_size > 1:
-        collective_model = make_collective_cost_model(config)
         dist = DistributedContext(
             rank=min(config.rank, world_size - 1),
             world_size=world_size,
-            collective_model=collective_model,
+            collective_model=make_collective_cost_model(config),
+            groups=None if group_tables is None else group_tables[world_size],
         )
     return Runtime(
         device=config.device,

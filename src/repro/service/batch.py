@@ -48,6 +48,11 @@ from repro.service.repository import TraceRecord
 BACKENDS = ("serial", "process")
 
 
+def pool_size_error(flag: str = "") -> str:
+    """A pool size without the process backend; the CLI passes ``flag="--"``."""
+    return f"{flag}workers sizes the process pool; pass {flag}backend process too"
+
+
 @dataclass
 class ReplayJob:
     """One unit of batch work: replay the trace at ``trace_path`` under
@@ -201,6 +206,8 @@ class BatchReplayer:
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
+        if max_workers is not None and backend != "process":
+            raise ValueError(pool_size_error())
         if pause_check is not None and backend != "serial":
             raise ValueError(
                 "pause_check requires the serial backend — cooperative pause has "

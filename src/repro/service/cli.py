@@ -90,7 +90,7 @@ from repro.bench.reporting import format_table
 from repro.core.replayer import ReplayConfig
 from repro.memory import MemoryReport, format_bytes, format_memory_report, simulate_memory
 from repro.service import serialize
-from repro.service.batch import BACKENDS
+from repro.service.batch import BACKENDS, pool_size_error
 from repro.service.repository import TraceRecord, TraceRepository
 from repro.service.sweep import SweepSpec
 from repro.version import __version__
@@ -500,7 +500,7 @@ def _reject_orphan_flag(args: argparse.Namespace) -> Optional[str]:
         if getattr(args, "workers", None) is not None:
             return "--profile replays sequentially through the session API; drop --workers"
     if getattr(args, "workers", None) is not None and getattr(args, "backend", None) == "serial":
-        return "--workers sizes the process pool; pass --backend process too"
+        return pool_size_error("--")
     return None
 
 

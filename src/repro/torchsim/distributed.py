@@ -9,40 +9,37 @@ nccl/gloo/mpi/ucc backends.  What Mystique needs from it is:
 
 This module models exactly those pieces.  The actual duration of a
 collective comes from :class:`repro.hardware.network.CollectiveCostModel`.
+
+A group's identity is decided here: a world's :class:`GroupTable` interns
+one :class:`ProcessGroup` per (sorted ranks, backend), and groups hash by
+identity.  A replay or a capture keeps a private table; the ranks of one
+co-replay share their world's (:class:`GroupTables`, on the rendezvous).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Generator, Iterable, Optional, Tuple
 
-from repro.hardware.network import CollectiveCostModel, InterconnectSpec
+from repro.hardware.network import CollectiveCostModel
 from repro.torchsim.kernel import KernelLaunch
 
-#: Backends accepted by :func:`DistributedContext.new_group`, mirroring c10d.
+#: Backends a :class:`ProcessGroup` accepts, mirroring c10d.
 SUPPORTED_BACKENDS = ("nccl", "gloo", "mpi", "ucc")
 
-
-def group_key(ranks: Iterable[int]) -> Tuple[int, ...]:
-    """A group's canonical identity for matching collectives across ranks:
-    its members as sorted ints.  The one derivation of that key —
-    :attr:`ProcessGroup.key` and the cluster engine's pre-flight match
-    both use it."""
-    return tuple(sorted(map(int, ranks)))
+#: Bound on a table's description memo: a capture builds a fresh
+#: description per call, and the memo must not keep them all alive.
+_MAX_DESCRIPTIONS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessGroup:
-    """A communication group: an ordered set of participating ranks."""
+    """A communication group: its members, in ascending order.  Interned
+    by a :class:`GroupTable`, so it compares and hashes by identity."""
 
     pg_id: int
     ranks: Tuple[int, ...]
-    backend: str = "nccl"
-    #: :func:`group_key` of :attr:`ranks`, computed once: every collective
-    #: over the group is matched on it, and a world-sized group must not
-    #: be re-sorted per collective per rank.
-    key: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    backend: str
 
     def __post_init__(self) -> None:
         if self.backend not in SUPPORTED_BACKENDS:
@@ -51,18 +48,81 @@ class ProcessGroup:
             )
         if len(set(self.ranks)) != len(self.ranks):
             raise ValueError("process group ranks must be unique")
-        object.__setattr__(self, "key", group_key(self.ranks))
+
+    def __lt__(self, other: "ProcessGroup") -> bool:
+        # Never by pg_id: which rank of a co-replay creates a group first
+        # depends on the scheduler's pick order.
+        return (self.ranks, self.backend) < (other.ranks, other.backend)
 
     @property
     def size(self) -> int:
         return len(self.ranks)
 
-    def contains(self, rank: int) -> bool:
-        return rank in self.ranks
-
     def describe(self) -> Dict[str, object]:
         """JSON-friendly description recorded in execution-trace inputs."""
         return {"pg_id": self.pg_id, "ranks": list(self.ranks), "backend": self.backend}
+
+
+class GroupTable:
+    """The process groups of one world of ``world_size`` ranks, and the
+    only code that turns a rank list or a recorded description into one
+    (the replay-side group mapping of Section 4.3.2)."""
+
+    def __init__(self, world_size: int) -> None:
+        self.world_size = world_size
+        self._groups: Dict[Tuple[Tuple[int, ...], str], ProcessGroup] = {}
+        self._described: Dict[int, Tuple[Dict[str, object], ProcessGroup]] = {}
+        self.default_group = self.group(range(world_size))
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    @staticmethod
+    def canonical_ranks(ranks: Iterable[Any]) -> Tuple[int, ...]:
+        """A group's identity: its members as sorted ints (c10d's
+        ``new_group`` sorts them too)."""
+        return tuple(sorted(map(int, ranks)))
+
+    def group(self, ranks: Iterable[Any], backend: Optional[str] = None) -> ProcessGroup:
+        """The group over ``ranks`` (mirrors ``dist.new_group``), created on
+        first use."""
+        ranks, backend = tuple(ranks), backend or "nccl"
+        group = self._groups.get((ranks, backend))
+        if group is None:
+            # Recorded ranks are sorted ints in every trace we write; sort
+            # and convert only when the plain lookup misses.
+            key = (self.canonical_ranks(ranks), backend)
+            group = self._groups.get(key)
+            if group is None:
+                group = self._groups[key] = ProcessGroup(len(self._groups), *key)
+        return group
+
+    def for_description(self, description: Dict[str, object]) -> ProcessGroup:
+        """The group a recorded description names (no ``ranks``: the world).
+
+        A replay hands a collective the same (read-only) description object
+        on every call, so the answer is kept by the object's identity and a
+        world-sized rank list is read once, not once per call.
+        """
+        known = self._described.get(id(description))
+        if known is not None and known[0] is description:
+            return known[1]
+        ranks = description.get("ranks")
+        group = self.group(
+            range(self.world_size) if ranks is None else ranks, description.get("backend")
+        )
+        if len(self._described) >= _MAX_DESCRIPTIONS:
+            self._described.clear()
+        self._described[id(description)] = (description, group)
+        return group
+
+
+class GroupTables(dict):
+    """World size -> that world's :class:`GroupTable`, created on first use."""
+
+    def __missing__(self, world_size: int) -> GroupTable:
+        table = self[world_size] = GroupTable(world_size)
+        return table
 
 
 class Work:
@@ -101,15 +161,16 @@ class RankBlocked(Exception):
     has nothing to wait for and fails with a typed pipeline error.
     """
 
-    def __init__(self, slot: Tuple[Tuple[Tuple[int, ...], str], int]) -> None:
+    def __init__(self, slot: Any) -> None:
         super().__init__(slot)
+        #: The :class:`~repro.cluster.rendezvous.CollectiveSlot`: the
+        #: interned group, the op name and the per-group sequence number.
         self.slot = slot
 
     def __str__(self) -> str:
         # Rendered on demand: a fleet blocks on world-sized groups once per
         # collective per rank, and almost nobody reads the message.
-        (ranks, op), seq = self.slot
-        return f"rank blocked on collective {op}[{seq}] over ranks {list(ranks)}"
+        return f"rank blocked on collective {self.slot}"
 
 
 def retry_collective(
@@ -142,72 +203,24 @@ def retry_collective(
 
 
 class DistributedContext:
-    """Per-process distributed state (rank, world size, process groups)."""
+    """Per-process distributed state: rank, world size and the world's
+    :class:`GroupTable` (a private one unless ``groups`` is given)."""
 
     def __init__(
         self,
         rank: int,
         world_size: int,
-        interconnect: Optional[InterconnectSpec] = None,
         collective_model: Optional[CollectiveCostModel] = None,
-        backend: str = "nccl",
+        groups: Optional[GroupTable] = None,
     ) -> None:
         if not 0 <= rank < world_size:
             raise ValueError(f"rank {rank} out of range for world size {world_size}")
         self.rank = rank
         self.world_size = world_size
-        self.backend = backend
-        if collective_model is not None:
-            self.collective_model = collective_model
-        else:
-            self.collective_model = CollectiveCostModel(interconnect or InterconnectSpec())
-        self._pg_counter = itertools.count(1)
-        self.default_group = ProcessGroup(0, tuple(range(world_size)), backend)
-        self.groups: Dict[int, ProcessGroup] = {0: self.default_group}
-        #: (ranks, backend) -> group, so trace replays with many process
-        #: groups resolve recorded descriptions in O(1) per collective
-        #: instead of scanning every group.
-        self._group_index: Dict[Tuple[Tuple[int, ...], str], ProcessGroup] = {
-            (self.default_group.ranks, self.default_group.backend): self.default_group
-        }
+        self.collective_model = collective_model or CollectiveCostModel()
+        self.groups = groups if groups is not None else GroupTable(world_size)
+        self.default_group = self.groups.default_group
         #: Cross-rank collective scheduler for multi-rank co-replay; when
         #: set (see :mod:`repro.cluster`), collectives synchronise through
         #: it instead of being priced purely locally.
         self.rendezvous: Optional[object] = None
-
-    # ------------------------------------------------------------------
-    def new_group(self, ranks: Sequence[int], backend: Optional[str] = None) -> ProcessGroup:
-        """Create a new process group over ``ranks`` (mirrors ``dist.new_group``)."""
-        group = ProcessGroup(
-            pg_id=next(self._pg_counter),
-            ranks=tuple(int(r) for r in ranks),
-            backend=backend or self.backend,
-        )
-        self.groups[group.pg_id] = group
-        self._group_index.setdefault((group.ranks, group.backend), group)
-        return group
-
-    def get_group(self, pg_id: int) -> ProcessGroup:
-        if pg_id not in self.groups:
-            raise KeyError(f"unknown process group id {pg_id}")
-        return self.groups[pg_id]
-
-    def group_for_description(self, description: Dict[str, object]) -> ProcessGroup:
-        """Find-or-create a group matching a recorded description.
-
-        Mystique's communication replay creates new process groups and maps
-        them onto the groups recorded in the trace (Section 4.3.2); this is
-        the find-or-create half of that mapping.
-        """
-        ranks = description.get("ranks")
-        ranks = self.default_group.ranks if ranks is None else tuple(ranks)
-        backend = str(description.get("backend", self.backend))
-        existing = self._group_index.get((ranks, backend))
-        if existing is None:
-            # Recorded ranks are ints in every trace we write; convert only
-            # when the plain lookup misses, not per collective per rank.
-            ranks = tuple(map(int, ranks))
-            existing = self._group_index.get((ranks, backend))
-        if existing is not None:
-            return existing
-        return self.new_group(ranks, backend)

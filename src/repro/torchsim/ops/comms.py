@@ -4,7 +4,7 @@ Distributed training synchronises gradients and exchanges embeddings with
 collective operators; the paper's replay needs their process group, message
 size, dtype and blocking/async mode (Section 4.3.2).  Every collective here
 
-* looks up its process group in the runtime's distributed context,
+* resolves its process group through the world's group table,
 * computes its duration with the interconnect cost model,
 * launches a NCCL-style kernel on the communication stream, and
 * either blocks the issuing CPU thread (synchronous mode) or returns a
@@ -25,68 +25,51 @@ from repro.torchsim.stream import COMM_STREAM
 from repro.torchsim.tensor import Tensor
 
 
-def _collective(
-    ctx,
-    op_name: str,
-    kernel_name: str,
-    tensors: Sequence[Tensor],
-    pg: Optional[dict],
-    async_op: bool,
+def _run_collective(
+    ctx, op_name: str, kernel_name: str, pg: Optional[dict], async_op: bool, *,
+    nbytes: float = 0.0, stream_id: int = COMM_STREAM, start_not_before: Optional[float] = None,
+    local_us: Optional[float] = None, metadata: Optional[dict] = None, **desc_fields,
 ):
-    """Shared implementation of the collective operators."""
-    total_bytes = float(sum(t.nbytes for t in tensors))
+    """Shared implementation of the communication operators: resolve the
+    process group, price the collective (or match it with the other ranks
+    of a co-replay) and launch its kernel.
+
+    A run without peers (no distributed context, a world of one, or a group
+    folded down to a single rank by the replay-side rank remapping) has
+    nothing to exchange and takes ``local_us`` (``None`` lets the kernel
+    model price a memcpy).
+    """
     dist = ctx.dist
-    # NCCL kernels run on their own stream by default, but an explicit
-    # stream scope (set by the replayer from the profiler trace) wins.
-    stream_id = ctx.current_stream if ctx.runtime.stream_override_active else COMM_STREAM
-    # The collective reads tensors produced by compute kernels, so it cannot
-    # start before the compute stream has drained the work enqueued so far
-    # (it still overlaps with compute enqueued *after* it — that is what
-    # hides communication behind backward computation in DDP).
-    start_not_before = ctx.compute_stream_ready()
-    if dist is None or dist.world_size <= 1:
-        world_size = 1
-        duration = None  # local no-op, let the cost model price the memcpy
-    else:
-        group = dist.group_for_description(pg) if pg else dist.default_group
+    world_size = 1
+    duration = local_us
+    if dist is not None and dist.world_size > 1:
+        group = dist.groups.for_description(pg) if pg else dist.default_group
         world_size = group.size
-        if world_size <= 1:
-            # A group folded down to a single rank (e.g. by the replay-side
-            # rank remapping) has nothing to exchange: price it as a local
-            # no-op memcpy, not an alpha-beta collective.
-            duration = None
-        elif dist.rendezvous is not None:
+    if world_size > 1:
+        if dist.rendezvous is not None:
             # Multi-rank co-replay: match this collective with the other
             # participating ranks and let the shared virtual-time scheduler
             # pick one start time and one duration for all of them.
-            arrival = max(
-                ctx.runtime.now(),
-                start_not_before,
-                ctx.runtime.gpu.stream_ready_time(stream_id),
-            )
+            ready = ctx.runtime.gpu.stream_ready_time(stream_id)
+            if start_not_before is not None:
+                ready = max(start_not_before, ready)
+            arrival = max(ctx.runtime.now(), ready)
             start, duration = dist.rendezvous.sync(
                 rank=dist.rank,
                 op=op_name,
-                group_key=group.key,
-                bytes_per_rank=total_bytes,
+                group=group,
+                bytes_per_rank=nbytes,
                 arrival_us=arrival,
             )
-            start_not_before = max(start_not_before, start)
+            start_not_before = start if start_not_before is None else max(start_not_before, start)
         else:
-            duration = dist.collective_model.collective_us(op_name, total_bytes, world_size)
+            duration = dist.collective_model.collective_us(op_name, nbytes, world_size)
 
     desc = KernelDesc(
         name=kernel_name,
         kind=KernelKind.COLLECTIVE,
-        bytes_read=total_bytes,
-        bytes_written=total_bytes,
-        occupancy=0.15,
-        locality=0.9,
-        comm_bytes=total_bytes,
-        metadata={
-            "world_size": world_size,
-            "dtype": tensors[0].dtype.type_name if tensors else "float32",
-        },
+        metadata={"world_size": world_size, **(metadata or {})},
+        **desc_fields,
     )
     launch = ctx.launch(
         desc,
@@ -98,6 +81,25 @@ def _collective(
     if async_op:
         return ctx.async_work(launch)
     return None
+
+
+def _collective(ctx, op_name, kernel_name, tensors: Sequence[Tensor], pg, async_op):
+    """A collective that moves ``tensors``."""
+    nbytes = float(sum(t.nbytes for t in tensors))
+    # NCCL kernels run on their own stream by default, but an explicit
+    # stream scope (set by the replayer from the profiler trace) wins.
+    stream_id = ctx.current_stream if ctx.runtime.stream_override_active else COMM_STREAM
+    # The collective reads tensors produced by compute kernels, so it cannot
+    # start before the compute stream has drained the work enqueued so far
+    # (it still overlaps with compute enqueued *after* it — that is what
+    # hides communication behind backward computation in DDP).
+    start_not_before = ctx.compute_stream_ready()
+    dtype = tensors[0].dtype.type_name if tensors else "float32"
+    return _run_collective(
+        ctx, op_name, kernel_name, pg, async_op, nbytes=nbytes, stream_id=stream_id,
+        start_not_before=start_not_before, metadata={"dtype": dtype}, bytes_read=nbytes,
+        bytes_written=nbytes, occupancy=0.15, locality=0.9, comm_bytes=nbytes,
+    )
 
 
 @register_op(
@@ -156,44 +158,9 @@ def c10d_broadcast(ctx, tensors: Sequence[Tensor], src: int = 0, pg=None, async_
     library="c10d",
 )
 def c10d_barrier(ctx, pg=None, async_op: bool = False):
-    dist = ctx.dist
-    start_not_before = None
-    if dist is None or dist.world_size <= 1:
-        duration = 2.0
-        world_size = 1
-    else:
-        group = dist.group_for_description(pg) if pg else dist.default_group
-        world_size = group.size
-        if world_size <= 1:
-            duration = 2.0
-        elif dist.rendezvous is not None:
-            arrival = max(ctx.runtime.now(), ctx.runtime.gpu.stream_ready_time(COMM_STREAM))
-            start, duration = dist.rendezvous.sync(
-                rank=dist.rank,
-                op="barrier",
-                group_key=group.key,
-                bytes_per_rank=0.0,
-                arrival_us=arrival,
-            )
-            start_not_before = start
-        else:
-            duration = dist.collective_model.barrier_us(world_size)
-    desc = KernelDesc(
-        name="ncclKernel_Barrier",
-        kind=KernelKind.COLLECTIVE,
-        occupancy=0.05,
-        metadata={"world_size": world_size},
+    return _run_collective(
+        ctx, "barrier", "ncclKernel_Barrier", pg, async_op, local_us=2.0, occupancy=0.05
     )
-    launch = ctx.launch(
-        desc,
-        stream_id=COMM_STREAM,
-        duration_us=duration,
-        blocking=not async_op,
-        start_not_before=start_not_before,
-    )
-    if async_op:
-        return ctx.async_work(launch)
-    return None
 
 
 @register_op(

@@ -14,6 +14,7 @@ import copy
 import gc
 import itertools
 import json
+import re
 from collections import Counter
 from dataclasses import replace as dataclass_replace
 from pathlib import Path
@@ -49,7 +50,7 @@ from repro.daemon.jobs import JobSnapshot
 from repro.et.analyzer import CATEGORY_COMMS, categorize_node
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
 from repro.service.cli import main as cli_main
-from repro.torchsim.distributed import DistributedContext, ProcessGroup, group_key
+from repro.torchsim.distributed import DistributedContext, GroupTable, GroupTables
 from repro.torchsim.ops.registry import OperatorRegistry
 from repro.torchsim.runtime import Runtime
 from repro.workloads.ddp import DistributedRunner
@@ -77,6 +78,8 @@ def fleet_traces(fleet_captures):
 # Rendezvous
 # ----------------------------------------------------------------------
 class TestEventRendezvous:
+    groups = GroupTable(8)
+
     def make(self, participants=(0,)):
         return EventRendezvous(CollectiveCostModel(InterconnectSpec()), participants)
 
@@ -86,7 +89,9 @@ class TestEventRendezvous:
 
     def test_sole_participant_resolves_immediately(self):
         rendezvous = self.make(participants=(0,))
-        start, duration = rendezvous.sync(0, "all_reduce", range(8), 1 << 20, arrival_us=100.0)
+        start, duration = rendezvous.sync(
+            0, "all_reduce", self.groups.default_group, 1 << 20, arrival_us=100.0
+        )
         assert start == 100.0
         # Priced at the *recorded* group size, exactly as the single-rank
         # pipeline would price it.
@@ -97,7 +102,7 @@ class TestEventRendezvous:
 
     def test_singleton_group_is_free(self):
         rendezvous = self.make(participants=(0, 1))
-        start, duration = rendezvous.sync(0, "all_reduce", [0], 1 << 20, arrival_us=5.0)
+        start, duration = rendezvous.sync(0, "all_reduce", self.groups.group([0]), 1 << 20, arrival_us=5.0)
         assert start == 5.0
         assert duration is None  # local no-op; the kernel model prices a memcpy
 
@@ -107,11 +112,11 @@ class TestEventRendezvous:
         parked rank's retry reads the same (start, duration) release."""
         rendezvous = self.make(participants=(0, 1))
         with pytest.raises(RankBlocked) as blocked:
-            rendezvous.sync(0, "all_reduce", [0, 1], 1 << 20, arrival_us=10.0)
+            rendezvous.sync(0, "all_reduce", self.groups.group([0, 1]), 1 << 20, arrival_us=10.0)
         assert rendezvous.take_ready() == []  # nothing resolved yet
-        last = rendezvous.sync(1, "all_reduce", [0, 1], 1 << 20, arrival_us=50.0)
+        last = rendezvous.sync(1, "all_reduce", self.groups.group([0, 1]), 1 << 20, arrival_us=50.0)
         assert rendezvous.take_ready() == [blocked.value.slot]
-        retried = rendezvous.sync(0, "all_reduce", [0, 1], 1 << 20, arrival_us=10.0)
+        retried = rendezvous.sync(0, "all_reduce", self.groups.group([0, 1]), 1 << 20, arrival_us=10.0)
         assert retried == last
         start, duration = retried
         assert start == 50.0  # the slowest participant's arrival
@@ -126,7 +131,7 @@ class TestEventRendezvous:
         rendezvous = self.make(participants=(0, 1))
         rendezvous.retire(1)
         with pytest.raises(CollectiveSyncError, match="finished their trace"):
-            rendezvous.sync(0, "all_reduce", [0, 1], 1024, arrival_us=0.0)
+            rendezvous.sync(0, "all_reduce", self.groups.group([0, 1]), 1024, arrival_us=0.0)
 
     def test_fail_pending_breaks_deadlocks(self):
         """The scheduler's structural deadlock breaker: when every live
@@ -134,11 +139,11 @@ class TestEventRendezvous:
         all so the retries surface a diagnosis instead of hanging."""
         rendezvous = self.make(participants=(0, 1))
         with pytest.raises(RankBlocked):
-            rendezvous.sync(0, "all_reduce", [0, 1], 1024, arrival_us=0.0)
+            rendezvous.sync(0, "all_reduce", self.groups.group([0, 1]), 1024, arrival_us=0.0)
         rendezvous.fail_pending("every live cursor is parked")
         assert rendezvous.take_ready() != []
         with pytest.raises(CollectiveSyncError, match="cannot resolve"):
-            rendezvous.sync(0, "all_reduce", [0, 1], 1024, arrival_us=0.0)
+            rendezvous.sync(0, "all_reduce", self.groups.group([0, 1]), 1024, arrival_us=0.0)
 
 
 class TestBlockedCollectiveOutsideScheduler:
@@ -460,83 +465,196 @@ class TestSingletonCollectivePricing:
 
 
 # ----------------------------------------------------------------------
-# Process-group index
+# Process-group table
 # ----------------------------------------------------------------------
-class TestGroupIndex:
-    def test_group_for_description_is_find_or_create(self):
-        dist = DistributedContext(rank=0, world_size=8)
-        description = {"ranks": [0, 2, 4, 6], "backend": "nccl"}
-        first = dist.group_for_description(description)
-        second = dist.group_for_description(description)
-        assert first is second
-        assert dist.group_for_description({"ranks": [0, 2, 4, 6], "backend": "gloo"}) is not first
+class TestGroupTable:
+    """One table per world interns one group per (sorted ranks, backend);
+    the rendezvous, the pre-flight match and group lookup all key on it."""
 
-    def test_default_group_resolves_through_index(self):
-        dist = DistributedContext(rank=0, world_size=8)
-        resolved = dist.group_for_description({"ranks": list(range(8)), "backend": "nccl"})
-        assert resolved is dist.default_group
+    def test_for_description_is_find_or_create(self):
+        groups = GroupTable(8)
+        description = {"ranks": [0, 2, 4, 6], "backend": "nccl"}
+        first = groups.for_description(description)
+        assert groups.for_description(dict(description)) is first
+        assert groups.for_description({"ranks": [0, 2, 4, 6], "backend": "gloo"}) is not first
+
+    def test_default_group_is_the_world(self):
+        groups = GroupTable(8)
+        assert groups.default_group.ranks == tuple(range(8))
+        world = {"ranks": list(range(8)), "backend": "nccl"}
+        assert groups.for_description(world) is groups.default_group
+        dist = DistributedContext(rank=3, world_size=8, groups=groups)
+        assert dist.groups is groups and dist.default_group is groups.default_group
 
     def test_many_groups_still_resolve_each_exactly(self):
-        dist = DistributedContext(rank=0, world_size=64)
-        created = [dist.new_group([r, r + 32]) for r in range(32)]
+        groups = GroupTable(64)
+        created = [groups.group([r, r + 32]) for r in range(32)]
         for rank, group in enumerate(created):
-            found = dist.group_for_description(
-                {"ranks": [rank, rank + 32], "backend": "nccl"}
-            )
+            found = groups.for_description({"ranks": [rank, rank + 32], "backend": "nccl"})
             assert found is group
 
     def test_description_without_ranks_is_the_default_group(self):
-        dist = DistributedContext(rank=0, world_size=8)
-        assert dist.group_for_description({"pg_id": 0, "backend": "nccl"}) is dist.default_group
-        assert len(dist.groups) == 1
+        groups = GroupTable(8)
+        assert groups.for_description({"pg_id": 0, "backend": "nccl"}) is groups.default_group
+        assert len(groups) == 1
 
     def test_non_int_recorded_ranks_resolve_without_new_groups(self):
-        dist = DistributedContext(rank=0, world_size=8)
-        group = dist.group_for_description({"ranks": ["0", "2"], "backend": "nccl"})
+        groups = GroupTable(8)
+        group = groups.for_description({"ranks": ["0", "2"], "backend": "nccl"})
         assert group.ranks == (0, 2)
-        assert dist.group_for_description({"ranks": ["0", "2"], "backend": "nccl"}) is group
-        assert len(dist.groups) == 2
+        assert groups.for_description({"ranks": ["0", "2"], "backend": "nccl"}) is group
+        assert len(groups) == 2
 
+    def test_ranks_are_sorted_once_and_groups_hash_by_identity(self):
+        groups = GroupTable(4)
+        group = groups.group([3, 1, 2])
+        assert group.ranks == (1, 2, 3)
+        assert groups.group(iter([2, 3, 1])) is group
+        assert groups.group((1, 2, 3)) is group
+        assert hash(group) == object.__hash__(group)
+        assert len(groups) == 2
 
-# ----------------------------------------------------------------------
-# One collective key
-# ----------------------------------------------------------------------
-class TestCollectiveKey:
-    """A group's sorted-ranks key is derived once, by one helper, and the
-    rendezvous, the pre-flight match and group lookup all use it."""
+    def test_groups_order_by_ranks_not_creation(self):
+        groups = GroupTable(4)
+        later = groups.group([2, 3])
+        earlier = groups.group([0, 1])
+        assert later.pg_id < earlier.pg_id
+        assert sorted([later, groups.default_group, earlier]) == [
+            earlier, groups.default_group, later
+        ]
 
-    def test_process_group_key_is_sorted_and_not_identity(self):
-        group = ProcessGroup(1, (3, 1, 2))
-        assert group.key == group_key([3, 1, 2]) == (1, 2, 3)
-        assert group.ranks == (3, 1, 2)
-        # Derived, so it stays out of equality and repr.
-        assert group == ProcessGroup(1, (3, 1, 2))
-        assert "key" not in repr(group)
+    def test_tables_are_per_world(self):
+        tables = GroupTables()
+        assert tables[4] is tables[4]
+        assert tables[4] is not tables[8]
+        assert tables[8].default_group.size == 8
 
-    def test_rendezvous_matches_on_the_group_key(self):
+    def test_rendezvous_matches_on_the_interned_group(self):
         rendezvous = EventRendezvous(CollectiveCostModel(InterconnectSpec()), (0, 1))
-        key = ProcessGroup(0, (1, 0)).key
+        group = rendezvous.group_tables[2].group([1, 0])
         with pytest.raises(RankBlocked) as blocked:
-            rendezvous.sync(0, "all_reduce", key, 1024, arrival_us=0.0)
-        assert blocked.value.slot == (((0, 1), "all_reduce"), 0)
+            rendezvous.sync(0, "all_reduce", group, 1024, arrival_us=0.0)
+        assert blocked.value.slot == (group, "all_reduce", 0)
         assert str(blocked.value) == "rank blocked on collective all_reduce[0] over ranks [0, 1]"
-        rendezvous.sync(1, "c10d::all_reduce", key, 1024, arrival_us=5.0)
-        assert rendezvous.sync(0, "all_reduce", key, 1024, arrival_us=0.0)[0] == 5.0
+        same = rendezvous.group_tables[2].group([0, 1])
+        rendezvous.sync(1, "c10d::all_reduce", same, 1024, arrival_us=5.0)
+        assert rendezvous.sync(0, "all_reduce", group, 1024, arrival_us=0.0)[0] == 5.0
 
-    def test_rendezvous_rejects_an_unsorted_key(self):
-        rendezvous = EventRendezvous(CollectiveCostModel(InterconnectSpec()), (0, 1))
-        group = ProcessGroup(0, (1, 0))
-        with pytest.raises(ValueError, match="pass ProcessGroup.key"):
-            rendezvous.sync(0, "all_reduce", group.ranks, 1024, arrival_us=0.0)
-
-    def test_preflight_keys_equal_the_replayed_groups_keys(self, fleet_traces):
+    def test_preflight_keys_are_the_replayed_groups(self, fleet_traces):
         from repro.cluster.plan import collective_keys
         from repro.core.comms_replay import CommPlan
 
-        dist = DistributedContext(rank=0, world_size=WORLD)
-        for key, op in collective_keys(CommPlan.build(fleet_traces[0]), WORLD):
-            assert key == dist.default_group.key
+        groups = GroupTable(WORLD)
+        for group, op in collective_keys(CommPlan.build(fleet_traces[0]), groups):
+            assert group is groups.default_group
             assert op in ("all_reduce", "all_to_all")
+
+
+class _BarrierWorkload:
+    """A tiny DDP PARAM-linear step that ends in a ``c10d::barrier``."""
+
+    def __init__(self, rank, world):
+        from repro.workloads.param_linear import ParamLinearConfig, ParamLinearWorkload
+
+        self.inner = ParamLinearWorkload(
+            ParamLinearConfig(batch_size=8, num_layers=2, hidden_size=16, input_size=16),
+            distributed=True,
+        )
+        self.name = "param_linear_barrier"
+
+    def run_iteration(self, runtime):
+        self.inner.run_iteration(runtime)
+        runtime.call("c10d::barrier", runtime.dist.default_group.describe(), False)
+
+
+class TestFleetGroupTable:
+    """Every rank of a co-replay resolves its groups through its world's one
+    table, owned by the rendezvous; no rank builds its own world."""
+
+    def test_one_world_group_and_one_table_for_64_ranks(self, monkeypatch):
+        from repro.bench.throughput import synthesize_fleet
+        from repro.cluster import scheduler
+        from repro.torchsim import distributed
+
+        fleet = synthesize_fleet(64)
+        worlds = []
+        post_init = distributed.ProcessGroup.__post_init__
+
+        def counting_post_init(group):
+            post_init(group)
+            if group.size == 64:
+                worlds.append(group)
+
+        tables = []
+        make_runtime = scheduler.make_replay_runtime
+
+        def recording_make_runtime(*args, **kwargs):
+            runtime = make_runtime(*args, **kwargs)
+            tables.append(runtime.dist.groups)
+            return runtime
+
+        monkeypatch.setattr(distributed.ProcessGroup, "__post_init__", counting_post_init)
+        monkeypatch.setattr(scheduler, "make_replay_runtime", recording_make_runtime)
+        report = ClusterReplayer(
+            ReplayConfig(iterations=1, warmup_iterations=0, world_size=64)
+        ).replay(fleet)
+        assert report.unmatched_collectives == 0 and report.matched_collectives > 0
+        assert len(worlds) == 1
+        assert len(tables) == 64 and len({id(table) for table in tables}) == 1
+        assert tables[0].default_group is worlds[0]
+
+    def test_ranks_of_different_worlds_do_not_share_a_table(self, fleet_traces):
+        tables = GroupTables()
+        config = ReplayConfig()
+        small = make_replay_runtime(fleet_traces[0], config, group_tables=tables)
+        peer = make_replay_runtime(fleet_traces[1], config, group_tables=tables)
+        large = make_replay_runtime(
+            fleet_traces[2], dataclass_replace(config, world_size=2 * WORLD), group_tables=tables
+        )
+        assert small.dist.groups is peer.dist.groups is tables[WORLD]
+        assert large.dist.groups is tables[2 * WORLD]
+        assert large.dist.groups is not small.dist.groups
+        # Without the fleet's tables, a replay keeps a private one.
+        assert make_replay_runtime(fleet_traces[0], config).dist.groups is not tables[WORLD]
+
+    def test_blocked_slot_reads_as_op_seq_and_ranks(self, fleet_captures):
+        from repro.telemetry import Tracer
+
+        tracer = Tracer()
+        api.replay_cluster(fleet_captures).iterations(1).with_telemetry(tracer).run()
+        slots = [event.attributes["slot"] for event in tracer.events if event.name == "park"]
+        assert slots
+        for slot in slots:
+            assert re.fullmatch(r"(all_reduce|all_to_all)\[\d+\] over ranks \[0, 1, 2, 3\]", slot)
+
+    def test_barrier_fleet_co_replays_matched_and_vectorized_equals_scalar(self):
+        captures = DistributedRunner(_BarrierWorkload, world_size=WORLD).run()
+        barriers = [
+            node
+            for node in captures[0].execution_trace.operators()
+            if node.name == "c10d::barrier"
+        ]
+        assert barriers
+
+        def run(vectorized):
+            return ClusterReplayer(
+                ReplayConfig(iterations=2, warmup_iterations=1, vectorized=vectorized)
+            ).replay(captures)
+
+        fast, scalar = run(True), run(False)
+        assert fast.unmatched_collectives == 0
+        assert fast.matched_collectives == scalar.matched_collectives > 0
+        assert json.dumps(fast.to_dict(), sort_keys=True) == json.dumps(
+            scalar.to_dict(), sort_keys=True
+        )
+        # Every recorded collective of each measured iteration matched,
+        # the barrier included.
+        from repro.cluster.plan import collective_keys
+        from repro.core.comms_replay import CommPlan
+
+        keys = collective_keys(CommPlan.build(captures[0].execution_trace), GroupTable(WORLD))
+        assert [op for _, op in keys].count("barrier") == len(barriers)
+        assert fast.matched_collectives == 2 * len(keys)
 
 
 # ----------------------------------------------------------------------

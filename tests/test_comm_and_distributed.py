@@ -4,7 +4,7 @@ import pytest
 
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
 from repro.torchsim import Runtime, Tensor
-from repro.torchsim.distributed import DistributedContext, ProcessGroup, Work
+from repro.torchsim.distributed import DistributedContext, GroupTable, Work
 from repro.torchsim.kernel import KernelKind, OpCategory
 from repro.torchsim.stream import COMM_STREAM
 
@@ -22,28 +22,28 @@ class TestProcessGroups:
 
     def test_new_group_gets_unique_id(self):
         dist = DistributedContext(rank=0, world_size=8)
-        first = dist.new_group([0, 1, 2, 3])
-        second = dist.new_group([4, 5, 6, 7])
+        first = dist.groups.group([0, 1, 2, 3])
+        second = dist.groups.group([4, 5, 6, 7])
         assert first.pg_id != second.pg_id
-        assert dist.get_group(first.pg_id) is first
+        assert dist.groups.group([0, 1, 2, 3]) is first
 
     def test_group_for_description_reuses_existing(self):
         dist = DistributedContext(rank=0, world_size=4)
         description = {"ranks": [0, 1, 2, 3], "backend": "nccl"}
-        assert dist.group_for_description(description) is dist.default_group
+        assert dist.groups.for_description(description) is dist.default_group
 
     def test_group_for_description_creates_missing(self):
         dist = DistributedContext(rank=0, world_size=8)
-        group = dist.group_for_description({"ranks": [0, 2, 4, 6], "backend": "nccl"})
+        group = dist.groups.for_description({"ranks": [0, 2, 4, 6], "backend": "nccl"})
         assert group.ranks == (0, 2, 4, 6)
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
-            ProcessGroup(1, (0, 1), backend="smoke-signals")
+            GroupTable(2).group([0, 1], backend="smoke-signals")
 
     def test_duplicate_ranks_rejected(self):
         with pytest.raises(ValueError):
-            ProcessGroup(1, (0, 0, 1))
+            GroupTable(2).group([0, 0, 1])
 
     def test_rank_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -443,11 +443,68 @@ class TestFleetJoinGuard:
         assert len(offenders["fleet-join"]) == 1
         assert "replica.py:2" in offenders["fleet-join"][0]
 
+    def test_rule_fires_on_the_fleet_group_tables_outside_the_scheduler(self, tmp_path):
+        checker = _load_usage_checker()
+        bad = tmp_path / "src" / "repro" / "cluster"
+        bad.mkdir(parents=True)
+        (bad / "replica.py").write_text(
+            "tables = rendezvous.group_tables\n"
+            "runtime = make_replay_runtime(trace, config, group_tables=tables)\n"
+        )
+        offenders = checker.find_offenders(tmp_path)
+        assert list(offenders) == ["fleet-join"]
+        assert len(offenders["fleet-join"]) == 1
+        assert "replica.py:2" in offenders["fleet-join"][0]
+
     def test_scheduler_module_is_exempt(self, tmp_path):
         checker = _load_usage_checker()
         ok = tmp_path / "src" / "repro" / "cluster"
         ok.mkdir(parents=True)
-        (ok / "scheduler.py").write_text("runtime.dist.rendezvous = rendezvous\n")
+        (ok / "scheduler.py").write_text(
+            "runtime = make_replay_runtime(trace, config, group_tables=rendezvous.group_tables)\n"
+            "runtime.dist.rendezvous = rendezvous\n"
+        )
+        assert checker.find_offenders(tmp_path) == {}
+
+
+class TestOneGroupTableGuard:
+    """``scripts/check_deprecated_usage.py`` keeps group construction in
+    ``torchsim/distributed.py``: a world's ``GroupTable`` interns every
+    ``ProcessGroup``, and the rendezvous matches groups by identity."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "group = ProcessGroup(0, tuple(range(world_size)))\n",
+            "groups = GroupTable(world_size)\n",
+        ],
+    )
+    def test_rule_fires_outside_the_distributed_module(self, tmp_path, source):
+        checker = _load_usage_checker()
+        bad = tmp_path / "src" / "repro" / "cluster"
+        bad.mkdir(parents=True)
+        (bad / "engine.py").write_text("from x import ProcessGroup, GroupTable\n" + source)
+        offenders = checker.find_offenders(tmp_path)
+        assert list(offenders) == ["one-group-table"]
+        assert len(offenders["one-group-table"]) == 1
+        assert "engine.py:2" in offenders["one-group-table"][0]
+
+    def test_distributed_module_and_fleet_tables_are_exempt(self, tmp_path):
+        checker = _load_usage_checker()
+        distributed = tmp_path / "src" / "repro" / "torchsim" / "distributed.py"
+        distributed.parent.mkdir(parents=True)
+        distributed.write_text(
+            "class ProcessGroup:\n"
+            "    pass\n"
+            "default = ProcessGroup(0, (0, 1))\n"
+            "table = GroupTable(2)\n"
+        )
+        other = tmp_path / "src" / "repro" / "cluster" / "rendezvous.py"
+        other.parent.mkdir(parents=True)
+        other.write_text(
+            "tables = GroupTables()\n"
+            "def sync(group: ProcessGroup) -> None: ...\n"
+        )
         assert checker.find_offenders(tmp_path) == {}
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import api
 from repro.bench.aggregate import aggregate_by_device, cache_summary_line, format_batch_report
 from repro.bench.harness import capture_workload
 from repro.core.replayer import ReplayConfig, ReplayResultSummary
@@ -390,7 +391,7 @@ class TestBatchReplayer:
         jobs.append(
             ReplayJob(label="bad", trace_path=bad, trace_digest="0" * 64, config=ReplayConfig())
         )
-        batch = BatchReplayer(max_workers=2).run(jobs)
+        batch = BatchReplayer().run(jobs)
         assert batch.error_count == 1
         assert batch.replayed_count == len(jobs) - 1
         assert "bad" in batch.errors()
@@ -398,9 +399,9 @@ class TestBatchReplayer:
     def test_cache_round_trip_through_batch(self, repo, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         jobs = _jobs_for(repo)
-        first = BatchReplayer(cache=cache, max_workers=2).run(jobs)
+        first = BatchReplayer(cache=cache).run(jobs)
         assert first.replayed_count == len(jobs) and first.cached_count == 0
-        second = BatchReplayer(cache=cache, max_workers=2).run(jobs)
+        second = BatchReplayer(cache=cache).run(jobs)
         assert second.cached_count == len(jobs) and second.replayed_count == 0
         for a, b in zip(first, second):
             assert a.summary.mean_iteration_time_us == b.summary.mean_iteration_time_us
@@ -408,6 +409,22 @@ class TestBatchReplayer:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             BatchReplayer(backend="gpu")
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda repo: BatchReplayer(max_workers=2),
+            lambda repo: SweepRunner(repo, max_workers=2),
+            lambda repo: api.sweep(repo, workers=2),
+        ],
+        ids=["BatchReplayer", "SweepRunner", "api.sweep"],
+    )
+    def test_pool_size_without_process_backend_rejected(self, repo, entry_point):
+        """A pool size under the serial backend is an error, not ignored,
+        in the words the CLI uses for ``--workers`` without ``--backend``."""
+        message = "workers sizes the process pool; pass backend process too"
+        with pytest.raises(ValueError, match=message):
+            entry_point(repo)
 
     def test_modified_trace_fails_instead_of_poisoning_cache(self, repo, tmp_path):
         # Replaying a trace whose file changed after discovery must fail the
@@ -452,7 +469,7 @@ class TestSweep:
 
     def test_sweep_runs_all_grid_points(self, repo, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        runner = SweepRunner(repo, BatchReplayer(cache=cache, max_workers=2))
+        runner = SweepRunner(repo, BatchReplayer(cache=cache))
         result = runner.run(SweepSpec(devices=("A100", "NewPlatform")))
         assert result.total_jobs == 3 * 2
         assert result.batch.error_count == 0
@@ -462,7 +479,7 @@ class TestSweep:
     def test_second_sweep_does_not_re_replay(self, repo, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
         spec = SweepSpec(devices=("A100", "V100"))
-        first = SweepRunner(repo, BatchReplayer(cache=cache, max_workers=2)).run(spec)
+        first = SweepRunner(repo, BatchReplayer(cache=cache)).run(spec)
         assert first.batch.replayed_count == 6
 
         # Any attempt to replay on the second sweep is a test failure: the
@@ -474,7 +491,7 @@ class TestSweep:
 
         monkeypatch.setattr(batch_module, "_execute_job", _no_replay)
         monkeypatch.setattr(batch_module, "_replay_trace", _no_replay)
-        second = SweepRunner(repo, BatchReplayer(cache=cache, max_workers=2)).run(spec)
+        second = SweepRunner(repo, BatchReplayer(cache=cache)).run(spec)
         assert second.batch.cached_count == 6
         assert second.batch.replayed_count == 0
         assert second.batch.error_count == 0
