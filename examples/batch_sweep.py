@@ -26,7 +26,7 @@ from pathlib import Path
 from repro.bench.aggregate import cache_summary_line, format_batch_report, format_device_aggregate
 from repro.bench.harness import capture_workload
 from repro.core.replayer import ReplayConfig
-from repro.service import BatchReplayer, ResultCache, SweepRunner, SweepSpec, TraceRepository
+from repro.service import ResultCache, SweepRunner, SweepSpec, TraceRepository
 from repro.workloads.param_linear import ParamLinearConfig, ParamLinearWorkload
 from repro.workloads.resnet import ResNetConfig, ResNetWorkload
 from repro.workloads.rm import RMConfig, RMWorkload
@@ -66,7 +66,7 @@ def main() -> None:
     print("== 2. sweep: traces x (A100, NewPlatform) x (250 W, 400 W), 2 processes ==")
     cache = ResultCache(root / ".cache")
     cache.clear()  # start cold, so step 2 replays through the pool on every run
-    runner = SweepRunner(repository, BatchReplayer(cache=cache, max_workers=2, backend="process"))
+    runner = SweepRunner(repository, cache=cache, max_workers=2, backend="process")
     spec = SweepSpec(
         devices=("A100", "NewPlatform"),
         axes={"power_limit_w": [250.0, 400.0]},

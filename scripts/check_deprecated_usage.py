@@ -4,9 +4,10 @@
 Thirteen rules, one pass:
 
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
-  and ``src/repro/daemon/`` — batch work flows through the facade
-  (``repro.api.sweep``), the service layer, or the daemon's job queue, so
-  cache policy, error reporting and pause semantics stay in one place.
+  — batch work flows through the facade (``repro.api.sweep``) or the
+  service layer, so cache policy and error reporting stay in one place.
+  The daemon prices its sweep points one at a time through the service
+  layer's ``replay_job``, not through a one-job batch.
 * ``time.time(`` is banned wherever the package measures *host* durations
   (``src/repro/bench/`` and ``src/repro/telemetry/``): it is not monotonic
   (NTP slews and clock steps corrupt measured windows), so all wall-time
@@ -48,9 +49,9 @@ Thirteen rules, one pass:
   every other rank-setup path would be a second per-rank replay object.
 * The daemon keeps one trace repository per root.  Inside
   ``src/repro/daemon/``, ``TraceRepository(`` is constructed only in
-  ``daemon.py``, by the map every sweep job gets its repository from; a
-  repository built anywhere else would re-read and re-digest the whole
-  root for each job.
+  ``daemon.py``, by the map every sweep and cluster job gets its
+  repository from; a repository built anywhere else would re-read and
+  re-digest the whole root for each job.
 * There is one pause signal.  Inside ``src/repro/``, a ``BaseException``
   subclass is defined only in ``core/pipeline.py``: ``ReplayPaused``,
   raised at an iteration boundary with a verified ``ReplayCheckpoint``,
@@ -110,18 +111,15 @@ _EXECUTE_LOOP_FORK = (
 RULES = (
     Rule(
         name="direct-batch-replayer",
-        # Batch execution policy (cache, error capture, pause semantics)
-        # lives in the service layer and the daemon's queue; nothing else
-        # constructs the replayer directly.
+        # Batch execution policy (cache, error capture) lives in the
+        # service layer; nothing else constructs the replayer directly.
         pattern=re.compile(r"\bBatchReplayer\("),
         roots=("src",),
-        exempt=(
-            "src/repro/service/",
-            "src/repro/daemon/",
-        ),
+        exempt=("src/repro/service/",),
         message=(
-            "BatchReplayer constructed outside service/ and daemon/ (submit "
-            "through repro.api.sweep, the service layer, or the daemon queue)"
+            "BatchReplayer constructed outside service/ (submit through "
+            "repro.api.sweep or the service layer; a daemon sweep point "
+            "replays through repro.service.batch.replay_job)"
         ),
     ),
     Rule(
@@ -235,8 +233,8 @@ RULES = (
         exempt=("src/repro/daemon/daemon.py",),
         message=(
             "TraceRepository constructed in the daemon outside daemon.py (sweep "
-            "jobs share the daemon's TraceRepositories map, one repository per "
-            "root, so discovery re-reads only changed files)"
+            "and cluster jobs share the daemon's TraceRepositories map, one "
+            "repository per root, so discovery re-reads only changed files)"
         ),
     ),
     Rule(

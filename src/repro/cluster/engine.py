@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dataclass_replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.comms_replay import CommPlan
 from repro.core.pipeline import (
@@ -56,6 +56,9 @@ from repro.cluster.scheduler import VirtualTimeScheduler
 from repro.et.trace import ExecutionTrace
 from repro.torchsim.distributed import GroupTables
 from repro.torchsim.profiler import ProfilerTrace
+
+if TYPE_CHECKING:
+    from repro.service.repository import TraceRepository
 
 #: What :meth:`ClusterReplayer.replay` accepts per rank: a trace, a path to
 #: a serialised trace, or a ``RankCapture``/``CaptureResult``-like object
@@ -412,16 +415,18 @@ class ClusterReplayer:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def load_fleet(directory: Union[str, Path]) -> List[ExecutionTrace]:
-        """Load every serialised trace under ``directory`` as one fleet,
-        ordered by recorded rank."""
+    def load_fleet(source: Union[str, Path, TraceRepository]) -> List[ExecutionTrace]:
+        """Load every serialised trace under a directory, or under a
+        :class:`~repro.service.repository.TraceRepository`'s root (the
+        daemon passes its shared one), as one fleet, ordered by recorded
+        rank."""
         from repro.service.repository import TraceRepository
 
-        repository = TraceRepository(directory)
+        repository = source if isinstance(source, TraceRepository) else TraceRepository(source)
         traces = repository.load_all()
         if not traces:
             raise ClusterMatchError(
-                f"no execution traces found under {directory!r}"
+                f"no execution traces found under {str(repository.root)!r}"
                 + (f" (skipped: {len(repository.invalid)} invalid file(s))" if repository.invalid else "")
             )
         return sorted(traces, key=lambda trace: int(trace.metadata.get("rank", 0)))

@@ -14,12 +14,14 @@ wrapper over its public methods).  Responsibilities:
   fair across owners (:class:`~repro.daemon.queue.JobQueue`), and the
   shared :class:`~repro.service.cache.ResultCache` is bounded with
   LRU+TTL eviction that never touches a running job's pinned inputs.
-* **Shared trace repositories** — sweep jobs over the same root share
-  one :class:`~repro.service.repository.TraceRepository`
+* **Shared trace repositories** — jobs over the same root share one
+  :class:`~repro.service.repository.TraceRepository`
   (:class:`TraceRepositories`, at most :data:`MAX_REPOSITORIES` roots),
-  so a job re-reads only the trace files that changed; the replay still
+  and this module is the only place a payload path becomes one.  A sweep
+  job re-reads only the trace files that changed; the replay still
   re-checks each trace's digest, so a rewrite between discovery and
-  replay fails the job instead of caching a stale result.
+  replay fails the job instead of caching a stale result.  A cluster job
+  loads its fleet from the repository for its ``trace_dir``.
 * **Restart recovery** — construction replays the store: terminal jobs
   are served from their records, paused jobs keep their snapshots
   (resume works across restarts), and jobs that were mid-flight when the
@@ -75,9 +77,10 @@ MAX_TRACE_RECORDS = 1024
 
 class TraceRepositories:
     """One :class:`~repro.service.repository.TraceRepository` per root,
-    shared by every sweep job: a job's discovery re-reads only the files
-    that changed since the root was last scanned.  Thread-safe; holds at
-    most :data:`MAX_REPOSITORIES` roots (least recently used evicted)."""
+    shared by every sweep and cluster job: a sweep's discovery re-reads
+    only the files that changed since the root was last scanned.
+    Thread-safe; holds at most :data:`MAX_REPOSITORIES` roots (least
+    recently used evicted)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

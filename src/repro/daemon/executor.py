@@ -4,10 +4,16 @@ The executor is where a :class:`~repro.daemon.jobs.JobRecord` meets the
 service layer.  A **sweep** job expands to its grid points
 (:class:`~repro.service.sweep.SweepRunner` — same expansion as the inline
 CLI, against the daemon's shared repository for the job's root) and
-replays them *one point per batch* through a serial
-:class:`~repro.service.batch.BatchReplayer` with a ``pause_check``: that
-is the contract that makes a pause land at an op-program iteration
-boundary with a :class:`~repro.core.pipeline.ReplayCheckpoint` in hand.
+prices them one at a time.  A point takes four steps: an in-flight
+claim, one pinned :meth:`~repro.service.cache.ResultCache.get`, one
+:func:`~repro.service.batch.replay_job` with the job's ``pause_check``
+(the same load, verify and replay path a serial batch takes, so a pause
+lands at an op-program iteration boundary with a
+:class:`~repro.core.pipeline.ReplayCheckpoint` in hand), and
+:func:`~repro.service.batch.store_result`, which writes the cache entry
+with the provenance a batch writes.  So a fresh point costs one cache
+lookup, and counts one miss.
+
 A **cluster** job hands the same ``pause_check`` to every rank of
 :meth:`~repro.cluster.ClusterReplayer.replay`.  Both kinds persist one
 :class:`~repro.daemon.jobs.JobSnapshot` shape and resume by verified,
@@ -38,7 +44,7 @@ from repro.cluster import ClusterReplayer
 from repro.core.pipeline import ReplayCheckpoint, ReplayPaused
 from repro.core.replayer import ReplayConfig, ReplayResultSummary
 from repro.daemon.jobs import JobRecord, JobSnapshot
-from repro.service.batch import BatchReplayer, ReplayJob, _error_details
+from repro.service.batch import ReplayJob, error_details, replay_job, store_result
 from repro.service.cache import ResultCache
 from repro.service.sweep import SweepRunner, SweepSpec
 
@@ -69,9 +75,9 @@ class InflightRegistry:
 
     ``claim`` either makes the caller the computing owner (returns
     ``mine=True``) or hands back the owner's completion event to wait on.
-    The owner must ``release`` in a ``finally`` — waiters then re-read the
-    cache (on a computation failure they find a miss and re-claim, so a
-    failed owner cannot wedge its waiters).
+    The owner must ``release`` in a ``finally`` — waiters then claim again
+    and read the cache (after a computation failure they find a miss and
+    replay the point themselves, so a failed owner cannot wedge them).
     """
 
     def __init__(self) -> None:
@@ -135,7 +141,7 @@ def run_sweep_job(
         snapshot = _snapshot_of(record)
         points = expand_sweep_points(record.spec.payload, repositories)
     except Exception as error:  # noqa: BLE001 - snapshot and spec errors fail the job
-        return "failed", _error_details(error)
+        return "failed", error_details(error)
 
     completed = snapshot.completed
     pinned: List[str] = []
@@ -208,53 +214,48 @@ def _run_point(
     resume: Optional[ReplayCheckpoint],
     pinned: List[str],
 ) -> Tuple[str, Any]:
-    """One grid point: cache, then in-flight coordination, then replay.
+    """One grid point: in-flight claim, one cache read, then replay and
+    store.
 
-    Returns ("cached" | "replayed", summary), ("failed", error details),
-    ("cancelled" | "paused", None) — or raises
-    :class:`~repro.core.pipeline.ReplayPaused` from inside the replay.
+    The claim comes first, so no other job can store the point between
+    this job's cache miss and its replay: each unique point is replayed
+    once and costs one cache lookup.  Returns ("cached" | "replayed",
+    summary), ("failed", error details), ("cancelled" | "paused", None) —
+    or raises :class:`~repro.core.pipeline.ReplayPaused` from inside the
+    replay.
     """
     key = point.cache_key
     if cache is not None and key not in pinned:
         cache.pin(key)
         pinned.append(key)
-    while True:
-        if cache is not None:
-            summary = cache.get(key)
-            if summary is not None:
-                return "cached", summary
-        if inflight is None:
-            event, mine = None, True
-        else:
-            event, mine = inflight.claim(key)
-        if not mine:
-            # Another job is pricing this exact point; wait for it, but
-            # keep honouring our own pause/cancel while parked.
-            assert event is not None
-            while not event.wait(timeout=0.05):
-                if control.cancel.is_set():
-                    return "cancelled", None
-                if control.pause.is_set():
-                    return "paused", None
-            continue  # owner released: re-read the cache
-        try:
-            replayer = BatchReplayer(
-                cache=cache, backend="serial", pause_check=control.interrupted
-            )
-            batch = replayer.run(
-                [point], resume_from={point.label: resume} if resume is not None else None
-            )
-        finally:
-            if inflight is not None:
-                inflight.release(key)
-        (result,) = list(batch)
-        if not result.ok:
-            return "failed", {
-                "error": result.error,
-                "error_type": result.error_type,
-                "traceback": result.traceback,
-            }
-        return ("cached" if result.cached else "replayed"), result.summary
+    while inflight is not None:
+        event, mine = inflight.claim(key)
+        if mine:
+            break
+        # Another job is pricing this exact point; wait for it, but keep
+        # honouring our own pause/cancel while parked.
+        while not event.wait(timeout=0.05):
+            if control.cancel.is_set():
+                return "cancelled", None
+            if control.pause.is_set():
+                return "paused", None
+    try:
+        summary = cache.get(key) if cache is not None else None
+        if summary is not None:
+            return "cached", summary
+        result = replay_job(point, pause_check=control.interrupted, resume_from=resume)
+        if result.ok and cache is not None:
+            store_result(cache, result)
+    finally:
+        if inflight is not None:
+            inflight.release(key)
+    if not result.ok:
+        return "failed", {
+            "error": result.error,
+            "error_type": result.error_type,
+            "traceback": result.traceback,
+        }
+    return "replayed", result.summary
 
 
 def _sweep_result(
@@ -286,18 +287,22 @@ def _sweep_result(
 # Cluster jobs
 # ----------------------------------------------------------------------
 def run_cluster_job(
-    record: JobRecord, control: JobControl, tracer: Optional[Any] = None
+    record: JobRecord,
+    control: JobControl,
+    repositories: "TraceRepositories",
+    tracer: Optional[Any] = None,
 ) -> Outcome:
-    """Co-replay a fleet; a pause lands at the next iteration boundary of
+    """Co-replay the fleet under the daemon's shared repository for the
+    job's ``trace_dir``; a pause lands at the next iteration boundary of
     any rank, and resume re-executes the fleet, verifying the paused rank's
     checkpoint (deterministic, so byte-identical)."""
     payload = record.spec.payload
     try:
         snapshot = _snapshot_of(record)
         config = ReplayConfig.from_dict(payload.get("config") or {})
-        fleet = ClusterReplayer.load_fleet(payload["trace_dir"])
+        fleet = ClusterReplayer.load_fleet(repositories.get(payload["trace_dir"]))
     except Exception as error:  # noqa: BLE001
-        return "failed", _error_details(error)
+        return "failed", error_details(error)
     # Lifecycle spans only: the full per-rank Gantt would accumulate
     # unbounded on a long-lived daemon tracer, so the replayer's tracer
     # stays unset here (export the Gantt via the CLI / ClusterSession).
@@ -313,7 +318,7 @@ def run_cluster_job(
         return _paused(control, JobSnapshot("cluster", checkpoint=paused.checkpoint))
     except Exception as error:  # noqa: BLE001
         _end_span(tracer, span, "failed")
-        return "failed", _error_details(error)
+        return "failed", error_details(error)
     _end_span(tracer, span, "completed")
     return "completed", {"kind": "cluster", "report": report.to_dict()}
 
@@ -329,7 +334,7 @@ def run_job(
     """Dispatch on the job kind."""
     if record.spec.kind == "sweep":
         return run_sweep_job(record, control, cache, inflight, repositories, tracer=tracer)
-    return run_cluster_job(record, control, tracer=tracer)
+    return run_cluster_job(record, control, repositories, tracer=tracer)
 
 
 # ----------------------------------------------------------------------

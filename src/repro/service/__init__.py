@@ -11,9 +11,10 @@ service runs continuously:
 * :mod:`~repro.service.cache` — a :class:`ResultCache` keyed on
   (trace digest, replay-config digest) so repeated sweeps skip work that is
   already done,
-* :mod:`~repro.service.batch` — a :class:`BatchReplayer` that fans replay
-  jobs out over a ``concurrent.futures`` worker pool (thread-, process- or
-  serial-backed),
+* :mod:`~repro.service.batch` — a :class:`BatchReplayer` that replays
+  jobs in process or over a process pool, on the one load-verify-replay
+  path (``load_verified``/``replay_job``) the daemon's sweep points take
+  too,
 * :mod:`~repro.service.sweep` — a :class:`SweepRunner` that expands a
   declarative :class:`SweepSpec` (traces x devices x config axes) into jobs
   and aggregates the results,

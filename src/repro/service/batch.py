@@ -10,34 +10,41 @@ first and only replays cache misses.  Two backends are supported:
     GIL-bound, so in-process threads would buy no parallelism; each unique
     trace is parsed only once per batch.
 ``"process"``
-    ``ProcessPoolExecutor``.  True parallelism across cores; jobs are
-    shipped as (path, config-dict) pairs so nothing unpicklable crosses the
-    process boundary.  Use this when replay time dominates.
+    ``ProcessPoolExecutor``.  True parallelism across cores; each worker
+    receives a plain-data :class:`ReplayJob`, reads the trace itself and
+    returns its :class:`ReplayJobResult`.  Use this when replay time
+    dominates.
 
-Every worker verifies that the digest of the trace it actually loaded
-matches the digest recorded at discovery time, so a trace file rewritten
-between discovery and execution fails the job instead of poisoning the
-result cache.  A failing job is captured on its :class:`ReplayJobResult`
-— message, exception type and full traceback — rather than aborting the
-whole batch.
+Every replay of a job goes through one pair of functions, whichever
+caller runs it — the serial loop, a pool worker, or the daemon's sweep
+point (:func:`repro.daemon.executor.run_sweep_job`):
 
-The serial backend is additionally *checkpointable*: ``pause_check`` and
-per-job resume checkpoints thread straight through to
-:func:`repro.core.pipeline.run_replay`, and a granted pause propagates as
-:class:`~repro.core.pipeline.ReplayPaused` (a ``BaseException``, so the
-per-job error handling cannot mistake it for a failure).  The daemon's
-executor builds on exactly this path.
+:func:`load_verified`
+    Reads the trace and checks it still matches the digest recorded at
+    discovery time, so a trace file rewritten between discovery and
+    execution fails the job instead of poisoning the result cache.
+:func:`replay_job`
+    Replays the loaded trace and summarises it into a
+    :class:`ReplayJobResult`.  A failing job is captured on its result —
+    message, exception type and full traceback — rather than aborting
+    the whole batch.  ``pause_check``/``resume_from`` thread straight
+    through to :func:`repro.core.pipeline.run_replay`, and a granted pause
+    propagates as :class:`~repro.core.pipeline.ReplayPaused` (a
+    ``BaseException``, so the error capture cannot mistake it for a
+    failure); only the daemon pauses, one point at a time.
+
+A fresh result is written to the cache by :func:`store_result`, with the
+same provenance whichever caller replayed it.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import traceback as traceback_module
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.pipeline import ReplayCheckpoint, run_replay
 from repro.core.replayer import ReplayConfig, ReplayResultSummary
@@ -98,7 +105,6 @@ class ReplayJobResult:
     error: Optional[str] = None
     error_type: Optional[str] = None
     traceback: Optional[str] = None
-    duration_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -133,30 +139,17 @@ class BatchResult:
         return {r.job.label: r.error or "" for r in self.results if not r.ok}
 
 
-def _replay_trace(
-    trace: ExecutionTrace,
-    config_dict: Dict[str, Any],
-    pause_check: Optional[Any] = None,
-    resume_from: Optional[ReplayCheckpoint] = None,
-) -> Dict[str, Any]:
-    """Replay an already-loaded trace and return the summary payload."""
-    start = time.perf_counter()
-    config = ReplayConfig.from_dict(config_dict)
-    result = run_replay(trace, config=config, pause_check=pause_check, resume_from=resume_from)
-    return {"summary": result.summarize().to_dict(), "duration_s": time.perf_counter() - start}
-
-
 def _format_error(error: BaseException) -> str:
     """Uniform job-error string across backends and failure points."""
     return f"{type(error).__name__}: {error}"
 
 
-def _error_details(error: BaseException) -> Dict[str, str]:
+def error_details(error: BaseException) -> Dict[str, str]:
     """``error``/``error_type``/``traceback`` keys for a failed job.
 
-    ``format_exception`` walks the ``__cause__`` chain, so process-pool
-    failures — surfaced by ``concurrent.futures`` with the worker's remote
-    traceback attached as the cause — keep the original frames.
+    ``format_exception`` walks the ``__cause__`` chain, so a broken
+    process pool — surfaced by ``concurrent.futures`` with the remote
+    traceback attached as the cause — keeps the original frames.
     """
     return {
         "error": _format_error(error),
@@ -175,67 +168,79 @@ class TraceChangedError(RuntimeError):
         )
 
 
-def _load_verified(trace_path: str, expected_digest: str) -> ExecutionTrace:
-    """Load a trace and check it still matches its discovery-time digest."""
+def load_verified(trace_path: Union[str, Path], expected_digest: str) -> ExecutionTrace:
+    """Load a trace and check it still matches its discovery-time digest
+    (an empty ``expected_digest`` skips the check)."""
     trace = ExecutionTrace.load(trace_path)
     if expected_digest and trace.digest() != expected_digest:
-        raise TraceChangedError(trace_path)
+        raise TraceChangedError(str(trace_path))
     return trace
 
 
-def _execute_job(
-    trace_path: str, config_dict: Dict[str, Any], expected_digest: str = ""
-) -> Dict[str, Any]:
-    """Worker entry point: load, verify, replay, summarise.
+def replay_job(
+    job: ReplayJob,
+    trace: Optional[ExecutionTrace] = None,
+    pause_check: Optional[Callable[[], Any]] = None,
+    resume_from: Optional[ReplayCheckpoint] = None,
+) -> ReplayJobResult:
+    """Replay ``job`` and summarise it, or record why it failed.
 
-    Takes and returns only JSON-ish values so nothing unpicklable crosses
-    the process boundary (module-level so it pickles by reference).
+    ``trace`` is the job's already-verified trace; without it the trace is
+    read through :func:`load_verified`, whose errors are recorded like a
+    replay error.  A granted pause raises
+    :class:`~repro.core.pipeline.ReplayPaused`.
     """
-    return _replay_trace(_load_verified(trace_path, expected_digest), config_dict)
+    try:
+        if trace is None:
+            trace = load_verified(job.trace_path, job.trace_digest)
+        result = run_replay(
+            trace, config=job.config, pause_check=pause_check, resume_from=resume_from
+        )
+        summary = result.summarize()
+    except Exception as error:  # noqa: BLE001 - a failed job must not kill its batch
+        return ReplayJobResult(job=job, **error_details(error))
+    return ReplayJobResult(job=job, summary=summary)
+
+
+def store_result(cache: ResultCache, result: ReplayJobResult) -> None:
+    """Write a freshly replayed result to ``cache`` with its provenance."""
+    assert result.summary is not None
+    cache.put(
+        result.job.cache_key,
+        result.summary,
+        trace_digest=result.job.trace_digest,
+        config=result.job.config,
+        extra={"label": result.job.label, "trace_name": result.job.trace_name},
+    )
 
 
 class BatchReplayer:
-    """Runs many replay jobs concurrently, consulting the result cache."""
+    """Runs many replay jobs, consulting the result cache.
+
+    ``max_workers`` sizes the process backend's pool (default
+    ``min(8, cpu_count)``); the serial backend has no pool, so it stays
+    ``None`` there.
+    """
 
     def __init__(
         self,
         cache: Optional[ResultCache] = None,
         max_workers: Optional[int] = None,
         backend: str = "serial",
-        pause_check: Optional[Any] = None,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
         if max_workers is not None and backend != "process":
             raise ValueError(pool_size_error())
-        if pause_check is not None and backend != "serial":
-            raise ValueError(
-                "pause_check requires the serial backend — cooperative pause has "
-                f"no meaning for jobs already shipped to a {backend!r} pool"
-            )
+        if backend == "process" and max_workers is None:
+            max_workers = min(8, os.cpu_count() or 1)
         self.cache = cache
         self.backend = backend
-        self.pause_check = pause_check
-        self.max_workers = max_workers if max_workers is not None else min(8, os.cpu_count() or 1)
+        self.max_workers = max_workers
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        jobs: Sequence[ReplayJob],
-        resume_from: Optional[Mapping[str, ReplayCheckpoint]] = None,
-    ) -> BatchResult:
-        """Execute every job, serving cache hits without replaying.
-
-        ``resume_from`` maps job labels to previously captured
-        :class:`~repro.core.pipeline.ReplayCheckpoint` tokens (serial
-        backend only); a matching job resumes from its checkpoint by
-        deterministic re-execution instead of starting over.  A granted
-        pause propagates as :class:`~repro.core.pipeline.ReplayPaused`,
-        aborting the rest of the batch — callers that pause run one job
-        per batch (as the daemon's executor does).
-        """
-        if resume_from and self.backend != "serial":
-            raise ValueError("resume_from requires the serial backend")
+    def run(self, jobs: Sequence[ReplayJob]) -> BatchResult:
+        """Execute every job, serving cache hits without replaying."""
         results: List[Optional[ReplayJobResult]] = [None] * len(jobs)
         pending: List[int] = []
 
@@ -251,97 +256,48 @@ class BatchReplayer:
             if self.backend == "process":
                 self._run_in_processes(jobs, pending, results)
             else:
-                self._run_serial(jobs, pending, results, resume_from or {})
+                self._run_serial(jobs, pending, results)
 
         batch = BatchResult(results=[result for result in results if result is not None])
         if self.cache is not None:
             for result in batch:
                 if result.ok and not result.cached:
-                    assert result.summary is not None
-                    self.cache.put(
-                        result.job.cache_key,
-                        result.summary,
-                        trace_digest=result.job.trace_digest,
-                        config=result.job.config,
-                        extra={"label": result.job.label, "trace_name": result.job.trace_name},
-                    )
+                    store_result(self.cache, result)
         return batch
 
     # ------------------------------------------------------------------
     def _run_in_processes(
         self, jobs: Sequence[ReplayJob], pending: List[int], results: List[Optional[ReplayJobResult]]
     ) -> None:
-        """Ship each job as (path, config dict, digest) to a process pool."""
+        """Ship each job to a process pool; the worker loads, verifies and
+        replays it through :func:`replay_job`."""
         with ProcessPoolExecutor(max_workers=self.max_workers) as executor:
             futures: Dict[int, Future] = {
-                index: executor.submit(
-                    _execute_job,
-                    str(jobs[index].trace_path),
-                    jobs[index].config.to_dict(),
-                    jobs[index].trace_digest,
-                )
-                for index in pending
+                index: executor.submit(replay_job, jobs[index]) for index in pending
             }
             for index, future in futures.items():
-                results[index] = self._collect(jobs[index], future)
-
-    def _run_serial(
-        self,
-        jobs: Sequence[ReplayJob],
-        pending: List[int],
-        results: List[Optional[ReplayJobResult]],
-        resume_from: Mapping[str, ReplayCheckpoint],
-    ) -> None:
-        """Load and digest-check each unique trace once, then replay each
-        job in turn (the trace is only read during replay, so its jobs
-        share it)."""
-        traces: Dict[str, ExecutionTrace] = {}
-        digests: Dict[str, str] = {}
-        load_errors: Dict[str, Dict[str, str]] = {}
-        runnable: List[int] = []
-        for index in pending:
-            job = jobs[index]
-            path = str(job.trace_path)
-            if path not in traces and path not in load_errors:
                 try:
-                    traces[path] = ExecutionTrace.load(path)
-                    digests[path] = traces[path].digest()
-                except Exception as error:  # noqa: BLE001
-                    load_errors[path] = _error_details(error)
-            if path in load_errors:
-                results[index] = ReplayJobResult(job=job, **load_errors[path])
-            elif job.trace_digest and job.trace_digest != digests[path]:
-                results[index] = ReplayJobResult(
-                    job=job, **_error_details(TraceChangedError(path))
-                )
-            else:
-                runnable.append(index)
-
-        for index in runnable:
-            job = jobs[index]
-            try:
-                payload = _replay_trace(
-                    traces[str(job.trace_path)],
-                    job.config.to_dict(),
-                    pause_check=self.pause_check,
-                    resume_from=resume_from.get(job.label),
-                )
-            except Exception as error:  # noqa: BLE001 - jobs must not kill the batch
-                results[index] = ReplayJobResult(job=job, **_error_details(error))
-            else:
-                results[index] = self._from_payload(job, payload)
-
-    def _collect(self, job: ReplayJob, future: Future) -> ReplayJobResult:
-        try:
-            payload = future.result()
-        except Exception as error:  # noqa: BLE001
-            return ReplayJobResult(job=job, **_error_details(error))
-        return self._from_payload(job, payload)
+                    results[index] = future.result()
+                except Exception as error:  # noqa: BLE001 - a broken pool fails its jobs
+                    results[index] = ReplayJobResult(job=jobs[index], **error_details(error))
 
     @staticmethod
-    def _from_payload(job: ReplayJob, payload: Dict[str, Any]) -> ReplayJobResult:
-        return ReplayJobResult(
-            job=job,
-            summary=ReplayResultSummary.from_dict(payload["summary"]),
-            duration_s=float(payload.get("duration_s", 0.0)),
-        )
+    def _run_serial(
+        jobs: Sequence[ReplayJob], pending: List[int], results: List[Optional[ReplayJobResult]]
+    ) -> None:
+        """Replay each job in turn; the jobs of one trace file share one
+        verified load (the trace is only read during replay)."""
+        loaded: Dict[Tuple[Path, str], Union[ExecutionTrace, Exception]] = {}
+        for index in pending:
+            job = jobs[index]
+            key = (job.trace_path, job.trace_digest)
+            if key not in loaded:
+                try:
+                    loaded[key] = load_verified(*key)
+                except Exception as error:  # noqa: BLE001 - recorded on each of its jobs
+                    loaded[key] = error
+            trace = loaded[key]
+            if isinstance(trace, Exception):
+                results[index] = ReplayJobResult(job=job, **error_details(trace))
+            else:
+                results[index] = replay_job(job, trace)

@@ -719,15 +719,11 @@ def _resolve_traces(
     """The repository and, from one discovery, the records of the named
     traces in the order named (every trace, by name, when none are)."""
     repository = TraceRepository(repo)
-    records = {record.name: record for record in repository.discover()}
-    names = list(trace_names) if trace_names else sorted(records)
-    unknown = sorted(set(names) - set(records))
-    if unknown:
-        # ValueError, not KeyError: str(KeyError) repr-quotes the message.
-        raise ValueError(
-            f"trace(s) {unknown} not found in {repo!r} (known: {sorted(records)})"
-        )
-    return repository, {name: records[name] for name in names}
+    if trace_names:
+        records = repository.select(trace_names)
+    else:
+        records = sorted(repository.discover(), key=lambda record: record.name)
+    return repository, {record.name: record for record in records}
 
 
 def _profile_traces(

@@ -35,6 +35,13 @@ Signature = Tuple[int, int, int, int]
 RACY_WINDOW_NS = 2_000_000_000
 
 
+class UnknownTraceError(KeyError):
+    """No trace with the given name under the repository root."""
+
+    def __str__(self) -> str:  # KeyError repr-quotes its message
+        return self.args[0] if self.args else ""
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     """One discovered trace: everything the batch layer needs to schedule a
@@ -192,11 +199,14 @@ class TraceRepository:
         return self.select([name])[0]
 
     def select(self, names: Sequence[str]) -> List[TraceRecord]:
-        """Records for ``names``, in that order, from one :meth:`discover`."""
+        """Records for ``names``, in that order, from one :meth:`discover`;
+        an unknown name raises :class:`UnknownTraceError`."""
         records = {record.name: record for record in self.discover()}
         for name in names:
             if name not in records:
-                raise KeyError(f"no trace named {name!r} in {self.root}; known: {list(records)}")
+                raise UnknownTraceError(
+                    f"no trace named {name!r} in {self.root}; known: {list(records)}"
+                )
         return [records[name] for name in names]
 
     def load(self, name_or_record: Union[str, TraceRecord]) -> ExecutionTrace:

@@ -78,23 +78,18 @@ class SweepRunner:
     The runner owns the :class:`~repro.service.batch.BatchReplayer` it runs
     through: callers describe the execution policy (``cache``,
     ``max_workers``, ``backend``) and the runner builds the replayer, so
-    batch construction stays inside the service layer.  An explicit
-    ``replayer`` (the daemon's pause-aware instance, a test double) takes
-    precedence over the policy arguments.
+    batch construction stays inside the service layer.
     """
 
     def __init__(
         self,
         repository: TraceRepository,
-        replayer: Optional[BatchReplayer] = None,
         cache: Optional[ResultCache] = None,
         max_workers: Optional[int] = None,
         backend: str = "serial",
     ) -> None:
         self.repository = repository
-        if replayer is None:
-            replayer = BatchReplayer(cache=cache, max_workers=max_workers, backend=backend)
-        self.replayer = replayer
+        self.replayer = BatchReplayer(cache=cache, max_workers=max_workers, backend=backend)
 
     def records_for(self, spec: SweepSpec) -> List[TraceRecord]:
         """The trace records ``spec`` targets (all, or the named subset),

@@ -22,6 +22,7 @@ import threading
 import time
 import urllib.request
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -36,7 +37,8 @@ from repro.daemon import (
     ReplayDaemon,
 )
 from repro.daemon.client import DaemonClient, DaemonClientError
-from repro.daemon.daemon import JobAccessError, UnknownJobError
+from repro.daemon.daemon import JobAccessError, TraceRepositories, UnknownJobError
+from repro.daemon.executor import InflightRegistry, JobControl, run_sweep_job
 from repro.daemon.jobs import TERMINAL_STATES, JobSnapshot
 from repro.daemon.server import MAX_BODY_BYTES, DaemonRequestHandler, DaemonServer
 from repro.service import TraceRepository
@@ -451,6 +453,48 @@ class TestSharedRepositories:
             fresh.summary.to_dict(), sort_keys=True
         )
 
+    def test_cluster_job_after_rewrite_replays_the_new_content(self, tmp_path):
+        """A fleet job loads its ranks from the shared repository for its
+        ``trace_dir``; a rank file rewritten between two jobs is read again,
+        and the second job replays exactly what a fresh co-replay of the
+        rewritten fleet does."""
+        from repro.cluster import ClusterReplayer
+        from repro.core.replayer import ReplayConfig
+        from repro.workloads.rm import RMConfig, RMWorkload
+
+        def save_fleet(batch_size: int) -> None:
+            def make(rank, world):
+                config = RMConfig(
+                    batch_size=batch_size, num_tables=4, rows_per_table=1_000,
+                    embedding_dim=16, pooling_factor=2, bottom_mlp=(32, 16),
+                    top_mlp=(32, 16),
+                )
+                return RMWorkload(config, rank=rank, world_size=world)
+
+            DistributedRunner.save_captures(
+                DistributedRunner(make, world_size=2).run(), root
+            )
+
+        root = tmp_path / "fleet"
+        save_fleet(batch_size=8)
+        payload = cluster_payload(root, iterations=1)
+        with ReplayDaemon(tmp_path / "state", workers=1) as daemon:
+            first = daemon.submit("alice", JobSpec("cluster", payload))
+            assert daemon.wait(first.id, timeout=WAIT_S).state == "completed"
+            save_fleet(batch_size=32)
+            second = daemon.submit("alice", JobSpec("cluster", payload))
+            assert daemon.wait(second.id, timeout=WAIT_S).state == "completed"
+            assert daemon.repositories.stats()["open"] == 1
+            first_report = daemon.result(first.id)["report"]
+            second_report = daemon.result(second.id)["report"]
+        fresh = ClusterReplayer(ReplayConfig.from_dict(payload["config"])).replay(
+            ClusterReplayer.load_fleet(root)
+        )
+        assert second_report != first_report
+        assert json.dumps(second_report, sort_keys=True) == json.dumps(
+            fresh.to_dict(), sort_keys=True
+        )
+
     def test_map_is_bounded_by_recent_use(self, tmp_path):
         from repro.daemon.daemon import MAX_REPOSITORIES
 
@@ -564,6 +608,62 @@ class TestPauseResumeAcrossRestart:
         with second:
             final = second.wait(record.id, timeout=WAIT_S)
         assert final.state == "completed"
+
+
+# ----------------------------------------------------------------------
+# Sweep points: a pause lands inside the replay; one cache lookup each
+# ----------------------------------------------------------------------
+class _PauseFromPoll(JobControl):
+    """A job control whose ``interrupted()`` turns true on its k-th poll
+    (a counter, never a timer, so the pause cannot lose a race)."""
+
+    def __init__(self, k: Optional[int] = None) -> None:
+        super().__init__()
+        self.k = k
+        self.polls = 0
+
+    def interrupted(self) -> bool:
+        self.polls += 1
+        return self.k is not None and self.polls >= self.k
+
+
+class TestSweepPoints:
+    @staticmethod
+    def _run(payload: dict, control: JobControl, snapshot=None):
+        record = JobRecord(
+            id="j1", owner="alice", spec=JobSpec("sweep", payload), snapshot=snapshot
+        )
+        return run_sweep_job(record, control, None, InflightRegistry(), TraceRepositories())
+
+    def test_pause_at_every_poll_resumes_byte_identical(self, daemon_repo):
+        payload = sweep_payload(daemon_repo, iterations=2, devices=("A100", "V100"))
+        payload["traces"] = ["param_linear"]
+        payload["base"]["warmup_iterations"] = 1
+        counter = _PauseFromPoll()
+        status, reference = self._run(payload, counter)
+        assert status == "completed"
+        in_point = 0
+        for k in range(1, counter.polls + 1):
+            status, value = self._run(payload, _PauseFromPoll(k))
+            if status == "paused":
+                in_point += value["checkpoint"] is not None
+                status, value = self._run(payload, _PauseFromPoll(), snapshot=value)
+            assert status == "completed", k
+            assert json.dumps(value, sort_keys=True) == json.dumps(reference, sort_keys=True), k
+        # Two points of one warm-up and two measured iterations: each pauses
+        # at its two inner iteration boundaries.
+        assert in_point == 4
+
+    def test_fresh_points_miss_once_and_repeats_hit(self, tmp_path, daemon_repo):
+        """One cache lookup per point: ``/health`` counts one miss per
+        fresh point and one hit per repeated one."""
+        payload = sweep_payload(daemon_repo, devices=("A100", "V100"))
+        with ReplayDaemon(tmp_path / "state", workers=1) as daemon:
+            for expected in ((4, 0), (4, 4)):
+                record = daemon.submit("alice", JobSpec("sweep", payload))
+                assert daemon.wait(record.id, timeout=WAIT_S).state == "completed"
+                cache = daemon.health()["cache"]
+                assert (cache["misses"], cache["hits"]) == expected
 
 
 # ----------------------------------------------------------------------

@@ -393,13 +393,14 @@ class TestMemoryCli:
         assert report["oom"]["op_name"]
 
     def test_memory_report_unknown_trace_errors(self, memory_cli_repo, capsys):
-        assert cli_main(
-            ["memory-report", "--repo", str(memory_cli_repo), "--trace", "nope"]
-        ) == 1
-        err = capsys.readouterr().err
-        assert "not found" in err
-        # Clean message, not a repr-quoted KeyError payload.
-        assert not err.startswith('error: "')
+        # memory-report resolves names through TraceRepository.select, as
+        # replay and sweep do: one wording, never a repr-quoted KeyError.
+        for command in ("memory-report", "replay", "sweep"):
+            assert cli_main(
+                [command, "--repo", str(memory_cli_repo), "--trace", "nope"]
+            ) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: no trace named 'nope' in "), (command, err)
 
     def test_orphan_dependent_flags_are_usage_errors(self, memory_cli_repo, capsys):
         assert cli_main(

@@ -373,9 +373,9 @@ class TestMonotonicClockGuard:
 
 class TestBatchReplayerGuard:
     """``scripts/check_deprecated_usage.py`` bans constructing
-    ``BatchReplayer`` outside the service layer and the daemon — batch
-    execution policy (cache, error capture, pause semantics) stays in one
-    place."""
+    ``BatchReplayer`` outside the service layer — batch execution policy
+    (cache, error capture) stays in one place, and the daemon replays its
+    sweep points through ``replay_job`` instead of one-job batches."""
 
     def test_rule_fires_on_direct_construction(self, tmp_path):
         checker = _load_usage_checker()
@@ -386,19 +386,23 @@ class TestBatchReplayerGuard:
         assert list(offenders) == ["direct-batch-replayer"]
         assert "x.py:1" in offenders["direct-batch-replayer"][0]
 
-    def test_service_and_daemon_directories_are_exempt(self, tmp_path):
+    def test_only_the_service_directory_is_exempt(self, tmp_path):
+        """The service layer is exempt; a construction in the daemon is an
+        offender."""
         checker = _load_usage_checker()
         for exempt_dir in ("service", "daemon"):
             ok = tmp_path / "src" / "repro" / exempt_dir
             ok.mkdir(parents=True)
             (ok / "x.py").write_text("replayer = BatchReplayer(cache=None)\n")
-        assert checker.find_offenders(tmp_path) == {}
+        offenders = checker.find_offenders(tmp_path)
+        assert list(offenders) == ["direct-batch-replayer"]
+        (offender,) = offenders["direct-batch-replayer"]
+        assert "daemon/x.py:1" in offender
 
     def test_exempt_entries_are_directory_prefixes(self):
         checker = _load_usage_checker()
         rule = next(r for r in checker.RULES if r.name == "direct-batch-replayer")
-        assert "src/repro/service/" in rule.exempt
-        assert "src/repro/daemon/" in rule.exempt
+        assert rule.exempt == ("src/repro/service/",)
 
 
 class TestTraceBoundaryGuard:

@@ -123,8 +123,7 @@ class TestSweepAcceptance:
         def _no_replay(*args, **kwargs):
             raise AssertionError("replay executed despite warm cache")
 
-        monkeypatch.setattr(batch_module, "_execute_job", _no_replay)
-        monkeypatch.setattr(batch_module, "_replay_trace", _no_replay)
+        monkeypatch.setattr(batch_module, "replay_job", _no_replay)
         assert main(argv) == 0
         second = json.loads(capsys.readouterr().out)
         assert second["replayed"] == 0

@@ -410,6 +410,10 @@ class TestBatchReplayer:
         with pytest.raises(ValueError, match="unknown backend"):
             BatchReplayer(backend="gpu")
 
+    def test_only_the_process_backend_has_a_pool_size(self):
+        assert BatchReplayer().max_workers is None
+        assert BatchReplayer(backend="process").max_workers >= 1
+
     @pytest.mark.parametrize(
         "entry_point",
         [
@@ -469,7 +473,7 @@ class TestSweep:
 
     def test_sweep_runs_all_grid_points(self, repo, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        runner = SweepRunner(repo, BatchReplayer(cache=cache))
+        runner = SweepRunner(repo, cache=cache)
         result = runner.run(SweepSpec(devices=("A100", "NewPlatform")))
         assert result.total_jobs == 3 * 2
         assert result.batch.error_count == 0
@@ -479,7 +483,7 @@ class TestSweep:
     def test_second_sweep_does_not_re_replay(self, repo, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
         spec = SweepSpec(devices=("A100", "V100"))
-        first = SweepRunner(repo, BatchReplayer(cache=cache)).run(spec)
+        first = SweepRunner(repo, cache=cache).run(spec)
         assert first.batch.replayed_count == 6
 
         # Any attempt to replay on the second sweep is a test failure: the
@@ -489,9 +493,8 @@ class TestSweep:
         def _no_replay(*args, **kwargs):
             raise AssertionError("replay executed despite warm cache")
 
-        monkeypatch.setattr(batch_module, "_execute_job", _no_replay)
-        monkeypatch.setattr(batch_module, "_replay_trace", _no_replay)
-        second = SweepRunner(repo, BatchReplayer(cache=cache)).run(spec)
+        monkeypatch.setattr(batch_module, "replay_job", _no_replay)
+        second = SweepRunner(repo, cache=cache).run(spec)
         assert second.batch.cached_count == 6
         assert second.batch.replayed_count == 0
         assert second.batch.error_count == 0
