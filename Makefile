@@ -68,10 +68,13 @@ lint:
 	$(PYTHON) -m repro --version
 	$(PYTHON) scripts/check_deprecated_usage.py
 
-# The examples that replay through repro.api directly (about 0.5 s each)
-# and the batch sweep over a process pool (about 1.5 s), run end to end so
-# an API or backend change cannot break them unseen.
+# The examples that replay through repro.api sessions directly (quickstart
+# also regenerates examples/generated/; each about 0.5-1 s) and the batch
+# sweep over a process pool (about 1.5 s), run end to end so an API or
+# backend change cannot break them unseen.
 examples:
+	$(PYTHON) examples/quickstart.py
+	$(PYTHON) examples/scaled_down_rm.py
 	$(PYTHON) examples/subtrace_and_custom_ops.py
 	$(PYTHON) examples/cross_platform_evaluation.py
 	$(PYTHON) examples/batch_sweep.py

@@ -21,7 +21,6 @@ CONFIG = ReplayConfig(
     device='A100',
     iterations=5,
     warmup_iterations=0,
-    skip_unsupported=True,
 )
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Thirteen rules, one pass:
+Fourteen rules, one pass:
 
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
   — batch work flows through the facade (``repro.api.sweep``) or the
@@ -70,6 +70,12 @@ Thirteen rules, one pass:
   per (sorted ranks, backend), and the rendezvous and the pre-flight match
   key on those interned groups by identity, so a group built anywhere
   else would never match its peers.
+* There is one observer channel.  Inside ``src/repro/``, only
+  ``core/pipeline.py`` iterates ``context.hooks`` / ``self.hooks``:
+  observers live on the ``ReplayContext``, ``ReplayContext.notify``
+  dispatches every lifecycle event (skipping a hook without the method)
+  and ``emit_op_replayed`` the per-op one; a second loop would be a second
+  dispatcher with its own rules.
 
 Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 1 with a file:line listing otherwise.  ``tests/test_profiling.py`` drives
@@ -280,6 +286,17 @@ RULES = (
             "ProcessGroup or GroupTable constructed outside torchsim/distributed.py "
             "(resolve groups through a world's table, dist.groups; a co-replay's "
             "tables are its rendezvous's group_tables)"
+        ),
+    ),
+    Rule(
+        name="one-hook-dispatch",
+        pattern=re.compile(r"\bfor\b.*\bin\s+(?:context|self)\.hooks\b"),
+        roots=("src/repro",),
+        exempt=("src/repro/core/pipeline.py",),
+        message=(
+            "replay hooks iterated outside core/pipeline.py (dispatch lifecycle "
+            "events through ReplayContext.notify and per-op events through "
+            "ReplayContext.emit_op_replayed)"
         ),
     ),
 )

@@ -21,10 +21,10 @@ Every mutator returns ``self``; nothing executes until :meth:`run`.
 
 from __future__ import annotations
 
-from dataclasses import replace as dataclass_replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Union
 
+from repro.api.session import SessionBase
 from repro.cluster.engine import ClusterReplayer, ClusterReport, TraceLike
 from repro.core.registry import ReplaySupport
 from repro.core.replayer import ReplayConfig
@@ -35,8 +35,9 @@ from repro.hardware.network import InterconnectSpec
 FleetSource = Union[str, Path, Sequence[TraceLike]]
 
 
-class ClusterSession:
-    """Fluent builder for one multi-rank co-replay."""
+class ClusterSession(SessionBase):
+    """Fluent builder for one multi-rank co-replay; its config is the base
+    config every rank runs under."""
 
     def __init__(
         self,
@@ -44,39 +45,17 @@ class ClusterSession:
         config: Optional[ReplayConfig] = None,
         support: Optional[ReplaySupport] = None,
     ) -> None:
+        super().__init__(config if config is not None else ReplayConfig(), support)
         self._fleet = fleet
-        self._config = config if config is not None else ReplayConfig()
-        self._support = support
         self._rank_overrides: Dict[int, Dict[str, Any]] = {}
         self._strict_match = True
         self._track_memory = False
         self._memory_budget: Optional[Any] = None
-        self._profile = False
-        self._tracer: Optional[Any] = None
         self._last_report: Optional[ClusterReport] = None
 
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    @property
-    def config(self) -> ReplayConfig:
-        """The base config every replica runs under (read-only snapshot)."""
-        return self._config
-
-    def using(self, config: ReplayConfig) -> "ClusterSession":
-        """Replace the whole base config (later field mutators still apply)."""
-        self._config = config
-        return self
-
-    def configure(self, **fields: Any) -> "ClusterSession":
-        """Override arbitrary :class:`ReplayConfig` fields for every rank."""
-        self._config = dataclass_replace(self._config, **fields)
-        return self
-
-    def on(self, device: str) -> "ClusterSession":
-        """Target device spec for every replica (``"A100"``, ``"V100"`` …)."""
-        return self.configure(device=device)
-
     def world(self, world_size: int) -> "ClusterSession":
         """World size the collectives are priced at.
 
@@ -85,13 +64,6 @@ class ClusterSession:
         scale-down emulation of Section 7.3, fleet edition).
         """
         return self.configure(world_size=world_size)
-
-    def iterations(self, count: int, warmup: Optional[int] = None) -> "ClusterSession":
-        """Measured iteration count (and optionally the warm-up count)."""
-        overrides: dict = {"iterations": count}
-        if warmup is not None:
-            overrides["warmup_iterations"] = warmup
-        return self.configure(**overrides)
 
     def interconnect(self, spec: InterconnectSpec) -> "ClusterSession":
         """Cluster-fabric description pricing every matched collective."""
@@ -117,11 +89,6 @@ class ClusterSession:
         self._rank_overrides.setdefault(int(rank), {}).update(fields)
         return self
 
-    def with_support(self, support: ReplaySupport) -> "ClusterSession":
-        """Replay-support policy (custom-operator registrations)."""
-        self._support = support
-        return self
-
     def with_memory(self, budget: Optional[Any] = None) -> "ClusterSession":
         """Track every replica's simulated device-memory footprint.
 
@@ -135,62 +102,6 @@ class ClusterSession:
         self._track_memory = True
         self._memory_budget = budget
         return self
-
-    def with_profiling(self) -> "ClusterSession":
-        """Profile every replica's replay engine (host wall time per op).
-
-        Each rank runs with its own :class:`~repro.telemetry.ProfileHook`
-        — with :meth:`with_telemetry` too, it is that rank's one stage-span
-        source on the session tracer.  The scheduler closes a rank's stage
-        spans when it parks (``on_park``) and reopens them on ``on_resume``,
-        so per-rank stage and op times count that rank's on-CPU work only.
-        The aggregated per-rank :class:`~repro.telemetry.ProfileReport`
-        objects are available as ``report.rank_report(r).profile`` /
-        ``report.profile_reports``.  Timing results and cache digests are
-        unaffected.
-        """
-        self._profile = True
-        return self
-
-    def with_telemetry(
-        self, tracer: Optional[Any] = None, enabled: bool = True
-    ) -> "ClusterSession":
-        """Trace the co-replay on the unified telemetry timeline.
-
-        Every replica gets a per-rank
-        :class:`~repro.telemetry.TelemetryHook` (on-CPU stage spans; the
-        rank's :class:`~repro.telemetry.ProfileHook` when profiling), the
-        event scheduler emits park/wake/rendezvous markers, and after
-        :meth:`run` the fleet's virtual-time Gantt — per-rank
-        compute / comms / exposed-comms / stall lanes — is recorded onto
-        ``tracer`` (a fresh :class:`~repro.telemetry.Tracer` when none is
-        given).  :meth:`export_trace` renders it as Chrome-trace JSON.
-        Purely observational: reports and cache digests are byte-identical
-        with telemetry on, disabled (``enabled=False``) or absent.
-        """
-        from repro.telemetry import Tracer
-
-        self._tracer = tracer if tracer is not None else Tracer(enabled=enabled)
-        return self
-
-    @property
-    def tracer(self) -> Optional[Any]:
-        """The session's :class:`~repro.telemetry.Tracer` (set by
-        :meth:`with_telemetry`), or ``None``."""
-        return self._tracer
-
-    def export_trace(self, path: Union[str, Path]) -> Path:
-        """Write the telemetry timeline as Chrome-trace JSON to ``path``.
-
-        Requires :meth:`with_telemetry` and a completed :meth:`run`.
-        """
-        if self._tracer is None:
-            raise RuntimeError(
-                "no telemetry on this session — call .with_telemetry() before .run()"
-            )
-        from repro.telemetry import write_chrome_trace
-
-        return write_chrome_trace(self._tracer, Path(path))
 
     # ------------------------------------------------------------------
     # Execution policy

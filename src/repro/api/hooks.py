@@ -1,9 +1,9 @@
 """Ready-made replay hooks: progress reporting, per-op tracing, metric taps.
 
 These are small, composable examples of the :class:`~repro.core.pipeline.ReplayHook`
-protocol — register them on a session with ``.hook(...)`` or on a pipeline
-with ``add_hook``.  They only read the context and keep their own state, so
-any combination can observe the same replay.
+protocol — register them on a session with ``.hook(...)`` (or straight on
+a ``ReplayContext.hooks`` list).  They only read the context and keep their
+own state, so any combination can observe the same replay.
 """
 
 from __future__ import annotations

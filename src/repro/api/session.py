@@ -17,27 +17,146 @@ pipeline::
 
 Every mutator returns ``self`` so calls chain; nothing executes until
 :meth:`run` (or :meth:`summarize`).  A session owns a private pipeline
-clone, so stage edits never leak into other sessions.
+clone, so stage edits never leak into other sessions.  The config
+mutators and the telemetry surface live on :class:`SessionBase`, which
+:class:`~repro.api.cluster.ClusterSession` shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace as dataclass_replace
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, TypeVar, Union
 
 from repro.core.pipeline import ReplayContext, ReplayHook, ReplayPipeline, ReplayStage
 from repro.core.registry import ReplaySupport
 from repro.core.replayer import ReplayConfig, ReplayResult, ReplayResultSummary
 from repro.et.trace import ExecutionTrace
 from repro.torchsim.profiler import ProfilerTrace
-from repro.torchsim.runtime import Runtime
 
 #: What :func:`repro.api.replay` accepts as a replay source.
 ReplaySource = Union[ExecutionTrace, str, Path, "CaptureResult"]  # noqa: F821
 
+_Session = TypeVar("_Session", bound="SessionBase")
 
-class ReplaySession:
+
+class SessionBase:
+    """What the single-rank and the cluster session share: the replay
+    config and its mutators, the replay-support policy, and the telemetry
+    surface.  In a :class:`~repro.api.cluster.ClusterSession` the config
+    is every rank's base config and each rank gets its own observers."""
+
+    def __init__(self, config: ReplayConfig, support: Optional[ReplaySupport]) -> None:
+        self._config = config
+        self._support = support
+        self._profile = False
+        self._tracer: Optional[Any] = None
+
+    # ------------------------------------------------------------------
+    # Configuration
+    # ------------------------------------------------------------------
+    @property
+    def config(self) -> ReplayConfig:
+        """The config the session will replay under (read-only snapshot)."""
+        return self._config
+
+    def using(self: _Session, config: ReplayConfig) -> _Session:
+        """Replace the whole config (later field mutators still apply)."""
+        self._config = config
+        return self
+
+    def configure(self: _Session, **fields: Any) -> _Session:
+        """Override arbitrary :class:`ReplayConfig` fields by name.
+
+        Unknown field names raise ``TypeError`` — a typo never silently
+        vanishes into a default config.
+        """
+        self._config = dataclass_replace(self._config, **fields)
+        return self
+
+    def on(self: _Session, device: str) -> _Session:
+        """Target device spec (``"A100"``, ``"V100"``, ``"NewPlatform"`` …)."""
+        return self.configure(device=device)
+
+    def iterations(self: _Session, count: int, warmup: Optional[int] = None) -> _Session:
+        """Measured iteration count (and optionally the warm-up count)."""
+        overrides: dict = {"iterations": count}
+        if warmup is not None:
+            overrides["warmup_iterations"] = warmup
+        return self.configure(**overrides)
+
+    def with_support(self: _Session, support: ReplaySupport) -> _Session:
+        """Replay-support policy (custom-operator registrations)."""
+        self._support = support
+        return self
+
+    # ------------------------------------------------------------------
+    # Telemetry
+    # ------------------------------------------------------------------
+    def with_profiling(self: _Session) -> _Session:
+        """Profile the replay engine itself (host wall time per operator).
+
+        Each :meth:`run` gives every replayed rank a fresh
+        :class:`~repro.telemetry.ProfileHook`; with :meth:`with_telemetry`
+        too, that hook is the rank's one stage-span source and records
+        onto the session tracer.  In a co-replay the scheduler closes a
+        rank's stage spans when it parks (``on_park``) and reopens them on
+        ``on_resume``, so per-rank stage and op times count that rank's
+        on-CPU work only.  The aggregated
+        :class:`~repro.telemetry.ProfileReport` is ``result.profile_report``
+        after a single replay, and ``report.rank_report(r).profile`` /
+        ``report.profile_reports`` after a co-replay.  Profiling observes
+        through the hook protocol only — results and cache digests are
+        unchanged, and sessions without the hook pay zero per-op overhead.
+        """
+        self._profile = True
+        return self
+
+    def with_telemetry(
+        self: _Session, tracer: Optional[Any] = None, enabled: bool = True
+    ) -> _Session:
+        """Trace the replay on the unified telemetry timeline.
+
+        Each :meth:`run` gives every replayed rank a
+        :class:`~repro.telemetry.TelemetryHook` (its
+        :class:`~repro.telemetry.ProfileHook` when profiling is on)
+        recording one wall+virtual span per pipeline stage onto ``tracer``
+        (a fresh :class:`~repro.telemetry.Tracer` is created when none is
+        given).  After :meth:`run` the measured kernel launches are folded
+        in as compute/comms/exposed-comms Gantt slices — per rank, with
+        stall lanes and the event scheduler's park/wake/rendezvous markers,
+        for a co-replay — and :meth:`export_trace` writes the whole thing
+        as Chrome-trace JSON.  Telemetry observes through the hook protocol
+        only, so results and cache digests are byte-identical with it on,
+        off (``enabled=False``) or absent — the disabled path costs one
+        attribute read per callback.
+        """
+        from repro.telemetry import Tracer
+
+        self._tracer = tracer if tracer is not None else Tracer(enabled=enabled)
+        return self
+
+    @property
+    def tracer(self) -> Optional[Any]:
+        """The session's :class:`~repro.telemetry.Tracer` (set by
+        :meth:`with_telemetry`), or ``None``."""
+        return self._tracer
+
+    def export_trace(self, path: Union[str, Path]) -> Path:
+        """Write the telemetry timeline as Chrome-trace JSON to ``path``.
+
+        Requires :meth:`with_telemetry` and a completed :meth:`run`.
+        """
+        if self._tracer is None:
+            raise RuntimeError(
+                "no telemetry on this session — call .with_telemetry() before .run()"
+            )
+        from repro.telemetry import write_chrome_trace
+
+        return write_chrome_trace(self._tracer, Path(path))
+
+
+class ReplaySession(SessionBase):
     """Fluent builder for one replay through the stage pipeline."""
 
     def __init__(
@@ -60,40 +179,14 @@ class ReplaySession:
         self._profiler_trace = profiler_trace if profiler_trace is not None else inferred_profiler
         if config is None:
             config = ReplayConfig(device=inferred_device) if inferred_device else ReplayConfig()
-        self._config = config
-        self._support = support
+        super().__init__(config, support)
         self._pipeline = (pipeline if pipeline is not None else ReplayPipeline.default()).clone()
-        self._runtime: Optional[Runtime] = None
-        self._profile = False
-        self._tracer: Optional[Any] = None
+        self._hooks: List[ReplayHook] = []
         self._last_result: Optional[ReplayResult] = None
 
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    @property
-    def config(self) -> ReplayConfig:
-        """The config the session will replay under (read-only snapshot)."""
-        return self._config
-
-    def using(self, config: ReplayConfig) -> "ReplaySession":
-        """Replace the whole config (later field mutators still apply)."""
-        self._config = config
-        return self
-
-    def configure(self, **fields: Any) -> "ReplaySession":
-        """Override arbitrary :class:`ReplayConfig` fields by name.
-
-        Unknown field names raise ``TypeError`` — a typo never silently
-        vanishes into a default config.
-        """
-        self._config = dataclass_replace(self._config, **fields)
-        return self
-
-    def on(self, device: str) -> "ReplaySession":
-        """Target device spec (``"A100"``, ``"V100"``, ``"NewPlatform"`` …)."""
-        return self.configure(device=device)
-
     def select(
         self,
         categories: Optional[Sequence[str]] = None,
@@ -107,31 +200,13 @@ class ReplaySession:
             overrides["subtrace_label"] = subtrace
         return self.configure(**overrides)
 
-    def iterations(self, count: int, warmup: Optional[int] = None) -> "ReplaySession":
-        """Measured iteration count (and optionally the warm-up count)."""
-        overrides: dict = {"iterations": count}
-        if warmup is not None:
-            overrides["warmup_iterations"] = warmup
-        return self.configure(**overrides)
-
     def power_limit(self, watts: Optional[float]) -> "ReplaySession":
         """GPU power cap in Watts (``None`` for the device's TDP)."""
         return self.configure(power_limit_w=watts)
 
-    def with_support(self, support: ReplaySupport) -> "ReplaySession":
-        """Replay-support policy (custom-operator registrations)."""
-        self._support = support
-        return self
-
     def with_profiler(self, profiler_trace: Optional[ProfilerTrace]) -> "ReplaySession":
         """Profiler trace guiding stream placement (``None`` to drop it)."""
         self._profiler_trace = profiler_trace
-        return self
-
-    def with_runtime(self, runtime: Runtime) -> "ReplaySession":
-        """Inject a pre-built runtime instead of letting the init-comms
-        stage create one (advanced; e.g. to share a simulated cluster)."""
-        self._runtime = runtime
         return self
 
     def with_memory(
@@ -161,69 +236,16 @@ class ReplaySession:
             self._pipeline.insert_after("assign-streams", stage)
         return self
 
-    def with_profiling(self) -> "ReplaySession":
-        """Profile the replay engine itself (host wall time per operator).
-
-        Each :meth:`run` attaches a fresh
-        :class:`~repro.telemetry.ProfileHook`; afterwards the aggregated
-        :class:`~repro.telemetry.ProfileReport` is available as
-        ``result.profile_report``.  With :meth:`with_telemetry` too, that
-        hook is the session's one stage-span source and records onto the
-        session tracer.  Profiling observes through the hook protocol only
-        — replay results and cache digests are unchanged, and sessions
-        without the hook pay zero per-op overhead.
-        """
-        self._profile = True
-        return self
-
-    def with_telemetry(
-        self, tracer: Optional[Any] = None, enabled: bool = True
-    ) -> "ReplaySession":
-        """Trace the replay on the unified telemetry timeline.
-
-        Each :meth:`run` attaches a :class:`~repro.telemetry.TelemetryHook`
-        (the :class:`~repro.telemetry.ProfileHook` when profiling is on)
-        recording one wall+virtual span per pipeline stage onto ``tracer``
-        (a fresh :class:`~repro.telemetry.Tracer` is created when none is
-        given); after :meth:`run` the measured kernel launches are folded
-        in as compute/comms/exposed-comms Gantt slices, and
-        :meth:`export_trace` writes the whole thing as Chrome-trace JSON.
-        Telemetry observes through the hook protocol only, so replay
-        results and cache digests are byte-identical with it on, off
-        (``enabled=False``) or absent — the disabled path costs one
-        attribute read per callback.
-        """
-        from repro.telemetry import Tracer
-
-        self._tracer = tracer if tracer is not None else Tracer(enabled=enabled)
-        return self
-
-    @property
-    def tracer(self) -> Optional[Any]:
-        """The session's :class:`~repro.telemetry.Tracer` (set by
-        :meth:`with_telemetry`), or ``None``."""
-        return self._tracer
-
-    def export_trace(self, path: Union[str, Path]) -> Path:
-        """Write the telemetry timeline as Chrome-trace JSON to ``path``.
-
-        Requires :meth:`with_telemetry` and a completed :meth:`run`.
-        """
-        if self._tracer is None:
-            raise RuntimeError(
-                "no telemetry on this session — call .with_telemetry() before .run()"
-            )
-        from repro.telemetry import write_chrome_trace
-
-        return write_chrome_trace(self._tracer, Path(path))
-
     # ------------------------------------------------------------------
     # Observation and stage composition
     # ------------------------------------------------------------------
     def hook(self, *hooks: ReplayHook) -> "ReplaySession":
-        """Register lifecycle/per-op hooks on this session's pipeline."""
+        """Register lifecycle/per-op observers for every run, each once.
+        They see each event after the run's profiling/telemetry hook, in
+        registration order."""
         for one in hooks:
-            self._pipeline.add_hook(one)
+            if one not in self._hooks:
+                self._hooks.append(one)
         return self
 
     def insert_stage(
@@ -275,11 +297,12 @@ class ReplaySession:
             profiler_trace=self._profiler_trace,
             config=self._config,
             support=self._support,
-            runtime=self._runtime,
+            hooks=list(self._hooks),
         )
 
     def _attach_stage_hook(self, context: ReplayContext) -> Optional[Any]:
-        """Attach the one stage-span hook a run gets and return it: a fresh
+        """Attach the one stage-span hook a run gets, ahead of the session's
+        own hooks, and return it: a fresh
         :class:`~repro.telemetry.ProfileHook` when profiling (sharing the
         session tracer), else a :class:`~repro.telemetry.TelemetryHook`
         when tracing, else none."""
@@ -291,7 +314,7 @@ class ReplaySession:
             hook = TelemetryHook(self._tracer)
         else:
             return None
-        context.hooks.append(hook)
+        context.hooks.insert(0, hook)
         return hook
 
     def run(self) -> ReplayResult:

@@ -53,15 +53,6 @@ from repro.core.pipeline import (
 PickFunction = Callable[[List[int], int], int]
 
 
-def _notify(context: ReplayContext, event: str) -> None:
-    """Dispatch a scheduler event (``on_resume`` / ``on_park``) to the
-    hooks that implement it; hooks need not subclass ``ReplayHook``."""
-    for hook in context.hooks:
-        callback = getattr(hook, event, None)
-        if callback is not None:
-            callback(context)
-
-
 def _rank_steps(
     context: ReplayContext, pipeline: ReplayPipeline, rendezvous: EventRendezvous
 ) -> Iterator[RankBlocked]:
@@ -175,7 +166,7 @@ class VirtualTimeScheduler:
                 step += 1
                 context = contexts[rank]
                 if context.hooks:
-                    _notify(context, "on_resume")
+                    context.notify("on_resume")
                 try:
                     blocked = next(cursors[rank])
                 except StopIteration:
@@ -200,7 +191,7 @@ class VirtualTimeScheduler:
                 else:
                     parked.setdefault(blocked.slot, []).append(rank)
                     if context.hooks:
-                        _notify(context, "on_park")
+                        context.notify("on_park")
                     if telemetry is not None:
                         telemetry.event(
                             "park",

@@ -43,7 +43,6 @@ CONFIG = ReplayConfig(
     device={device!r},
     iterations={iterations},
     warmup_iterations={warmup_iterations},
-    skip_unsupported=True,
 )
 
 

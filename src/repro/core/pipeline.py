@@ -338,6 +338,23 @@ class ReplayContext:
         for hook in self.hooks:
             hook.on_op_replayed(self, entry, output)
 
+    def notify(self, event: str, *args: Any) -> None:
+        """Dispatch the lifecycle ``event`` (a :class:`ReplayHook` method
+        name) to every hook that defines it, as ``method(self, *args)``.
+        Hooks need not subclass ``ReplayHook``: one without the method is
+        skipped.  An ``on_error`` callback that raises is swallowed, so a
+        buggy observer neither masks the stage error nor starves the
+        remaining hooks of it."""
+        for hook in self.hooks:
+            callback = getattr(hook, event, None)
+            if callback is None:
+                continue
+            try:
+                callback(self, *args)
+            except Exception:  # noqa: BLE001
+                if event != "on_error":
+                    raise
+
 
 # ----------------------------------------------------------------------
 # Hooks
@@ -345,6 +362,8 @@ class ReplayContext:
 class ReplayHook:
     """Observer of a replay's lifecycle.
 
+    Register hooks on :attr:`ReplayContext.hooks` (``session.hook(...)``
+    does); :meth:`ReplayContext.notify` dispatches every lifecycle event.
     Subclass and override any subset; every method is a no-op by default.
     Hooks must not mutate the context's build/measurement products — use
     ``context.extras`` for hook-owned state.
@@ -870,23 +889,16 @@ class ReplayPipeline:
             ReplayPipeline.default()
             .insert_after("execute", MyTapStage())
             .skip("measure")
-            .add_hook(ProgressHook())
         )
 
-    Hooks registered on the pipeline are merged (order-preserving, deduped)
-    into ``context.hooks`` at :meth:`run` time, so per-op events reach them
-    too.
+    Observers live on the context (:attr:`ReplayContext.hooks`), not on
+    the pipeline, so one pipeline can drive many observed replays.
     """
 
-    def __init__(
-        self,
-        stages: Optional[Sequence[ReplayStage]] = None,
-        hooks: Optional[Sequence[ReplayHook]] = None,
-    ) -> None:
+    def __init__(self, stages: Optional[Sequence[ReplayStage]] = None) -> None:
         self.stages: List[ReplayStage] = (
             list(stages) if stages is not None else self.default_stages()
         )
-        self.hooks: List[ReplayHook] = list(hooks or [])
 
     @staticmethod
     def default_stages() -> List[ReplayStage]:
@@ -902,8 +914,8 @@ class ReplayPipeline:
         ]
 
     @classmethod
-    def default(cls, hooks: Optional[Sequence[ReplayHook]] = None) -> "ReplayPipeline":
-        return cls(hooks=hooks)
+    def default(cls) -> "ReplayPipeline":
+        return cls()
 
     @classmethod
     def build_only(cls) -> "ReplayPipeline":
@@ -941,13 +953,9 @@ class ReplayPipeline:
             del self.stages[self._index_of(name)]
         return self
 
-    def add_hook(self, hook: ReplayHook) -> "ReplayPipeline":
-        self.hooks.append(hook)
-        return self
-
     def clone(self) -> "ReplayPipeline":
-        """Independent copy (shared stage/hook objects, separate lists)."""
-        return ReplayPipeline(stages=list(self.stages), hooks=list(self.hooks))
+        """Independent copy (shared stage objects, a separate list)."""
+        return ReplayPipeline(stages=list(self.stages))
 
     # ------------------------------------------------------------------
     # Execution
@@ -960,23 +968,14 @@ class ReplayPipeline:
         Emits ``on_stage_start``/``on_stage_end`` around each stage and
         ``on_error`` (then re-raises) when a stage fails.
         """
-        for hook in self.hooks:
-            if hook not in context.hooks:
-                context.hooks.append(hook)
         for stage in list(self.stages):
-            self._dispatch("on_stage_start", context, stage)
+            context.notify("on_stage_start", stage)
             try:
                 yield from stage.steps(context)
             except Exception as error:
-                for hook in context.hooks:
-                    # A buggy observer must not mask the real stage error
-                    # or starve the remaining hooks of the notification.
-                    try:
-                        hook.on_error(context, stage, error)
-                    except Exception:  # noqa: BLE001
-                        pass
+                context.notify("on_error", stage, error)
                 raise
-            self._dispatch("on_stage_end", context, stage)
+            context.notify("on_stage_end", stage)
 
     def run_context(self, context: ReplayContext) -> ReplayContext:
         """Thread ``context`` through every stage and return it.
@@ -998,20 +997,13 @@ class ReplayPipeline:
             )
         return context.result
 
-    @staticmethod
-    def _dispatch(event: str, context: ReplayContext, stage: ReplayStage) -> None:
-        for hook in context.hooks:
-            getattr(hook, event)(context, stage)
-
 
 def run_replay(
     trace: ExecutionTrace,
     config: Optional["ReplayConfig"] = None,
     profiler_trace: Optional[Any] = None,
     support: Optional[ReplaySupport] = None,
-    hooks: Optional[Sequence[ReplayHook]] = None,
     pipeline: Optional[ReplayPipeline] = None,
-    runtime: Optional[Runtime] = None,
     pause_check: Optional[Callable[[], Any]] = None,
     resume_from: Optional[ReplayCheckpoint] = None,
 ) -> "ReplayResult":
@@ -1032,8 +1024,6 @@ def run_replay(
         config=config,
         profiler_trace=profiler_trace,
         support=support,
-        runtime=runtime,
-        hooks=list(hooks or []),
         pause_check=pause_check,
         resume_from=resume_from,
     )

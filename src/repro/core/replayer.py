@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -27,8 +26,6 @@ from repro.hardware.network import InterconnectSpec
 from repro.torchsim.kernel import KernelLaunch
 from repro.torchsim.profiler import ProfilerTrace
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass
 class ReplayConfig:
@@ -39,7 +36,6 @@ class ReplayConfig:
     cost_model_mode: str = "roofline"
     iterations: int = 1
     warmup_iterations: int = 0
-    skip_unsupported: bool = True
     subtrace_label: Optional[str] = None
     categories: Optional[Sequence[str]] = None
     #: Default values for embedding-lookup index tensors.  The paper sets
@@ -104,28 +100,22 @@ class ReplayConfig:
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any], strict: bool = False) -> "ReplayConfig":
+    def from_dict(cls, data: Dict[str, Any]) -> "ReplayConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
         *Absent* keys keep their dataclass defaults (so a partial dict never
         silently disables, say, the embedding-value default).  Unknown keys
-        — typically typos in sweep axis names or provenance dicts from a
-        newer version — are reported: with ``strict=True`` they raise
-        ``ValueError``; otherwise they are ignored but logged as a warning
-        naming every dropped key.
+        — typically typos in a job's config or sweep base — raise
+        ``ValueError`` naming every one of them, so a typo never silently
+        replays the default.
         """
         known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
         unknown = sorted(key for key in data if key not in known)
         if unknown:
-            if strict:
-                raise ValueError(
-                    f"unknown ReplayConfig keys: {unknown}; known fields are {sorted(known)}"
-                )
-            logger.warning(
-                "ReplayConfig.from_dict: ignoring unknown keys %s (pass strict=True to raise)",
-                unknown,
+            raise ValueError(
+                f"unknown ReplayConfig keys: {unknown}; known fields are {sorted(known)}"
             )
-        kwargs = {key: value for key, value in data.items() if key in known}
+        kwargs = dict(data)
         if isinstance(kwargs.get("embedding_config"), dict):
             kwargs["embedding_config"] = EmbeddingValueConfig(**kwargs["embedding_config"])
         if isinstance(kwargs.get("interconnect"), dict):

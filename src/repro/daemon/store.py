@@ -35,7 +35,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.daemon.jobs import JobRecord, job_sort_key
 
@@ -122,10 +122,3 @@ class JobStore:
         records = self.load_all()
         return max((record.seq for record in records), default=0)
 
-
-def state_counts(records: Dict[str, JobRecord]) -> Dict[str, int]:
-    """State -> job count, for the health payload."""
-    counts: Dict[str, int] = {}
-    for record in records.values():
-        counts[record.state] = counts.get(record.state, 0) + 1
-    return counts

@@ -32,12 +32,6 @@ class SimilarityReport:
     per_operator_errors: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def max_metric_error(self) -> float:
-        if not self.metric_errors:
-            return 0.0
-        return max(self.metric_errors.values())
-
-    @property
     def mean_operator_error(self) -> float:
         if not self.per_operator_errors:
             return 0.0
@@ -60,9 +54,6 @@ class SimilarityReport:
 
 class TraceComparator:
     """Compares measured results of an original run and its replay."""
-
-    def compare_execution_time(self, original_us: float, replay_us: float) -> SimilarityReport:
-        return SimilarityReport(execution_time_error=relative_error(original_us, replay_us))
 
     def compare_metrics(
         self,

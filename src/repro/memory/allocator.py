@@ -260,10 +260,6 @@ class CachingAllocator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    @classmethod
-    def for_device(cls, device: "str | DeviceSpec") -> "CachingAllocator":
-        return cls(device_capacity_bytes(device))
-
     @property
     def allocated_bytes(self) -> int:
         return self._allocated

@@ -212,8 +212,8 @@ def _register_atexit(hook: "ProfileHook") -> None:
 class ProfileHook(TelemetryHook):
     """Aggregates per-operator wall time on top of the stage spans.
 
-    Attach via ``session.with_profiling()`` (or ``pipeline.add_hook``) and
-    read :meth:`report` afterwards.  One hook instance profiles one replay;
+    Attach via ``session.with_profiling()`` (or append it to a
+    ``ReplayContext.hooks`` list) and read :meth:`report` afterwards.  One hook instance profiles one replay;
     attach a fresh instance per replay (or call :meth:`reset`).  With no
     tracer, or a disabled one, stage spans go to a private tracer driven
     by ``clock``.

@@ -81,9 +81,6 @@ class ProfilerTrace:
     def kernels(self) -> List[TraceEvent]:
         return [e for e in self.events if e.cat == "kernel"]
 
-    def kernels_for_op(self, op_node_id: int) -> List[TraceEvent]:
-        return [e for e in self.kernels() if e.op_node_id == op_node_id]
-
     def threads(self) -> List[str]:
         return sorted({e.tid for e in self.events if e.cat in ("cpu_op", "user_annotation")})
 

@@ -492,10 +492,6 @@ class Runtime:
     def timeline_stats(self, window_start: float = 0.0, window_end: Optional[float] = None) -> TimelineStats:
         return self.gpu.stats(window_start=window_start, window_end=window_end)
 
-    def elapsed_iteration(self, start_ts: float) -> float:
-        """Wall-clock time since ``start_ts`` after draining the device."""
-        return self.synchronize() - start_ts
-
 
 # ----------------------------------------------------------------------
 def _normalize_outputs(result: Any) -> List[Any]:

@@ -175,6 +175,24 @@ class RecordingHook(ReplayHook):
         self.events.append(("error", stage.name, type(error).__name__))
 
 
+class PartialHook:
+    """Observes operators and errors only: it neither subclasses
+    ``ReplayHook`` nor defines the stage or scheduler events.  ``report``
+    is what ``ClusterReplayer`` asks its per-rank profile hooks for."""
+
+    def __init__(self):
+        self.ops = 0
+
+    def on_op_replayed(self, context, entry, output):
+        self.ops += 1
+
+    def on_error(self, context, stage, error):
+        pass
+
+    def report(self, **_):
+        return None
+
+
 class TestHooks:
     def test_stage_lifecycle_events_in_order(self, small_linear_capture):
         hook = RecordingHook()
@@ -234,6 +252,64 @@ class TestHooks:
         with pytest.raises(RuntimeError, match="the real failure"):
             session.run()
         assert ("error", "boom", "RuntimeError") in recorder.events
+
+    def test_partial_hook_replays_through_a_session(self, small_linear_capture):
+        hook = PartialHook()
+        result = api.replay(small_linear_capture).iterations(2).hook(hook).run()
+        assert hook.ops == result.replayed_ops
+
+    def test_partial_hook_replays_through_a_cluster(self):
+        from repro.cluster.engine import ClusterReplayer
+        from repro.workloads.ddp import DistributedRunner
+
+        from tests.conftest import make_small_rm
+
+        fleet = DistributedRunner(
+            lambda rank, world_size: make_small_rm(rank, world_size), world_size=2
+        ).run()
+        hooks = {}
+        report = ClusterReplayer(
+            ReplayConfig(), profile_hook_factory=lambda rank: hooks.setdefault(rank, PartialHook())
+        ).replay(fleet)
+        assert sorted(hooks) == [0, 1]
+        for rank_report in report.ranks:
+            assert hooks[rank_report.rank].ops == rank_report.summary.replayed_ops > 0
+
+    def test_stage_hook_first_then_user_hooks_once_each(self, small_linear_capture, monkeypatch):
+        from repro.telemetry import ProfileHook
+
+        log = []
+        profile_start = ProfileHook.on_stage_start
+
+        def logged_start(hook, context, stage):
+            log.append(("profile", stage.name))
+            profile_start(hook, context, stage)
+
+        monkeypatch.setattr(ProfileHook, "on_stage_start", logged_start)
+
+        class NamedHook:
+            def __init__(self, name):
+                self.name = name
+
+            def on_stage_start(self, context, stage):
+                log.append((self.name, stage.name))
+
+            def on_op_replayed(self, context, entry, output):
+                pass
+
+        first, second = NamedHook("first"), NamedHook("second")
+        result = (
+            api.replay(small_linear_capture)
+            .with_profiling()
+            .with_telemetry()
+            .hook(first, second)
+            .hook(first)
+            .run()
+        )
+        assert log == [
+            (who, stage) for stage in EXPECTED_ORDER for who in ("profile", "first", "second")
+        ]
+        assert set(result.profile_report.stage_wall_s) == set(EXPECTED_ORDER)
 
     def test_optrace_and_timing_hooks(self, small_linear_capture):
         op_trace = api.OpTraceHook()

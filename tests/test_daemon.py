@@ -360,6 +360,16 @@ class TestDaemonLifecycle:
             with pytest.raises(JobStateError, match="no result"):
                 daemon.result(record.id)
 
+    def test_typo_in_the_sweep_base_fails_the_job(self, tmp_path, daemon_repo):
+        payload = sweep_payload(daemon_repo)
+        payload["base"] = {"iteratons": 5}
+        with ReplayDaemon(tmp_path / "state", workers=1) as daemon:
+            record = daemon.submit("alice", JobSpec("sweep", payload))
+            final = daemon.wait(record.id, timeout=WAIT_S)
+            assert final.state == "failed"
+            assert final.error_type == "ValueError"
+            assert "'iteratons'" in final.error
+
     def test_cancel_queued_job_never_runs(self, tmp_path, daemon_repo):
         daemon = ReplayDaemon(tmp_path / "state", workers=1)  # not started
         record = daemon.submit("alice", JobSpec("sweep", sweep_payload(daemon_repo)))

@@ -605,3 +605,38 @@ class TestPlanRankGuard:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text("rank = runtime.rank\n")
         assert checker.find_offenders(tmp_path) == {}
+
+
+class TestOneHookDispatchGuard:
+    """``scripts/check_deprecated_usage.py`` keeps lifecycle dispatch in
+    ``ReplayContext.notify``: only ``core/pipeline.py`` loops over the
+    hooks."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "for hook in context.hooks:\n    hook.on_park(context)\n",
+            "callbacks = [getattr(h, event) for h in self.hooks]\n",
+        ],
+    )
+    def test_rule_fires_outside_the_pipeline(self, tmp_path, source):
+        checker = _load_usage_checker()
+        bad = tmp_path / "src" / "repro" / "cluster"
+        bad.mkdir(parents=True)
+        (bad / "scheduler.py").write_text(source)
+        offenders = checker.find_offenders(tmp_path)
+        assert list(offenders) == ["one-hook-dispatch"]
+        assert "scheduler.py:1" in offenders["one-hook-dispatch"][0]
+
+    def test_pipeline_and_notify_calls_are_exempt(self, tmp_path):
+        checker = _load_usage_checker()
+        pipeline = tmp_path / "src" / "repro" / "core" / "pipeline.py"
+        pipeline.parent.mkdir(parents=True)
+        pipeline.write_text("for hook in self.hooks:\n    pass\n")
+        scheduler = tmp_path / "src" / "repro" / "cluster" / "scheduler.py"
+        scheduler.parent.mkdir(parents=True)
+        scheduler.write_text(
+            "if context.hooks:\n    context.notify('on_park')\n"
+            "for hook in self._hooks:\n    pass\n"
+        )
+        assert checker.find_offenders(tmp_path) == {}

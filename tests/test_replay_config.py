@@ -1,7 +1,5 @@
 """Tests for ReplayConfig identity hardening: strict digests and
-unknown-key reporting in ``from_dict``."""
-
-import logging
+unknown keys rejected by ``from_dict``."""
 
 import pytest
 
@@ -49,21 +47,21 @@ class TestDigestStrictness:
 
 
 class TestFromDictUnknownKeys:
-    def test_unknown_keys_logged_when_lenient(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.core.replayer"):
-            config = ReplayConfig.from_dict({"device": "V100", "iteratons": 5})
-        assert config == ReplayConfig(device="V100")
-        assert "iteratons" in caplog.text
+    def test_every_unknown_key_is_named(self):
+        with pytest.raises(ValueError) as raised:
+            ReplayConfig.from_dict({"device": "V100", "iteratons": 5, "skip_unsupported": True})
+        assert "'iteratons'" in str(raised.value)
+        assert "'skip_unsupported'" in str(raised.value)
 
     def test_unknown_keys_raise_when_strict(self):
         with pytest.raises(ValueError, match="iteratons"):
-            ReplayConfig.from_dict({"iteratons": 5}, strict=True)
+            ReplayConfig.from_dict({"iteratons": 5})
 
     def test_strict_accepts_exact_roundtrip(self):
         config = ReplayConfig(device="V100", iterations=3)
-        assert ReplayConfig.from_dict(config.to_dict(), strict=True) == config
+        assert ReplayConfig.from_dict(config.to_dict()) == config
 
     def test_absent_keys_keep_defaults(self):
-        config = ReplayConfig.from_dict({"device": "V100"}, strict=True)
+        config = ReplayConfig.from_dict({"device": "V100"})
         assert config.iterations == ReplayConfig().iterations
         assert config.embedding_config == EmbeddingValueConfig()

@@ -90,10 +90,11 @@ class TestReplayConfigIdentity:
         configs = {ReplayConfig(device="A100"), ReplayConfig(device="A100")}
         assert len(configs) == 1
 
-    def test_from_dict_ignores_unknown_keys(self):
+    def test_from_dict_rejects_unknown_keys(self):
         data = ReplayConfig().to_dict()
         data["future_knob"] = 42
-        assert ReplayConfig.from_dict(data) == ReplayConfig()
+        with pytest.raises(ValueError, match="future_knob"):
+            ReplayConfig.from_dict(data)
 
     def test_from_dict_partial_keeps_defaults(self):
         # Absent keys must keep dataclass defaults — in particular the
