@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Fourteen rules, one pass:
+Fifteen rules, one pass:
 
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
   — batch work flows through the facade (``repro.api.sweep``) or the
@@ -76,6 +76,10 @@ Fourteen rules, one pass:
   dispatches every lifecycle event (skipping a hook without the method)
   and ``emit_op_replayed`` the per-op one; a second loop would be a second
   dispatcher with its own rules.
+* No unused imports.  Inside ``src/repro/``, every module-level import
+  binds a name the module reads: in code, in a string annotation or in
+  ``__all__``.  An import kept for its side effect says so with
+  ``# noqa`` on its line.  This rule reads the syntax tree, not lines.
 
 Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 1 with a file:line listing otherwise.  ``tests/test_profiling.py`` drives
@@ -84,11 +88,12 @@ Run from the repository root (``make lint`` does).  Exit code 0 when clean,
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,9 @@ class Rule:
     """One banned-usage rule: a pattern, where it applies, and why."""
 
     name: str
-    pattern: re.Pattern
+    #: Matched against each line; ``None`` for a rule that ``scan``\s the
+    #: whole source instead.
+    pattern: Optional[re.Pattern]
     #: Directories or single files (relative to the repo root) the rule
     #: scans.
     roots: Tuple[str, ...]
@@ -104,6 +111,62 @@ class Rule:
     #: Paths (relative to the repo root) exempt from the rule: exact files,
     #: or whole directories when the entry ends with ``/``.
     exempt: Tuple[str, ...] = field(default=())
+    #: Source text -> offending line numbers, for a rule a line pattern
+    #: cannot express.
+    scan: Optional[Callable[[str], List[int]]] = None
+
+
+def _module_imports(body: List[ast.stmt]) -> List[Tuple[ast.stmt, str]]:
+    """(statement, bound name) for every import in a module body, including
+    those under a module-level ``if`` or ``try``; ``__future__`` and star
+    imports bind nothing to check."""
+    bound: List[Tuple[ast.stmt, str]] = []
+    for node in body:
+        if isinstance(node, ast.Import):
+            bound.extend((node, alias.asname or alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                bound.extend(
+                    (node, alias.asname or alias.name) for alias in node.names if alias.name != "*"
+                )
+        elif isinstance(node, (ast.If, ast.Try)):
+            blocks = [node.body, node.orelse, getattr(node, "finalbody", [])]
+            blocks.extend(handler.body for handler in getattr(node, "handlers", []))
+            for block in blocks:
+                bound.extend(_module_imports(block))
+    return bound
+
+
+def _read_names(tree: ast.Module) -> Set[str]:
+    """Every name the module reads, counting the names inside string
+    constants that parse as expressions (string annotations, ``__all__``)."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expression = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(sub.id for sub in ast.walk(expression) if isinstance(sub, ast.Name))
+    return names
+
+
+def unused_imports(source: str) -> List[int]:
+    """Line numbers of the module-level imports in ``source`` that bind a
+    name the module never reads (an import line with ``# noqa`` is kept)."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        return []  # make lint's compileall step reports it
+    names = _read_names(tree)
+    lines = source.splitlines()
+    return sorted({
+        node.lineno
+        for node, name in _module_imports(tree.body)
+        if name not in names and "# noqa" not in lines[node.lineno - 1]
+    })
 
 
 #: Shared by the two execute-loop-fork patterns, which report as one rule.
@@ -299,6 +362,16 @@ RULES = (
             "ReplayContext.emit_op_replayed)"
         ),
     ),
+    Rule(
+        name="no-unused-imports",
+        pattern=None,
+        roots=("src/repro",),
+        scan=unused_imports,
+        message=(
+            "module-level import binds a name the module never reads (delete it, "
+            "or mark an import kept for its side effect with # noqa)"
+        ),
+    ),
 )
 
 
@@ -321,11 +394,20 @@ def find_offenders(root: Path = Path(".")) -> Dict[str, List[str]]:
                     continue
                 if any(directory in path.parents for directory in exempt_dirs):
                     continue
-                for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-                    if rule.pattern.search(line):
-                        offenders.setdefault(rule.name, []).append(
-                            f"{path}:{lineno}: {line.strip()}"
-                        )
+                text = path.read_text()
+                lines = text.splitlines()
+                if rule.scan is not None:
+                    hits = rule.scan(text)
+                else:
+                    hits = [
+                        lineno
+                        for lineno, line in enumerate(lines, start=1)
+                        if rule.pattern.search(line)
+                    ]
+                for lineno in hits:
+                    offenders.setdefault(rule.name, []).append(
+                        f"{path}:{lineno}: {lines[lineno - 1].strip()}"
+                    )
     return offenders
 
 

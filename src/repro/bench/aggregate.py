@@ -11,7 +11,7 @@ stays importable without ``service`` and vice versa.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from repro.bench.reporting import format_table
 

@@ -10,7 +10,7 @@ Turns raw kernel launches into the quantities the paper plots:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List
 
 from repro.hardware.counters import KernelCounters, compute_kernel_counters
 from repro.hardware.specs import DeviceSpec

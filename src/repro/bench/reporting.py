@@ -7,7 +7,7 @@ and readable in a terminal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 #: The MLPerf training benchmark list of Table 1 (static reference data),
 #: used to motivate the staleness problem Mystique addresses.

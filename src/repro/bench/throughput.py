@@ -24,9 +24,9 @@ Measurement notes:
   the pricing itself.  Equivalence (``tests/test_vectorized_equivalence.py``)
   is asserted for both profile settings.
 * Hook overhead compares the scalar loop with and without the hook
-  attached (:func:`measure_hook_overhead`) — the hook rides the
-  ``notify = bool(context.hooks)`` branch, so the unhooked loop is the true
-  zero-overhead baseline.
+  attached (:func:`measure_hook_overhead`) — the hook rides the per-op
+  observer branch (``context.op_observers()``), so the unhooked loop is
+  the true zero-overhead baseline.
 * All wall time comes from ``time.perf_counter()``
   (``scripts/check_deprecated_usage.py`` bans ``time.time`` here).
 """

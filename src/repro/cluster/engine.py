@@ -400,7 +400,8 @@ class ClusterReplayer:
         #: :class:`~repro.telemetry.ProfileReport` lands on its
         #: :class:`RankReport` — one hook per rank because the scheduler
         #: interleaves the replicas, so each rank's ops and stages must be
-        #: attributed to that rank alone.
+        #: attributed to that rank alone.  A hook without a ``report``
+        #: method leaves its rank's profile ``None``.
         self.profile_hook_factory = profile_hook_factory
         #: Optional :class:`~repro.telemetry.Tracer` (set by
         #: ``ClusterSession.with_telemetry()`` or the ``--trace-out`` CLI
@@ -547,6 +548,10 @@ class ClusterReplayer:
                     programs=programs,
                     pause_check=pause_check,
                     plan=plan,
+                    # The report keeps summaries and timeline stats and the
+                    # Gantt export reads kernel launches: no rank records a
+                    # profiler trace.
+                    record_profile=False,
                 )
             )
         if resume_from is not None:
@@ -632,9 +637,9 @@ class ClusterReplayer:
             rank, result = context.config.rank, context.result
             timeline = result.timeline_stats
             profile = None
-            hook = profile_hooks.get(rank)
-            if hook is not None:
-                profile = hook.report(
+            report_of = getattr(profile_hooks.get(rank), "report", None)
+            if report_of is not None:
+                profile = report_of(
                     trace_name=str(context.trace.metadata.get("workload", "")),
                     device=context.config.device,
                     vectorized=context.config.vectorized,

@@ -284,6 +284,12 @@ class ReplayContext:
     #: trace (a :class:`~repro.cluster.plan.FleetPlan`, set by the cluster
     #: engine); ``None`` builds everything for this replay alone.
     plan: Optional[Any] = None
+    #: Whether the execute stage attaches the profiler ``config.profile``
+    #: asks for.  A caller that keeps only summaries (co-replay ranks,
+    #: batch and daemon sweep points) sets it ``False``: the replay then
+    #: builds no profiler trace and measures the same, and the config, so
+    #: every digest, is untouched.
+    record_profile: bool = True
 
     # Build products.
     selection: Optional[SelectionResult] = None
@@ -333,10 +339,23 @@ class ReplayContext:
         product that does not depend on the rank through here."""
         return shared_product(self.plan, name, build)
 
-    def emit_op_replayed(self, entry, output) -> None:
-        """Notify every registered hook that one operator was replayed."""
+    def op_observers(self) -> List[Callable[..., None]]:
+        """The ``on_op_replayed`` methods of the hooks that define one, in
+        registration order.  The execute loops resolve them once per pass:
+        a hookless replay, or one whose hooks observe only lifecycle
+        events, then skips the per-op notification entirely."""
+        observers = []
         for hook in self.hooks:
-            hook.on_op_replayed(self, entry, output)
+            callback = getattr(hook, "on_op_replayed", None)
+            if callback is not None:
+                observers.append(callback)
+        return observers
+
+    def emit_op_replayed(self, observers, entry, output) -> None:
+        """Notify ``observers`` (from :meth:`op_observers`) that one
+        operator was replayed."""
+        for observe in observers:
+            observe(self, entry, output)
 
     def notify(self, event: str, *args: Any) -> None:
         """Dispatch the lifecycle ``event`` (a :class:`ReplayHook` method
@@ -363,8 +382,10 @@ class ReplayHook:
     """Observer of a replay's lifecycle.
 
     Register hooks on :attr:`ReplayContext.hooks` (``session.hook(...)``
-    does); :meth:`ReplayContext.notify` dispatches every lifecycle event.
-    Subclass and override any subset; every method is a no-op by default.
+    does); :meth:`ReplayContext.notify` dispatches every lifecycle event
+    and :meth:`ReplayContext.emit_op_replayed` the per-op one.  Subclass
+    and override any subset; every method is a no-op by default, and a
+    hook that does not subclass is skipped for the methods it lacks.
     Hooks must not mutate the context's build/measurement products — use
     ``context.extras`` for hook-owned state.
     """
@@ -559,7 +580,7 @@ class ExecuteStage(ReplayStage):
             self._check_resume_inputs(context, context.resume_from)
 
         profiler: Optional[Profiler] = None
-        if context.config.profile:
+        if context.config.profile and context.record_profile:
             profiler = runtime.attach_profiler(Profiler())
         context.profiler = profiler
 
@@ -710,7 +731,7 @@ class ExecuteStage(ReplayStage):
         """The reference one-op-at-a-time loop (``vectorized=False``)."""
         replayed = 0
         skipped = 0
-        notify = bool(context.hooks)
+        observers = context.op_observers()
         context.tensor_manager.reset_intermediates()
         for entry in context.selection.entries:
             if not entry.supported:
@@ -734,8 +755,8 @@ class ExecuteStage(ReplayStage):
                 result = reconstructed.function(runtime, *tensors, stream=stream)
             context.tensor_manager.register_outputs(entry.node, result)
             replayed += 1
-            if notify:
-                context.emit_op_replayed(entry, result)
+            if observers:
+                context.emit_op_replayed(observers, entry, result)
         return replayed, skipped
 
 
@@ -1006,6 +1027,7 @@ def run_replay(
     pipeline: Optional[ReplayPipeline] = None,
     pause_check: Optional[Callable[[], Any]] = None,
     resume_from: Optional[ReplayCheckpoint] = None,
+    record_profile: bool = True,
 ) -> "ReplayResult":
     """One-shot replay of ``trace`` through the (default) stage pipeline.
 
@@ -1017,7 +1039,9 @@ def run_replay(
     boundary raises :class:`ReplayPaused` with a :class:`ReplayCheckpoint`,
     and ``resume_from`` continues a previously captured checkpoint by
     deterministic re-execution.  They live on the context, so any
-    ``pipeline`` with an execute stage honours them.
+    ``pipeline`` with an execute stage honours them.  A caller that
+    keeps only the result's summary passes ``record_profile=False`` (see
+    :attr:`ReplayContext.record_profile`).
     """
     context = ReplayContext(
         trace=trace,
@@ -1026,6 +1050,7 @@ def run_replay(
         support=support,
         pause_check=pause_check,
         resume_from=resume_from,
+        record_profile=record_profile,
     )
     return (pipeline if pipeline is not None else ReplayPipeline.default()).run(context)
 

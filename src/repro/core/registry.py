@@ -14,10 +14,9 @@ marks as replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Callable, Iterable, Optional, Set
 
-from repro.et.analyzer import CATEGORY_COMMS, CATEGORY_FUSED, categorize_node
+from repro.et.analyzer import CATEGORY_FUSED, categorize_node
 from repro.et.schema import ETNode
 from repro.torchsim.kernel import OpCategory
 from repro.torchsim.ops.registry import OperatorDef, OperatorRegistry, global_registry

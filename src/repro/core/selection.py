@@ -23,7 +23,7 @@ Given an execution trace, decide which operators to replay:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.registry import ReplaySupport
 from repro.et.analyzer import ALL_CATEGORIES, categorize_node

@@ -11,7 +11,7 @@ to its original stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.et.trace import ExecutionTrace
 from repro.torchsim.profiler import ProfilerTrace

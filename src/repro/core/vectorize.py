@@ -80,7 +80,7 @@ Operators that are *not* eligible, and why:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -342,7 +342,7 @@ class VectorizedExecutor:
         """
         replayed = 0
         skipped = 0
-        notify = bool(context.hooks)
+        observers = context.op_observers()
         tensor_manager = context.tensor_manager
         stream_assignment = context.stream_assignment
         use_streams = context.config.use_streams
@@ -367,8 +367,8 @@ class VectorizedExecutor:
                 tensor_manager.register_pairs(binding.pairs)
                 replayed += 1
                 fast_ops += 1
-                if notify:
-                    context.emit_op_replayed(entry, result)
+                if observers:
+                    context.emit_op_replayed(observers, entry, result)
                 continue
             if binding is not None and binding is not _UNSEEN:
                 if binding.state == _DEAD:
@@ -401,8 +401,8 @@ class VectorizedExecutor:
                 )
             tensor_manager.register_outputs(entry.node, result)
             replayed += 1
-            if notify:
-                context.emit_op_replayed(entry, result)
+            if observers:
+                context.emit_op_replayed(observers, entry, result)
         stats["fast_ops"] += fast_ops
         stats["scalar_ops"] += scalar_ops
         return replayed, skipped

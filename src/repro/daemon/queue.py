@@ -22,7 +22,7 @@ a job or shutdown arrives.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: (priority, owner, seq, job_id) — everything dispatch needs.
 _Entry = Tuple[int, str, int, str]

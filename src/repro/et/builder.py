@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.et.analyzer import categorize_node
 from repro.et.schema import ETNode, ROOT_NODE_ID, is_tensor_type

@@ -13,7 +13,7 @@ comparator quantifies that similarity along the axes the paper evaluates:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 
 def relative_error(original: float, replay: float) -> float:

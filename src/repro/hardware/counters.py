@@ -15,14 +15,13 @@ original-vs-replay comparisons behave the way the paper's do.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.hardware.gpu import TimelineStats
 from repro.hardware.power import PowerModel
 from repro.hardware.specs import DeviceSpec
-from repro.torchsim.kernel import KernelDesc, KernelKind, KernelLaunch
+from repro.torchsim.kernel import KernelDesc, KernelKind
 
 
 @dataclass

@@ -19,9 +19,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.torchsim.kernel import KernelLaunch, OpCategory
+from repro.torchsim.kernel import KernelLaunch
 
 
 def merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:

@@ -10,7 +10,7 @@ every workload and its replay see the same device model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 

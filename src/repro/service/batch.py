@@ -185,6 +185,7 @@ def replay_job(
 ) -> ReplayJobResult:
     """Replay ``job`` and summarise it, or record why it failed.
 
+    Only the summary is kept, so the replay records no profiler trace.
     ``trace`` is the job's already-verified trace; without it the trace is
     read through :func:`load_verified`, whose errors are recorded like a
     replay error.  A granted pause raises
@@ -194,7 +195,11 @@ def replay_job(
         if trace is None:
             trace = load_verified(job.trace_path, job.trace_digest)
         result = run_replay(
-            trace, config=job.config, pause_check=pause_check, resume_from=resume_from
+            trace,
+            config=job.config,
+            pause_check=pause_check,
+            resume_from=resume_from,
+            record_profile=False,
         )
         summary = result.summarize()
     except Exception as error:  # noqa: BLE001 - a failed job must not kill its batch

@@ -82,7 +82,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import repro.api as api
 from repro.bench.aggregate import cache_summary_line, format_batch_report, format_device_aggregate

@@ -12,8 +12,8 @@ surface:
 ``hook``
     :class:`TelemetryHook` — a :class:`~repro.core.pipeline.ReplayHook`
     and the only code that turns pipeline stage boundaries into spans
-    (on-CPU segments under the cluster scheduler).  It rides the
-    existing ``notify = bool(context.hooks)`` fast path, so replays
+    (on-CPU segments under the cluster scheduler).  It rides the execute
+    loop's per-pass ``context.op_observers()`` fast path, so replays
     without telemetry keep the zero-overhead guarantee and byte-identical
     results/digests.
 

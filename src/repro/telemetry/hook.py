@@ -6,9 +6,9 @@ boundaries into spans; :class:`~repro.telemetry.profile.ProfileHook` and
 
 It is a :class:`~repro.core.pipeline.ReplayHook`, so it reaches the
 replay engine through the same dispatch as every other hook.  With no
-hook attached the execute loop's ``notify = bool(context.hooks)`` branch
-skips per-op work entirely; with the hook attached but the tracer
-disabled, every callback bails after one attribute read.  Either way the
+hook observing operators the execute loop's ``context.op_observers()``
+list is empty and it skips per-op work entirely; with the hook attached
+but the tracer disabled, every callback bails after one attribute read.  Either way the
 hook is purely observational — it never touches the config, trace or
 result, so cache digests and replay output stay byte-identical.
 

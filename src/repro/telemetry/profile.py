@@ -19,7 +19,7 @@ summary.
 The per-op callback is kept to a dict lookup, one ``clock()`` read and
 four list-cell updates; sorting, shares and means happen at
 :meth:`ProfileHook.report` time.  Sessions without the hook pay nothing:
-the execute loop's ``notify = bool(context.hooks)`` fast path skips
+the execute loop's ``context.op_observers()`` list is empty, so it skips
 per-op notification entirely (``tests/test_profiling.py`` asserts it).
 
 The atexit summary mirrors tinygrad's ``ProfileOp`` idiom: opt-in (pass

@@ -15,7 +15,7 @@ in the evaluate_function annotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.torchsim.tensor import Tensor

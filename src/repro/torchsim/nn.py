@@ -14,12 +14,10 @@ RM) read like ordinary PyTorch model code while issuing operators through a
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.torchsim.autograd import GradientTape
 from repro.torchsim.dtypes import DType
-from repro.torchsim.stream import COMM_STREAM
 from repro.torchsim.tensor import Tensor
 
 

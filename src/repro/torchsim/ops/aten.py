@@ -14,13 +14,12 @@ that nesting is what the operator-selection step of Mystique deduplicates).
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.torchsim.dtypes import DType
-from repro.torchsim.kernel import KernelDesc, KernelKind, OpCategory
+from repro.torchsim.kernel import KernelDesc, KernelKind
 from repro.torchsim.ops.registry import register_op
 from repro.torchsim.tensor import Tensor
 

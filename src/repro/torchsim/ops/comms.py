@@ -17,7 +17,7 @@ behaves with a world size of one.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.torchsim.kernel import KernelDesc, KernelKind, OpCategory
 from repro.torchsim.ops.registry import register_op

@@ -19,8 +19,6 @@ workloads:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
 import numpy as np
 
 from repro.torchsim.kernel import KernelDesc, KernelKind, OpCategory

@@ -13,7 +13,7 @@ produces the parent/child nesting captured in execution traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.torchsim.kernel import OpCategory

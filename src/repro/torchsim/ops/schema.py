@@ -15,7 +15,7 @@ module provides the schema data model and the parser; the IR-building and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 

@@ -20,8 +20,8 @@ asynchronously on streams, and ``synchronize()`` joins the two worlds.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.hardware.costmodel import KernelCostModel
 from repro.hardware.gpu import GpuTimeline, TimelineStats
@@ -31,9 +31,8 @@ from repro.torchsim.distributed import DistributedContext, Work
 from repro.torchsim.kernel import KernelDesc, KernelLaunch, OpCategory
 from repro.torchsim.observer import ExecutionGraphObserver
 from repro.torchsim.profiler import Profiler, TraceEvent
-from repro.torchsim.ops.registry import OperatorDef, OperatorRegistry, global_registry
+from repro.torchsim.ops.registry import OperatorRegistry, global_registry
 from repro.torchsim.stream import DEFAULT_COMPUTE_STREAM, StreamPool
-from repro.torchsim.tensor import Tensor
 
 #: Main Python thread name (forward pass, optimizer).
 MAIN_THREAD = "main"

@@ -9,7 +9,7 @@ those calls, exactly like the hook-based collection of Section 4.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.torchsim.autograd import GradientTape

@@ -11,11 +11,10 @@ count and execution time for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.torchsim import nn
-from repro.torchsim.dtypes import DType
 from repro.torchsim.runtime import Runtime
 from repro.torchsim.tensor import Tensor
 from repro.workloads.base import Workload, WorkloadConfig

@@ -177,8 +177,7 @@ class RecordingHook(ReplayHook):
 
 class PartialHook:
     """Observes operators and errors only: it neither subclasses
-    ``ReplayHook`` nor defines the stage or scheduler events.  ``report``
-    is what ``ClusterReplayer`` asks its per-rank profile hooks for."""
+    ``ReplayHook`` nor defines the stage or scheduler events."""
 
     def __init__(self):
         self.ops = 0
@@ -188,9 +187,6 @@ class PartialHook:
 
     def on_error(self, context, stage, error):
         pass
-
-    def report(self, **_):
-        return None
 
 
 class TestHooks:
@@ -274,6 +270,53 @@ class TestHooks:
         assert sorted(hooks) == [0, 1]
         for rank_report in report.ranks:
             assert hooks[rank_report.rank].ops == rank_report.summary.replayed_ops > 0
+
+    def test_stage_only_hook_replays_through_a_session(self, small_linear_capture):
+        class StageOnly:
+            def __init__(self):
+                self.stages = []
+
+            def on_stage_start(self, context, stage):
+                self.stages.append(stage.name)
+
+        hook = StageOnly()
+        result = api.replay(small_linear_capture).iterations(2, warmup=1).hook(hook).run()
+        assert result.replayed_ops > 0
+        assert hook.stages == EXPECTED_ORDER
+
+    def test_op_observers_skip_hooks_without_the_method(self, small_linear_capture):
+        partial, recording = PartialHook(), RecordingHook()
+        context = ReplayContext(
+            trace=small_linear_capture.execution_trace, hooks=[object(), partial, recording]
+        )
+        assert context.op_observers() == [partial.on_op_replayed, recording.on_op_replayed]
+        assert ReplayContext(trace=small_linear_capture.execution_trace).op_observers() == []
+
+    def test_factory_hook_without_report_leaves_the_profile_empty(self):
+        from repro.cluster.engine import ClusterReplayer
+        from repro.workloads.ddp import DistributedRunner
+
+        from tests.conftest import make_small_rm
+
+        class OpsOnly:
+            def __init__(self):
+                self.ops = 0
+
+            def on_op_replayed(self, context, entry, output):
+                self.ops += 1
+
+        fleet = DistributedRunner(
+            lambda rank, world_size: make_small_rm(rank, world_size), world_size=2
+        ).run()
+        hooks = {}
+        report = ClusterReplayer(
+            ReplayConfig(), profile_hook_factory=lambda rank: hooks.setdefault(rank, OpsOnly())
+        ).replay(fleet)
+        assert [rank_report.rank for rank_report in report.ranks] == [0, 1]
+        for rank_report in report.ranks:
+            assert rank_report.profile is None
+            assert hooks[rank_report.rank].ops == rank_report.summary.replayed_ops > 0
+        assert not report.has_profiles
 
     def test_stage_hook_first_then_user_hooks_once_each(self, small_linear_capture, monkeypatch):
         from repro.telemetry import ProfileHook

@@ -192,7 +192,7 @@ class TestZeroOverheadWhenDisabled:
     def test_unhooked_replay_never_touches_notification_path(
         self, small_linear_capture, monkeypatch
     ):
-        def explode(self, entry, output):  # pragma: no cover - must not run
+        def explode(self, observers, entry, output):  # pragma: no cover - must not run
             raise AssertionError("per-op notification ran without hooks")
 
         monkeypatch.setattr(ReplayContext, "emit_op_replayed", explode)
@@ -479,15 +479,15 @@ class TestOneGroupTableGuard:
     @pytest.mark.parametrize(
         "source",
         [
-            "group = ProcessGroup(0, tuple(range(world_size)))\n",
-            "groups = GroupTable(world_size)\n",
+            "from x import ProcessGroup\ngroup = ProcessGroup(0, tuple(range(world_size)))\n",
+            "from x import GroupTable\ngroups = GroupTable(world_size)\n",
         ],
     )
     def test_rule_fires_outside_the_distributed_module(self, tmp_path, source):
         checker = _load_usage_checker()
         bad = tmp_path / "src" / "repro" / "cluster"
         bad.mkdir(parents=True)
-        (bad / "engine.py").write_text("from x import ProcessGroup, GroupTable\n" + source)
+        (bad / "engine.py").write_text(source)
         offenders = checker.find_offenders(tmp_path)
         assert list(offenders) == ["one-group-table"]
         assert len(offenders["one-group-table"]) == 1
@@ -639,4 +639,58 @@ class TestOneHookDispatchGuard:
             "if context.hooks:\n    context.notify('on_park')\n"
             "for hook in self._hooks:\n    pass\n"
         )
+        assert checker.find_offenders(tmp_path) == {}
+
+
+class TestNoUnusedImportsGuard:
+    """``scripts/check_deprecated_usage.py`` keeps ``src/repro/`` free of
+    module-level imports whose names the module never reads."""
+
+    def _offenders(self, tmp_path, source):
+        checker = _load_usage_checker()
+        module = tmp_path / "src" / "repro" / "core" / "x.py"
+        module.parent.mkdir(parents=True, exist_ok=True)
+        module.write_text(source)
+        return checker.find_offenders(tmp_path)
+
+    @pytest.mark.parametrize(
+        "source, line",
+        [
+            ("import math\n", 1),
+            ("from typing import Dict, List\nx: Dict = {}\n", 1),
+            ("import os.path\n", 1),
+            ("from a import b as c\nb = 1\n", 1),
+            ("try:\n    import numpy\nexcept ImportError:\n    pass\n", 2),
+        ],
+    )
+    def test_rule_fires_on_an_unread_name(self, tmp_path, source, line):
+        offenders = self._offenders(tmp_path, source)
+        assert list(offenders) == ["no-unused-imports"]
+        (offender,) = offenders["no-unused-imports"]
+        assert f"x.py:{line}:" in offender
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from __future__ import annotations\n",
+            "import os.path\nhere = os.path.dirname(__file__)\n",
+            "from a import b as c\nvalue = c\n",
+            "from typing import Optional\ndef f() -> 'Optional[int]': ...\n",
+            "from a import Thing\n__all__ = ['Thing']\n",
+            "from a import loader  # noqa: F401 - registers ops\n",
+            "import json\ndef f():\n    return json.dumps({})\n",
+            "from a import *\n",
+        ],
+    )
+    def test_read_names_and_marked_imports_pass(self, tmp_path, source):
+        assert self._offenders(tmp_path, source) == {}
+
+    def test_function_level_imports_are_out_of_scope(self, tmp_path):
+        assert self._offenders(tmp_path, "def f():\n    import math\n") == {}
+
+    def test_outside_src_repro_is_out_of_scope(self, tmp_path):
+        checker = _load_usage_checker()
+        script = tmp_path / "scripts" / "tool.py"
+        script.parent.mkdir(parents=True)
+        script.write_text("import math\n")
         assert checker.find_offenders(tmp_path) == {}
