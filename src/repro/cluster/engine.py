@@ -49,7 +49,6 @@ from repro.core.pipeline import (
 )
 from repro.core.registry import ReplaySupport
 from repro.core.replayer import ReplayConfig, ReplayResultSummary
-from repro.core.vectorize import ProgramStore
 from repro.cluster.plan import FleetPlan, collective_keys, plan_for
 from repro.cluster.rendezvous import CollectiveKey, EventRendezvous
 from repro.cluster.scheduler import VirtualTimeScheduler
@@ -511,10 +510,11 @@ class ClusterReplayer:
                 "collectives cannot be matched across the fleet:\n  "
                 + "\n  ".join(match.unmatched)
             )
-        # One pipeline and one program store per co-replay: every rank
-        # runs the single-rank default stages, and the first rank to reach
-        # an operator signature captures its program, the next occurrence
-        # on any rank verifies it, and every later one runs the fast path.
+        # One pipeline and one map of program tables per co-replay: every
+        # rank runs the single-rank default stages, and the first rank to
+        # reach an operator signature the process has not settled yet
+        # captures its program, the next occurrence on any rank verifies
+        # it, and every later one runs the fast path.
         pipeline = ReplayPipeline.default()
         if self.track_memory:
             # OOMs are recorded on the per-rank report, never raised: one
@@ -522,7 +522,7 @@ class ClusterReplayer:
             pipeline.insert_after(
                 "assign-streams", TrackMemoryStage(budget=self.memory_budget, on_oom="record")
             )
-        programs = ProgramStore()
+        programs: Dict[tuple, Any] = {}
         tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         profile_hooks: Dict[int, Any] = {}
         contexts = []

@@ -29,13 +29,26 @@ cost model at all.  Anything that fails capture or verification
 scalar path forever, so correctness never depends on the fast path
 applying.
 
-Programs live in a :class:`ProgramStore`, partitioned by the *program
+Programs are learned in two tiers, both partitioned by the *program
 environment* (:func:`program_environment`: device spec, cost-model clock,
-mode and efficiency tables, operator registry — never the rank).  A
-single-rank replay owns a private store; a multi-rank co-replay shares one
-store across every rank, so rank 0 captures a signature, the next
-occurrence (on rank 0 or any other rank) verifies it, and every later rank
-starts on the fast path.  Verification does not prove a program
+mode and efficiency tables, operator registry and its generation — never
+the rank):
+
+* A replay's own table holds every program it captured, in any state.  A
+  single-rank replay keeps a private one; the ranks of a co-replay share
+  one per environment (:attr:`~repro.core.pipeline.ReplayContext.programs`),
+  so rank 0 captures a signature, the next occurrence (on rank 0 or any
+  other rank) verifies it, and every later rank starts on the fast path.
+  The table lives as long as its replay.
+* The process's one :class:`ProgramStore` (:data:`PROCESS_STORE`) holds the
+  *settled* programs — verified or dead — of every earlier replay.  A
+  replay looks a signature up there when its own table lacks it, so a
+  replay whose content and environment were seen before captures nothing
+  and goes straight to the fast path.
+
+A program is keyed on content (IR text, stream, tensor shape, dtype and
+payload digest), so a program verified once stays valid for every later
+replay of its environment.  Verification does not prove a program
 rank-independent — its second occurrence is often on the capturing rank —
 so sharing rests on which operators a program dispatches:
 
@@ -80,6 +93,8 @@ Operators that are *not* eligible, and why:
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -102,10 +117,19 @@ _COMMS_OPS = "repro.torchsim.ops.comms"
 #: Sentinel distinguishing "node never seen" from "node bound to scalar".
 _UNSEEN = object()
 
-#: Program lifecycle states.
+#: Program lifecycle states; a verified or dead program is *settled*.
 _UNVERIFIED = "unverified"
 _VERIFIED = "verified"
 _DEAD = "dead"
+
+#: Most program environments :data:`PROCESS_STORE` retains; the least
+#: recently replayed one is forgotten beyond it.  A daemon sweep gives each
+#: fresh power cap its own cost-model clock, so without a bound every point
+#: it ever served would stay resident.
+MAX_ENVIRONMENTS = 8
+#: Most settled programs one environment retains; the earliest published
+#: is forgotten beyond it.  The benchmark models settle 11 to 45 each.
+MAX_PROGRAMS = 1024
 
 
 class _DataFingerprintCache:
@@ -221,9 +245,12 @@ def program_environment(runtime: Runtime) -> tuple:
     """Everything besides its signature that a compute operator's captured
     effect depends on: the device (dispatch and launch overheads, SM
     count), the kernel cost model (clock, mode, efficiency tables) and the
-    operator registry that dispatches it.  The rank is deliberately not
-    part of it — see the module docstring."""
+    operator registry that dispatches it, with its generation — a registry
+    overridden in place (``register(..., overwrite=True)``) is a new
+    environment.  The rank is deliberately not part of it — see the module
+    docstring."""
     cost = runtime.cost_model
+    registry = runtime.registry
     return (
         runtime.spec,
         cost.spec,
@@ -231,7 +258,8 @@ def program_environment(runtime: Runtime) -> tuple:
         cost.mode,
         frozenset(cost.compute_efficiency.items()),
         frozenset(cost.memory_efficiency.items()),
-        runtime.registry,
+        registry,
+        registry.generation,
     )
 
 
@@ -267,32 +295,71 @@ def shared_bindings(registry) -> Optional[Dict[int, Any]]:
 
 
 class ProgramStore:
-    """Learned operator programs, shared by every replay handed the store.
+    """Settled operator programs, shared by every replay in the process.
 
     One partition (``signature → OpProgram``) per
-    :func:`program_environment`, so a rank on another device or under a
-    power cap learns its own programs while every rank of the same
-    environment shares one table (a program of a non-built-in operator
-    keys on its rank too — see the module docstring).  A single-rank
-    replay gets a private store;
-    :class:`~repro.cluster.engine.ClusterReplayer` creates one per
-    co-replay and puts it on every rank's context.  The store holds
-    programs only: which node replays which program is a binding, shared
-    by the ranks of one fleet plan (:func:`shared_bindings`) and otherwise
-    kept by each executor.
+    :func:`program_environment`, so a replay on another device, under a
+    power cap or after an operator override learns its own programs while
+    every replay of the same environment — any rank, any job, any thread —
+    starts from the programs the earlier ones settled (a program of a
+    non-built-in operator keys on its rank too — see the module
+    docstring).  The process has one store, :data:`PROCESS_STORE`.
 
-    The store takes no lock: the cluster scheduler drives every rank's
-    cursor on one thread, and a cursor yields only at a blocked collective,
-    never inside the learning path, so no two executors ever touch the
-    store at once.  Do not share a store across threads or across jobs.
+    Retention is bounded by constants, not by a setting: at most
+    :data:`MAX_ENVIRONMENTS` partitions (least recently replayed evicted)
+    of at most :data:`MAX_PROGRAMS` programs each (earliest published
+    evicted).  An executor keeps the partition it was handed even if it is
+    evicted meanwhile, so eviction never disturbs a running replay.
+
+    Only settled (verified or dead) programs are published, and a settled
+    program is never changed again.  Partitions are created, evicted and
+    published into under one lock; an executor reads its partition without
+    it, since a single dict lookup is atomic and every program it can find
+    is final.  Unverified captures never reach the store: they stay in the
+    table of the replay that made them, so no thread sees another's
+    half-learned program.
     """
 
     def __init__(self) -> None:
-        self._partitions: Dict[tuple, Dict[Any, OpProgram]] = {}
+        self._lock = threading.Lock()
+        self._partitions: "OrderedDict[tuple, Dict[Any, OpProgram]]" = OrderedDict()
 
-    def partition(self, runtime: Runtime) -> Dict[Any, OpProgram]:
-        """The program table of ``runtime``'s environment."""
-        return self._partitions.setdefault(program_environment(runtime), {})
+    def partition(self, environment: tuple) -> Dict[Any, OpProgram]:
+        """The settled programs of ``environment`` (created empty if new);
+        add to it only through :meth:`publish`."""
+        with self._lock:
+            programs = self._partitions.get(environment)
+            if programs is None:
+                programs = self._partitions[environment] = {}
+                while len(self._partitions) > MAX_ENVIRONMENTS:
+                    self._partitions.popitem(last=False)
+            else:
+                self._partitions.move_to_end(environment)
+            return programs
+
+    def publish(self, programs: Dict[Any, OpProgram], program: OpProgram) -> None:
+        """Add a settled ``program`` to a partition :meth:`partition`
+        returned, unless a concurrent replay settled its signature first."""
+        with self._lock:
+            if program.signature in programs:
+                return
+            if len(programs) >= MAX_PROGRAMS:
+                del programs[next(iter(programs))]
+            programs[program.signature] = program
+
+    def clear(self) -> None:
+        """Forget every settled program (the next replay learns cold)."""
+        with self._lock:
+            self._partitions.clear()
+
+    def __len__(self) -> int:
+        """Number of environments currently retained."""
+        with self._lock:
+            return len(self._partitions)
+
+
+#: The process's one store of settled programs.
+PROCESS_STORE = ProgramStore()
 
 
 class VectorizedExecutor:
@@ -300,20 +367,28 @@ class VectorizedExecutor:
 
     Lives on its :class:`~repro.core.pipeline.ReplayContext` (in
     ``context.extras``), so the fingerprint cache and :attr:`stats` are per
-    replay (per rank in a co-replay).  The programs themselves are a
-    :class:`ProgramStore` partition that other replays of the same
-    environment may share: a program learned by any of them — in any
-    iteration — serves all of them.  ``bindings`` is the node-binding
+    replay (per rank in a co-replay).  The programs it learns go into its
+    environment's table in ``programs`` (a replay's or co-replay's
+    ``environment → table`` map, which other ranks of the same
+    environment may share; ``None`` makes one for this executor alone);
+    those that settle are also published to :data:`PROCESS_STORE`, whose
+    programs serve every later replay.  ``bindings`` is the node-binding
     table of the replay's fleet plan (:func:`shared_bindings`); ``None``
     gives the executor its own.
     """
 
     def __init__(
-        self, programs: Dict[Any, OpProgram], bindings: Optional[Dict[int, Any]] = None
+        self,
+        runtime: Runtime,
+        programs: Optional[Dict[tuple, Dict[Any, OpProgram]]] = None,
+        bindings: Optional[Dict[int, Any]] = None,
     ) -> None:
-        #: signature → learned program (any state): a
-        #: :meth:`ProgramStore.partition`.
-        self._programs = programs
+        environment = program_environment(runtime)
+        #: signature → program this replay learned (any state).
+        self._programs = ({} if programs is None else programs).setdefault(environment, {})
+        #: signature → program an earlier replay settled: a
+        #: :meth:`ProgramStore.partition` of :data:`PROCESS_STORE`.
+        self._settled = PROCESS_STORE.partition(environment)
         #: node id → :class:`_FastBinding` (verified), an unverified
         #: :class:`OpProgram`, or ``None`` for scalar-forever.
         self._bindings: Dict[int, Any] = {} if bindings is None else bindings
@@ -434,6 +509,8 @@ class VectorizedExecutor:
             signature = (signature, runtime.rank)
 
         program = self._programs.get(signature)
+        if program is None:
+            program = self._settled.get(signature)
         if program is not None and program.state == _VERIFIED:
             self._bind_fast(tensor_manager, node, program)
             self.stats["fast_ops"] += 1
@@ -462,6 +539,7 @@ class VectorizedExecutor:
                 state=_DEAD,
             )
             self._programs[signature] = dead
+            PROCESS_STORE.publish(self._settled, dead)
             self._bindings[node_id] = None
             self.stats["programs_dead"] += 1
             return result
@@ -473,9 +551,10 @@ class VectorizedExecutor:
             self.stats["programs_captured"] += 1
             return result
 
-        # Second occurrence (on this rank or any other sharing the store):
+        # Second occurrence (on this rank or any other sharing the table):
         # verify the stored program against a fresh capture.  Any divergence
-        # kills the signature for every replay sharing the store.
+        # kills the signature for every replay sharing the table, and for
+        # every later replay once it is published settled.
         if program.matches(capture):
             program.state = _VERIFIED
             self._bind_fast(tensor_manager, node, program)
@@ -484,6 +563,7 @@ class VectorizedExecutor:
             program.state = _DEAD
             self._bindings[node_id] = None
             self.stats["programs_dead"] += 1
+        PROCESS_STORE.publish(self._settled, program)
         return result
 
     def _bind_fast(self, tensor_manager, node, program: OpProgram) -> None:

@@ -46,12 +46,17 @@ class OperatorRegistry:
 
     def __init__(self) -> None:
         self._ops: Dict[str, OperatorDef] = {}
+        #: Bumped by every :meth:`register`, so state learned from this
+        #: registry (``repro.core.vectorize.program_environment``) can tell
+        #: that an operator was added or overridden in place since.
+        self.generation = 0
 
     # ------------------------------------------------------------------
     def register(self, op_def: OperatorDef, overwrite: bool = False) -> OperatorDef:
         if not overwrite and op_def.name in self._ops:
             raise ValueError(f"operator already registered: {op_def.name}")
         self._ops[op_def.name] = op_def
+        self.generation += 1
         return op_def
 
     def get(self, name: str) -> OperatorDef:

@@ -661,8 +661,13 @@ class TestFleetGroupTable:
 # Fleet-shared program store
 # ----------------------------------------------------------------------
 class TestProgramStore:
-    """Each co-replay creates one store and hands it to every replica; a
-    single-rank replay, or a second co-replay, never sees it."""
+    """Each co-replay creates one map of program tables and hands it to
+    every replica; every replay, single-rank or co-replay, starts from the
+    process's one store of settled programs."""
+
+    @staticmethod
+    def _learned(stats, key="programs_captured"):
+        return sum(s[key] for s in stats)
 
     def test_one_store_per_co_replay(self, fleet_traces):
         seen = []
@@ -670,7 +675,8 @@ class TestProgramStore:
         class StoreProbe(ReplayHook):
             def on_stage_end(self, context, stage):
                 if stage.name == "execute":
-                    seen.append(context.programs)
+                    executor = context.extras[vectorize.EXTRAS_KEY]
+                    seen.append((context.programs, dict(executor.stats)))
 
             def report(self, **_):
                 return None
@@ -679,19 +685,40 @@ class TestProgramStore:
             ReplayConfig(iterations=1, warmup_iterations=0),
             profile_hook_factory=lambda rank: StoreProbe(),
         )
+        vectorize.PROCESS_STORE.clear()
         replayer.replay(fleet_traces)
         first = seen[:]
         replayer.replay(fleet_traces)
-        assert len(first) == WORLD and all(store is first[0] for store in first)
-        assert isinstance(first[0], ProgramStore)
-        assert all(store is seen[WORLD] for store in seen[WORLD:])
-        assert seen[WORLD] is not first[0]
+        tables = [programs for programs, _ in seen]
+        assert len(first) == WORLD and all(table is tables[0] for table in tables[:WORLD])
+        assert isinstance(tables[0], dict)
+        assert all(table is tables[WORLD] for table in tables[WORLD:])
+        assert tables[WORLD] is not tables[0]
+        # The cold co-replay captures; the second one starts from the
+        # programs the first one settled and captures none.
+        assert self._learned(s for _, s in first) > 0
+        assert self._learned(s for _, s in seen[WORLD:]) == 0
+        assert self._learned((s for _, s in seen[WORLD:]), "fast_ops") > 0
 
     def test_single_rank_replay_keeps_a_private_store(self, fleet_traces):
-        context = ReplayContext(trace=fleet_traces[0], config=ReplayConfig(world_size=1))
-        ReplayPipeline.default().run(context)
+        # Two iterations, so every signature of the trace occurs twice and
+        # settles: a program seen once stays this replay's own.
+        config = ReplayConfig(world_size=1, iterations=2)
+
+        def replay():
+            context = ReplayContext(trace=fleet_traces[0], config=config)
+            ReplayPipeline.default().run(context)
+            return context, context.extras[vectorize.EXTRAS_KEY].stats
+
+        vectorize.PROCESS_STORE.clear()
+        context, cold = replay()
         assert context.programs is None
-        assert context.extras[vectorize.EXTRAS_KEY].stats["programs_captured"] > 0
+        assert cold["programs_captured"] > 0
+        # Its settled programs serve the next replay in the process.
+        assert len(vectorize.PROCESS_STORE) == 1
+        _, warm = replay()
+        assert warm["programs_captured"] == warm["programs_verified"] == 0
+        assert warm["fast_ops"] > cold["fast_ops"]
 
     def test_environment_excludes_the_rank(self):
         base = program_environment(Runtime(device="A100", rank=0))
@@ -704,11 +731,56 @@ class TestProgramStore:
         ):
             assert program_environment(other) != base
 
+    def test_environment_follows_the_registry_generation(self):
+        from repro.torchsim.ops.registry import OperatorDef, global_registry
+
+        registry = OperatorRegistry()
+        runtime = Runtime(registry=registry)
+        before = program_environment(runtime)
+        relu = global_registry.get("aten::relu")
+        registry.register(relu)
+        added = program_environment(runtime)
+        registry.register(
+            OperatorDef(name=relu.name, schema_str=relu.schema_str, category=relu.category,
+                        fn=lambda ctx, *args: None),
+            overwrite=True,
+        )
+        assert len({before, added, program_environment(runtime)}) == 3
+
     def test_partitions_follow_the_environment(self):
         store = ProgramStore()
-        shared = store.partition(Runtime(rank=0))
-        assert store.partition(Runtime(rank=3)) is shared
-        assert store.partition(Runtime(device="V100", rank=1)) is not shared
+        shared = store.partition(program_environment(Runtime(rank=0)))
+        assert store.partition(program_environment(Runtime(rank=3))) is shared
+        assert store.partition(program_environment(Runtime(device="V100", rank=1))) is not shared
+
+    def test_retention_is_bounded(self):
+        store = ProgramStore()
+        kept = store.partition(("environment", 0))
+        evicted = store.partition(("environment", 1))
+        for index in range(2, vectorize.MAX_ENVIRONMENTS + 4):
+            store.partition(("environment", index))
+            # Environment 0 is replayed again each time: least recently
+            # used is environment 1, then 2, ...
+            store.partition(("environment", 0))
+        assert len(store) == vectorize.MAX_ENVIRONMENTS
+        assert store.partition(("environment", 0)) is kept
+        assert store.partition(("environment", 1)) is not evicted
+
+        def settled(signature):
+            return vectorize.OpProgram(
+                signature=signature, op_name="aten::relu", thread="main", node_count=1,
+                increments=[], kernels=[], events=[], outputs=None, state=vectorize._DEAD,
+            )
+
+        for index in range(vectorize.MAX_PROGRAMS + 3):
+            store.publish(kept, settled(index))
+        assert len(kept) == vectorize.MAX_PROGRAMS
+        assert 0 not in kept and vectorize.MAX_PROGRAMS + 2 in kept
+        # A signature published first stays: a concurrent replay that
+        # settles it again does not replace it.
+        first = kept[5]
+        store.publish(kept, settled(5))
+        assert kept[5] is first
 
 
 # ----------------------------------------------------------------------

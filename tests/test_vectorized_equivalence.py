@@ -16,13 +16,18 @@ enough" float comparisons but exact equality of every observable:
 A hypothesis property sweep varies the workload shapes (PARAM-linear, RM,
 DDP-RM) so the equivalence holds across program structures — repeated op
 groups, embedding lookups, and scalar-forever comms ops alike.  The
-fleet-shared program store gets its own pins: an 8-rank co-replay, ranks
-in other program environments, and a program that diverges across ranks.
+fleet-shared programs get their own pins: an 8-rank co-replay, ranks in
+other program environments, and a program that diverges across ranks.
+So does the process's store of settled programs: warm co-replays and
+single-rank replays, an operator override after warming, a power sweep
+and concurrent co-replays.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +38,7 @@ from repro.core import vectorize
 from repro.core.pipeline import ReplayHook
 from repro.core.replayer import ReplayConfig
 from repro.torchsim.ops.registry import OperatorDef, global_registry
+from repro.torchsim.runtime import Runtime
 from repro.workloads.ddp import DistributedRunner
 from repro.workloads.param_linear import ParamLinearConfig, ParamLinearWorkload
 from repro.workloads.rm import RMConfig, RMWorkload
@@ -69,22 +75,23 @@ def assert_equivalent(trace, profiler_trace=None, iterations=2, warmup=1, profil
 
     scalar = run(False)
     fast = run(True)
-
-    # Scalar measurements, exact — the cache stores these.
-    assert fast.summarize().to_dict() == scalar.summarize().to_dict()
-    assert fast.iteration_times_us == scalar.iteration_times_us
-
-    # The full kernel schedule, launch for launch.
-    assert len(fast.kernel_launches) == len(scalar.kernel_launches)
-    for fast_launch, scalar_launch in zip(fast.kernel_launches, scalar.kernel_launches):
-        assert _launch_key(fast_launch) == _launch_key(scalar_launch)
-
-    # The virtual profiler trace, event for event.
-    if profile:
-        fast_events = [event.to_dict() for event in fast.profiler_trace.events]
-        scalar_events = [event.to_dict() for event in scalar.profiler_trace.events]
-        assert fast_events == scalar_events
+    assert _observables(fast) == _observables(scalar)
     return scalar, fast
+
+
+def _observables(result):
+    """Everything a replay measures: the scalar measurements the cache
+    stores (exact), the full kernel schedule launch for launch, and the
+    virtual profiler trace event for event (when it recorded one)."""
+    events = None
+    if result.profiler_trace is not None:
+        events = [event.to_dict() for event in result.profiler_trace.events]
+    return (
+        result.summarize().to_dict(),
+        result.iteration_times_us,
+        [_launch_key(launch) for launch in result.kernel_launches],
+        events,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -223,8 +230,9 @@ class TestEquivalenceProperties:
 # Fleet-shared programs
 # ----------------------------------------------------------------------
 class _ExecutorStats(ReplayHook):
-    """Records one rank's executor counters and program store when its
-    execute stage ends (a ``profile_hook_factory`` hook with no report)."""
+    """Records one rank's executor counters and the co-replay's program
+    table for its environment when its execute stage ends (a
+    ``profile_hook_factory`` hook with no report)."""
 
     def __init__(self, rank, sink):
         self.rank = rank
@@ -235,16 +243,20 @@ class _ExecutorStats(ReplayHook):
         if stage.name == "execute" and executor is not None:
             self.sink[self.rank] = (
                 dict(executor.stats),
-                context.programs.partition(context.runtime),
+                context.programs[vectorize.program_environment(context.runtime)],
             )
 
     def report(self, **_):
         return None
 
 
-def _replay_fleet(fleet, vectorized=True, overrides=None):
+def _replay_fleet(fleet, vectorized=True, overrides=None, cold=False):
     """Co-replay at ``iterations=1, warmup=0``; returns the report's
-    canonical JSON and ``rank -> (executor stats, program partition)``."""
+    canonical JSON and ``rank -> (executor stats, program table)``.
+    ``cold`` first clears the process's store of settled programs, so the
+    co-replay learns every program itself."""
+    if cold:
+        vectorize.PROCESS_STORE.clear()
     sink = {}
     replayer = ClusterReplayer(
         ReplayConfig(
@@ -261,15 +273,16 @@ def _total(stats, key, ranks=None):
 
 
 class TestFleetSharedPrograms:
-    """One co-replay shares one program store: each signature is captured
-    and verified once for the whole fleet, and the report stays
-    byte-identical to the scalar loop — also for ranks in another program
-    environment and for ops whose effect may depend on the rank."""
+    """One co-replay shares one program table per environment: on a cold
+    process store each signature is captured and verified once for the
+    whole fleet, and the report stays byte-identical to the scalar loop —
+    also for ranks in another program environment and for ops whose effect
+    may depend on the rank."""
 
     @staticmethod
     def _signatures(fleet):
         """Distinct programs of one rank's trace, learned with no peers."""
-        _, stats = _replay_fleet(fleet[:1])
+        _, stats = _replay_fleet(fleet[:1], cold=True)
         return stats[0][0]["programs_captured"]
 
     def test_eight_rank_fleet_is_identical_either_way(self):
@@ -279,7 +292,7 @@ class TestFleetSharedPrograms:
     def test_each_program_is_learned_once_for_the_fleet(self):
         fleet = synthesize_fleet(8)
         signatures = self._signatures(fleet)
-        _, stats = _replay_fleet(fleet)
+        _, stats = _replay_fleet(fleet, cold=True)
         # Every rank learns into one table, and nothing died.
         assert len({id(programs) for _, programs in stats.values()}) == 1
         assert len(stats[0][1]) == signatures > 0
@@ -298,7 +311,7 @@ class TestFleetSharedPrograms:
         fleet = synthesize_fleet(8)
         signatures = self._signatures(fleet)
         overrides = {3: {"device": "V100"}, 5: {"power_limit_w": 250.0}}
-        fast, stats = _replay_fleet(fleet, overrides=overrides)
+        fast, stats = _replay_fleet(fleet, overrides=overrides, cold=True)
         assert fast == _replay_fleet(fleet, vectorized=False, overrides=overrides)[0]
         tables = {rank: id(programs) for rank, (_, programs) in stats.items()}
         assert len(set(tables.values())) == 3
@@ -344,10 +357,11 @@ class TestFleetSharedPrograms:
         rank 0's timing.  A non-built-in op keys on the rank instead."""
         name = "aten::relu_"
         fleet = synthesize_fleet(8)
-        alone = _replay_fleet(fleet[:1])[1][0][1]
+        alone = _replay_fleet(fleet[:1], cold=True)[1][0][1]
         relus = sum(1 for p in alone.values() if p.op_name == name)
         (fast, stats), (scalar, _) = self._with_straggler(
-            name, lambda: (_replay_fleet(fleet), _replay_fleet(fleet, vectorized=False))
+            name,
+            lambda: (_replay_fleet(fleet, cold=True), _replay_fleet(fleet, vectorized=False)),
         )
         assert fast == scalar
         assert _total(stats, "programs_dead") == 0
@@ -368,7 +382,7 @@ class TestFleetSharedPrograms:
         fleet = synthesize_fleet(8)
         linears = sum(
             1
-            for p in _replay_fleet(fleet[:1])[1][0][1].values()
+            for p in _replay_fleet(fleet[:1], cold=True)[1][0][1].values()
             if p.op_name == "aten::linear"
         )
         (fast, stats), (scalar, _) = self._with_straggler(
@@ -381,3 +395,133 @@ class TestFleetSharedPrograms:
         assert linears > 0
         assert len(dead) == linears == _total(stats, "programs_dead")
         assert {p.op_name for p in dead} == {"aten::linear"}
+
+    def test_override_after_warming_the_store_still_equals_scalar(self):
+        """Overriding ``aten::addmm`` in place moves the registry to a new
+        generation, so a warm store's verified ``aten::linear`` programs
+        are not served: the fleet learns them again, and they die."""
+        fleet = synthesize_fleet(8)
+        _replay_fleet(fleet, cold=True)
+        _, warm = _replay_fleet(fleet)
+        assert _total(warm, "programs_captured") == 0
+        (fast, stats), (scalar, _) = self._with_straggler(
+            "aten::addmm",
+            lambda: (_replay_fleet(fleet), _replay_fleet(fleet, vectorized=False)),
+        )
+        assert fast == scalar
+        assert _total(stats, "programs_dead") > 0
+
+
+# ----------------------------------------------------------------------
+# The process store of settled programs
+# ----------------------------------------------------------------------
+def _comms(trace):
+    return sum(1 for entry in trace.operators() if entry.name.startswith("c10d::"))
+
+
+class TestProcessStore:
+    """Every replay starts from the programs earlier replays in the process
+    settled: a warm replay captures nothing and replays every compute op on
+    the fast path, and its report stays byte-identical to the cold one and
+    to the scalar loop."""
+
+    def test_warm_co_replays_capture_nothing(self):
+        fleet = synthesize_fleet(8)
+        first, cold = _replay_fleet(fleet, cold=True)
+        assert _total(cold, "programs_captured") > 0
+        scalar = _replay_fleet(fleet, vectorized=False)[0]
+        comms = _comms(fleet[0]) * len(fleet)
+        for _ in range(2):
+            report, stats = _replay_fleet(fleet)
+            assert _total(stats, "programs_captured") == 0
+            assert _total(stats, "programs_verified") == 0
+            assert _total(stats, "scalar_ops") == comms
+            assert report == first == scalar
+
+    def test_warm_single_rank_replay_captures_nothing(self):
+        runner = DistributedRunner(
+            lambda rank, world_size: make_small_rm(rank, world_size), world_size=2
+        )
+        capture = runner.run_rank(0)
+
+        def run(vectorized=True):
+            sink = []
+
+            class Stats(ReplayHook):
+                def on_stage_end(self, context, stage):
+                    executor = context.extras.get(vectorize.EXTRAS_KEY)
+                    if stage.name == "execute" and executor is not None:
+                        sink.append(dict(executor.stats))
+
+            result = (
+                api.replay(capture.execution_trace, profiler_trace=capture.profiler_trace)
+                .configure(vectorized=vectorized, profile=True)
+                .iterations(2, warmup=1)
+                .hook(Stats())
+                .run()
+            )
+            return _observables(result), sink
+
+        vectorize.PROCESS_STORE.clear()
+        first, (cold,) = run()
+        assert cold["programs_captured"] > 0
+        scalar, _ = run(vectorized=False)
+        comms = _comms(capture.execution_trace) * 3
+        for _ in range(2):
+            warm, (stats,) = run()
+            assert stats["programs_captured"] == stats["programs_verified"] == 0
+            assert stats["scalar_ops"] == comms > 0
+            assert warm == first == scalar
+
+    def test_power_sweep_retains_a_bounded_number_of_environments(
+        self, small_linear_capture
+    ):
+        caps = [200.0 + 10.0 * step for step in range(12)]
+        environments = {
+            vectorize.program_environment(Runtime(power_limit_w=cap)) for cap in caps
+        }
+        assert len(environments) == len(caps) > vectorize.MAX_ENVIRONMENTS
+        vectorize.PROCESS_STORE.clear()
+        for cap in caps:
+            api.replay(small_linear_capture.execution_trace).configure(
+                power_limit_w=cap
+            ).iterations(2).run()
+            assert len(vectorize.PROCESS_STORE) <= vectorize.MAX_ENVIRONMENTS
+        assert len(vectorize.PROCESS_STORE) == vectorize.MAX_ENVIRONMENTS
+
+    def test_concurrent_co_replays_on_a_cold_store_equal_serial(self):
+        """Co-replays of one fleet on several threads at once, as a
+        daemon's workers run them: each learns into its own table and
+        publishes what settles, and every report equals the serial ones."""
+        fleet = synthesize_fleet(8)
+        scalar = _replay_fleet(fleet, vectorized=False)[0]
+        serial = _replay_fleet(fleet, cold=True)[0]
+        assert serial == scalar
+        threads = 3
+        barrier = threading.Barrier(threads)
+        reports, errors = [], []
+
+        def co_replay():
+            try:
+                barrier.wait(timeout=60)
+                reports.append(_replay_fleet(fleet)[0])
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        vectorize.PROCESS_STORE.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=co_replay) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert reports == [serial] * threads
+        # What the threads settled serves the next co-replay.
+        report, stats = _replay_fleet(fleet)
+        assert report == serial and _total(stats, "programs_captured") == 0
