@@ -128,8 +128,12 @@ _DEAD = "dead"
 #: it ever served would stay resident.
 MAX_ENVIRONMENTS = 8
 #: Most settled programs one environment retains; the earliest published
-#: is forgotten beyond it.  The benchmark models settle 11 to 45 each.
-MAX_PROGRAMS = 1024
+#: is forgotten beyond it.  A safety bound for one environment fed many
+#: distinct traces: the benchmark models settle 11 to 45 programs each and
+#: a settled program holds 4.5 to 12.6 KiB (its captured outputs included;
+#: tracemalloc, PARAM-linear, RM and the 8-rank fleet), so a full store
+#: stays near 8 x 256 x 13 KiB = 26 MiB.
+MAX_PROGRAMS = 256
 
 
 class _DataFingerprintCache:
@@ -308,16 +312,18 @@ class ProgramStore:
     Retention is bounded by constants, not by a setting: at most
     :data:`MAX_ENVIRONMENTS` partitions (least recently replayed evicted)
     of at most :data:`MAX_PROGRAMS` programs each (earliest published
-    evicted).  An executor keeps the partition it was handed even if it is
-    evicted meanwhile, so eviction never disturbs a running replay.
+    evicted).  A partition is created by the first program its environment
+    settles, so a replay that settles nothing evicts nothing.  An executor
+    keeps the partition it was handed even if it is evicted meanwhile, so
+    eviction never disturbs a running replay.
 
     Only settled (verified or dead) programs are published, and a settled
-    program is never changed again.  Partitions are created, evicted and
-    published into under one lock; an executor reads its partition without
-    it, since a single dict lookup is atomic and every program it can find
-    is final.  Unverified captures never reach the store: they stay in the
-    table of the replay that made them, so no thread sees another's
-    half-learned program.
+    program is never changed again.  Partitions are looked up, created,
+    evicted and published into under one lock; an executor reads its
+    partition without it, since a single dict lookup is atomic and every
+    program it can find is final.  Unverified captures never reach the
+    store: they stay in the table of the replay that made them, so no
+    thread sees another's half-learned program.
     """
 
     def __init__(self) -> None:
@@ -325,23 +331,27 @@ class ProgramStore:
         self._partitions: "OrderedDict[tuple, Dict[Any, OpProgram]]" = OrderedDict()
 
     def partition(self, environment: tuple) -> Dict[Any, OpProgram]:
-        """The settled programs of ``environment`` (created empty if new);
-        add to it only through :meth:`publish`."""
+        """The settled programs of ``environment``, now its most recently
+        replayed one; an empty table the store does not keep if it has none.
+        Read it only: programs are added through :meth:`publish`."""
+        with self._lock:
+            programs = self._partitions.get(environment)
+            if programs is None:
+                return {}
+            self._partitions.move_to_end(environment)
+            return programs
+
+    def publish(self, environment: tuple, program: OpProgram) -> None:
+        """Add a settled ``program`` to ``environment``'s partition (created
+        if this is the first program the environment settles), unless a
+        concurrent replay settled its signature first."""
         with self._lock:
             programs = self._partitions.get(environment)
             if programs is None:
                 programs = self._partitions[environment] = {}
                 while len(self._partitions) > MAX_ENVIRONMENTS:
                     self._partitions.popitem(last=False)
-            else:
-                self._partitions.move_to_end(environment)
-            return programs
-
-    def publish(self, programs: Dict[Any, OpProgram], program: OpProgram) -> None:
-        """Add a settled ``program`` to a partition :meth:`partition`
-        returned, unless a concurrent replay settled its signature first."""
-        with self._lock:
-            if program.signature in programs:
+            elif program.signature in programs:
                 return
             if len(programs) >= MAX_PROGRAMS:
                 del programs[next(iter(programs))]
@@ -383,7 +393,7 @@ class VectorizedExecutor:
         programs: Optional[Dict[tuple, Dict[Any, OpProgram]]] = None,
         bindings: Optional[Dict[int, Any]] = None,
     ) -> None:
-        environment = program_environment(runtime)
+        environment = self._environment = program_environment(runtime)
         #: signature → program this replay learned (any state).
         self._programs = ({} if programs is None else programs).setdefault(environment, {})
         #: signature → program an earlier replay settled: a
@@ -539,7 +549,7 @@ class VectorizedExecutor:
                 state=_DEAD,
             )
             self._programs[signature] = dead
-            PROCESS_STORE.publish(self._settled, dead)
+            PROCESS_STORE.publish(self._environment, dead)
             self._bindings[node_id] = None
             self.stats["programs_dead"] += 1
             return result
@@ -563,7 +573,7 @@ class VectorizedExecutor:
             program.state = _DEAD
             self._bindings[node_id] = None
             self.stats["programs_dead"] += 1
-        PROCESS_STORE.publish(self._settled, program)
+        PROCESS_STORE.publish(self._environment, program)
         return result
 
     def _bind_fast(self, tensor_manager, node, program: OpProgram) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import vectorize
 from repro.torchsim import Runtime, Tensor, ExecutionGraphObserver, Profiler
 from repro.torchsim import nn
 from repro.torchsim.autograd import GradientTape
@@ -17,6 +18,21 @@ from repro.workloads.param_linear import ParamLinearConfig, ParamLinearWorkload
 from repro.workloads.resnet import ResNetConfig, ResNetWorkload
 from repro.workloads.rm import RMConfig, RMWorkload
 from repro.bench.harness import capture_workload
+
+
+# ----------------------------------------------------------------------
+# Process-wide state
+# ----------------------------------------------------------------------
+@pytest.fixture(autouse=True)
+def cold_program_store():
+    """Start every test with no settled operator programs, so what a test
+    learns never depends on which tests ran before it in the process.  A
+    test that replays more than once and pins the learning path of a later
+    replay clears :data:`~repro.core.vectorize.PROCESS_STORE` before it
+    too."""
+    vectorize.PROCESS_STORE.clear()
+    yield
+    vectorize.PROCESS_STORE.clear()
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import pytest
 
 import repro.api as api
+from repro.core import vectorize
 from repro.core.pipeline import (
     BUILD_STAGE_NAMES,
     CheckpointError,
@@ -535,6 +536,7 @@ class TestPauseResumePin:
         return lambda: next(calls) == boundary
 
     def _paused_token(self, capture, boundary: int) -> dict:
+        vectorize.PROCESS_STORE.clear()
         with pytest.raises(ReplayPaused) as paused:
             run_replay(
                 capture.execution_trace,
@@ -555,11 +557,14 @@ class TestPauseResumePin:
                 self._paused_token(small_linear_capture, boundary)
             )
             assert (checkpoint.completed_warmup, checkpoint.completed_iterations) == position
+            # Resume cold, as a fresh process would.
+            vectorize.PROCESS_STORE.clear()
             resumed = run_replay(
                 trace, config=self.CONFIG, profiler_trace=profiler_trace,
                 resume_from=checkpoint,
             )
             assert _summary_json(resumed) == reference, boundary
+        vectorize.PROCESS_STORE.clear()
         finished = run_replay(
             trace, config=self.CONFIG, profiler_trace=profiler_trace,
             pause_check=self._pause_at(len(self.BOUNDARIES) + 1),

@@ -747,39 +747,55 @@ class TestProgramStore:
         )
         assert len({before, added, program_environment(runtime)}) == 3
 
+    @staticmethod
+    def _settled(signature):
+        return vectorize.OpProgram(
+            signature=signature, op_name="aten::relu", thread="main", node_count=1,
+            increments=[], kernels=[], events=[], outputs=None, state=vectorize._DEAD,
+        )
+
     def test_partitions_follow_the_environment(self):
         store = ProgramStore()
-        shared = store.partition(program_environment(Runtime(rank=0)))
+        rank0 = program_environment(Runtime(rank=0))
+        store.publish(rank0, self._settled("relu"))
+        shared = store.partition(rank0)
         assert store.partition(program_environment(Runtime(rank=3))) is shared
-        assert store.partition(program_environment(Runtime(device="V100", rank=1))) is not shared
+        assert "relu" in shared
+        assert store.partition(program_environment(Runtime(device="V100", rank=1))) == {}
+
+    def test_a_partition_is_created_by_its_first_settled_program(self):
+        store = ProgramStore()
+        looked_up = store.partition(("environment", 0))
+        assert looked_up == {} and len(store) == 0
+        store.publish(("environment", 0), self._settled("relu"))
+        assert len(store) == 1
+        assert store.partition(("environment", 0)) is not looked_up
 
     def test_retention_is_bounded(self):
         store = ProgramStore()
+        for index in range(2):
+            store.publish(("environment", index), self._settled("relu"))
         kept = store.partition(("environment", 0))
         evicted = store.partition(("environment", 1))
         for index in range(2, vectorize.MAX_ENVIRONMENTS + 4):
-            store.partition(("environment", index))
+            store.publish(("environment", index), self._settled("relu"))
             # Environment 0 is replayed again each time: least recently
             # used is environment 1, then 2, ...
             store.partition(("environment", 0))
         assert len(store) == vectorize.MAX_ENVIRONMENTS
         assert store.partition(("environment", 0)) is kept
-        assert store.partition(("environment", 1)) is not evicted
+        assert store.partition(("environment", 1)) == {} and evicted
 
-        def settled(signature):
-            return vectorize.OpProgram(
-                signature=signature, op_name="aten::relu", thread="main", node_count=1,
-                increments=[], kernels=[], events=[], outputs=None, state=vectorize._DEAD,
-            )
-
+        store = ProgramStore()
         for index in range(vectorize.MAX_PROGRAMS + 3):
-            store.publish(kept, settled(index))
+            store.publish(("environment", 0), self._settled(index))
+        kept = store.partition(("environment", 0))
         assert len(kept) == vectorize.MAX_PROGRAMS
         assert 0 not in kept and vectorize.MAX_PROGRAMS + 2 in kept
         # A signature published first stays: a concurrent replay that
         # settles it again does not replace it.
         first = kept[5]
-        store.publish(kept, settled(5))
+        store.publish(("environment", 0), self._settled(5))
         assert kept[5] is first
 
 
@@ -1041,6 +1057,7 @@ class TestFleetPauseResumePin:
         return JobSnapshot.from_dict(json.loads(token)).checkpoint
 
     def _paused_checkpoint(self, traces, boundary: int) -> ReplayCheckpoint:
+        vectorize.PROCESS_STORE.clear()
         with pytest.raises(ReplayPaused) as paused:
             ClusterReplayer(self.CONFIG).replay(traces, pause_check=self._pause_at(boundary))
         return self._snapshot_round_trip(paused.value.checkpoint)
@@ -1052,6 +1069,7 @@ class TestFleetPauseResumePin:
         }
         paused_at = set()
         for boundary in range(1, self.BOUNDARY_CALLS + 1):
+            vectorize.PROCESS_STORE.clear()
             try:
                 report = ClusterReplayer(self.CONFIG).replay(
                     fleet_traces, pause_check=self._pause_at(boundary)
@@ -1063,6 +1081,8 @@ class TestFleetPauseResumePin:
                     checkpoint.completed_warmup,
                     checkpoint.completed_iterations,
                 ))
+                # Resume cold, as a fresh process would.
+                vectorize.PROCESS_STORE.clear()
                 report = ClusterReplayer(self.CONFIG).replay(
                     fleet_traces, resume_from=checkpoint
                 )

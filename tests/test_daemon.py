@@ -27,6 +27,7 @@ from typing import Optional
 import pytest
 
 from repro.bench.harness import capture_workload
+from repro.core import vectorize
 from repro.daemon import (
     DAEMON_SCHEMA_VERSION,
     JobQueue,
@@ -550,6 +551,7 @@ class TestPauseResumeAcrossRestart:
         ref_result = ref_record.result
 
         state_dir = tmp_path / "state"
+        vectorize.PROCESS_STORE.clear()  # the interrupted run learns cold too
         first = ReplayDaemon(state_dir, workers=1)
         with first:
             record = first.submit("alice", JobSpec("sweep", payload))
@@ -559,6 +561,7 @@ class TestPauseResumeAcrossRestart:
             assert snapshot["schema_version"] == DAEMON_SCHEMA_VERSION
             assert snapshot["kind"] == "sweep"
 
+            vectorize.PROCESS_STORE.clear()
             second = ReplayDaemon(state_dir, workers=1)  # fresh process, same disk
             recovered = second.get(record.id)
             assert recovered.state == "paused"
@@ -583,6 +586,7 @@ class TestPauseResumeAcrossRestart:
             assert reference.wait(ref_record.id, timeout=WAIT_S).state == "completed"
 
         state_dir = tmp_path / "state"
+        vectorize.PROCESS_STORE.clear()  # the interrupted run learns cold too
         first = ReplayDaemon(state_dir, workers=1)
         with first:
             record = first.submit("alice", JobSpec("cluster", payload))
@@ -592,6 +596,7 @@ class TestPauseResumeAcrossRestart:
             assert paused.snapshot["completed"] == {}
             assert paused.snapshot["pending_label"] is None
             assert paused.snapshot["checkpoint"] is not None
+            vectorize.PROCESS_STORE.clear()  # a fresh process resumes cold
             second = ReplayDaemon(state_dir, workers=1)
             with second:
                 second.resume(record.id)
@@ -640,6 +645,7 @@ class _PauseFromPoll(JobControl):
 class TestSweepPoints:
     @staticmethod
     def _run(payload: dict, control: JobControl, snapshot=None):
+        vectorize.PROCESS_STORE.clear()  # every run learns its programs cold
         record = JobRecord(
             id="j1", owner="alice", spec=JobSpec("sweep", payload), snapshot=snapshot
         )

@@ -34,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 import repro.api as api
 from repro.bench.harness import capture_workload
 from repro.cluster import ClusterReplayer
+from repro.core import vectorize
 from repro.core.pipeline import ReplayHook
 from repro.core.replayer import ReplayConfig
 from repro.hardware.network import (
@@ -90,6 +91,8 @@ def _digest(report) -> str:
 
 
 def _replay(config: ReplayConfig = None, pick=None, watchers=None):
+    # Every co-replay learns its programs cold, whatever ran before it.
+    vectorize.PROCESS_STORE.clear()
     replayer = ClusterReplayer(
         config if config is not None else ReplayConfig(device="A100", iterations=1),
         profile_hook_factory=(lambda rank: watchers[rank]) if watchers else None,

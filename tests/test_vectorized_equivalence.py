@@ -25,17 +25,19 @@ and concurrent co-replays.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import threading
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.api as api
 from repro.bench.throughput import synthesize_fleet
 from repro.cluster import ClusterReplayer
 from repro.core import vectorize
-from repro.core.pipeline import ReplayHook
+from repro.core.pipeline import ReplayHook, ReplayPaused, run_replay
 from repro.core.replayer import ReplayConfig
 from repro.torchsim.ops.registry import OperatorDef, global_registry
 from repro.torchsim.runtime import Runtime
@@ -74,6 +76,9 @@ def assert_equivalent(trace, profiler_trace=None, iterations=2, warmup=1, profil
         return api.replay(trace, profiler_trace=profiler_trace, config=config).run()
 
     scalar = run(False)
+    # A cold store: the vectorized run captures and verifies every program
+    # itself, as a replay of content the process has not seen does.
+    vectorize.PROCESS_STORE.clear()
     fast = run(True)
     assert _observables(fast) == _observables(scalar)
     return scalar, fast
@@ -472,6 +477,31 @@ class TestProcessStore:
             assert stats["programs_captured"] == stats["programs_verified"] == 0
             assert stats["scalar_ops"] == comms > 0
             assert warm == first == scalar
+
+    def test_warm_resume_equals_uninterrupted(self, small_linear_capture, monkeypatch):
+        """A replay paused and resumed in the process that already settled
+        its programs (as a daemon resumes a job) captures nothing and still
+        ends byte-identical to the uninterrupted replay."""
+        trace = small_linear_capture.execution_trace
+        config = ReplayConfig(iterations=3, warmup_iterations=2)
+        reference = _observables(run_replay(trace, config=config))
+        captures = []
+        capture = vectorize.VectorizedExecutor._capture
+
+        def counting_capture(*args, **kwargs):
+            captures.append(args)
+            return capture(*args, **kwargs)
+
+        monkeypatch.setattr(vectorize.VectorizedExecutor, "_capture", counting_capture)
+        for boundary in range(1, 5):
+            calls = itertools.count(1)
+            with pytest.raises(ReplayPaused) as paused:
+                run_replay(
+                    trace, config=config, pause_check=lambda: next(calls) == boundary
+                )
+            resumed = run_replay(trace, config=config, resume_from=paused.value.checkpoint)
+            assert _observables(resumed) == reference, boundary
+        assert captures == []
 
     def test_power_sweep_retains_a_bounded_number_of_environments(
         self, small_linear_capture
