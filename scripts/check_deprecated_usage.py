@@ -36,8 +36,8 @@ Sixteen rules, one pass:
   ``src/repro/torchsim/ops/`` and ``torchsim/nn.py``, ``.rank`` is read
   only in ``ops/comms.py``: the comms ops are never vectorized, and every
   other op's captured program is shared by all ranks of a co-replay and
-  by later replays (``repro.core.vectorize.ProgramStore``), which is sound
-  only while its effect cannot differ from rank to rank.
+  by later replays (the program table of ``repro.core.vectorize``), which
+  is sound only while its effect cannot differ from rank to rank.
 * Traces are decoded at one boundary.  Inside ``src/repro/``,
   ``decode_tensor_ref(`` is called only from ``et/schema.py``: every
   ``ETNode`` decodes its tensor refs once, and everything else reads them
@@ -76,11 +76,6 @@ Sixteen rules, one pass:
   dispatches every lifecycle event (skipping a hook without the method)
   and ``emit_op_replayed`` the per-op one; a second loop would be a second
   dispatcher with its own rules.
-* There is one program store.  Inside ``src/repro/``, ``ProgramStore(``
-  is constructed only in ``core/vectorize.py``, whose one
-  ``PROCESS_STORE`` keeps the settled operator programs of every replay in
-  the process (bounded, locked); a store built anywhere else would learn
-  every program again and escape the bound.
 * No unused imports.  Inside ``src/repro/``, every module-level import
   binds a name the module reads: in code, in a string annotation or in
   ``__all__``.  An import kept for its side effect says so with
@@ -365,18 +360,6 @@ RULES = (
             "replay hooks iterated outside core/pipeline.py (dispatch lifecycle "
             "events through ReplayContext.notify and per-op events through "
             "ReplayContext.emit_op_replayed)"
-        ),
-    ),
-    Rule(
-        name="one-program-store",
-        # A call, not the class statement or a mention in prose.
-        pattern=re.compile(r"(?<!class )\bProgramStore\("),
-        roots=("src/repro",),
-        exempt=("src/repro/core/vectorize.py",),
-        message=(
-            "ProgramStore constructed outside core/vectorize.py (every replay "
-            "starts from the process's one store, vectorize.PROCESS_STORE; a "
-            "co-replay's own capture tables are ReplayContext.programs)"
         ),
     ),
     Rule(

@@ -510,11 +510,8 @@ class ClusterReplayer:
                 "collectives cannot be matched across the fleet:\n  "
                 + "\n  ".join(match.unmatched)
             )
-        # One pipeline and one map of program tables per co-replay: every
-        # rank runs the single-rank default stages, and the first rank to
-        # reach an operator signature the process has not settled yet
-        # captures its program, the next occurrence on any rank verifies
-        # it, and every later one runs the fast path.
+        # One pipeline per co-replay: every rank runs the single-rank
+        # default stages.
         pipeline = ReplayPipeline.default()
         if self.track_memory:
             # OOMs are recorded on the per-rank report, never raised: one
@@ -522,7 +519,6 @@ class ClusterReplayer:
             pipeline.insert_after(
                 "assign-streams", TrackMemoryStage(budget=self.memory_budget, on_oom="record")
             )
-        programs: Dict[tuple, Any] = {}
         tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         profile_hooks: Dict[int, Any] = {}
         contexts = []
@@ -545,7 +541,6 @@ class ClusterReplayer:
                     profiler_trace=profiler,
                     support=support,
                     hooks=hooks,
-                    programs=programs,
                     pause_check=pause_check,
                     plan=plan,
                     # The report keeps summaries and timeline stats and the

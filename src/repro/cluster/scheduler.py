@@ -27,13 +27,6 @@ fleet's rendezvous and group tables before the pipeline starts, so
 :func:`~repro.torchsim.distributed.retry_collective`, which rolls the
 runtime back to the op boundary and yields the blocked slot; the cursor
 parks on it and re-executes the op verbatim once the slot resolves.
-
-The ranks' vectorized executors capture into one map of program tables
-per co-replay (``ReplayContext.programs``), which needs no lock because of
-this single thread: a cursor yields only at a blocked collective, never
-while it learns a program.  Only settled programs reach the process-wide
-:class:`~repro.core.vectorize.ProgramStore`, which other threads share and
-which takes its own lock.
 """
 
 from __future__ import annotations

@@ -269,14 +269,6 @@ class ReplayContext:
     support: Optional[ReplaySupport] = None
     runtime: Optional[Runtime] = None
     hooks: List["ReplayHook"] = field(default_factory=list)
-    #: The operator programs this replay's vectorized executor captures,
-    #: one table per program environment, shared with the other ranks of
-    #: a co-replay (the cluster engine sets one map per co-replay); ``None``
-    #: gives the replay a private map.  It lives as long as the replay:
-    #: programs that settle are also published to the process-wide
-    #: :data:`~repro.core.vectorize.PROCESS_STORE`, which every replay
-    #: starts from.
-    programs: Optional[Dict[tuple, Dict[Any, vectorize.OpProgram]]] = None
     #: Polled (no arguments) at every iteration boundary of the execute
     #: stage; a truthy return raises :class:`ReplayPaused`.
     pause_check: Optional[Callable[[], Any]] = None
@@ -707,13 +699,12 @@ class ExecuteStage(ReplayStage):
         events, but not observer callbacks).  Both paths produce
         byte-identical replay results.  The executor persists on
         ``context.extras`` so programs learned during warm-up iterations
-        pay off across every measured iteration.  It starts from the
-        programs earlier replays in this process settled
-        (:data:`~repro.core.vectorize.PROCESS_STORE`, bounded, shared by
-        every thread), and captures the rest into ``context.programs`` (a
-        co-replay's fleet-shared tables) or, when that is ``None``, into a
-        table private to this replay.  Its node bindings are the fleet
-        plan's when the plan may share them (see
+        pay off across every measured iteration.  It learns into the
+        process's one program table for its environment
+        (:func:`~repro.core.vectorize.partition`, bounded, shared by every
+        replay and thread), so it starts from the programs earlier replays
+        captured.  Its node bindings are the fleet plan's when the plan may
+        share them (see
         :func:`~repro.core.vectorize.shared_bindings`).
         """
         if getattr(context.config, "vectorized", True) and (
@@ -726,7 +717,7 @@ class ExecuteStage(ReplayStage):
                     bindings = context.shared(
                         "bindings", lambda: vectorize.shared_bindings(runtime.registry)
                     )
-                executor = vectorize.VectorizedExecutor(runtime, context.programs, bindings)
+                executor = vectorize.VectorizedExecutor(runtime, bindings)
                 context.extras[vectorize.EXTRAS_KEY] = executor
             return executor.replay_entries(context, runtime)
         return self._replay_once_scalar(context, runtime)

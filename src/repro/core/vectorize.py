@@ -29,22 +29,16 @@ cost model at all.  Anything that fails capture or verification
 scalar path forever, so correctness never depends on the fast path
 applying.
 
-Programs are learned in two tiers, both partitioned by the *program
-environment* (:func:`program_environment`: device spec, cost-model clock,
-mode and efficiency tables, operator registry and its generation — never
-the rank):
-
-* A replay's own table holds every program it captured, in any state.  A
-  single-rank replay keeps a private one; the ranks of a co-replay share
-  one per environment (:attr:`~repro.core.pipeline.ReplayContext.programs`),
-  so rank 0 captures a signature, the next occurrence (on rank 0 or any
-  other rank) verifies it, and every later rank starts on the fast path.
-  The table lives as long as its replay.
-* The process's one :class:`ProgramStore` (:data:`PROCESS_STORE`) holds the
-  *settled* programs — verified or dead — of every earlier replay.  A
-  replay looks a signature up there when its own table lacks it, so a
-  replay whose content and environment were seen before captures nothing
-  and goes straight to the fast path.
+The process keeps one program table per *program environment*
+(:func:`program_environment`: device spec, cost-model clock, mode and
+efficiency tables, operator registry and its generation — never the rank),
+module state behind :func:`partition`, :func:`publish`, :func:`settle` and
+:func:`clear`.  A capture is published at once as an unverified
+*candidate*, and the next occurrence of its signature — later in the same
+replay, on another rank of a co-replay, or in any later replay of the
+environment, on any thread — verifies it.  So a replay whose content and
+environment were seen before captures nothing, and a signature that occurs
+once per replay settles on the second replay.
 
 A program is keyed on content (IR text, stream, tensor shape, dtype and
 payload digest), so a program verified once stays valid for every later
@@ -122,17 +116,17 @@ _UNVERIFIED = "unverified"
 _VERIFIED = "verified"
 _DEAD = "dead"
 
-#: Most program environments :data:`PROCESS_STORE` retains; the least
-#: recently replayed one is forgotten beyond it.  A daemon sweep gives each
-#: fresh power cap its own cost-model clock, so without a bound every point
-#: it ever served would stay resident.
+#: Most program environments the process retains; the least recently
+#: replayed one is forgotten beyond it.  A daemon sweep gives each fresh
+#: power cap its own cost-model clock, so without a bound every point it
+#: ever served would stay resident.
 MAX_ENVIRONMENTS = 8
-#: Most settled programs one environment retains; the earliest published
-#: is forgotten beyond it.  A safety bound for one environment fed many
-#: distinct traces: the benchmark models settle 11 to 45 programs each and
-#: a settled program holds 4.5 to 12.6 KiB (its captured outputs included;
-#: tracemalloc, PARAM-linear, RM and the 8-rank fleet), so a full store
-#: stays near 8 x 256 x 13 KiB = 26 MiB.
+#: Most programs one environment retains, candidates included; the earliest
+#: published is forgotten beyond it.  A safety bound for one environment
+#: fed many distinct traces: a replay of a benchmark model publishes 11 to
+#: 45 programs, which hold 2.0 to 3.3 KiB each on average (tracemalloc,
+#: memory freed by :func:`clear`: PARAM-linear, RM, DDP-RM and the 8-rank
+#: fleet), so a full table stays near 8 x 256 x 3.3 KiB = 6.6 MiB.
 MAX_PROGRAMS = 256
 
 
@@ -208,6 +202,9 @@ class OpProgram:
     template (replayed with live timestamps/correlations), ``("c", name,
     cat, ts_index, end_index, tid, node_offset)`` entries are CPU-side
     spans whose start/end are clock-trace values.
+
+    Once published (:func:`publish`), a program is shared by every replay
+    of its environment and only its ``state`` changes, once (:func:`settle`).
     """
 
     signature: Any
@@ -298,78 +295,73 @@ def shared_bindings(registry) -> Optional[Dict[int, Any]]:
     return None
 
 
-class ProgramStore:
-    """Settled operator programs, shared by every replay in the process.
+# ----------------------------------------------------------------------
+# The process's program table
+# ----------------------------------------------------------------------
+#: Guards :data:`_partitions` and every program's ``state`` transition.
+_lock = threading.Lock()
+#: environment → (signature → :class:`OpProgram`), least recently replayed
+#: environment first.
+_partitions: "OrderedDict[tuple, Dict[Any, OpProgram]]" = OrderedDict()
 
-    One partition (``signature → OpProgram``) per
-    :func:`program_environment`, so a replay on another device, under a
-    power cap or after an operator override learns its own programs while
-    every replay of the same environment — any rank, any job, any thread —
-    starts from the programs the earlier ones settled (a program of a
-    non-built-in operator keys on its rank too — see the module
-    docstring).  The process has one store, :data:`PROCESS_STORE`.
 
-    Retention is bounded by constants, not by a setting: at most
-    :data:`MAX_ENVIRONMENTS` partitions (least recently replayed evicted)
-    of at most :data:`MAX_PROGRAMS` programs each (earliest published
-    evicted).  A partition is created by the first program its environment
-    settles, so a replay that settles nothing evicts nothing.  An executor
-    keeps the partition it was handed even if it is evicted meanwhile, so
-    eviction never disturbs a running replay.
+def partition(environment: tuple) -> Dict[Any, OpProgram]:
+    """The program table of ``environment``, created empty if the process
+    has none, now its most recently replayed one.
 
-    Only settled (verified or dead) programs are published, and a settled
-    program is never changed again.  Partitions are looked up, created,
-    evicted and published into under one lock; an executor reads its
-    partition without it, since a single dict lookup is atomic and every
-    program it can find is final.  Unverified captures never reach the
-    store: they stay in the table of the replay that made them, so no
-    thread sees another's half-learned program.
+    Every replay of the environment — any rank, any job, any thread —
+    learns into this one table (a program of a non-built-in operator keys
+    on its rank too — see the module docstring).  Retention is bounded by
+    constants, not by a setting: at most :data:`MAX_ENVIRONMENTS` tables
+    (least recently replayed evicted) of at most :data:`MAX_PROGRAMS`
+    programs each (earliest published evicted).  An executor keeps the
+    table it was handed even if it is evicted meanwhile, so eviction never
+    disturbs a running replay.  Read it only: programs are added through
+    :func:`publish` and settled through :func:`settle`.
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._partitions: "OrderedDict[tuple, Dict[Any, OpProgram]]" = OrderedDict()
-
-    def partition(self, environment: tuple) -> Dict[Any, OpProgram]:
-        """The settled programs of ``environment``, now its most recently
-        replayed one; an empty table the store does not keep if it has none.
-        Read it only: programs are added through :meth:`publish`."""
-        with self._lock:
-            programs = self._partitions.get(environment)
-            if programs is None:
-                return {}
-            self._partitions.move_to_end(environment)
-            return programs
-
-    def publish(self, environment: tuple, program: OpProgram) -> None:
-        """Add a settled ``program`` to ``environment``'s partition (created
-        if this is the first program the environment settles), unless a
-        concurrent replay settled its signature first."""
-        with self._lock:
-            programs = self._partitions.get(environment)
-            if programs is None:
-                programs = self._partitions[environment] = {}
-                while len(self._partitions) > MAX_ENVIRONMENTS:
-                    self._partitions.popitem(last=False)
-            elif program.signature in programs:
-                return
-            if len(programs) >= MAX_PROGRAMS:
-                del programs[next(iter(programs))]
-            programs[program.signature] = program
-
-    def clear(self) -> None:
-        """Forget every settled program (the next replay learns cold)."""
-        with self._lock:
-            self._partitions.clear()
-
-    def __len__(self) -> int:
-        """Number of environments currently retained."""
-        with self._lock:
-            return len(self._partitions)
+    with _lock:
+        programs = _partitions.get(environment)
+        if programs is None:
+            programs = _partitions[environment] = {}
+            if len(_partitions) > MAX_ENVIRONMENTS:
+                _partitions.popitem(last=False)
+        else:
+            _partitions.move_to_end(environment)
+        return programs
 
 
-#: The process's one store of settled programs.
-PROCESS_STORE = ProgramStore()
+def publish(programs: Dict[Any, OpProgram], program: OpProgram) -> OpProgram:
+    """Add ``program`` to the table ``programs`` unless a concurrent replay
+    published its signature first; return the program the table holds.
+
+    A published program never changes again except for its ``state``
+    (:func:`settle`), so a replay reads the table without the lock: a
+    single dict lookup is atomic and every field it can see is final.
+    """
+    with _lock:
+        held = programs.get(program.signature)
+        if held is not None:
+            return held
+        if len(programs) >= MAX_PROGRAMS:
+            del programs[next(iter(programs))]
+        programs[program.signature] = program
+        return program
+
+
+def settle(program: OpProgram, state: str) -> bool:
+    """Move an unverified ``program`` to ``state`` (verified or dead);
+    ``False`` when another replay settled it first, whose state stands."""
+    with _lock:
+        if program.state != _UNVERIFIED:
+            return False
+        program.state = state
+        return True
+
+
+def clear() -> None:
+    """Forget every program (the next replay learns cold)."""
+    with _lock:
+        _partitions.clear()
 
 
 class VectorizedExecutor:
@@ -377,28 +369,16 @@ class VectorizedExecutor:
 
     Lives on its :class:`~repro.core.pipeline.ReplayContext` (in
     ``context.extras``), so the fingerprint cache and :attr:`stats` are per
-    replay (per rank in a co-replay).  The programs it learns go into its
-    environment's table in ``programs`` (a replay's or co-replay's
-    ``environment → table`` map, which other ranks of the same
-    environment may share; ``None`` makes one for this executor alone);
-    those that settle are also published to :data:`PROCESS_STORE`, whose
-    programs serve every later replay.  ``bindings`` is the node-binding
-    table of the replay's fleet plan (:func:`shared_bindings`); ``None``
-    gives the executor its own.
+    replay (per rank in a co-replay).  It learns into the process's table
+    for its environment (:func:`partition`), which every other replay of
+    the environment shares.  ``bindings`` is the node-binding table of the
+    replay's fleet plan (:func:`shared_bindings`); ``None`` gives the
+    executor its own.
     """
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        programs: Optional[Dict[tuple, Dict[Any, OpProgram]]] = None,
-        bindings: Optional[Dict[int, Any]] = None,
-    ) -> None:
-        environment = self._environment = program_environment(runtime)
-        #: signature → program this replay learned (any state).
-        self._programs = ({} if programs is None else programs).setdefault(environment, {})
-        #: signature → program an earlier replay settled: a
-        #: :meth:`ProgramStore.partition` of :data:`PROCESS_STORE`.
-        self._settled = PROCESS_STORE.partition(environment)
+    def __init__(self, runtime: Runtime, bindings: Optional[Dict[int, Any]] = None) -> None:
+        #: signature → program of this replay's environment (any state).
+        self._programs = partition(program_environment(runtime))
         #: node id → :class:`_FastBinding` (verified), an unverified
         #: :class:`OpProgram`, or ``None`` for scalar-forever.
         self._bindings: Dict[int, Any] = {} if bindings is None else bindings
@@ -519,8 +499,6 @@ class VectorizedExecutor:
             signature = (signature, runtime.rank)
 
         program = self._programs.get(signature)
-        if program is None:
-            program = self._settled.get(signature)
         if program is not None and program.state == _VERIFIED:
             self._bind_fast(tensor_manager, node, program)
             self.stats["fast_ops"] += 1
@@ -537,43 +515,47 @@ class VectorizedExecutor:
         if capture is None:
             # Not capturable (thread switch, Work outputs, inconsistent IDs,
             # a dispatched op that may read the rank).
-            dead = OpProgram(
-                signature=signature,
-                op_name=reconstructed.op_name,
-                thread="",
-                node_count=0,
-                increments=[],
-                kernels=[],
-                events=[],
-                outputs=None,
-                state=_DEAD,
-            )
-            self._programs[signature] = dead
-            PROCESS_STORE.publish(self._environment, dead)
+            if program is None:
+                program = publish(
+                    self._programs,
+                    OpProgram(
+                        signature=signature,
+                        op_name=reconstructed.op_name,
+                        thread="",
+                        node_count=0,
+                        increments=[],
+                        kernels=[],
+                        events=[],
+                        outputs=None,
+                        state=_DEAD,
+                    ),
+                )
+            settle(program, _DEAD)
             self._bindings[node_id] = None
             self.stats["programs_dead"] += 1
             return result
 
         if program is None:
-            # First occurrence: remember the capture, await verification.
-            self._programs[signature] = capture
-            self._bindings[node_id] = capture
-            self.stats["programs_captured"] += 1
-            return result
+            program = publish(self._programs, capture)
+            if program is capture:
+                # First occurrence: the capture is the candidate, awaiting
+                # verification.
+                self._bindings[node_id] = capture
+                self.stats["programs_captured"] += 1
+                return result
 
-        # Second occurrence (on this rank or any other sharing the table):
-        # verify the stored program against a fresh capture.  Any divergence
-        # kills the signature for every replay sharing the table, and for
-        # every later replay once it is published settled.
-        if program.matches(capture):
-            program.state = _VERIFIED
+        # A later occurrence — in this replay, on another rank, or in a
+        # later replay of the environment — verifies the candidate against
+        # a fresh capture.  Any divergence kills the signature for every
+        # replay of the environment.  The first replay to settle it wins;
+        # this one binds the fast path only if its own capture matched too.
+        matched = program.matches(capture)
+        if settle(program, _VERIFIED if matched else _DEAD):
+            self.stats["programs_verified" if matched else "programs_dead"] += 1
+        if matched and program.state == _VERIFIED:
             self._bind_fast(tensor_manager, node, program)
-            self.stats["programs_verified"] += 1
         else:
-            program.state = _DEAD
             self._bindings[node_id] = None
-            self.stats["programs_dead"] += 1
-        PROCESS_STORE.publish(self._environment, program)
         return result
 
     def _bind_fast(self, tensor_manager, node, program: OpProgram) -> None:

@@ -25,14 +25,14 @@ from repro.bench.harness import capture_workload
 # ----------------------------------------------------------------------
 @pytest.fixture(autouse=True)
 def cold_program_store():
-    """Start every test with no settled operator programs, so what a test
-    learns never depends on which tests ran before it in the process.  A
-    test that replays more than once and pins the learning path of a later
-    replay clears :data:`~repro.core.vectorize.PROCESS_STORE` before it
-    too."""
-    vectorize.PROCESS_STORE.clear()
+    """Start every test with no operator programs, so what a test learns
+    never depends on which tests ran before it in the process.  A test
+    that replays more than once and pins the learning path of a later
+    replay clears the program table (:func:`~repro.core.vectorize.clear`)
+    before it too."""
+    vectorize.clear()
     yield
-    vectorize.PROCESS_STORE.clear()
+    vectorize.clear()
 
 
 # ----------------------------------------------------------------------

@@ -536,7 +536,7 @@ class TestPauseResumePin:
         return lambda: next(calls) == boundary
 
     def _paused_token(self, capture, boundary: int) -> dict:
-        vectorize.PROCESS_STORE.clear()
+        vectorize.clear()
         with pytest.raises(ReplayPaused) as paused:
             run_replay(
                 capture.execution_trace,
@@ -558,13 +558,13 @@ class TestPauseResumePin:
             )
             assert (checkpoint.completed_warmup, checkpoint.completed_iterations) == position
             # Resume cold, as a fresh process would.
-            vectorize.PROCESS_STORE.clear()
+            vectorize.clear()
             resumed = run_replay(
                 trace, config=self.CONFIG, profiler_trace=profiler_trace,
                 resume_from=checkpoint,
             )
             assert _summary_json(resumed) == reference, boundary
-        vectorize.PROCESS_STORE.clear()
+        vectorize.clear()
         finished = run_replay(
             trace, config=self.CONFIG, profiler_trace=profiler_trace,
             pause_check=self._pause_at(len(self.BOUNDARIES) + 1),

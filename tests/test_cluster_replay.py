@@ -45,7 +45,7 @@ from repro.core.pipeline import (
 )
 from repro.core import vectorize
 from repro.core.replayer import ReplayConfig
-from repro.core.vectorize import ProgramStore, program_environment
+from repro.core.vectorize import program_environment
 from repro.daemon.jobs import JobSnapshot
 from repro.et.analyzer import CATEGORY_COMMS, categorize_node
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
@@ -658,12 +658,12 @@ class TestFleetGroupTable:
 
 
 # ----------------------------------------------------------------------
-# Fleet-shared program store
+# The process's program table
 # ----------------------------------------------------------------------
 class TestProgramStore:
-    """Each co-replay creates one map of program tables and hands it to
-    every replica; every replay, single-rank or co-replay, starts from the
-    process's one store of settled programs."""
+    """Every replay, single-rank or co-replay, learns into the process's
+    one program table for its environment: the ranks of a co-replay share
+    it, and every later replay starts from what the earlier ones captured."""
 
     @staticmethod
     def _learned(stats, key="programs_captured"):
@@ -676,7 +676,8 @@ class TestProgramStore:
             def on_stage_end(self, context, stage):
                 if stage.name == "execute":
                     executor = context.extras[vectorize.EXTRAS_KEY]
-                    seen.append((context.programs, dict(executor.stats)))
+                    environment = program_environment(context.runtime)
+                    seen.append((executor._programs, environment, dict(executor.stats)))
 
             def report(self, **_):
                 return None
@@ -685,40 +686,42 @@ class TestProgramStore:
             ReplayConfig(iterations=1, warmup_iterations=0),
             profile_hook_factory=lambda rank: StoreProbe(),
         )
-        vectorize.PROCESS_STORE.clear()
+        vectorize.clear()
         replayer.replay(fleet_traces)
         first = seen[:]
         replayer.replay(fleet_traces)
-        tables = [programs for programs, _ in seen]
-        assert len(first) == WORLD and all(table is tables[0] for table in tables[:WORLD])
+        tables = [programs for programs, _, _ in seen]
+        assert len(first) == WORLD and len(seen) == 2 * WORLD
         assert isinstance(tables[0], dict)
-        assert all(table is tables[WORLD] for table in tables[WORLD:])
-        assert tables[WORLD] is not tables[0]
+        # Every rank of both co-replays learns into the process's table.
+        assert all(table is tables[0] for table in tables)
+        assert all(vectorize.partition(environment) is tables[0] for _, environment, _ in seen)
         # The cold co-replay captures; the second one starts from the
-        # programs the first one settled and captures none.
-        assert self._learned(s for _, s in first) > 0
-        assert self._learned(s for _, s in seen[WORLD:]) == 0
-        assert self._learned((s for _, s in seen[WORLD:]), "fast_ops") > 0
+        # programs the first one captured and captures none.
+        assert self._learned(s for _, _, s in first) > 0
+        assert self._learned(s for _, _, s in seen[WORLD:]) == 0
+        assert self._learned((s for _, _, s in seen[WORLD:]), "fast_ops") > 0
 
-    def test_single_rank_replay_keeps_a_private_store(self, fleet_traces):
-        # Two iterations, so every signature of the trace occurs twice and
-        # settles: a program seen once stays this replay's own.
-        config = ReplayConfig(world_size=1, iterations=2)
+    def test_single_rank_replay_learns_into_the_process_table(self, fleet_traces):
+        # One iteration: a signature that occurs once is captured by the
+        # first replay and verified by the second.
+        config = ReplayConfig(world_size=1, iterations=1)
 
         def replay():
             context = ReplayContext(trace=fleet_traces[0], config=config)
             ReplayPipeline.default().run(context)
-            return context, context.extras[vectorize.EXTRAS_KEY].stats
+            return context.extras[vectorize.EXTRAS_KEY]
 
-        vectorize.PROCESS_STORE.clear()
-        context, cold = replay()
-        assert context.programs is None
-        assert cold["programs_captured"] > 0
-        # Its settled programs serve the next replay in the process.
-        assert len(vectorize.PROCESS_STORE) == 1
-        _, warm = replay()
-        assert warm["programs_captured"] == warm["programs_verified"] == 0
-        assert warm["fast_ops"] > cold["fast_ops"]
+        vectorize.clear()
+        cold = replay()
+        assert cold.stats["programs_captured"] > 0
+        assert cold._programs is vectorize.partition(program_environment(Runtime()))
+        assert len(vectorize._partitions) == 1
+        warm = replay()
+        assert warm._programs is cold._programs
+        assert warm.stats["programs_captured"] == 0
+        assert warm.stats["programs_verified"] > 0
+        assert warm.stats["fast_ops"] > cold.stats["fast_ops"]
 
     def test_environment_excludes_the_rank(self):
         base = program_environment(Runtime(device="A100", rank=0))
@@ -748,55 +751,62 @@ class TestProgramStore:
         assert len({before, added, program_environment(runtime)}) == 3
 
     @staticmethod
-    def _settled(signature):
+    def _program(signature, state=vectorize._DEAD):
         return vectorize.OpProgram(
             signature=signature, op_name="aten::relu", thread="main", node_count=1,
-            increments=[], kernels=[], events=[], outputs=None, state=vectorize._DEAD,
+            increments=[], kernels=[], events=[], outputs=None, state=state,
         )
 
     def test_partitions_follow_the_environment(self):
-        store = ProgramStore()
         rank0 = program_environment(Runtime(rank=0))
-        store.publish(rank0, self._settled("relu"))
-        shared = store.partition(rank0)
-        assert store.partition(program_environment(Runtime(rank=3))) is shared
+        shared = vectorize.partition(rank0)
+        vectorize.publish(shared, self._program("relu"))
+        assert vectorize.partition(program_environment(Runtime(rank=3))) is shared
         assert "relu" in shared
-        assert store.partition(program_environment(Runtime(device="V100", rank=1))) == {}
+        assert vectorize.partition(program_environment(Runtime(device="V100", rank=1))) == {}
 
-    def test_a_partition_is_created_by_its_first_settled_program(self):
-        store = ProgramStore()
-        looked_up = store.partition(("environment", 0))
-        assert looked_up == {} and len(store) == 0
-        store.publish(("environment", 0), self._settled("relu"))
-        assert len(store) == 1
-        assert store.partition(("environment", 0)) is not looked_up
+    def test_a_partition_is_created_by_its_first_replay(self):
+        assert len(vectorize._partitions) == 0
+        table = vectorize.partition(("environment", 0))
+        assert table == {} and list(vectorize._partitions) == [("environment", 0)]
+        # A capture is published at once, unverified: the next replay of
+        # the environment finds it.
+        candidate = self._program("relu", vectorize._UNVERIFIED)
+        assert vectorize.publish(table, candidate) is candidate
+        assert vectorize.partition(("environment", 0)) is table
+        assert table["relu"] is candidate and candidate.state == vectorize._UNVERIFIED
 
     def test_retention_is_bounded(self):
-        store = ProgramStore()
         for index in range(2):
-            store.publish(("environment", index), self._settled("relu"))
-        kept = store.partition(("environment", 0))
-        evicted = store.partition(("environment", 1))
+            vectorize.publish(vectorize.partition(("environment", index)), self._program("relu"))
+        kept = vectorize.partition(("environment", 0))
+        evicted = vectorize.partition(("environment", 1))
         for index in range(2, vectorize.MAX_ENVIRONMENTS + 4):
-            store.publish(("environment", index), self._settled("relu"))
+            vectorize.partition(("environment", index))
             # Environment 0 is replayed again each time: least recently
             # used is environment 1, then 2, ...
-            store.partition(("environment", 0))
-        assert len(store) == vectorize.MAX_ENVIRONMENTS
-        assert store.partition(("environment", 0)) is kept
-        assert store.partition(("environment", 1)) == {} and evicted
+            vectorize.partition(("environment", 0))
+        assert len(vectorize._partitions) == vectorize.MAX_ENVIRONMENTS
+        assert vectorize.partition(("environment", 0)) is kept
+        assert vectorize.partition(("environment", 1)) == {} and evicted
 
-        store = ProgramStore()
+        vectorize.clear()
+        kept = vectorize.partition(("environment", 0))
         for index in range(vectorize.MAX_PROGRAMS + 3):
-            store.publish(("environment", 0), self._settled(index))
-        kept = store.partition(("environment", 0))
+            vectorize.publish(kept, self._program(index))
         assert len(kept) == vectorize.MAX_PROGRAMS
         assert 0 not in kept and vectorize.MAX_PROGRAMS + 2 in kept
         # A signature published first stays: a concurrent replay that
-        # settles it again does not replace it.
+        # captures it again gets the first program back.
         first = kept[5]
-        store.publish(("environment", 0), self._settled(5))
+        assert vectorize.publish(kept, self._program(5)) is first
         assert kept[5] is first
+
+    def test_the_first_replay_to_settle_a_candidate_wins(self):
+        candidate = self._program("relu", vectorize._UNVERIFIED)
+        assert vectorize.settle(candidate, vectorize._VERIFIED)
+        assert not vectorize.settle(candidate, vectorize._DEAD)
+        assert candidate.state == vectorize._VERIFIED
 
 
 # ----------------------------------------------------------------------
@@ -1057,7 +1067,7 @@ class TestFleetPauseResumePin:
         return JobSnapshot.from_dict(json.loads(token)).checkpoint
 
     def _paused_checkpoint(self, traces, boundary: int) -> ReplayCheckpoint:
-        vectorize.PROCESS_STORE.clear()
+        vectorize.clear()
         with pytest.raises(ReplayPaused) as paused:
             ClusterReplayer(self.CONFIG).replay(traces, pause_check=self._pause_at(boundary))
         return self._snapshot_round_trip(paused.value.checkpoint)
@@ -1069,7 +1079,7 @@ class TestFleetPauseResumePin:
         }
         paused_at = set()
         for boundary in range(1, self.BOUNDARY_CALLS + 1):
-            vectorize.PROCESS_STORE.clear()
+            vectorize.clear()
             try:
                 report = ClusterReplayer(self.CONFIG).replay(
                     fleet_traces, pause_check=self._pause_at(boundary)
@@ -1082,7 +1092,7 @@ class TestFleetPauseResumePin:
                     checkpoint.completed_iterations,
                 ))
                 # Resume cold, as a fresh process would.
-                vectorize.PROCESS_STORE.clear()
+                vectorize.clear()
                 report = ClusterReplayer(self.CONFIG).replay(
                     fleet_traces, resume_from=checkpoint
                 )

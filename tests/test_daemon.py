@@ -551,7 +551,7 @@ class TestPauseResumeAcrossRestart:
         ref_result = ref_record.result
 
         state_dir = tmp_path / "state"
-        vectorize.PROCESS_STORE.clear()  # the interrupted run learns cold too
+        vectorize.clear()  # the interrupted run learns cold too
         first = ReplayDaemon(state_dir, workers=1)
         with first:
             record = first.submit("alice", JobSpec("sweep", payload))
@@ -561,7 +561,7 @@ class TestPauseResumeAcrossRestart:
             assert snapshot["schema_version"] == DAEMON_SCHEMA_VERSION
             assert snapshot["kind"] == "sweep"
 
-            vectorize.PROCESS_STORE.clear()
+            vectorize.clear()
             second = ReplayDaemon(state_dir, workers=1)  # fresh process, same disk
             recovered = second.get(record.id)
             assert recovered.state == "paused"
@@ -586,7 +586,7 @@ class TestPauseResumeAcrossRestart:
             assert reference.wait(ref_record.id, timeout=WAIT_S).state == "completed"
 
         state_dir = tmp_path / "state"
-        vectorize.PROCESS_STORE.clear()  # the interrupted run learns cold too
+        vectorize.clear()  # the interrupted run learns cold too
         first = ReplayDaemon(state_dir, workers=1)
         with first:
             record = first.submit("alice", JobSpec("cluster", payload))
@@ -596,7 +596,7 @@ class TestPauseResumeAcrossRestart:
             assert paused.snapshot["completed"] == {}
             assert paused.snapshot["pending_label"] is None
             assert paused.snapshot["checkpoint"] is not None
-            vectorize.PROCESS_STORE.clear()  # a fresh process resumes cold
+            vectorize.clear()  # a fresh process resumes cold
             second = ReplayDaemon(state_dir, workers=1)
             with second:
                 second.resume(record.id)
@@ -645,7 +645,7 @@ class _PauseFromPoll(JobControl):
 class TestSweepPoints:
     @staticmethod
     def _run(payload: dict, control: JobControl, snapshot=None):
-        vectorize.PROCESS_STORE.clear()  # every run learns its programs cold
+        vectorize.clear()  # every run learns its programs cold
         record = JobRecord(
             id="j1", owner="alice", spec=JobSpec("sweep", payload), snapshot=snapshot
         )

@@ -642,42 +642,6 @@ class TestOneHookDispatchGuard:
         assert checker.find_offenders(tmp_path) == {}
 
 
-class TestOneProgramStoreGuard:
-    """``scripts/check_deprecated_usage.py`` keeps program-store
-    construction in ``core/vectorize.py``: every replay starts from the
-    process's one bounded store of settled programs."""
-
-    @pytest.mark.parametrize(
-        "relative, source",
-        [
-            ("cluster/engine.py", "from x import ProgramStore\nprograms = ProgramStore()\n"),
-            ("core/pipeline.py", "from x import vectorize\nstore = vectorize.ProgramStore()\n"),
-        ],
-    )
-    def test_rule_fires_outside_the_vectorize_module(self, tmp_path, relative, source):
-        checker = _load_usage_checker()
-        bad = tmp_path / "src" / "repro" / relative
-        bad.parent.mkdir(parents=True)
-        bad.write_text(source)
-        offenders = checker.find_offenders(tmp_path)
-        assert list(offenders) == ["one-program-store"]
-        assert len(offenders["one-program-store"]) == 1
-        assert f"{bad.name}:2" in offenders["one-program-store"][0]
-
-    def test_vectorize_module_and_mentions_are_exempt(self, tmp_path):
-        checker = _load_usage_checker()
-        vectorize = tmp_path / "src" / "repro" / "core" / "vectorize.py"
-        vectorize.parent.mkdir(parents=True)
-        vectorize.write_text("class ProgramStore:\n    pass\nPROCESS_STORE = ProgramStore()\n")
-        engine = tmp_path / "src" / "repro" / "cluster" / "engine.py"
-        engine.parent.mkdir(parents=True)
-        engine.write_text(
-            "from x import PROCESS_STORE\n"
-            "def f(store: 'ProgramStore') -> None:\n    PROCESS_STORE.clear()\n"
-        )
-        assert checker.find_offenders(tmp_path) == {}
-
-
 class TestNoUnusedImportsGuard:
     """``scripts/check_deprecated_usage.py`` keeps ``src/repro/`` free of
     module-level imports whose names the module never reads."""

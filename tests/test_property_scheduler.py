@@ -92,7 +92,7 @@ def _digest(report) -> str:
 
 def _replay(config: ReplayConfig = None, pick=None, watchers=None):
     # Every co-replay learns its programs cold, whatever ran before it.
-    vectorize.PROCESS_STORE.clear()
+    vectorize.clear()
     replayer = ClusterReplayer(
         config if config is not None else ReplayConfig(device="A100", iterations=1),
         profile_hook_factory=(lambda rank: watchers[rank]) if watchers else None,

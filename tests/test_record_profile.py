@@ -71,7 +71,7 @@ def _gantt(tracer):
 
 
 def _co_replay(fleet, tracer=None):
-    vectorize.PROCESS_STORE.clear()  # every co-replay learns its programs cold
+    vectorize.clear()  # every co-replay learns its programs cold
     session = api.replay_cluster(fleet).iterations(2, warmup=1)
     if tracer is not None:
         session = session.with_telemetry(tracer)
@@ -130,7 +130,7 @@ class TestSweepPoints:
     def test_summary_matches_a_recording_replay(self, job, small_linear_capture):
         recorded = run_replay(small_linear_capture.execution_trace, config=job.config)
         assert recorded.profiler_trace is not None
-        vectorize.PROCESS_STORE.clear()
+        vectorize.clear()
         outcome = replay_job(job)
         assert outcome.ok
         assert outcome.summary.to_dict() == recorded.summarize().to_dict()

@@ -42,7 +42,7 @@ def capture(request):
 
 class TestSingleRankByteIdentity:
     def _run(self, capture, telemetry: str):
-        vectorize.PROCESS_STORE.clear()  # every run learns its programs cold
+        vectorize.clear()  # every run learns its programs cold
         session = api.replay(capture).iterations(2)
         if telemetry == "disabled":
             session.with_telemetry(enabled=False)
@@ -69,7 +69,7 @@ class TestClusterByteIdentity:
         return runner.run()
 
     def _run(self, fleet, telemetry: str):
-        vectorize.PROCESS_STORE.clear()  # every run learns its programs cold
+        vectorize.clear()  # every run learns its programs cold
         session = api.replay_cluster(fleet).on("A100").iterations(2)
         if telemetry == "disabled":
             session.with_telemetry(enabled=False)
@@ -93,7 +93,7 @@ class TestClusterByteIdentity:
         """Stronger than the ISSUE asks: even *enabled* telemetry must not
         perturb the virtual-clock results (it only observes)."""
         baseline, _, _ = self._run(fleet, "absent")
-        vectorize.PROCESS_STORE.clear()
+        vectorize.clear()
         session = (
             api.replay_cluster(fleet).on("A100").iterations(2)
             .with_telemetry(Tracer())

@@ -18,9 +18,9 @@ DDP-RM) so the equivalence holds across program structures — repeated op
 groups, embedding lookups, and scalar-forever comms ops alike.  The
 fleet-shared programs get their own pins: an 8-rank co-replay, ranks in
 other program environments, and a program that diverges across ranks.
-So does the process's store of settled programs: warm co-replays and
-single-rank replays, an operator override after warming, a power sweep
-and concurrent co-replays.
+So does the process's one program table: warm co-replays and
+single-rank replays, candidates settled or contradicted by a later replay,
+an operator override after warming, a power sweep and concurrent replays.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ def assert_equivalent(trace, profiler_trace=None, iterations=2, warmup=1, profil
         return api.replay(trace, profiler_trace=profiler_trace, config=config).run()
 
     scalar = run(False)
-    # A cold store: the vectorized run captures and verifies every program
+    # A cold table: the vectorized run captures and verifies every program
     # itself, as a replay of content the process has not seen does.
-    vectorize.PROCESS_STORE.clear()
+    vectorize.clear()
     fast = run(True)
     assert _observables(fast) == _observables(scalar)
     return scalar, fast
@@ -235,7 +235,7 @@ class TestEquivalenceProperties:
 # Fleet-shared programs
 # ----------------------------------------------------------------------
 class _ExecutorStats(ReplayHook):
-    """Records one rank's executor counters and the co-replay's program
+    """Records one rank's executor counters and the process's program
     table for its environment when its execute stage ends (a
     ``profile_hook_factory`` hook with no report)."""
 
@@ -246,10 +246,7 @@ class _ExecutorStats(ReplayHook):
     def on_stage_end(self, context, stage):
         executor = context.extras.get(vectorize.EXTRAS_KEY)
         if stage.name == "execute" and executor is not None:
-            self.sink[self.rank] = (
-                dict(executor.stats),
-                context.programs[vectorize.program_environment(context.runtime)],
-            )
+            self.sink[self.rank] = (dict(executor.stats), executor._programs)
 
     def report(self, **_):
         return None
@@ -258,10 +255,10 @@ class _ExecutorStats(ReplayHook):
 def _replay_fleet(fleet, vectorized=True, overrides=None, cold=False):
     """Co-replay at ``iterations=1, warmup=0``; returns the report's
     canonical JSON and ``rank -> (executor stats, program table)``.
-    ``cold`` first clears the process's store of settled programs, so the
-    co-replay learns every program itself."""
+    ``cold`` first clears the process's program table, so the co-replay
+    learns every program itself."""
     if cold:
-        vectorize.PROCESS_STORE.clear()
+        vectorize.clear()
     sink = {}
     replayer = ClusterReplayer(
         ReplayConfig(
@@ -279,7 +276,7 @@ def _total(stats, key, ranks=None):
 
 class TestFleetSharedPrograms:
     """One co-replay shares one program table per environment: on a cold
-    process store each signature is captured and verified once for the
+    table each signature is captured and verified once for the
     whole fleet, and the report stays byte-identical to the scalar loop —
     also for ranks in another program environment and for ops whose effect
     may depend on the rank."""
@@ -403,7 +400,7 @@ class TestFleetSharedPrograms:
 
     def test_override_after_warming_the_store_still_equals_scalar(self):
         """Overriding ``aten::addmm`` in place moves the registry to a new
-        generation, so a warm store's verified ``aten::linear`` programs
+        generation, so a warm table's verified ``aten::linear`` programs
         are not served: the fleet learns them again, and they die."""
         fleet = synthesize_fleet(8)
         _replay_fleet(fleet, cold=True)
@@ -418,15 +415,41 @@ class TestFleetSharedPrograms:
 
 
 # ----------------------------------------------------------------------
-# The process store of settled programs
+# The process's program table
 # ----------------------------------------------------------------------
 def _comms(trace):
     return sum(1 for entry in trace.operators() if entry.name.startswith("c10d::"))
 
 
+#: Extra CPU time the user op in ``test_a_contradicted_candidate_dies``
+#: reads at call time.
+_LOSS_EXTRA_US = 0.0
+
+
+def _single_replay(trace, profiler_trace=None, vectorized=True, iterations=1, warmup=0):
+    """One profiled single-rank replay; returns its observables and its
+    executor's counters (``None`` for the scalar loop)."""
+    sink = []
+
+    class Stats(ReplayHook):
+        def on_stage_end(self, context, stage):
+            executor = context.extras.get(vectorize.EXTRAS_KEY)
+            if stage.name == "execute" and executor is not None:
+                sink.append(dict(executor.stats))
+
+    result = (
+        api.replay(trace, profiler_trace=profiler_trace)
+        .configure(vectorized=vectorized, profile=True)
+        .iterations(iterations, warmup=warmup)
+        .hook(Stats())
+        .run()
+    )
+    return _observables(result), (sink[0] if sink else None)
+
+
 class TestProcessStore:
     """Every replay starts from the programs earlier replays in the process
-    settled: a warm replay captures nothing and replays every compute op on
+    captured: a warm replay captures nothing and replays every compute op on
     the fast path, and its report stays byte-identical to the cold one and
     to the scalar loop."""
 
@@ -448,38 +471,85 @@ class TestProcessStore:
             lambda rank, world_size: make_small_rm(rank, world_size), world_size=2
         )
         capture = runner.run_rank(0)
+        trace, profiler_trace = capture.execution_trace, capture.profiler_trace
 
-        def run(vectorized=True):
-            sink = []
-
-            class Stats(ReplayHook):
-                def on_stage_end(self, context, stage):
-                    executor = context.extras.get(vectorize.EXTRAS_KEY)
-                    if stage.name == "execute" and executor is not None:
-                        sink.append(dict(executor.stats))
-
-            result = (
-                api.replay(capture.execution_trace, profiler_trace=capture.profiler_trace)
-                .configure(vectorized=vectorized, profile=True)
-                .iterations(2, warmup=1)
-                .hook(Stats())
-                .run()
-            )
-            return _observables(result), sink
-
-        vectorize.PROCESS_STORE.clear()
-        first, (cold,) = run()
+        vectorize.clear()
+        first, cold = _single_replay(trace, profiler_trace, iterations=2, warmup=1)
         assert cold["programs_captured"] > 0
-        scalar, _ = run(vectorized=False)
-        comms = _comms(capture.execution_trace) * 3
+        scalar, _ = _single_replay(trace, profiler_trace, False, iterations=2, warmup=1)
+        comms = _comms(trace) * 3
         for _ in range(2):
-            warm, (stats,) = run()
+            warm, stats = _single_replay(trace, profiler_trace, iterations=2, warmup=1)
             assert stats["programs_captured"] == stats["programs_verified"] == 0
             assert stats["scalar_ops"] == comms > 0
             assert warm == first == scalar
 
+    @pytest.mark.parametrize("workload", ["small_param_linear", "small_rm"])
+    def test_one_iteration_replays_settle_across_replays(self, workload, request):
+        """At ``iterations=1`` (the default) a signature that occurs once
+        per replay is captured by the first replay and verified by the
+        second, so the third runs every compute op on the fast path."""
+        capture = api.capture(request.getfixturevalue(workload))
+        trace, profiler_trace = capture.execution_trace, capture.profiler_trace
+        scalar, _ = _single_replay(trace, profiler_trace, vectorized=False)
+        vectorize.clear()
+        reports, stats = zip(*(_single_replay(trace, profiler_trace) for _ in range(3)))
+        assert stats[0]["programs_captured"] > 0
+        assert stats[1]["programs_captured"] == 0 < stats[1]["programs_verified"]
+        assert stats[2]["programs_captured"] == stats[2]["programs_verified"] == 0
+        assert stats[2]["scalar_ops"] == _comms(trace)
+        assert stats[2]["fast_ops"] > 0
+        assert list(reports) == [scalar] * 3
+
+    def test_a_contradicted_candidate_dies(self, small_linear_capture, monkeypatch):
+        """A user op whose cost reads a module-level value: the first
+        replay captures its candidate, the value changes, and the next
+        replay's capture contradicts the candidate, which dies there — that
+        replay still equals the scalar loop, and so does every later one."""
+        name = "aten::mse_loss"
+        original = global_registry.get(name)
+
+        def slower_loss(ctx, *args, **kwargs):
+            result = original.fn(ctx, *args, **kwargs)
+            ctx.runtime.advance_cpu(_LOSS_EXTRA_US)
+            return result
+
+        trace = small_linear_capture.execution_trace
+        profiler_trace = small_linear_capture.profiler_trace
+        global_registry.register(
+            OperatorDef(
+                name=name,
+                schema_str=original.schema_str,
+                category=original.category,
+                fn=slower_loss,
+                library=original.library,
+            ),
+            overwrite=True,
+        )
+        try:
+            vectorize.clear()
+            first, cold = _single_replay(trace, profiler_trace)
+            assert first == _single_replay(trace, profiler_trace, vectorized=False)[0]
+            assert cold["programs_dead"] == 0
+            monkeypatch.setattr(sys.modules[__name__], "_LOSS_EXTRA_US", 5.0)
+            scalar, _ = _single_replay(trace, profiler_trace, vectorized=False)
+            assert scalar != first
+            for expected_dead in (1, 0):
+                report, stats = _single_replay(trace, profiler_trace)
+                assert stats["programs_dead"] == expected_dead
+                assert report == scalar
+            environment = vectorize.program_environment(Runtime())
+            dead = [
+                program
+                for program in vectorize.partition(environment).values()
+                if program.op_name == name
+            ]
+            assert [program.state for program in dead] == [vectorize._DEAD]
+        finally:
+            global_registry.register(original, overwrite=True)
+
     def test_warm_resume_equals_uninterrupted(self, small_linear_capture, monkeypatch):
-        """A replay paused and resumed in the process that already settled
+        """A replay paused and resumed in the process that already learned
         its programs (as a daemon resumes a job) captures nothing and still
         ends byte-identical to the uninterrupted replay."""
         trace = small_linear_capture.execution_trace
@@ -511,18 +581,51 @@ class TestProcessStore:
             vectorize.program_environment(Runtime(power_limit_w=cap)) for cap in caps
         }
         assert len(environments) == len(caps) > vectorize.MAX_ENVIRONMENTS
-        vectorize.PROCESS_STORE.clear()
+        vectorize.clear()
         for cap in caps:
             api.replay(small_linear_capture.execution_trace).configure(
                 power_limit_w=cap
             ).iterations(2).run()
-            assert len(vectorize.PROCESS_STORE) <= vectorize.MAX_ENVIRONMENTS
-        assert len(vectorize.PROCESS_STORE) == vectorize.MAX_ENVIRONMENTS
+            assert len(vectorize._partitions) <= vectorize.MAX_ENVIRONMENTS
+        assert len(vectorize._partitions) == vectorize.MAX_ENVIRONMENTS
+
+    def test_concurrent_single_replays_on_a_cold_table_equal_scalar(self, small_rm):
+        """Two threads replay one ``iterations=1`` trace at once: each may
+        verify, kill or use the other's candidates mid-replay, and both
+        reports equal the scalar loop's."""
+        capture = api.capture(small_rm)
+        trace, profiler_trace = capture.execution_trace, capture.profiler_trace
+        scalar, _ = _single_replay(trace, profiler_trace, vectorized=False)
+        threads = 2
+        barrier = threading.Barrier(threads)
+        reports, errors = [], []
+
+        def replay():
+            try:
+                barrier.wait(timeout=60)
+                reports.append(_single_replay(trace, profiler_trace)[0])
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        vectorize.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=replay) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert reports == [scalar] * threads
 
     def test_concurrent_co_replays_on_a_cold_store_equal_serial(self):
         """Co-replays of one fleet on several threads at once, as a
-        daemon's workers run them: each learns into its own table and
-        publishes what settles, and every report equals the serial ones."""
+        daemon's workers run them: all learn into the one table, and every
+        report equals the serial ones."""
         fleet = synthesize_fleet(8)
         scalar = _replay_fleet(fleet, vectorized=False)[0]
         serial = _replay_fleet(fleet, cold=True)[0]
@@ -538,7 +641,7 @@ class TestProcessStore:
             except Exception as error:  # reported by the assertion below
                 errors.append(error)
 
-        vectorize.PROCESS_STORE.clear()
+        vectorize.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -552,6 +655,6 @@ class TestProcessStore:
         assert not any(worker.is_alive() for worker in workers)
         assert errors == []
         assert reports == [serial] * threads
-        # What the threads settled serves the next co-replay.
+        # What the threads learned serves the next co-replay.
         report, stats = _replay_fleet(fleet)
         assert report == serial and _total(stats, "programs_captured") == 0
