@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Sixteen rules, one pass:
+Fifteen rules, one pass:
 
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
   — batch work flows through the facade (``repro.api.sweep``) or the
@@ -32,12 +32,15 @@ Sixteen rules, one pass:
   ``core/vectorize.py``, and ``RankBlocked`` is caught only by the retry
   helper in ``torchsim/distributed.py``; anything else is a second copy of
   the loop or of its collective retry.
-* Compute operators do not depend on the rank.  Inside
-  ``src/repro/torchsim/ops/`` and ``torchsim/nn.py``, ``.rank`` is read
-  only in ``ops/comms.py``: the comms ops are never vectorized, and every
-  other op's captured program is shared by all ranks of a co-replay and
-  by later replays (the program table of ``repro.core.vectorize``), which
-  is sound only while its effect cannot differ from rank to rank.
+* Compute operators depend on neither the rank nor the clock.  Inside
+  ``src/repro/torchsim/ops/`` and ``torchsim/nn.py``, only ``ops/comms.py``
+  reads ``.rank``, names ``cost_model``, ``clock_scale`` or
+  ``power_model``, or passes ``duration_us=``: the comms ops are never
+  vectorized, and every other op's captured program is shared by all
+  ranks of a co-replay, by later replays and by every power cap (the
+  program table of ``repro.core.vectorize``, which prices a program's
+  kernels per clock), which is sound only while its effect cannot differ
+  from rank to rank and its kernels cost what the cost model prices.
 * Traces are decoded at one boundary.  Inside ``src/repro/``,
   ``decode_tensor_ref(`` is called only from ``et/schema.py``: every
   ``ETNode`` decodes its tensor refs once, and everything else reads them
@@ -262,13 +265,17 @@ RULES = (
     ),
     Rule(
         name="rank-dependent-op",
-        pattern=re.compile(r"\.rank\b"),
+        pattern=re.compile(
+            r"\.rank\b|\b(?:cost_model|clock_scale|power_model)\b|\bduration_us\s*="
+        ),
         roots=("src/repro/torchsim/ops", "src/repro/torchsim/nn.py"),
         exempt=("src/repro/torchsim/ops/comms.py",),
         message=(
-            "operator reads the rank outside ops/comms.py (vectorized programs "
-            "are shared across the ranks of a co-replay, so a compute op's "
-            "effect must not depend on its rank)"
+            "operator reads the rank or the clock, or sets a kernel's duration, "
+            "outside ops/comms.py (vectorized programs are shared across the "
+            "ranks of a co-replay and across power caps, so a compute op's "
+            "effect must not depend on its rank and its kernels must cost what "
+            "the cost model prices)"
         ),
     ),
     Rule(

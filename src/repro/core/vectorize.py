@@ -14,46 +14,57 @@ the runtime as an :class:`OpProgram`:
 
 * how far it advances the issuing CPU thread's clock,
 * how many execution-trace node IDs it consumes,
-* the kernels it launches (descriptor, launch-time offset, stream,
-  duration) and the profiler events it records.
+* the kernels it launches (descriptor, launch-time offset, stream) and the
+  profiler events it records.
+
+A program stores no kernel durations.  Capture checks that each kernel
+lasted exactly the cost model's price for its descriptor at the capture
+clock (:meth:`~repro.hardware.costmodel.KernelCostModel.duration_us`; a
+program with any other duration dies), and a replay at any clock prices
+the program's kernels once per clock through that same function
+(:func:`_priced`).  So one program serves every power cap of a sweep:
+capture the workload graph once, price it per system configuration.
 
 The second occurrence is replayed scalar again and compared field-for-field
-against the stored program; only on an exact match is the program
-*verified*, keeping the kernel durations the cost model priced at capture.
-From then on the signature replays through
+against the stored program, durations aside; only on an exact match is the
+program *verified*.  From then on the signature replays through
 :meth:`VectorizedExecutor._fast_replay`, which reproduces the captured
 effect — same node IDs, same correlation IDs, same launch timestamps, same
-profiler events — without touching the operator registry or the per-op
-cost model at all.  Anything that fails capture or verification
-(value-dependent ops, comms, clock-reading internals) is bound to the
-scalar path forever, so correctness never depends on the fast path
+profiler events — without touching the operator registry, and reads its
+kernel durations from the binding.  Anything that fails capture or
+verification (value-dependent ops, comms, clock-reading internals) is bound
+to the scalar path forever, so correctness never depends on the fast path
 applying.
 
 The process keeps one program table per *program environment*
-(:func:`program_environment`: device spec, cost-model clock, mode and
-efficiency tables, operator registry and its generation — never the rank),
-module state behind :func:`partition`, :func:`publish`, :func:`settle` and
-:func:`clear`.  A capture is published at once as an unverified
-*candidate*, and the next occurrence of its signature — later in the same
-replay, on another rank of a co-replay, or in any later replay of the
-environment, on any thread — verifies it.  So a replay whose content and
-environment were seen before captures nothing, and a signature that occurs
-once per replay settles on the second replay.
+(:func:`program_environment`: device spec, cost-model mode and efficiency
+tables, operator registry and its generation — never the rank or the
+clock), module state behind :func:`partition`, :func:`publish`,
+:func:`settle` and :func:`clear`.  A capture is published at once as an
+unverified *candidate*, and the next occurrence of its signature — later in
+the same replay, on another rank of a co-replay, or in any later replay of
+the environment at any clock, on any thread — verifies it.  So a replay
+whose content and environment were seen before captures nothing, and a
+signature that occurs once per replay settles on the second replay.
 
 A program is keyed on content (IR text, stream, tensor shape, dtype and
 payload digest), so a program verified once stays valid for every later
 replay of its environment.  Verification does not prove a program
-rank-independent — its second occurrence is often on the capturing rank —
-so sharing rests on which operators a program dispatches:
+rank- or clock-independent — its second occurrence is often on the
+capturing rank and at the capturing clock — so sharing rests on which
+operators a program dispatches:
 
-* Built-in operators (implemented in ``repro.torchsim.ops``) do not read
-  the rank; only the comms operators do, and they are never vectorized.
-  ``scripts/check_deprecated_usage.py`` pins that with its
-  ``rank-dependent-op`` rule.  Their programs are shared by every rank.
+* Built-in operators (implemented in ``repro.torchsim.ops``) read neither
+  the rank nor the clock, and launch every kernel at the cost model's
+  price; only the comms operators do otherwise, and they are never
+  vectorized.  ``scripts/check_deprecated_usage.py`` pins that with its
+  ``rank-dependent-op`` rule.  Their programs are shared by every rank and
+  every clock.
 * Any other implementation — a user op from
   ``ReplaySupport.register_custom_op`` or an overridden built-in — may read
-  ``ctx.runtime.rank``.  A top-level one gets the rank in its signature, so
-  each rank captures and verifies its own program; a built-in that
+  ``ctx.runtime.rank`` or the clock (``ctx.runtime.cost_model``).  A
+  top-level one gets the rank and the clock scale in its signature, so each
+  rank captures and verifies its own program at each clock; a built-in that
   dispatches one is bound to the scalar path.
 
 The node *bindings* (node id → verified program, or scalar-forever) are
@@ -89,13 +100,13 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.torchsim.distributed import Work, retry_collective
-from repro.torchsim.kernel import KernelDesc, KernelLaunch, OpCategory
+from repro.torchsim.kernel import KernelLaunch
 from repro.torchsim.profiler import Profiler, TraceEvent
 from repro.torchsim.runtime import Runtime
 from repro.torchsim.tensor import Tensor
@@ -117,9 +128,11 @@ _VERIFIED = "verified"
 _DEAD = "dead"
 
 #: Most program environments the process retains; the least recently
-#: replayed one is forgotten beyond it.  A daemon sweep gives each fresh
-#: power cap its own cost-model clock, so without a bound every point it
-#: ever served would stay resident.
+#: replayed one is forgotten beyond it.  The clock is not part of an
+#: environment, so a power sweep stays in one; a process that replays on
+#: many devices, cost-model modes or operator registries (each
+#: ``OperatorRegistry`` object, and each in-place override, is its own)
+#: would otherwise keep every one it ever served resident.
 MAX_ENVIRONMENTS = 8
 #: Most programs one environment retains, candidates included; the earliest
 #: published is forgotten beyond it.  A safety bound for one environment
@@ -128,6 +141,10 @@ MAX_ENVIRONMENTS = 8
 #: memory freed by :func:`clear`: PARAM-linear, RM, DDP-RM and the 8-rank
 #: fleet), so a full table stays near 8 x 256 x 3.3 KiB = 6.6 MiB.
 MAX_PROGRAMS = 256
+#: Most clocks one program keeps its kernels priced at; the earliest priced
+#: is forgotten beyond it.  A daemon sweep may send every job at a fresh
+#: power cap, and each costs only its one pricing per program.
+MAX_CLOCKS = 8
 
 
 class _DataFingerprintCache:
@@ -154,37 +171,6 @@ class _DataFingerprintCache:
 
 
 @dataclass
-class _KernelTemplate:
-    """One captured kernel launch.
-
-    ``ts_index`` points into the operator's reconstructed clock-value trace
-    (see :class:`OpProgram`): the kernel's CPU-side launch timestamp is the
-    clock value at that index, which reproduces the scalar path's exact
-    floating-point value (a ``start + offset`` shortcut would not — IEEE
-    addition is not associative).
-    """
-
-    desc: KernelDesc
-    ts_index: int
-    duration: float
-    stream_id: int
-    node_offset: int
-    op_name: str
-    category: OpCategory
-
-    def as_tuple(self) -> tuple:
-        return (
-            self.desc,
-            self.ts_index,
-            self.duration,
-            self.stream_id,
-            self.node_offset,
-            self.op_name,
-            self.category,
-        )
-
-
-@dataclass
 class OpProgram:
     """The captured runtime effect of one operator signature.
 
@@ -197,14 +183,22 @@ class OpProgram:
     stored as indices into that trace, never as offsets — floating-point
     addition is not associative, so offsets would drift in the last bits.
 
+    ``kernels`` holds one ``(desc, ts_index, stream_id, node_offset,
+    op_name, category)`` tuple per launch, in launch order: ``ts_index``
+    points into the clock-value trace (the launch's CPU-side timestamp).
+    No duration: ``priced`` maps a clock scale to the same kernels with the
+    cost model's duration at that clock inserted after ``ts_index`` — the
+    launch tuples the fast path reads (:func:`_priced`).
+
     ``events`` stores the profiler events the scalar path would record, in
     recording order: ``("k", kernel_index)`` entries reference a kernel
-    template (replayed with live timestamps/correlations), ``("c", name,
-    cat, ts_index, end_index, tid, node_offset)`` entries are CPU-side
-    spans whose start/end are clock-trace values.
+    (replayed with live timestamps/correlations), ``("c", name, cat,
+    ts_index, end_index, tid, node_offset)`` entries are CPU-side spans
+    whose start/end are clock-trace values.
 
     Once published (:func:`publish`), a program is shared by every replay
-    of its environment and only its ``state`` changes, once (:func:`settle`).
+    of its environment: its ``state`` changes once (:func:`settle`), and
+    ``priced`` gains a clock at most once per clock.
     """
 
     signature: Any
@@ -212,50 +206,51 @@ class OpProgram:
     thread: str
     node_count: int
     increments: List[float]
-    kernels: List[_KernelTemplate]
+    kernels: List[tuple]
     events: List[tuple]
     outputs: Any
     state: str = _UNVERIFIED
+    priced: Dict[float, Tuple[tuple, ...]] = field(default_factory=dict)
 
     def matches(self, other: "OpProgram") -> bool:
-        """Field-for-field equality of two captures of the same signature."""
+        """Field-for-field equality of two captures of the same signature,
+        at any two clocks (neither stores a duration)."""
         return (
             self.node_count == other.node_count
             and self.increments == other.increments
             and self.thread == other.thread
-            and len(self.kernels) == len(other.kernels)
-            and all(
-                a.as_tuple() == b.as_tuple() for a, b in zip(self.kernels, other.kernels)
-            )
+            and self.kernels == other.kernels
             and self.events == other.events
         )
 
 
 class _FastBinding:
     """A node bound to a verified program, plus its precomputed output
-    registrations — everything the hot loop needs without re-decoding."""
+    registrations and its kernels priced at the replay's clock — everything
+    the hot loop needs without re-decoding."""
 
-    __slots__ = ("program", "pairs")
+    __slots__ = ("program", "pairs", "kernels")
 
-    def __init__(self, program: OpProgram, pairs: List[tuple]) -> None:
+    def __init__(self, program: OpProgram, pairs: List[tuple], kernels: tuple) -> None:
         self.program = program
         self.pairs = pairs
+        self.kernels = kernels
 
 
 def program_environment(runtime: Runtime) -> tuple:
     """Everything besides its signature that a compute operator's captured
     effect depends on: the device (dispatch and launch overheads, SM
-    count), the kernel cost model (clock, mode, efficiency tables) and the
+    count), the kernel cost model (mode, efficiency tables) and the
     operator registry that dispatches it, with its generation — a registry
     overridden in place (``register(..., overwrite=True)``) is a new
-    environment.  The rank is deliberately not part of it — see the module
-    docstring."""
+    environment.  The rank and the clock are deliberately not part of it:
+    a program prices its kernels per clock (:func:`_priced`) — see the
+    module docstring."""
     cost = runtime.cost_model
     registry = runtime.registry
     return (
         runtime.spec,
         cost.spec,
-        cost.clock_scale,
         cost.mode,
         frozenset(cost.compute_efficiency.items()),
         frozenset(cost.memory_efficiency.items()),
@@ -364,6 +359,31 @@ def clear() -> None:
         _partitions.clear()
 
 
+def _priced(program: OpProgram, cost) -> Tuple[tuple, ...]:
+    """``program``'s kernels as ``(desc, ts_index, duration, stream_id,
+    node_offset, op_name, category)`` launch tuples, each duration priced
+    by ``cost`` (a :class:`~repro.hardware.costmodel.KernelCostModel`).
+
+    The environment fixes every field of the cost model but its clock, so
+    the result is cached on the program per clock scale — at most
+    :data:`MAX_CLOCKS` of them, earliest priced evicted — and a program is
+    priced once per clock, not on every bind or fast replay.  Concurrent
+    pricings of one clock compute equal tuples, so either may stay.
+    """
+    clock = cost.clock_scale
+    kernels = program.priced.get(clock)
+    if kernels is None:
+        kernels = tuple(
+            (desc, ts_index, cost.duration_us(desc), stream_id, node_offset, op_name, category)
+            for desc, ts_index, stream_id, node_offset, op_name, category in program.kernels
+        )
+        with _lock:
+            if clock not in program.priced and len(program.priced) >= MAX_CLOCKS:
+                del program.priced[next(iter(program.priced))]
+            program.priced[clock] = kernels
+    return kernels
+
+
 class VectorizedExecutor:
     """One replay's state of the vectorized execute loop.
 
@@ -391,6 +411,8 @@ class VectorizedExecutor:
             "programs_captured": 0,
             "programs_verified": 0,
             "programs_dead": 0,
+            # Nodes bound to a program the table already held verified.
+            "programs_reused": 0,
         }
 
     # ------------------------------------------------------------------
@@ -428,7 +450,7 @@ class VectorizedExecutor:
 
             # Hot path: node bound to a verified program.
             if binding.__class__ is _FastBinding:
-                result = self._fast_replay(runtime, binding.program)
+                result = self._fast_replay(runtime, binding)
                 tensor_manager.register_pairs(binding.pairs)
                 replayed += 1
                 fast_ops += 1
@@ -495,14 +517,16 @@ class VectorizedExecutor:
             return reconstructed.function(runtime, *tensors, stream=stream)
         rank_blind = _rank_blind(runtime.registry, reconstructed.op_name)
         if not rank_blind:
-            # Its effect may depend on the rank: learn it for this rank only.
-            signature = (signature, runtime.rank)
+            # Its effect may depend on the rank or the clock: learn it for
+            # this rank at this clock only.
+            signature = (signature, runtime.rank, runtime.cost_model.clock_scale)
 
         program = self._programs.get(signature)
         if program is not None and program.state == _VERIFIED:
-            self._bind_fast(tensor_manager, node, program)
+            binding = self._bind_fast(runtime, tensor_manager, node, program)
             self.stats["fast_ops"] += 1
-            return self._fast_replay(runtime, program)
+            self.stats["programs_reused"] += 1
+            return self._fast_replay(runtime, binding)
         if program is not None and program.state == _DEAD:
             self._bindings[node_id] = None
             self.stats["scalar_ops"] += 1
@@ -553,16 +577,22 @@ class VectorizedExecutor:
         if settle(program, _VERIFIED if matched else _DEAD):
             self.stats["programs_verified" if matched else "programs_dead"] += 1
         if matched and program.state == _VERIFIED:
-            self._bind_fast(tensor_manager, node, program)
+            self._bind_fast(runtime, tensor_manager, node, program)
         else:
             self._bindings[node_id] = None
         return result
 
-    def _bind_fast(self, tensor_manager, node, program: OpProgram) -> None:
-        """Bind a node to a verified program for all later iterations."""
-        self._bindings[node.id] = _FastBinding(
-            program, tensor_manager.output_pairs(node, program.outputs)
+    def _bind_fast(
+        self, runtime: Runtime, tensor_manager, node, program: OpProgram
+    ) -> _FastBinding:
+        """Bind a node to a verified program, priced at the replay's clock,
+        for all later iterations."""
+        binding = self._bindings[node.id] = _FastBinding(
+            program,
+            tensor_manager.output_pairs(node, program.outputs),
+            _priced(program, runtime.cost_model),
         )
+        return binding
 
     def _capture(
         self,
@@ -576,7 +606,8 @@ class VectorizedExecutor:
         """Run one scalar occurrence, recording its effect on the runtime.
 
         Returns ``(program, result)``; ``program`` is ``None`` when the
-        operator's effect cannot be replayed from a template, or when a
+        operator's effect cannot be replayed from a template, when a kernel
+        did not last the cost model's price at the capture clock, or when a
         ``rank_blind`` (shared by every rank) operator dispatched one that
         may read the rank.  The operator's side effects (clock, kernels,
         profiler events) are real — capture observes, it never replays.
@@ -654,20 +685,21 @@ class VectorizedExecutor:
         ):
             return None, result
 
-        kernels: List[_KernelTemplate] = []
+        # A program stores no durations, so each must be the one the cost
+        # model prices, as it will at every clock the program replays at.
+        kernels: List[tuple] = []
         for launch in launches:
             ts_index = _value_index(values, launch.launch_ts)
-            if ts_index < 0:
+            if ts_index < 0 or launch.duration != runtime.cost_model.duration_us(launch.desc):
                 return None, result
             kernels.append(
-                _KernelTemplate(
-                    desc=launch.desc,
-                    ts_index=ts_index,
-                    duration=launch.duration,
-                    stream_id=launch.stream_id,
-                    node_offset=launch.op_node_id - node_base,
-                    op_name=launch.op_name,
-                    category=launch.category,
+                (
+                    launch.desc,
+                    ts_index,
+                    launch.stream_id,
+                    launch.op_node_id - node_base,
+                    launch.op_name,
+                    launch.category,
                 )
             )
 
@@ -755,8 +787,9 @@ class VectorizedExecutor:
     # ------------------------------------------------------------------
     # The fast path
     # ------------------------------------------------------------------
-    def _fast_replay(self, runtime: Runtime, program: OpProgram) -> Any:
+    def _fast_replay(self, runtime: Runtime, binding: _FastBinding) -> Any:
         """Reproduce a verified program's effect without dispatching it."""
+        program = binding.program
         thread = runtime.current_thread
         start = runtime.now(thread)
         # Regenerate the clock-value trace with the captured increments —
@@ -771,15 +804,15 @@ class VectorizedExecutor:
         gpu = runtime.gpu
         rank = runtime.rank
         launches: List[KernelLaunch] = []
-        for template in program.kernels:
+        for desc, ts_index, duration, stream_id, node_offset, op_name, category in binding.kernels:
             launch = KernelLaunch(
-                desc=template.desc,
-                stream_id=template.stream_id,
-                launch_ts=values[template.ts_index],
-                duration=template.duration,
-                op_node_id=node_base + template.node_offset,
-                op_name=template.op_name,
-                category=template.category,
+                desc=desc,
+                stream_id=stream_id,
+                launch_ts=values[ts_index],
+                duration=duration,
+                op_node_id=node_base + node_offset,
+                op_name=op_name,
+                category=category,
                 device_index=rank,
                 correlation_id=runtime.take_correlation_id(),
             )

@@ -726,9 +726,10 @@ class TestProgramStore:
     def test_environment_excludes_the_rank(self):
         base = program_environment(Runtime(device="A100", rank=0))
         assert program_environment(Runtime(device="A100", rank=5)) == base
+        # Nor the clock: a power-capped runtime prices the same programs.
+        assert program_environment(Runtime(device="A100", power_limit_w=250.0)) == base
         for other in (
             Runtime(device="V100"),
-            Runtime(device="A100", power_limit_w=250.0),
             Runtime(device="A100", cost_model_mode="flops"),
             Runtime(device="A100", registry=OperatorRegistry()),
         ):
@@ -807,6 +808,23 @@ class TestProgramStore:
         assert vectorize.settle(candidate, vectorize._VERIFIED)
         assert not vectorize.settle(candidate, vectorize._DEAD)
         assert candidate.state == vectorize._VERIFIED
+
+    def test_a_program_keeps_its_kernels_priced_at_a_bounded_number_of_clocks(self):
+        from repro.torchsim.kernel import KernelDesc, KernelKind, OpCategory
+
+        desc = KernelDesc(name="gemm", kind=KernelKind.GEMM, flops=1e9, bytes_read=1e6)
+        program = self._program("gemm", vectorize._VERIFIED)
+        program.kernels = [(desc, 1, 7, 0, "aten::mm", OpCategory.ATEN)]
+        runtimes = [Runtime(power_limit_w=100.0 + 10.0 * step) for step in range(12)]
+        for runtime in runtimes:
+            cost = runtime.cost_model
+            priced = vectorize._priced(program, cost)
+            assert priced == ((desc, 1, cost.duration_us(desc), 7, 0, "aten::mm", OpCategory.ATEN),)
+            # Priced once per clock: a second bind reads the same tuple.
+            assert vectorize._priced(program, cost) is priced
+        assert list(program.priced) == [
+            runtime.cost_model.clock_scale for runtime in runtimes[-vectorize.MAX_CLOCKS:]
+        ]
 
 
 # ----------------------------------------------------------------------

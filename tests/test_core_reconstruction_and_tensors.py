@@ -405,9 +405,10 @@ class TestExecuteLoopForkRule:
 
 
 class TestRankDependentOpRule:
-    """``scripts/check_deprecated_usage.py`` keeps rank reads out of every
-    operator but the (never vectorized) comms ops, which is what makes
-    sharing captured programs across a co-replay's ranks sound."""
+    """``scripts/check_deprecated_usage.py`` keeps rank and clock reads and
+    explicit kernel durations out of every operator but the (never
+    vectorized) comms ops, which is what makes sharing captured programs
+    across a co-replay's ranks and across power caps sound."""
 
     _find_offenders = staticmethod(TestReconstructionCacheBypassRule._find_offenders)
     _write = staticmethod(TestReconstructionCacheBypassRule._write)
@@ -426,10 +427,30 @@ class TestRankDependentOpRule:
         offenders = self._find_offenders(tmp_path)
         assert len(offenders["rank-dependent-op"]) == 2
 
+    def test_flags_clock_reads_and_explicit_durations(self, tmp_path):
+        self._write(
+            tmp_path,
+            "src/repro/torchsim/ops/aten.py",
+            "t = ctx.runtime.cost_model.duration_us(desc)\n"
+            "slow = ctx.runtime.power_model.power_limit_w\n"
+            "ctx.launch(desc, duration_us=3.0)\n",
+        )
+        self._write(tmp_path, "src/repro/torchsim/nn.py", "scale = runtime.clock_scale\n")
+        offenders = self._find_offenders(tmp_path)
+        assert len(offenders["rank-dependent-op"]) == 4
+
     def test_comms_ops_and_other_modules_pass(self, tmp_path):
-        self._write(tmp_path, "src/repro/torchsim/ops/comms.py", "rank = dist.rank\n")
+        self._write(
+            tmp_path,
+            "src/repro/torchsim/ops/comms.py",
+            "rank = dist.rank\nctx.launch(desc, duration_us=duration)\n",
+        )
         self._write(tmp_path, "src/repro/torchsim/ops/aten.py", "group = pg.ranks\n")
-        self._write(tmp_path, "src/repro/torchsim/runtime.py", "pid = self.rank\n")
+        self._write(
+            tmp_path,
+            "src/repro/torchsim/runtime.py",
+            "pid = self.rank\nt = self.cost_model.duration_us(desc)\n",
+        )
         assert "rank-dependent-op" not in self._find_offenders(tmp_path)
 
 

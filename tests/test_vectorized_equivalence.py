@@ -37,9 +37,15 @@ import repro.api as api
 from repro.bench.throughput import synthesize_fleet
 from repro.cluster import ClusterReplayer
 from repro.core import vectorize
-from repro.core.pipeline import ReplayHook, ReplayPaused, run_replay
+from repro.core.pipeline import (
+    ReplayContext,
+    ReplayHook,
+    ReplayPaused,
+    ReplayPipeline,
+    run_replay,
+)
 from repro.core.replayer import ReplayConfig
-from repro.torchsim.ops.registry import OperatorDef, global_registry
+from repro.torchsim.ops.registry import OperatorDef, OperatorRegistry, global_registry
 from repro.torchsim.runtime import Runtime
 from repro.workloads.ddp import DistributedRunner
 from repro.workloads.param_linear import ParamLinearConfig, ParamLinearWorkload
@@ -231,6 +237,27 @@ class TestEquivalenceProperties:
         assert_equivalent(capture.execution_trace, capture.profiler_trace)
 
 
+def _with_override(name, implementation, body):
+    """Run ``body()`` with ``name`` overridden by ``implementation(original,
+    ctx, *args, **kwargs)``, an op outside the built-in modules, as a user
+    op registered through ``ReplaySupport.register_custom_op`` would be."""
+    original = global_registry.get(name)
+    global_registry.register(
+        OperatorDef(
+            name=name,
+            schema_str=original.schema_str,
+            category=original.category,
+            fn=lambda ctx, *args, **kwargs: implementation(original, ctx, *args, **kwargs),
+            library=original.library,
+        ),
+        overwrite=True,
+    )
+    try:
+        return body()
+    finally:
+        global_registry.register(original, overwrite=True)
+
+
 # ----------------------------------------------------------------------
 # Fleet-shared programs
 # ----------------------------------------------------------------------
@@ -310,47 +337,38 @@ class TestFleetSharedPrograms:
         assert _total(stats, "fast_ops") >= 300
 
     def test_other_environments_learn_their_own_programs(self):
+        """A rank on another device learns into its own environment's
+        table.  A power-capped rank does not: the clock is not part of the
+        environment, so it shares the A100 table and prices the same
+        programs at its own clock."""
         fleet = synthesize_fleet(8)
         signatures = self._signatures(fleet)
         overrides = {3: {"device": "V100"}, 5: {"power_limit_w": 250.0}}
         fast, stats = _replay_fleet(fleet, overrides=overrides, cold=True)
         assert fast == _replay_fleet(fleet, vectorized=False, overrides=overrides)[0]
         tables = {rank: id(programs) for rank, (_, programs) in stats.items()}
-        assert len(set(tables.values())) == 3
-        # Each lone rank captures every program of its own environment.
+        assert len(set(tables.values())) == 2
+        assert tables[5] == tables[0] != tables[3]
+        # The lone V100 rank captures every program of its own environment;
+        # the capped rank and its uncapped peers learn each program once.
         assert stats[3][0]["programs_captured"] == signatures
-        assert stats[5][0]["programs_captured"] == signatures
-        shared = set(stats) - {3, 5}
+        shared = set(stats) - {3}
         assert _total(stats, "programs_captured", shared) == signatures
+        assert _total(stats, "programs_dead") == 0
+        assert stats[5][0]["fast_ops"] > 0
 
     @staticmethod
     def _with_straggler(name, fleet_replays):
-        """Run ``fleet_replays()`` with ``name`` overridden by an
-        implementation outside the built-in ops (as a user op registered
-        through ``ReplaySupport.register_custom_op`` would be) that models
-        a straggler: it adds CPU time on rank 3 only."""
-        original = global_registry.get(name)
+        """Run ``fleet_replays()`` with ``name`` overridden by a user op
+        that models a straggler: it adds CPU time on rank 3 only."""
 
-        def straggler(ctx, *args, **kwargs):
+        def straggler(original, ctx, *args, **kwargs):
             result = original.fn(ctx, *args, **kwargs)
             if ctx.runtime.rank == 3:
                 ctx.runtime.advance_cpu(7.0)
             return result
 
-        global_registry.register(
-            OperatorDef(
-                name=name,
-                schema_str=original.schema_str,
-                category=original.category,
-                fn=straggler,
-                library=original.library,
-            ),
-            overwrite=True,
-        )
-        try:
-            return fleet_replays()
-        finally:
-            global_registry.register(original, overwrite=True)
+        return _with_override(name, straggler, fleet_replays)
 
     def test_rank_skewed_top_level_op_is_learned_per_rank(self):
         """Each rank replays ``aten::relu_`` several times with one
@@ -426,7 +444,9 @@ def _comms(trace):
 _LOSS_EXTRA_US = 0.0
 
 
-def _single_replay(trace, profiler_trace=None, vectorized=True, iterations=1, warmup=0):
+def _single_replay(
+    trace, profiler_trace=None, vectorized=True, iterations=1, warmup=0, power_limit_w=None
+):
     """One profiled single-rank replay; returns its observables and its
     executor's counters (``None`` for the scalar loop)."""
     sink = []
@@ -439,7 +459,7 @@ def _single_replay(trace, profiler_trace=None, vectorized=True, iterations=1, wa
 
     result = (
         api.replay(trace, profiler_trace=profiler_trace)
-        .configure(vectorized=vectorized, profile=True)
+        .configure(vectorized=vectorized, profile=True, power_limit_w=power_limit_w)
         .iterations(iterations, warmup=warmup)
         .hook(Stats())
         .run()
@@ -576,16 +596,23 @@ class TestProcessStore:
     def test_power_sweep_retains_a_bounded_number_of_environments(
         self, small_linear_capture
     ):
-        caps = [200.0 + 10.0 * step for step in range(12)]
-        environments = {
-            vectorize.program_environment(Runtime(power_limit_w=cap)) for cap in caps
-        }
-        assert len(environments) == len(caps) > vectorize.MAX_ENVIRONMENTS
+        """A power sweep stays in one environment; replays through more
+        operator registries (each its own environment) than
+        :data:`~repro.core.vectorize.MAX_ENVIRONMENTS` keep that many."""
+        trace = small_linear_capture.execution_trace
+        for cap in [200.0 + 10.0 * step for step in range(12)]:
+            api.replay(trace).configure(power_limit_w=cap).iterations(2).run()
+        assert len(vectorize._partitions) == 1
         vectorize.clear()
-        for cap in caps:
-            api.replay(small_linear_capture.execution_trace).configure(
-                power_limit_w=cap
-            ).iterations(2).run()
+        for _ in range(vectorize.MAX_ENVIRONMENTS + 4):
+            registry = OperatorRegistry()
+            for op_def in global_registry:
+                registry.register(op_def)
+            context = ReplayContext(
+                trace=trace, config=ReplayConfig(iterations=2), runtime=Runtime(registry=registry)
+            )
+            ReplayPipeline.default().run(context)
+            assert context.extras[vectorize.EXTRAS_KEY].stats["fast_ops"] > 0
             assert len(vectorize._partitions) <= vectorize.MAX_ENVIRONMENTS
         assert len(vectorize._partitions) == vectorize.MAX_ENVIRONMENTS
 
@@ -658,3 +685,195 @@ class TestProcessStore:
         # What the threads learned serves the next co-replay.
         report, stats = _replay_fleet(fleet)
         assert report == serial and _total(stats, "programs_captured") == 0
+
+
+# ----------------------------------------------------------------------
+# Clock-free programs: one table for every power cap
+# ----------------------------------------------------------------------
+#: Fig 8's power caps on the A100 (W); each gives its own clock scale.
+_CAPS = (100.0, 150.0, 200.0, 250.0, 300.0, 350.0)
+
+
+class TestClockFreePrograms:
+    """A program stores no kernel durations and prices its kernels per
+    clock, so a power sweep learns each program once: every cap's report
+    stays byte-identical to the scalar loop at that cap."""
+
+    def test_a_power_sweep_learns_at_its_first_two_caps_only(self, small_rm):
+        capture = api.capture(small_rm)
+        trace, profiler_trace = capture.execution_trace, capture.profiler_trace
+        scalar = [
+            _single_replay(trace, profiler_trace, vectorized=False, power_limit_w=cap)[0]
+            for cap in _CAPS
+        ]
+        # The caps bend the kernel durations, so every report differs.
+        assert len({json.dumps(report[0], sort_keys=True) for report in scalar}) == len(_CAPS)
+        vectorize.clear()
+        reports, stats = zip(
+            *(_single_replay(trace, profiler_trace, power_limit_w=cap) for cap in _CAPS)
+        )
+        assert list(reports) == scalar
+        # iterations=1: the first cap captures every signature and verifies
+        # those that occur twice; the second verifies the rest.
+        assert stats[0]["programs_captured"] > 0
+        assert stats[1]["programs_captured"] == 0 < stats[1]["programs_verified"]
+        (table,) = vectorize._partitions.values()
+        signatures = len(table)
+        assert signatures == stats[0]["programs_captured"]
+        assert all(program.state == vectorize._VERIFIED for program in table.values())
+        # Every later cap binds each compute node (some share a signature)
+        # to a program the table held.
+        nodes = stats[0]["fast_ops"] + stats[0]["scalar_ops"] - _comms(trace)
+        assert nodes > signatures
+        for later in stats[2:]:
+            assert later["programs_captured"] == later["programs_verified"] == 0
+            assert later["programs_dead"] == 0
+            assert later["programs_reused"] == later["fast_ops"] == nodes
+            assert later["scalar_ops"] == _comms(trace)
+        # Each program keeps its kernels priced at every cap that bound it:
+        # all but the first, where a signature that occurs once is only
+        # captured.
+        clocks = [Runtime(power_limit_w=cap).cost_model.clock_scale for cap in _CAPS]
+        for program in table.values():
+            assert set(clocks[1:]) <= set(program.priced) <= set(clocks)
+
+    @staticmethod
+    def _sweep(capture, caps):
+        """At each cap, a vectorized and a scalar replay (``iterations=2``):
+        ``[(report, stats, scalar report)]``, and the program table of the
+        environment they ran in."""
+        trace, profiler_trace = capture.execution_trace, capture.profiler_trace
+        runs = []
+        for cap in caps:
+            report, stats = _single_replay(trace, profiler_trace, iterations=2, power_limit_w=cap)
+            scalar, _ = _single_replay(trace, profiler_trace, False, 2, power_limit_w=cap)
+            runs.append((report, stats, scalar))
+        return runs, vectorize.partition(vectorize.program_environment(Runtime()))
+
+    def test_a_program_dead_at_one_clock_is_dead_at_every_clock(self, small_linear_capture):
+        """``aten::linear`` is built in but dispatches ``aten::addmm``;
+        with ``addmm`` overridden its programs die at the first cap, and no
+        later cap captures them again."""
+        runs, table = _with_override(
+            "aten::addmm",
+            lambda original, ctx, *args, **kwargs: original.fn(ctx, *args, **kwargs),
+            lambda: self._sweep(small_linear_capture, _CAPS[:3]),
+        )
+        assert all(report == scalar for report, _, scalar in runs)
+        first = runs[0][1]
+        assert first["programs_dead"] > 0
+        for _, later, _ in runs[1:]:
+            assert later["programs_dead"] == later["programs_captured"] == 0
+        dead = [p for p in table.values() if p.state == vectorize._DEAD]
+        assert len(dead) == first["programs_dead"]
+        assert {p.op_name for p in dead} == {"aten::linear"}
+
+    def test_an_op_off_the_cost_models_price_dies(self, small_linear_capture):
+        """A kernel launched with its own duration cannot be priced per
+        clock: its program dies, and the replay equals the scalar loop."""
+
+        def fixed_duration(original, ctx, *args, **kwargs):
+            result = original.fn(ctx, *args, **kwargs)
+            ctx.launch(ctx.runtime.gpu.launches[-1].desc, duration_us=3.0)
+            return result
+
+        runs, _ = _with_override(
+            "aten::mse_loss", fixed_duration, lambda: self._sweep(small_linear_capture, _CAPS[:2])
+        )
+        for report, stats, scalar in runs:
+            assert report == scalar
+            assert stats["programs_dead"] == 1
+
+    def test_a_clock_reading_user_op_learns_a_program_per_cap(self, small_linear_capture):
+        """A user op may read the clock, so it has the clock scale in its
+        signature: each cap captures and verifies its own program, while
+        the built-in ops' programs serve every cap."""
+        name = "aten::mse_loss"
+
+        def clocked_loss(original, ctx, *args, **kwargs):
+            result = original.fn(ctx, *args, **kwargs)
+            ctx.runtime.advance_cpu(10.0 / ctx.runtime.cost_model.clock_scale)
+            return result
+
+        runs, table = _with_override(
+            name, clocked_loss, lambda: self._sweep(small_linear_capture, _CAPS[:3])
+        )
+        for report, stats, scalar in runs:
+            assert report == scalar
+            assert stats["programs_dead"] == 0
+        for _, later, _ in runs[1:]:
+            # Only the user op's program is new at a later cap.
+            assert later["programs_captured"] == later["programs_verified"] == 1
+        losses = [p for p in table.values() if p.op_name == name]
+        clocks = [Runtime(power_limit_w=cap).cost_model.clock_scale for cap in _CAPS[:3]]
+        assert sorted(p.signature[2] for p in losses) == sorted(clocks)
+        assert all(p.state == vectorize._VERIFIED for p in losses)
+
+    def test_warm_resume_at_a_new_cap_equals_uninterrupted(
+        self, small_linear_capture, monkeypatch
+    ):
+        """A replay paused and resumed at a cap the process never replayed
+        at, after a replay at another cap learned every program, captures
+        nothing and ends byte-identical to the uninterrupted replay."""
+        trace = small_linear_capture.execution_trace
+        config = ReplayConfig(iterations=3, warmup_iterations=2, power_limit_w=_CAPS[1])
+        reference = _observables(run_replay(trace, config=config))
+        vectorize.clear()
+        run_replay(trace, config=ReplayConfig(iterations=3, warmup_iterations=2))
+        captures = []
+        capture = vectorize.VectorizedExecutor._capture
+
+        def counting_capture(*args, **kwargs):
+            captures.append(args)
+            return capture(*args, **kwargs)
+
+        monkeypatch.setattr(vectorize.VectorizedExecutor, "_capture", counting_capture)
+        for boundary in range(1, 5):
+            calls = itertools.count(1)
+            with pytest.raises(ReplayPaused) as paused:
+                run_replay(
+                    trace, config=config, pause_check=lambda: next(calls) == boundary
+                )
+            resumed = run_replay(trace, config=config, resume_from=paused.value.checkpoint)
+            assert _observables(resumed) == reference, boundary
+        assert captures == []
+
+    def test_threads_verifying_one_candidate_at_different_caps_equal_serial(self, small_rm):
+        """One ``iterations=1`` replay publishes its candidates; two
+        threads at two other caps then meet them at once.  Either may
+        settle a candidate, each binds it priced at its own clock, and
+        both reports equal their serial ones."""
+        capture = api.capture(small_rm)
+        trace, profiler_trace = capture.execution_trace, capture.profiler_trace
+        caps = _CAPS[1:3]
+        serial = {
+            cap: _single_replay(trace, profiler_trace, power_limit_w=cap)[0] for cap in caps
+        }
+        vectorize.clear()
+        _single_replay(trace, profiler_trace, power_limit_w=_CAPS[0])
+        (table,) = vectorize._partitions.values()
+        assert any(program.state == vectorize._UNVERIFIED for program in table.values())
+        barrier = threading.Barrier(len(caps))
+        reports, errors = {}, []
+
+        def replay(cap):
+            try:
+                barrier.wait(timeout=60)
+                reports[cap] = _single_replay(trace, profiler_trace, power_limit_w=cap)[0]
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=replay, args=(cap,)) for cap in caps]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert reports == serial
+        assert all(program.state == vectorize._VERIFIED for program in table.values())
