@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Fifteen rules, one pass:
+Sixteen rules, one pass:
 
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
   — batch work flows through the facade (``repro.api.sweep``) or the
@@ -79,6 +79,11 @@ Fifteen rules, one pass:
   dispatches every lifecycle event (skipping a hook without the method)
   and ``emit_op_replayed`` the per-op one; a second loop would be a second
   dispatcher with its own rules.
+* Index values are generated once per process.  Inside ``src/repro/``,
+  ``.generate(`` is called only from ``core/tensors.py``, whose
+  ``index_values`` keeps each generated embedding-index payload in one
+  bounded table, read-only and hashed once; a caller that generated its
+  own would redraw the values and rehash the payload on every replay.
 * No unused imports.  Inside ``src/repro/``, every module-level import
   binds a name the module reads: in code, in a string annotation or in
   ``__all__``.  An import kept for its side effect says so with
@@ -367,6 +372,17 @@ RULES = (
             "replay hooks iterated outside core/pipeline.py (dispatch lifecycle "
             "events through ReplayContext.notify and per-op events through "
             "ReplayContext.emit_op_replayed)"
+        ),
+    ),
+    Rule(
+        name="index-values-bypass",
+        pattern=re.compile(r"\.generate\("),
+        roots=("src/repro",),
+        exempt=("src/repro/core/tensors.py",),
+        message=(
+            "index values generated outside core/tensors.py (materialize them "
+            "through repro.core.tensors.index_values, whose process-wide table "
+            "generates each payload once, read-only, and hashes it once)"
         ),
     ),
     Rule(

@@ -15,11 +15,19 @@ whose indices values determine the access pattern.  The
 :class:`EmbeddingValueConfig` lets users refine how those index tensors are
 synthesised (table size, index distribution, pooling factor), mirroring the
 interface Mystique exposes for this case.
+
+Index values depend only on the config and the tensor's size, so the
+process computes each payload once (:func:`index_values`): one bounded
+table, shared by every replay in the process, holds each generated array,
+read-only, with its content token (:func:`payload_token`) beside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import threading
+from collections import OrderedDict
+from dataclasses import astuple, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +67,91 @@ class EmbeddingValueConfig:
             raw = rng.zipf(self.zipf_alpha, size=count).astype(np.int64)
             return np.clip(raw - 1, 0, self.table_size - 1)
         raise ValueError(f"unknown index distribution: {self.distribution!r}")
+
+
+#: Most payload bytes the :func:`index_values` table keeps; the least
+#: recently used array is dropped beyond it, and a larger one is never
+#: kept.  The default ``RMConfig()`` replay needs two arrays, 16.5 MiB.
+MAX_INDEX_TABLE_BYTES = 64 << 20
+
+
+class _IndexPayload:
+    """A generated index array and its content token, once computed."""
+
+    __slots__ = ("array", "token")
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+        self.token: Optional[str] = None
+
+
+#: Guards the table; a hit reads :data:`_by_id` without it.
+_index_lock = threading.Lock()
+#: (config type, config fields, count, shape) → payload, least recently
+#: used first.
+_index_table: "OrderedDict[tuple, _IndexPayload]" = OrderedDict()
+#: ``id(array)`` → payload of every array in the table (which keeps the
+#: array alive, so its id cannot be reused while the entry lives).
+_by_id: Dict[int, _IndexPayload] = {}
+_index_bytes = 0
+
+
+def index_values(config: EmbeddingValueConfig, count: int, shape: Tuple[int, ...]) -> np.ndarray:
+    """``config.generate(count)`` shaped ``shape``, generated once per
+    process: the table returns the same read-only array to every replay
+    that asks for it, so an in-place write raises instead of changing
+    later replays' inputs."""
+    global _index_bytes
+    key = (type(config), astuple(config), count, shape)
+    with _index_lock:
+        payload = _index_table.get(key)
+        if payload is not None:
+            _index_table.move_to_end(key)
+            return payload.array
+    array = config.generate(count).reshape(shape)
+    array.flags.writeable = False
+    if array.nbytes > MAX_INDEX_TABLE_BYTES:
+        return array
+    with _index_lock:
+        payload = _index_table.get(key)
+        if payload is None:  # else a concurrent replay generated it first
+            payload = _index_table[key] = _by_id[id(array)] = _IndexPayload(array)
+            _index_bytes += array.nbytes
+            while _index_bytes > MAX_INDEX_TABLE_BYTES:
+                evicted = _index_table.popitem(last=False)[1]
+                del _by_id[id(evicted.array)]
+                _index_bytes -= evicted.array.nbytes
+        return payload.array
+
+
+def payload_token(array: np.ndarray) -> str:
+    """SHA1 of ``array``'s contents; computed once for an array the
+    :func:`index_values` table holds, on every call for any other."""
+    payload = _by_id.get(id(array))
+    if payload is None or payload.array is not array:
+        return _sha1(array)
+    if payload.token is None:  # concurrent first calls store equal tokens
+        payload.token = _sha1(array)
+    return payload.token
+
+
+def _sha1(array: np.ndarray) -> str:
+    return hashlib.sha1(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def index_table_stats() -> Dict[str, int]:
+    """Arrays the :func:`index_values` table holds, and their bytes."""
+    with _index_lock:
+        return {"arrays": len(_index_table), "bytes": _index_bytes}
+
+
+def clear_index_table() -> None:
+    """Forget every generated index array."""
+    global _index_bytes
+    with _index_lock:
+        _index_table.clear()
+        _by_id.clear()
+        _index_bytes = 0
 
 
 @dataclass
@@ -135,7 +228,7 @@ class TensorManager:
         numel = tensor.numel
         if dtype == DType.INT64 and self.embedding_config is not None and numel > 0:
             # Index tensors: honour the user-provided value specification.
-            tensor.data = self.embedding_config.generate(numel).reshape(shape or (numel,))
+            tensor.data = index_values(self.embedding_config, numel, shape or (numel,))
         elif self.materialize_values and numel > 0 and numel < 1_000_000:
             tensor.data = np.random.default_rng(ref[0] if ref else 0).standard_normal(shape).astype(np.float32)
         return tensor

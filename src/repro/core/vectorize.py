@@ -97,7 +97,6 @@ Operators that are *not* eligible, and why:
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -105,6 +104,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.tensors import payload_token
 from repro.torchsim.distributed import Work, retry_collective
 from repro.torchsim.kernel import KernelLaunch
 from repro.torchsim.profiler import Profiler, TraceEvent
@@ -154,7 +154,10 @@ class _DataFingerprintCache:
     tensor's payload must be part of its signature.  Hashing the payload on
     every occurrence would dominate the fast path; instead the digest is
     cached under ``id(array)`` with the array object pinned in the cache so
-    the id cannot be recycled while the entry lives.
+    the id cannot be recycled while the entry lives.  A generated index
+    array brings the token the process computed for it once
+    (:func:`~repro.core.tensors.payload_token`), so a replay whose inputs
+    an earlier replay generated hashes nothing.
     """
 
     def __init__(self) -> None:
@@ -165,7 +168,7 @@ class _DataFingerprintCache:
         hit = self._by_id.get(key)
         if hit is not None and hit[0] is array:
             return hit[1]
-        digest = hashlib.sha1(np.ascontiguousarray(array).tobytes()).hexdigest()
+        digest = payload_token(array)
         self._by_id[key] = (array, digest)
         return digest
 
@@ -351,6 +354,16 @@ def settle(program: OpProgram, state: str) -> bool:
             return False
         program.state = state
         return True
+
+
+def table_stats() -> Dict[str, int]:
+    """Environments the program table holds, and their programs (any
+    state)."""
+    with _lock:
+        return {
+            "environments": len(_partitions),
+            "programs": sum(len(programs) for programs in _partitions.values()),
+        }
 
 
 def clear() -> None:

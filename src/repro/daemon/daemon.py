@@ -26,6 +26,14 @@ wrapper over its public methods).  Responsibilities:
   are served from their records, paused jobs keep their snapshots
   (resume works across restarts), and jobs that were mid-flight when the
   process died are requeued.
+* **Bounded memory** — every job that has not finished stays in memory,
+  plus the newest :data:`MAX_TERMINAL_RECORDS` finished ones; the store
+  holds every record, and an older one is read back from it when a client
+  asks (after its id is checked against :func:`~repro.daemon.jobs.is_job_id`,
+  since the store names files after ids).  The per-process tables every
+  replay shares — parsed traces, generated index payloads and operator
+  programs — are bounded by their own modules; ``/health`` reports all of
+  them.
 
 A replay is a pure function of (trace, config), so everything the daemon
 serves — results, resumed jobs, cache hits — is byte-identical to what an
@@ -40,6 +48,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.core import vectorize
+from repro.core.tensors import index_table_stats
 from repro.daemon.executor import InflightRegistry, JobControl, JobExecutor, run_job
 from repro.daemon.jobs import (
     DAEMON_SCHEMA_VERSION,
@@ -47,13 +57,14 @@ from repro.daemon.jobs import (
     JobRecord,
     JobSpec,
     JobStateError,
+    is_job_id,
     job_sort_key,
     new_job_id,
 )
 from repro.daemon.queue import JobQueue
 from repro.daemon.store import JobStore
 from repro.service.cache import ResultCache
-from repro.service.repository import TraceRepository
+from repro.service.repository import TraceRepository, trace_table_stats
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.version import __version__
 
@@ -73,6 +84,12 @@ MAX_REPOSITORIES = 64
 #: Lifecycle spans the daemon's tracer keeps (the newest ones), so its
 #: memory does not grow with the number of jobs it has run.
 MAX_TRACE_RECORDS = 1024
+
+#: Finished (terminal) job records the daemon keeps in memory, the most
+#: recently finished ones; older ones are read back from the store.  A
+#: record holds its spec and result payloads: 2.5 to 4.4 KiB for a
+#: one-point sweep, so the bound holds about 1 MiB.
+MAX_TERMINAL_RECORDS = 256
 
 
 class TraceRepositories:
@@ -155,7 +172,12 @@ class ReplayDaemon:
         self.repositories = TraceRepositories()
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
+        #: Every unfinished job's record, and the newest finished ones.
         self._records: Dict[str, JobRecord] = {}
+        #: Ids of the finished records in memory, earliest finished first.
+        self._finished: "OrderedDict[str, None]" = OrderedDict()
+        #: state -> finished records dropped from memory (the store has them).
+        self._dropped: Dict[str, int] = {}
         self._controls: Dict[str, JobControl] = {}
         self._seq = 0
         self._started_monotonic = time.monotonic()
@@ -202,9 +224,21 @@ class ReplayDaemon:
             self.metrics.counter(name).inc()
 
     # ------------------------------------------------------------------
+    def _keep(self, record: JobRecord) -> None:
+        """Hold ``record`` in memory (a new job, a recovered one, or one that
+        just finished): a finished record joins the newest
+        :data:`MAX_TERMINAL_RECORDS`, and the earliest finished beyond them
+        leaves memory.  Call with the lock held."""
+        self._records[record.id] = record
+        if record.terminal:
+            self._finished[record.id] = None
+            while len(self._finished) > MAX_TERMINAL_RECORDS:
+                dropped = self._records.pop(self._finished.popitem(last=False)[0])
+                self._dropped[dropped.state] = self._dropped.get(dropped.state, 0) + 1
+
     def _recover(self) -> None:
         for record in self.store.recover():
-            self._records[record.id] = record
+            self._keep(record)
             self._seq = max(self._seq, record.seq)
             if record.state == "queued":
                 self.queue.push(record.priority, record.owner, record.seq, record.id)
@@ -237,7 +271,7 @@ class ReplayDaemon:
                 priority=int(priority),
                 seq=self._seq,
             )
-            self._records[record.id] = record
+            self._keep(record)
             self.store.save(record)
             self.queue.push(record.priority, record.owner, record.seq, record.id)
             self.metrics.counter("repro_jobs_submitted_total").inc()
@@ -245,25 +279,37 @@ class ReplayDaemon:
             return record
 
     def get(self, job_id: str, owner: Optional[str] = None) -> JobRecord:
-        """The job record; with ``owner`` given, enforce ownership."""
+        """The job record; with ``owner`` given, enforce ownership.  A
+        finished record that left memory is read back from the store (it
+        never changes again), once ``job_id`` has the form of a job id."""
         with self._lock:
             record = self._records.get(job_id)
+        if record is None:
+            record = self.store.load(job_id) if is_job_id(job_id) else None
             if record is None:
                 raise UnknownJobError(f"no job {job_id!r}")
-            if owner is not None and record.owner != owner:
-                raise JobAccessError(
-                    f"job {job_id} belongs to {record.owner!r}, not {owner!r}"
-                )
-            return record
+        if owner is not None and record.owner != owner:
+            raise JobAccessError(
+                f"job {job_id} belongs to {record.owner!r}, not {owner!r}"
+            )
+        return record
 
     def list_jobs(self, owner: Optional[str] = None) -> List[JobRecord]:
+        """Every job (``owner``'s only, when given), in submission order;
+        finished records that left memory are read back from the store."""
         with self._lock:
-            records = [
-                record
-                for record in self._records.values()
-                if owner is None or record.owner == owner
-            ]
-        return sorted(records, key=job_sort_key)
+            records = dict(self._records)
+            dropped = bool(self._dropped)
+        if dropped:
+            for job_id in self.store.ids():
+                if job_id not in records:
+                    record = self.store.load(job_id)
+                    if record is not None:
+                        records[job_id] = record
+        return sorted(
+            (record for record in records.values() if owner is None or record.owner == owner),
+            key=job_sort_key,
+        )
 
     def pause(self, job_id: str, owner: Optional[str] = None) -> JobRecord:
         """Request a pause; acknowledged at the next checkpoint boundary."""
@@ -310,6 +356,7 @@ class ReplayDaemon:
                 record.snapshot = None
                 self._count_transition("cancelled")
                 self.store.save(record)
+                self._keep(record)
             elif record.state in ("running", "pausing"):
                 control = self._controls.get(job_id)
                 if control is not None:
@@ -320,6 +367,7 @@ class ReplayDaemon:
                 record.snapshot = None
                 self._count_transition("cancelled")
                 self.store.save(record)
+                self._keep(record)
             elif record.state != "cancelled":
                 raise JobStateError(f"job {job_id} cannot cancel from {record.state!r}")
             self._changed.notify_all()
@@ -357,9 +405,11 @@ class ReplayDaemon:
 
     def health(self) -> Dict[str, Any]:
         with self._lock:
-            states: Dict[str, int] = {}
+            states: Dict[str, int] = dict(self._dropped)
             for record in self._records.values():
                 states[record.state] = states.get(record.state, 0) + 1
+            in_memory = len(self._records)
+            dropped = sum(self._dropped.values())
         return {
             "schema_version": DAEMON_SCHEMA_VERSION,
             "version": __version__,
@@ -374,6 +424,12 @@ class ReplayDaemon:
             "cache": self.cache.stats(),
             "repositories": self.repositories.stats(),
             "telemetry": self.metrics.counter_totals(),
+            # What the process keeps for later jobs, each bounded by a
+            # module constant.
+            "verified_traces": trace_table_stats(),
+            "index_payloads": index_table_stats(),
+            "programs": vectorize.table_stats(),
+            "job_records": {"in_memory": in_memory, "on_disk": in_memory + dropped},
         }
 
     def metrics_text(self) -> str:
@@ -467,4 +523,5 @@ class ReplayDaemon:
                 span.attributes["outcome"] = record.state
             self._controls.pop(job_id, None)
             self.store.save(record)
+            self._keep(record)
             self._changed.notify_all()

@@ -37,6 +37,7 @@ checkpoint at its boundary, and is byte-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import re
 import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -78,8 +79,18 @@ class JobStateError(RuntimeError):
     """An operation is illegal in the job's current state."""
 
 
+#: The form of every id :func:`new_job_id` makes: 12 lowercase hex digits.
+_JOB_ID = re.compile(r"[0-9a-f]{12}")
+
+
 def new_job_id() -> str:
     return uuid.uuid4().hex[:12]
+
+
+def is_job_id(value: Any) -> bool:
+    """True when ``value`` has the form of a :func:`new_job_id` id — and so
+    is safe to name a file in the job store with."""
+    return isinstance(value, str) and _JOB_ID.fullmatch(value) is not None
 
 
 @dataclass

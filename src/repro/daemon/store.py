@@ -77,6 +77,13 @@ class JobStore:
     def load(self, job_id: str) -> Optional[JobRecord]:
         return self._read(self._path(job_id))
 
+    def ids(self) -> List[str]:
+        """The ids the stored records' files name (a save in flight is not
+        one yet)."""
+        if not self.jobs_dir.is_dir():
+            return []
+        return [path.stem for path in self.jobs_dir.glob("*.json")]
+
     def load_all(self) -> List[JobRecord]:
         """Every readable record, in submission order; unreadable files
         are skipped (a torn tmp file must not wedge startup)."""

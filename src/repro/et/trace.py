@@ -16,7 +16,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.et.schema import ETNode, ROOT_NODE_ID, TraceValidationError
 
@@ -39,7 +39,7 @@ class ExecutionTrace:
     # ------------------------------------------------------------------
     def add_node(self, node: ETNode) -> ETNode:
         self.nodes.append(node)
-        self._index_dirty = True
+        self._indexes = None
         return node
 
     def __len__(self) -> int:
@@ -103,28 +103,31 @@ class ExecutionTrace:
     # ------------------------------------------------------------------
     # Indexing helpers
     # ------------------------------------------------------------------
-    _index_dirty: bool = field(default=True, repr=False)
-    _id_index: Dict[int, ETNode] = field(default_factory=dict, repr=False)
-    _child_index: Dict[int, List[ETNode]] = field(default_factory=dict, repr=False)
+    #: ``(id -> node, parent id -> children in execution order)``, or
+    #: ``None`` until the next lookup builds it.  A trace loaded from a file
+    #: is shared by every replay of that file in the process
+    #: (:mod:`repro.service.repository`), possibly on several threads at
+    #: once, so the pair is built aside and published by one assignment: a
+    #: reader sees the whole of one build or builds its own.
+    _indexes: Optional[Tuple[Dict[int, ETNode], Dict[int, List[ETNode]]]] = field(
+        default=None, repr=False, compare=False
+    )
 
-    def _rebuild_indexes(self) -> None:
-        self._id_index = {node.id: node for node in self.nodes}
-        self._child_index = {}
+    def _rebuild_indexes(self) -> Tuple[Dict[int, ETNode], Dict[int, List[ETNode]]]:
+        by_id = {node.id: node for node in self.nodes}
+        children: Dict[int, List[ETNode]] = {}
         for node in self.nodes:
-            self._child_index.setdefault(node.parent, []).append(node)
-        for children in self._child_index.values():
-            children.sort(key=lambda node: node.id)
-        self._index_dirty = False
+            children.setdefault(node.parent, []).append(node)
+        for siblings in children.values():
+            siblings.sort(key=lambda node: node.id)
+        indexes = self._indexes = (by_id, children)
+        return indexes
 
     def _node_index(self) -> Dict[int, ETNode]:
-        if self._index_dirty:
-            self._rebuild_indexes()
-        return self._id_index
+        return (self._indexes or self._rebuild_indexes())[0]
 
     def _children_index(self) -> Dict[int, List[ETNode]]:
-        if self._index_dirty:
-            self._rebuild_indexes()
-        return self._child_index
+        return (self._indexes or self._rebuild_indexes())[1]
 
     # ------------------------------------------------------------------
     # Serialisation

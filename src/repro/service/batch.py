@@ -7,8 +7,7 @@ first and only replays cache misses.  Two backends are supported:
 
 ``"serial"``
     In-process loop (the default).  The replay is pure Python and
-    GIL-bound, so in-process threads would buy no parallelism; each unique
-    trace is parsed only once per batch.
+    GIL-bound, so in-process threads would buy no parallelism.
 ``"process"``
     ``ProcessPoolExecutor``.  True parallelism across cores; each worker
     receives a plain-data :class:`ReplayJob`, reads the trace itself and
@@ -20,9 +19,14 @@ caller runs it — the serial loop, a pool worker, or the daemon's sweep
 point (:func:`repro.daemon.executor.run_sweep_job`):
 
 :func:`load_verified`
-    Reads the trace and checks it still matches the digest recorded at
-    discovery time, so a trace file rewritten between discovery and
-    execution fails the job instead of poisoning the result cache.
+    Returns the trace once it matches the digest recorded at discovery
+    time, so a trace file rewritten between discovery and execution fails
+    the job instead of poisoning the result cache.  It reads through the
+    process's trace table (:func:`repro.service.repository.read_trace`):
+    a file that has not changed since discovery, or since an earlier job
+    read it, is neither read nor digested again, and the jobs of a batch,
+    the pool worker's later jobs and every daemon point share one parsed
+    trace, which none of them modifies.
 :func:`replay_job`
     Replays the loaded trace and summarises it into a
     :class:`ReplayJobResult`.  A failing job is captured on its result —
@@ -44,13 +48,13 @@ import traceback as traceback_module
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.pipeline import ReplayCheckpoint, run_replay
 from repro.core.replayer import ReplayConfig, ReplayResultSummary
 from repro.et.trace import ExecutionTrace
 from repro.service.cache import ResultCache, cache_key
-from repro.service.repository import TraceRecord
+from repro.service.repository import TraceRecord, read_trace
 
 BACKENDS = ("serial", "process")
 
@@ -169,31 +173,29 @@ class TraceChangedError(RuntimeError):
 
 
 def load_verified(trace_path: Union[str, Path], expected_digest: str) -> ExecutionTrace:
-    """Load a trace and check it still matches its discovery-time digest
-    (an empty ``expected_digest`` skips the check)."""
-    trace = ExecutionTrace.load(trace_path)
-    if expected_digest and trace.digest() != expected_digest:
+    """The trace at ``trace_path``, checked against its discovery-time
+    digest (an empty ``expected_digest`` skips the check).  Shared with
+    every other reader of the file version: do not modify it."""
+    trace, digest = read_trace(trace_path, expected_digest)
+    if expected_digest and digest != expected_digest:
         raise TraceChangedError(str(trace_path))
     return trace
 
 
 def replay_job(
     job: ReplayJob,
-    trace: Optional[ExecutionTrace] = None,
     pause_check: Optional[Callable[[], Any]] = None,
     resume_from: Optional[ReplayCheckpoint] = None,
 ) -> ReplayJobResult:
     """Replay ``job`` and summarise it, or record why it failed.
 
     Only the summary is kept, so the replay records no profiler trace.
-    ``trace`` is the job's already-verified trace; without it the trace is
-    read through :func:`load_verified`, whose errors are recorded like a
-    replay error.  A granted pause raises
+    The trace is read through :func:`load_verified`, whose errors are
+    recorded like a replay error.  A granted pause raises
     :class:`~repro.core.pipeline.ReplayPaused`.
     """
     try:
-        if trace is None:
-            trace = load_verified(job.trace_path, job.trace_digest)
+        trace = load_verified(job.trace_path, job.trace_digest)
         result = run_replay(
             trace,
             config=job.config,
@@ -290,19 +292,6 @@ class BatchReplayer:
     def _run_serial(
         jobs: Sequence[ReplayJob], pending: List[int], results: List[Optional[ReplayJobResult]]
     ) -> None:
-        """Replay each job in turn; the jobs of one trace file share one
-        verified load (the trace is only read during replay)."""
-        loaded: Dict[Tuple[Path, str], Union[ExecutionTrace, Exception]] = {}
+        """Replay each job in turn."""
         for index in pending:
-            job = jobs[index]
-            key = (job.trace_path, job.trace_digest)
-            if key not in loaded:
-                try:
-                    loaded[key] = load_verified(*key)
-                except Exception as error:  # noqa: BLE001 - recorded on each of its jobs
-                    loaded[key] = error
-            trace = loaded[key]
-            if isinstance(trace, Exception):
-                results[index] = ReplayJobResult(job=job, **error_details(trace))
-            else:
-                results[index] = replay_job(job, trace)
+            results[index] = replay_job(jobs[index])

@@ -6,10 +6,21 @@ A repository is a directory of execution traces serialised as JSON by
 benchmarks).  Discovery walks the directory, loads each new or changed
 candidate file through :meth:`ExecutionTrace.load`, and produces
 lightweight :class:`TraceRecord` entries — path, content digest, node
-counts, metadata — without keeping the full traces in memory.  Files that
-are not execution traces (for instance the profiler traces the generator
-writes alongside) are skipped and reported in
-:attr:`TraceRepository.invalid`.
+counts, metadata.  Files that are not execution traces (for instance the
+profiler traces the generator writes alongside) are skipped and reported
+in :attr:`TraceRepository.invalid`.
+
+Every read of a trace file for discovery, :meth:`TraceRepository.load` or
+a replay (:func:`repro.service.batch.load_verified`) goes through
+:func:`read_trace`, which keeps one process-wide table of parsed traces:
+path → (``stat`` signature, digest, :class:`ExecutionTrace`).  A file whose
+signature is unchanged since it was read, and which had settled then
+(older than :data:`RACY_WINDOW_NS`), is served from the table — the same
+staleness rules :meth:`TraceRepository.discover` trusts — so a sweep
+reads, parses and digests each file version once per process.  The table
+holds at most :data:`MAX_TRACE_TABLE_BYTES` of trace files (least recently
+read dropped first).  A served trace is shared with every other reader
+in the process, possibly on other threads: treat it as read-only.
 """
 
 from __future__ import annotations
@@ -18,9 +29,10 @@ import os
 import stat
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.et.schema import TraceValidationError
 from repro.et.trace import ExecutionTrace
@@ -33,6 +45,83 @@ Signature = Tuple[int, int, int, int]
 #: scan: a rewrite within the same timestamp tick (up to 2 s on coarse
 #: filesystems) would leave its signature unchanged.
 RACY_WINDOW_NS = 2_000_000_000
+
+#: Most trace-file bytes (summed file sizes) the process keeps parsed in
+#: the :func:`read_trace` table; the least recently read file is dropped
+#: beyond it, and a larger file is never kept.  A parsed trace holds 5.6 to
+#: 5.8 times its file size (tracemalloc, the PARAM-linear, RM and DDP-RM
+#: captures, about 55 KiB of JSON each), so a full table holds about
+#: 90 MiB.
+MAX_TRACE_TABLE_BYTES = 16 << 20
+
+
+def _signature(status: os.stat_result) -> Signature:
+    return (status.st_ino, status.st_size, status.st_mtime_ns, status.st_ctime_ns)
+
+
+class _TableEntry(NamedTuple):
+    signature: Signature
+    digest: str
+    trace: ExecutionTrace
+
+
+#: Guards :data:`_table` and :data:`_table_bytes`.
+_table_lock = threading.Lock()
+#: path → the file version last read from it, least recently read first.
+_table: "OrderedDict[Path, _TableEntry]" = OrderedDict()
+_table_bytes = 0
+
+
+def read_trace(path: Union[str, Path], expected_digest: str = "") -> Tuple[ExecutionTrace, str]:
+    """The parsed trace at ``path`` and its digest, read once per file
+    version in the process (see the module docstring).
+
+    A table entry serves the call when the file's ``stat`` signature is the
+    one it was read under and, with ``expected_digest`` given, its digest
+    is that one.  Otherwise the file is read, parsed and digested again;
+    the result is kept only when the file had settled (changed more than
+    :data:`RACY_WINDOW_NS` ago) and its digest is the expected one, so a
+    file rewritten since discovery is never kept.  Raises what
+    :meth:`ExecutionTrace.load` raises.
+    """
+    global _table_bytes
+    path = Path(path)
+    status = path.stat()
+    signature = _signature(status)
+    with _table_lock:
+        # Only a settled file is kept, and its ctime is in its signature,
+        # so a matching entry is still settled.
+        entry = _table.get(path)
+        if entry is not None and entry.signature == signature and expected_digest in ("", entry.digest):
+            _table.move_to_end(path)
+            return entry.trace, entry.digest
+    trace = ExecutionTrace.load(path)
+    digest = trace.digest()
+    settled = time.time_ns() - status.st_ctime_ns > RACY_WINDOW_NS
+    with _table_lock:
+        stale = _table.pop(path, None)
+        if stale is not None:
+            _table_bytes -= stale.signature[1]
+        if settled and expected_digest in ("", digest) and status.st_size <= MAX_TRACE_TABLE_BYTES:
+            _table[path] = _TableEntry(signature, digest, trace)
+            _table_bytes += status.st_size
+            while _table_bytes > MAX_TRACE_TABLE_BYTES:
+                _table_bytes -= _table.popitem(last=False)[1].signature[1]
+    return trace, digest
+
+
+def trace_table_stats() -> Dict[str, int]:
+    """Traces the :func:`read_trace` table holds, and their file bytes."""
+    with _table_lock:
+        return {"traces": len(_table), "bytes": _table_bytes}
+
+
+def clear_trace_table() -> None:
+    """Forget every parsed trace (the next read of each file reads it)."""
+    global _table_bytes
+    with _table_lock:
+        _table.clear()
+        _table_bytes = 0
 
 
 class UnknownTraceError(KeyError):
@@ -75,7 +164,7 @@ class TraceRepository:
     is memoised between calls: ``len()``, iteration, :meth:`names`,
     :meth:`get`, :meth:`select` and :meth:`load` by name each run one
     :meth:`discover`, so a caller that already holds records should pass
-    them on (``load(record)`` reads just that file).
+    them on (``load(record)`` reads at most that file).
 
     Parameters
     ----------
@@ -111,7 +200,7 @@ class TraceRepository:
             invalid: Dict[Path, str] = {}
             found: List[TraceRecord] = []
             for path, status in self._candidates():
-                signature = (status.st_ino, status.st_size, status.st_mtime_ns, status.st_ctime_ns)
+                signature = _signature(status)
                 previous = self._entries.get(path)
                 if previous is not None and previous[0] == signature:
                     entry = previous[1]
@@ -168,11 +257,11 @@ class TraceRepository:
                 yield path, status
 
     def _record(self, path: Path) -> TraceRecord:
-        trace = ExecutionTrace.load(path)
+        trace, digest = read_trace(path)
         return TraceRecord(
             name=self._name_for(path),
             path=path,
-            digest=trace.digest(),
+            digest=digest,
             num_nodes=len(trace),
             num_operators=len(trace.operators()),
             metadata=dict(trace.metadata),
@@ -211,9 +300,11 @@ class TraceRepository:
 
     def load(self, name_or_record: Union[str, TraceRecord]) -> ExecutionTrace:
         """Load the full execution trace for a record, or for a name (which
-        first runs one :meth:`discover` to resolve it)."""
+        first runs one :meth:`discover` to resolve it), through
+        :func:`read_trace`: the trace may be shared, so do not modify it
+        (edit a copy, ``ExecutionTrace.from_dict(trace.to_dict())``)."""
         record = name_or_record if isinstance(name_or_record, TraceRecord) else self.get(name_or_record)
-        return ExecutionTrace.load(record.path)
+        return read_trace(record.path)[0]
 
     def add(self, name: str, trace: ExecutionTrace) -> TraceRecord:
         """Serialise ``trace`` into the repository and return its record."""

@@ -10,6 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import vectorize
+from repro.core.tensors import clear_index_table
+from repro.service.repository import clear_trace_table
 from repro.torchsim import Runtime, Tensor, ExecutionGraphObserver, Profiler
 from repro.torchsim import nn
 from repro.torchsim.autograd import GradientTape
@@ -23,16 +25,22 @@ from repro.bench.harness import capture_workload
 # ----------------------------------------------------------------------
 # Process-wide state
 # ----------------------------------------------------------------------
+def _clear_process_tables() -> None:
+    vectorize.clear()
+    clear_trace_table()
+    clear_index_table()
+
+
 @pytest.fixture(autouse=True)
 def cold_program_store():
-    """Start every test with no operator programs, so what a test learns
-    never depends on which tests ran before it in the process.  A test
-    that replays more than once and pins the learning path of a later
-    replay clears the program table (:func:`~repro.core.vectorize.clear`)
-    before it too."""
-    vectorize.clear()
+    """Start every test with no operator programs, parsed traces or
+    generated index payloads, so what a test learns or reads never depends
+    on which tests ran before it in the process.  A test that replays more
+    than once and pins the learning path of a later replay clears the
+    program table (:func:`~repro.core.vectorize.clear`) before it too."""
+    _clear_process_tables()
     yield
-    vectorize.clear()
+    _clear_process_tables()
 
 
 # ----------------------------------------------------------------------

@@ -454,6 +454,43 @@ class TestRankDependentOpRule:
         assert "rank-dependent-op" not in self._find_offenders(tmp_path)
 
 
+class TestIndexValuesBypassRule:
+    """``scripts/check_deprecated_usage.py`` keeps index-value generation in
+    ``core/tensors.py``, so every replay takes its payloads from the one
+    bounded, read-only table (``index_values``)."""
+
+    _find_offenders = staticmethod(TestReconstructionCacheBypassRule._find_offenders)
+    _write = staticmethod(TestReconstructionCacheBypassRule._write)
+
+    def test_repo_is_clean(self):
+        offenders = self._find_offenders(Path(__file__).resolve().parents[1])
+        assert "index-values-bypass" not in offenders
+
+    def test_flags_generate_calls_outside_tensors(self, tmp_path):
+        self._write(
+            tmp_path,
+            "src/repro/core/pipeline.py",
+            "tensor.data = config.embedding_config.generate(numel)\n",
+        )
+        self._write(
+            tmp_path,
+            "src/repro/cluster/plan.py",
+            "values = EmbeddingValueConfig(seed=1).generate(64).reshape(8, 8)\n",
+        )
+        offenders = self._find_offenders(tmp_path)
+        assert len(offenders["index-values-bypass"]) == 2
+
+    def test_tensors_module_and_other_trees_pass(self, tmp_path):
+        self._write(
+            tmp_path,
+            "src/repro/core/tensors.py",
+            "array = config.generate(count).reshape(shape)\n",
+        )
+        self._write(tmp_path, "src/repro/core/generator.py", "def generate(self, out):\n    pass\n")
+        self._write(tmp_path, "benchmarks/test_x.py", "values = config.generate(8)\n")
+        assert "index-values-bypass" not in self._find_offenders(tmp_path)
+
+
 class TestTensorManager:
     def test_classification_intermediate_vs_external(self, captured_runtime_pieces):
         trace = captured_runtime_pieces["trace"]

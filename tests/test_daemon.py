@@ -38,6 +38,7 @@ from repro.daemon import (
     ReplayDaemon,
 )
 from repro.daemon.client import DaemonClient, DaemonClientError
+from repro.daemon import daemon as daemon_module
 from repro.daemon.daemon import JobAccessError, TraceRepositories, UnknownJobError
 from repro.daemon.executor import InflightRegistry, JobControl, run_sweep_job
 from repro.daemon.jobs import TERMINAL_STATES, JobSnapshot
@@ -523,6 +524,124 @@ class TestSharedRepositories:
 
 
 # ----------------------------------------------------------------------
+# Bounded job records and the shared per-process tables
+# ----------------------------------------------------------------------
+class TestBoundedRecords:
+    """Unfinished records stay in memory, plus the newest
+    ``MAX_TERMINAL_RECORDS`` finished ones; the rest are read back from the
+    store, and every count stays exact."""
+
+    @pytest.fixture(autouse=True)
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "MAX_TERMINAL_RECORDS", 2)
+
+    @staticmethod
+    def _cancelled_jobs(daemon, owners):
+        records = [daemon.submit(owner, JobSpec("sweep", {"repo": "unused"})) for owner in owners]
+        for record in records:
+            daemon.cancel(record.id)
+        return records
+
+    def test_counts_and_listing_stay_exact_past_the_bound(self, tmp_path):
+        daemon = ReplayDaemon(tmp_path / "state", workers=1)  # not started
+        records = self._cancelled_jobs(daemon, ["alice", "bob", "alice", "alice"])
+        paused = daemon.submit("bob", JobSpec("sweep", {"repo": "unused"}))
+        daemon.pause(paused.id)
+        queued = daemon.submit("alice", JobSpec("sweep", {"repo": "unused"}))
+        assert set(daemon._records) == {records[2].id, records[3].id, paused.id, queued.id}
+        listed = daemon.list_jobs()
+        assert [record.id for record in listed] == [record.id for record in records] + [
+            paused.id, queued.id,
+        ]
+        assert [record.state for record in listed] == ["cancelled"] * 4 + ["paused", "queued"]
+        assert [record.id for record in daemon.list_jobs("bob")] == [records[1].id, paused.id]
+        health = daemon.health()
+        assert health["jobs"] == {"cancelled": 4, "paused": 1, "queued": 1}
+        assert health["jobs_by_state"]["cancelled"] == 4
+        assert health["job_records"] == {"in_memory": 4, "on_disk": 6}
+
+    def test_recovery_keeps_the_same_bound(self, tmp_path):
+        daemon = ReplayDaemon(tmp_path / "state", workers=1)
+        records = self._cancelled_jobs(daemon, ["alice"] * 5)
+        restarted = ReplayDaemon(tmp_path / "state", workers=1)
+        assert set(restarted._records) == {records[3].id, records[4].id}
+        assert restarted.health()["job_records"] == {"in_memory": 2, "on_disk": 5}
+        assert restarted.health()["jobs"] == {"cancelled": 5}
+        assert [record.id for record in restarted.list_jobs()] == [r.id for r in records]
+        assert restarted.get(records[0].id).state == "cancelled"
+
+    def test_evicted_jobs_are_served_from_the_store(self, tmp_path, daemon_repo, monkeypatch):
+        payload = sweep_payload(daemon_repo)
+        with ReplayDaemon(tmp_path / "state", workers=1) as daemon:
+            first = daemon.submit("alice", JobSpec("sweep", payload))
+            assert daemon.wait(first.id, timeout=WAIT_S).state == "completed"
+            expected = first.to_dict()
+            for _ in range(2):  # cache hits, which push the first job out
+                later = daemon.submit("alice", JobSpec("sweep", payload))
+                assert daemon.wait(later.id, timeout=WAIT_S).state == "completed"
+            assert first.id not in daemon._records
+            loads = []
+            load = daemon.store.load
+            monkeypatch.setattr(daemon.store, "load", lambda job_id: loads.append(job_id) or load(job_id))
+            assert daemon.get(first.id, owner="alice").to_dict() == expected
+            assert daemon.wait(first.id, timeout=1.0).to_dict() == expected
+            assert daemon.result(first.id) == expected["result"]
+            assert daemon.analysis(first.id, owner="alice")["kind"] == "sweep"
+            with pytest.raises(JobStateError, match="no snapshot"):
+                daemon.snapshot_of(first.id)
+            with pytest.raises(JobStateError):
+                daemon.pause(first.id)
+            with pytest.raises(JobAccessError):
+                daemon.get(first.id, owner="bob")
+            assert loads == [first.id] * 7
+            assert daemon.health()["jobs"] == {"completed": 3}
+
+    def test_malformed_ids_never_reach_the_store(self, tmp_path, monkeypatch):
+        daemon = ReplayDaemon(tmp_path / "state", workers=1)
+        loads = []
+        monkeypatch.setattr(daemon.store, "load", lambda job_id: loads.append(job_id))
+        for job_id in ("..", "../jobs/x", "%2e%2e", "A" * 12, "0" * 13, "a" * 4096, "", "0" * 11 + "/"):
+            with pytest.raises(UnknownJobError):
+                daemon.get(job_id)
+        assert loads == []
+        with pytest.raises(UnknownJobError):
+            daemon.get("0123456789ab")
+        assert loads == ["0123456789ab"]
+
+
+class TestSharedTables:
+    def test_two_workers_on_one_shared_trace_equal_serial_reports(
+        self, tmp_path, daemon_repo, monkeypatch
+    ):
+        """Both workers replay the same parsed trace object at once; every
+        point equals a serial batch replay of a fresh load."""
+        from repro.daemon.executor import expand_sweep_points
+        from repro.service import BatchReplayer
+        from repro.service import repository as repository_module
+        from repro.service.repository import clear_trace_table
+
+        monkeypatch.setattr(repository_module, "RACY_WINDOW_NS", float("-inf"))
+        payloads = [
+            dict(sweep_payload(daemon_repo), traces=["rm"], axes={"power_limit_w": [power]})
+            for power in (400.0, 300.0, 250.0, 200.0, 150.0, 100.0)
+        ]
+        with ReplayDaemon(tmp_path / "state", workers=2) as daemon:
+            records = [daemon.submit("alice", JobSpec("sweep", payload)) for payload in payloads]
+            finals = [daemon.wait(record.id, timeout=WAIT_S) for record in records]
+            health = daemon.health()
+        assert [final.state for final in finals] == ["completed"] * len(payloads)
+        assert health["verified_traces"]["traces"] == 2  # discovery read both
+        assert health["index_payloads"]["arrays"] >= 1
+        assert health["programs"]["environments"] == 1
+        clear_trace_table()
+        vectorize.clear()
+        for final, payload in zip(finals, payloads):
+            (serial,) = list(BatchReplayer(backend="serial").run(expand_sweep_points(payload)))
+            (row,) = final.result["points"]
+            assert row["summary"] == serial.summary.to_dict()
+
+
+# ----------------------------------------------------------------------
 # Acceptance: pause -> snapshot -> restart -> resume, byte-identical
 # ----------------------------------------------------------------------
 class TestPauseResumeAcrossRestart:
@@ -882,6 +1001,54 @@ class TestHttpApi:
         with pytest.raises(DaemonClientError) as error:
             client.pause("no-such-job")
         assert error.value.status == 404
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "/jobs/..",
+            "/jobs/../result",
+            "/jobs/..%2f..%2fstate",
+            "/jobs/%2e%2e",
+            "/jobs/%2e%2e/snapshot",
+            "/jobs/" + "0" * 12 + "%2f..",
+            "/jobs/" + "a" * 4096,
+            "/jobs/0123456789ab",
+        ],
+    )
+    def test_malformed_or_unknown_ids_map_to_404_without_a_store_read(
+        self, server, path, monkeypatch
+    ):
+        loads = []
+        load = server.daemon.store.load
+        monkeypatch.setattr(
+            server.daemon.store, "load", lambda job_id: loads.append(job_id) or load(job_id)
+        )
+        connection = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            connection.request("GET", path, headers={"X-Repro-Client": "alice"})
+            response = connection.getresponse()
+            assert response.status == 404
+            assert json.loads(response.read())["error_type"] in ("UnknownJobError", "LookupError")
+        finally:
+            connection.close()
+        assert loads == (["0123456789ab"] if path == "/jobs/0123456789ab" else [])
+
+    def test_evicted_job_of_another_client_maps_to_403(self, server, daemon_repo, monkeypatch):
+        monkeypatch.setattr(daemon_module, "MAX_TERMINAL_RECORDS", 1)
+        alice = DaemonClient(server.url, client_id="alice")
+        bob = DaemonClient(server.url, client_id="bob")
+        first = alice.submit("sweep", sweep_payload(daemon_repo))
+        alice.wait(first["id"], timeout=WAIT_S)
+        second = alice.submit("sweep", sweep_payload(daemon_repo))
+        alice.wait(second["id"], timeout=WAIT_S)
+        assert first["id"] not in server.daemon._records
+        for request in (bob.status, bob.result, bob.cancel):
+            with pytest.raises(DaemonClientError) as error:
+                request(first["id"])
+            assert error.value.status == 403
+        assert alice.status(first["id"])["state"] == "completed"
+        assert alice.result(first["id"])["result"]["total"] == 2
+        assert [job["id"] for job in alice.list_jobs()["jobs"]] == [first["id"], second["id"]]
 
     def test_illegal_state_maps_to_400(self, server, daemon_repo):
         client = DaemonClient(server.url, client_id="alice")

@@ -137,7 +137,7 @@ class TestResultAndSnapshotPayloads:
 HEALTH_KEYS = {
     "schema_version", "version", "jobs", "jobs_by_state", "uptime_s",
     "queue_depth", "queue_by_owner", "workers", "cache", "repositories",
-    "telemetry",
+    "telemetry", "verified_traces", "index_payloads", "programs", "job_records",
 }
 
 
@@ -157,6 +157,10 @@ class TestHealthPayload:
             "cache": {"entries": 2},
             "repositories": {"open": 1, "invalid": 0},
             "telemetry": {"repro_jobs_submitted_total": 2.0},
+            "verified_traces": {"traces": 1, "bytes": 5120},
+            "index_payloads": {"arrays": 2, "bytes": 4096},
+            "programs": {"environments": 1, "programs": 40},
+            "job_records": {"in_memory": 2, "on_disk": 2},
         }
         assert set(health) == HEALTH_KEYS
         assert roundtrip(health) == health
@@ -175,6 +179,10 @@ class TestHealthPayload:
         assert health["uptime_s"] >= 0.0
         assert health["telemetry"]["repro_jobs_submitted_total"] == 0.0
         assert health["repositories"] == {"open": 0, "invalid": 0}
+        assert health["verified_traces"] == {"traces": 0, "bytes": 0}
+        assert health["index_payloads"] == {"arrays": 0, "bytes": 0}
+        assert health["programs"] == {"environments": 0, "programs": 0}
+        assert health["job_records"] == {"in_memory": 0, "on_disk": 0}
         assert roundtrip(health) == health
 
 
