@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard against deprecated / banned API usage inside ``src/``.
 
-Sixteen rules, one pass:
+Seventeen rules, one pass:
 
 * ``BatchReplayer`` must not be constructed outside ``src/repro/service/``
   — batch work flows through the facade (``repro.api.sweep``) or the
@@ -84,6 +84,10 @@ Sixteen rules, one pass:
   ``index_values`` keeps each generated embedding-index payload in one
   bounded table, read-only and hashed once; a caller that generated its
   own would redraw the values and rehash the payload on every replay.
+* Daemon connections are kept alive.  Inside ``src/repro/``,
+  ``urlopen(`` is never called: it opens a TCP connection per request, so
+  the daemon would spawn a handler thread for each; the
+  ``DaemonClient`` keeps one ``http.client`` connection per thread.
 * No unused imports.  Inside ``src/repro/``, every module-level import
   binds a name the module reads: in code, in a string annotation or in
   ``__all__``.  An import kept for its side effect says so with
@@ -383,6 +387,16 @@ RULES = (
             "index values generated outside core/tensors.py (materialize them "
             "through repro.core.tensors.index_values, whose process-wide table "
             "generates each payload once, read-only, and hashes it once)"
+        ),
+    ),
+    Rule(
+        name="daemon-urlopen",
+        pattern=re.compile(r"\burlopen\("),
+        roots=("src/repro",),
+        message=(
+            "urlopen() called in the package (it opens a connection per request; "
+            "talk to the daemon through DaemonClient, which keeps one HTTP/1.1 "
+            "connection per thread alive)"
         ),
     ),
     Rule(

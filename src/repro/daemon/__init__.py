@@ -16,7 +16,7 @@ Layering (each module only imports downward):
 ``executor``  worker pool, cooperative pause, exactly-once point pricing
 ``daemon``    :class:`ReplayDaemon` — the orchestrator tying it together
 ``server``    ``http.server`` REST front-end
-``client``    ``urllib`` client the CLI subcommands use
+``client``    keep-alive ``http.client`` client the CLI subcommands use
 """
 
 from repro.daemon.daemon import JobAccessError, ReplayDaemon, UnknownJobError

@@ -91,6 +91,29 @@ MAX_TRACE_RECORDS = 1024
 #: one-point sweep, so the bound holds about 1 MiB.
 MAX_TERMINAL_RECORDS = 256
 
+#: ``/health`` table number (table, field) -> the ``/metrics`` gauge that
+#: reports it, and the gauge's help text.
+_TABLE_GAUGES = {
+    ("verified_traces", "traces"): ("repro_verified_traces", "Parsed traces the process keeps."),
+    ("verified_traces", "bytes"): (
+        "repro_verified_trace_bytes", "File bytes of the parsed traces the process keeps."
+    ),
+    ("index_payloads", "arrays"): (
+        "repro_index_payloads", "Generated embedding-index arrays the process keeps."
+    ),
+    ("index_payloads", "bytes"): (
+        "repro_index_payload_bytes", "Bytes of the index arrays the process keeps."
+    ),
+    ("programs", "environments"): (
+        "repro_program_environments", "Environments of the operator program table."
+    ),
+    ("programs", "programs"): ("repro_programs", "Operator programs the table holds."),
+    ("job_records", "in_memory"): (
+        "repro_job_records_in_memory", "Job records held in memory."
+    ),
+    ("job_records", "on_disk"): ("repro_job_records_on_disk", "Job records in the store."),
+}
+
 
 class TraceRepositories:
     """One :class:`~repro.service.repository.TraceRepository` per root,
@@ -214,6 +237,8 @@ class ReplayDaemon:
         )
         self.metrics.gauge("repro_jobs_running", "Jobs currently executing.")
         self.metrics.gauge("repro_queue_depth", "Jobs waiting in the queue.")
+        for name, help_text in _TABLE_GAUGES.values():
+            self.metrics.gauge(name, help_text)
         self.metrics.histogram(
             "repro_job_duration_seconds", "Wall time of one executor run of a job."
         )
@@ -408,8 +433,6 @@ class ReplayDaemon:
             states: Dict[str, int] = dict(self._dropped)
             for record in self._records.values():
                 states[record.state] = states.get(record.state, 0) + 1
-            in_memory = len(self._records)
-            dropped = sum(self._dropped.values())
         return {
             "schema_version": DAEMON_SCHEMA_VERSION,
             "version": __version__,
@@ -424,8 +447,16 @@ class ReplayDaemon:
             "cache": self.cache.stats(),
             "repositories": self.repositories.stats(),
             "telemetry": self.metrics.counter_totals(),
-            # What the process keeps for later jobs, each bounded by a
-            # module constant.
+            **self._table_stats(),
+        }
+
+    def _table_stats(self) -> Dict[str, Dict[str, int]]:
+        """What the process keeps for later jobs, each bounded by a module
+        constant (``/health`` reports it, ``/metrics`` as gauges)."""
+        with self._lock:
+            in_memory = len(self._records)
+            dropped = sum(self._dropped.values())
+        return {
             "verified_traces": trace_table_stats(),
             "index_payloads": index_table_stats(),
             "programs": vectorize.table_stats(),
@@ -442,6 +473,9 @@ class ReplayDaemon:
             )
         self.metrics.gauge("repro_jobs_running").set(running)
         self.metrics.gauge("repro_queue_depth").set(len(self.queue))
+        tables = self._table_stats()
+        for (table, field_name), (name, _) in _TABLE_GAUGES.items():
+            self.metrics.gauge(name).set(tables[table][field_name])
         return self.metrics.render_prometheus()
 
     # ------------------------------------------------------------------

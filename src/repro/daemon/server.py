@@ -24,18 +24,29 @@ The caller identifies itself with the ``X-Repro-Client`` header; every
 job-specific route enforces ownership (403 on someone else's job).
 Errors map onto status codes: 400 malformed request / illegal state, 403
 not the owner, 404 unknown job or route, 413 a request body larger than
-:data:`MAX_BODY_BYTES`, always with a JSON body
+:data:`MAX_BODY_BYTES`, 500 anything else a daemon call raised (its
+traceback is logged once), always with a compact JSON body
 ``{"error": ..., "error_type": ...}``.  A client that stalls for
 :attr:`DaemonRequestHandler.timeout` seconds, or closes its connection
 before the declared body arrives, is dropped without a reply.
+
+Connections are HTTP/1.1 keep-alive: one handler thread serves every
+request of a connection until the client closes it, it sits idle for
+:attr:`DaemonRequestHandler.timeout` seconds, or a reply closes it
+(``Connection: close``: a 400/413 body error, or a request whose body no
+route reads).  Replies go out in one send with Nagle's algorithm off, so
+a kept-alive request never waits on a delayed ACK.
+:meth:`DaemonServer.stop` shuts every open connection down and joins its
+thread, so no handler serves a stopped daemon.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.daemon.daemon import JobAccessError, ReplayDaemon, UnknownJobError
 from repro.daemon.jobs import JobSpec, JobStateError
@@ -77,10 +88,26 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
     #: Seconds the socket may wait for a client's next bytes before the
     #: connection is dropped (``StreamRequestHandler`` applies it), so a
     #: stalled client cannot hold a handler thread while it stays
-    #: connected.  A job spec is well under 1 KiB.
+    #: connected.  A job spec is well under 1 KiB.  It is also how long
+    #: a kept-alive connection may sit idle.
     timeout = 30.0
+    #: Small replies must not wait for the ACK of the previous one.
+    disable_nagle_algorithm = True
+    #: Replies are buffered and leave in one send when the request is
+    #: done (``handle_one_request`` flushes); one larger than this goes
+    #: out in parts.
+    wbufsize = 1 << 16
+    #: The current request declared a body that no route has read.
+    _unread_body = False
 
-    # The ThreadingHTTPServer subclass below attaches the daemon here.
+    def handle_expect_100(self) -> bool:
+        # The interim reply must not sit in the write buffer while the
+        # client waits for it before sending the body.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
+
+    # The _ConnectionServer below carries the daemon.
     @property
     def daemon_obj(self) -> ReplayDaemon:
         return self.server.replay_daemon  # type: ignore[attr-defined]
@@ -107,20 +134,18 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
         return self.headers.get(CLIENT_HEADER, "").strip() or "anonymous"
 
     def _reply(self, status: int, payload: Any) -> None:
-        body = serialize.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        self._reply_text(status, serialize.dumps(payload, indent=None), "application/json")
 
     def _reply_text(self, status: int, text: str, content_type: str) -> None:
         body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self._unread_body:
+            # Left in the stream, it would be parsed as the next request.
+            self.close_connection = True
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -150,6 +175,7 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
             raise ConnectionAbortedError(
                 f"request body ended after {len(raw)} of {length} bytes"
             )
+        self._unread_body = False
         data = json.loads(raw.decode("utf-8"))
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
@@ -170,64 +196,29 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        head, job_id, action = self._route()
-        try:
-            if head == "health" and job_id is None:
-                self._reply(200, self.daemon_obj.health())
-            elif head == "metrics" and job_id is None:
-                # Prometheus exposition format, not JSON.
-                self._reply_text(
-                    200,
-                    self.daemon_obj.metrics_text(),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            elif head == "jobs" and job_id is None:
-                owner = None if self._wants_all() else self._owner()
-                self._reply(
-                    200, serialize.job_list_payload(self.daemon_obj.list_jobs(owner))
-                )
-            elif head == "jobs" and action is None:
-                record = self.daemon_obj.get(job_id, self._owner())
-                self._reply(200, serialize.job_payload(record))
-            elif head == "jobs" and action == "result":
-                record = self.daemon_obj.get(job_id, self._owner())
-                self.daemon_obj.result(job_id)  # state check
-                self._reply(200, serialize.job_result_payload(record))
-            elif head == "jobs" and action == "snapshot":
-                record = self.daemon_obj.get(job_id, self._owner())
-                self.daemon_obj.snapshot_of(job_id)  # state check
-                self._reply(200, serialize.snapshot_payload(record))
-            elif head == "jobs" and action == "analysis":
-                record = self.daemon_obj.get(job_id, self._owner())
-                analysis = self.daemon_obj.analysis(job_id)
-                self._reply(200, serialize.job_analysis_payload(record, analysis))
-            else:
-                self._reply(404, {"error": f"no route {self.path!r}", "error_type": "LookupError"})
-        except UnknownJobError as error:
-            self._error(404, error)
-        except JobAccessError as error:
-            self._error(403, error)
-        except (JobStateError, ValueError) as error:
-            self._error(400, error)
+        self._dispatch(self._get, (JobStateError, ValueError))
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        head, job_id, action = self._route()
+        self._dispatch(self._post, (JobStateError, KeyError, TypeError, ValueError))
+
+    def _dispatch(
+        self,
+        route: Callable[[str, Optional[str], Optional[str]], None],
+        bad_request: Tuple[Type[BaseException], ...],
+    ) -> None:
+        """Run ``route`` and map what it raises onto a status code;
+        ``bad_request`` names the errors that mean a malformed request."""
+        # Only ``POST /jobs`` reads a body; a reply to any other request
+        # that declared one closes the connection.
+        self._unread_body = (
+            (self.headers.get("Content-Length") or "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
         try:
-            if head == "jobs" and job_id is None:
-                body = self._read_body()
-                spec = JobSpec.from_dict(body.get("spec") or {})
-                record = self.daemon_obj.submit(
-                    self._owner(), spec, priority=int(body.get("priority") or 0)
-                )
-                self._reply(201, serialize.job_payload(record))
-            elif head == "jobs" and action in _ACTIONS:
-                method = getattr(self.daemon_obj, action)
-                record = method(job_id, self._owner())
-                self._reply(200, serialize.job_payload(record))
-            else:
-                self._reply(404, {"error": f"no route {self.path!r}", "error_type": "LookupError"})
-        except ConnectionError:
-            # The client went away mid-request: nobody is left to answer.
+            route(*self._route())
+        except (ConnectionError, TimeoutError):
+            # The client went away or stalled mid-request: nobody is left
+            # to answer.
             self.close_connection = True
         except BodyTooLargeError as error:
             self._error(413, error)
@@ -235,8 +226,107 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
             self._error(404, error)
         except JobAccessError as error:
             self._error(403, error)
-        except (JobStateError, KeyError, TypeError, ValueError, json.JSONDecodeError) as error:
+        except bad_request as error:
             self._error(400, error)
+        except Exception as error:
+            get_logger(ACCESS_LOGGER_NAME).error(
+                "internal error serving %s %s", self.command, self.path, exc_info=True
+            )
+            self._error(500, error)
+
+    def _get(self, head: str, job_id: Optional[str], action: Optional[str]) -> None:
+        if head == "health" and job_id is None:
+            self._reply(200, self.daemon_obj.health())
+        elif head == "metrics" and job_id is None:
+            # Prometheus exposition format, not JSON.
+            self._reply_text(
+                200,
+                self.daemon_obj.metrics_text(),
+                "text/plain; version=0.0.4; charset=utf-8",
+            )
+        elif head == "jobs" and job_id is None:
+            owner = None if self._wants_all() else self._owner()
+            self._reply(
+                200, serialize.job_list_payload(self.daemon_obj.list_jobs(owner))
+            )
+        elif head == "jobs" and action is None:
+            record = self.daemon_obj.get(job_id, self._owner())
+            self._reply(200, serialize.job_payload(record))
+        elif head == "jobs" and action == "result":
+            record = self.daemon_obj.get(job_id, self._owner())
+            self.daemon_obj.result(job_id)  # state check
+            self._reply(200, serialize.job_result_payload(record))
+        elif head == "jobs" and action == "snapshot":
+            record = self.daemon_obj.get(job_id, self._owner())
+            self.daemon_obj.snapshot_of(job_id)  # state check
+            self._reply(200, serialize.snapshot_payload(record))
+        elif head == "jobs" and action == "analysis":
+            record = self.daemon_obj.get(job_id, self._owner())
+            analysis = self.daemon_obj.analysis(job_id)
+            self._reply(200, serialize.job_analysis_payload(record, analysis))
+        else:
+            self._no_route()
+
+    def _post(self, head: str, job_id: Optional[str], action: Optional[str]) -> None:
+        if head == "jobs" and job_id is None:
+            body = self._read_body()
+            spec = JobSpec.from_dict(body.get("spec") or {})
+            record = self.daemon_obj.submit(
+                self._owner(), spec, priority=int(body.get("priority") or 0)
+            )
+            self._reply(201, serialize.job_payload(record))
+        elif head == "jobs" and action in _ACTIONS:
+            method = getattr(self.daemon_obj, action)
+            record = method(job_id, self._owner())
+            self._reply(200, serialize.job_payload(record))
+        else:
+            self._no_route()
+
+    def _no_route(self) -> None:
+        self._reply(404, {"error": f"no route {self.path!r}", "error_type": "LookupError"})
+
+
+class _ConnectionServer(HTTPServer):
+    """An ``HTTPServer`` with one daemon thread per connection that
+    :meth:`close_connections` can end (``ThreadingHTTPServer`` leaves a
+    kept-alive connection's thread waiting on its idle client)."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._lock = threading.Lock()
+        #: Open connection -> the thread serving it.
+        self._open: Dict[socket.socket, threading.Thread] = {}
+
+    def process_request(self, request: socket.socket, client_address: Any) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._lock:
+            self._open[request] = thread
+        thread.start()
+
+    def process_request_thread(self, request: socket.socket, client_address: Any) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
+            with self._lock:
+                del self._open[request]
+
+    def close_connections(self, timeout: float) -> None:
+        """Shut every open connection down and wait for its thread to end
+        (call after ``shutdown()``, so no new connection is accepted)."""
+        with self._lock:
+            open_connections = list(self._open.items())
+        for request, _ in open_connections:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its thread
+        for _, thread in open_connections:
+            thread.join(timeout)
 
 
 class DaemonServer:
@@ -258,10 +348,9 @@ class DaemonServer:
         # correlation scope active on the handling thread is stamped
         # onto the JSON log records.
         get_logger(ACCESS_LOGGER_NAME, tracer=getattr(daemon, "tracer", None))
-        self.httpd = ThreadingHTTPServer((host, port), DaemonRequestHandler)
+        self.httpd = _ConnectionServer((host, port), DaemonRequestHandler)
         self.httpd.replay_daemon = daemon  # type: ignore[attr-defined]
         self.httpd.verbose = verbose  # type: ignore[attr-defined]
-        self.httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -287,7 +376,7 @@ class DaemonServer:
 
     def stop(self) -> None:
         self.httpd.shutdown()
-        self.httpd.server_close()
+        self._close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -308,5 +397,10 @@ class DaemonServer:
         except KeyboardInterrupt:
             pass
         finally:
-            self.httpd.server_close()
+            self._close()
             self.daemon.stop()
+
+    def _close(self) -> None:
+        """Stop listening and end every open connection."""
+        self.httpd.server_close()
+        self.httpd.close_connections(timeout=5.0)

@@ -7,7 +7,8 @@ write-through: every state transition persists the full
 :class:`~repro.daemon.jobs.JobRecord` before the transition is visible to
 clients.  Writes are atomic (tmp file + ``os.replace``), the same
 discipline as the result cache, so a crash mid-write leaves the previous
-record rather than a torn one.
+record rather than a torn one.  A record is one line of compact JSON with
+sorted keys; records that older daemons wrote indented load the same.
 
 Records survive a crash of the daemon *process*, not of the *host*: the
 store never calls ``fsync``, so after a power loss or kernel crash the
@@ -45,6 +46,7 @@ class JobStore:
 
     def __init__(self, state_dir: Union[str, Path]) -> None:
         self.root = Path(state_dir)
+        #: Created by the first save that finds it missing.
         self.jobs_dir = self.root / "jobs"
         self._lock = threading.Lock()
 
@@ -54,11 +56,15 @@ class JobStore:
     # ------------------------------------------------------------------
     def save(self, record: JobRecord) -> Path:
         """Persist ``record`` atomically (write-through on every change)."""
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(record.to_dict(), separators=(",", ":"), sort_keys=True)
         path = self._path(record.id)
         tmp = path.with_suffix(f".tmp-{os.getpid()}")
         with self._lock:
-            tmp.write_text(json.dumps(record.to_dict(), indent=2, sort_keys=True))
+            try:
+                tmp.write_text(text)
+            except FileNotFoundError:
+                self.jobs_dir.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(text)
             os.replace(tmp, path)
         return path
 

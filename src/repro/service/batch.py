@@ -47,6 +47,7 @@ import os
 import traceback as traceback_module
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -87,8 +88,9 @@ class ReplayJob:
             trace_name=record.name,
         )
 
-    @property
+    @cached_property
     def cache_key(self) -> str:
+        """Computed once: a job is not changed after it is made."""
         return cache_key(self.trace_digest, self.config)
 
 

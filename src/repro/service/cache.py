@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
@@ -105,8 +106,8 @@ class ResultCache:
         config: Optional[ReplayConfig] = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> Path:
-        """Store a summary under ``key`` along with provenance metadata."""
-        self.root.mkdir(parents=True, exist_ok=True)
+        """Store a summary under ``key`` along with provenance metadata
+        (one line of compact JSON; entries written indented still load)."""
         entry: Dict[str, Any] = {
             "format": CACHE_FORMAT_VERSION,
             "key": key,
@@ -116,11 +117,17 @@ class ResultCache:
         }
         if extra:
             entry["extra"] = extra
+        text = json.dumps(entry, separators=(",", ":"), default=str)
         path = self._path(key)
         # Atomic write: concurrent invocations sharing the cache directory
-        # must never observe a partially written entry.
-        tmp = path.with_suffix(f".tmp-{os.getpid()}")
-        tmp.write_text(json.dumps(entry, indent=2, default=str))
+        # must never observe a partially written entry.  Each thread of
+        # each process writes its own tmp file.
+        tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
+        try:
+            tmp.write_text(text)
+        except FileNotFoundError:  # the first entry creates the directory
+            self.root.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
         os.replace(tmp, path)
         if self.max_entries is not None or self.ttl_s is not None:
             self.evict()

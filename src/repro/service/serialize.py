@@ -49,9 +49,12 @@ def to_jsonable(value: Any) -> Any:
     return str(value)
 
 
-def dumps(payload: Any, indent: int = 2) -> str:
-    """Render a payload exactly the way every subcommand prints JSON."""
-    return json.dumps(to_jsonable(payload), indent=indent)
+def dumps(payload: Any, indent: Optional[int] = 2) -> str:
+    """Render a payload exactly the way every subcommand prints JSON;
+    ``indent=None`` renders it on one line without spaces (the daemon's
+    replies)."""
+    separators = None if indent is not None else (",", ":")
+    return json.dumps(to_jsonable(payload), indent=indent, separators=separators)
 
 
 def dumps_compact(payload: Any) -> str:

@@ -16,8 +16,10 @@ scenarios:
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -47,6 +49,7 @@ from repro.service import TraceRepository
 from repro.service.cache import ResultCache
 from repro.workloads.ddp import DistributedRunner
 from repro.workloads.param_linear import ParamLinearConfig, ParamLinearWorkload
+from tests import test_core_reconstruction_and_tensors as rule_tests
 from tests.conftest import make_small_rm
 
 WAIT_S = 180.0
@@ -325,6 +328,28 @@ class TestJobStore:
         assert len(list(store.jobs_dir.glob("j1.tmp-*"))) == 1
         JobStore(tmp_path).recover()
         assert sorted(path.name for path in store.jobs_dir.iterdir()) == ["j1.json"]
+
+    def test_records_are_compact_and_indented_ones_still_recover(self, tmp_path):
+        """Records are one line of sorted compact JSON; a record an older
+        daemon wrote indented loads, recovers and is rewritten compact."""
+        store = JobStore(tmp_path)
+        store.save(self.make_record("j1"))
+        text = (store.jobs_dir / "j1.json").read_text()
+        assert "\n" not in text and ": " not in text
+        assert text == json.dumps(json.loads(text), separators=(",", ":"), sort_keys=True)
+        old = self.make_record("j2", state="running", seq=2)
+        (store.jobs_dir / "j2.json").write_text(json.dumps(old.to_dict(), indent=2, sort_keys=True))
+        assert [record.id for record in store.recover()] == ["j1", "j2"]
+        recovered = store.load("j2")
+        assert recovered.state == "queued"
+        assert recovered.to_dict() == dict(old.to_dict(), state="queued")
+        assert "\n" not in (store.jobs_dir / "j2.json").read_text()
+
+    def test_first_save_creates_the_jobs_directory(self, tmp_path):
+        store = JobStore(tmp_path / "state")
+        assert not store.jobs_dir.exists()
+        store.save(self.make_record("j1"))
+        assert store.load("j1") is not None
 
     def test_load_all_orders_by_submission(self, tmp_path):
         store = JobStore(tmp_path)
@@ -1123,6 +1148,18 @@ class TestHttpApi:
         return connection
 
     @staticmethod
+    def _count_accepts(server, monkeypatch) -> list:
+        """A list that gains one entry per connection the server accepts."""
+        accepts: list = []
+        process_request = server.httpd.process_request
+        monkeypatch.setattr(
+            server.httpd,
+            "process_request",
+            lambda request, address: accepts.append(address) or process_request(request, address),
+        )
+        return accepts
+
+    @staticmethod
     def _request_threads() -> int:
         return sum(
             "process_request_thread" in thread.name for thread in threading.enumerate()
@@ -1167,6 +1204,63 @@ class TestHttpApi:
         assert server.daemon.list_jobs(None) == []
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_internal_error_maps_to_500_and_the_connection_serves_on(
+        self, server, monkeypatch
+    ):
+        """An error no route maps is a JSON 500 with its traceback logged
+        once; the connection carries the client's next request."""
+        from repro.daemon.server import ACCESS_LOGGER_NAME
+        from repro.telemetry import get_logger
+
+        def broken(owner=None):
+            raise RuntimeError("queue is closed")
+
+        accepts = self._count_accepts(server, monkeypatch)
+        monkeypatch.setattr(server.daemon, "list_jobs", broken)
+        stream = io.StringIO()
+        get_logger(ACCESS_LOGGER_NAME, stream=stream)
+        try:
+            client = DaemonClient(server.url, client_id="alice")
+            with pytest.raises(DaemonClientError) as error:
+                client.list_jobs()
+            assert error.value.status == 500
+            assert error.value.error_type == "RuntimeError"
+            assert error.value.message == "queue is closed"
+            assert client.health()["schema_version"] == DAEMON_SCHEMA_VERSION
+        finally:
+            get_logger(ACCESS_LOGGER_NAME, stream=sys.stderr)
+        assert len(accepts) == 1
+        assert stream.getvalue().count("Traceback") == 1
+
+    def test_metrics_report_the_per_process_tables(self, server, daemon_repo):
+        """On an idle daemon every table gauge equals its /health number."""
+        client = DaemonClient(server.url, client_id="alice")
+        job = client.submit("sweep", sweep_payload(daemon_repo))
+        assert client.wait(job["id"], timeout=WAIT_S)["state"] == "completed"
+        connection = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            connection.request("GET", "/metrics")
+            text = connection.getresponse().read().decode("utf-8")
+        finally:
+            connection.close()
+        health = client.health()
+        samples = dict(
+            line.split(" ") for line in text.splitlines() if not line.startswith("#")
+        )
+        expected = {
+            "repro_verified_traces": health["verified_traces"]["traces"],
+            "repro_verified_trace_bytes": health["verified_traces"]["bytes"],
+            "repro_index_payloads": health["index_payloads"]["arrays"],
+            "repro_index_payload_bytes": health["index_payloads"]["bytes"],
+            "repro_program_environments": health["programs"]["environments"],
+            "repro_programs": health["programs"]["programs"],
+            "repro_job_records_in_memory": health["job_records"]["in_memory"],
+            "repro_job_records_on_disk": health["job_records"]["on_disk"],
+        }
+        assert {name: float(samples[name]) for name in expected} == expected
+        assert expected["repro_job_records_on_disk"] == 1
+        assert expected["repro_programs"] > 0
+
     def test_health_endpoint(self, server):
         health = DaemonClient(server.url).health()
         assert health["schema_version"] == DAEMON_SCHEMA_VERSION
@@ -1176,6 +1270,162 @@ class TestHttpApi:
         with pytest.raises(urllib.error.HTTPError) as error:
             urllib.request.urlopen(f"{server.url}/nope", timeout=10)
         assert error.value.code == 404
+
+
+class TestConnections:
+    """Each client thread keeps one connection alive across requests."""
+
+    @pytest.fixture()
+    def server(self, tmp_path):
+        with DaemonServer(ReplayDaemon(tmp_path / "state", workers=1), port=0) as running:
+            yield running
+
+    _count_accepts = staticmethod(TestHttpApi._count_accepts)
+    _request_threads = staticmethod(TestHttpApi._request_threads)
+
+    def test_requests_of_one_client_share_one_connection(self, server, daemon_repo, monkeypatch):
+        accepts = self._count_accepts(server, monkeypatch)
+        with DaemonClient(server.url, client_id="alice") as client:
+            job = client.submit("sweep", sweep_payload(daemon_repo))
+            client.wait(job["id"], timeout=WAIT_S, poll_s=0.01)
+            client.result(job["id"])
+            client.list_jobs()
+            for _ in range(5):
+                client.health()
+        assert len(accepts) == 1
+
+    def test_each_thread_gets_its_own_connection(self, server, monkeypatch):
+        accepts = self._count_accepts(server, monkeypatch)
+        client = DaemonClient(server.url)
+        threads = [
+            threading.Thread(target=lambda: [client.health() for _ in range(3)])
+            for _ in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        client.health()
+        assert len(accepts) == 4
+        client.close()
+
+    def test_connection_the_server_timed_out_is_replaced(self, server, daemon_repo, monkeypatch):
+        """An idle connection the server closed is noticed before reuse, so
+        a submit across it reaches the daemon exactly once."""
+        accepts = self._count_accepts(server, monkeypatch)
+        monkeypatch.setattr(DaemonRequestHandler, "timeout", 0.2)
+        client = DaemonClient(server.url, client_id="alice")
+        client.health()
+        deadline = time.monotonic() + 10
+        while self._request_threads() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert self._request_threads() == 0  # the server dropped the idle connection
+        job = client.submit("sweep", sweep_payload(daemon_repo))
+        assert len(accepts) == 2
+        assert [record.id for record in server.daemon.list_jobs(None)] == [job["id"]]
+        client.close()
+
+    def test_client_recovers_after_a_413_closes_its_connection(self, server, monkeypatch):
+        from repro.daemon import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 16)
+        client = DaemonClient(server.url, client_id="alice")
+        with pytest.raises(DaemonClientError) as error:
+            client.submit("sweep", {"repo": "r"})
+        assert error.value.status == 413
+        assert error.value.error_type == "BodyTooLargeError"
+        assert client.health()["schema_version"] == DAEMON_SCHEMA_VERSION
+        assert server.daemon.list_jobs(None) == []
+
+    def test_a_body_no_route_reads_closes_the_connection(self, server):
+        """Left unread, the body would be parsed as the connection's next
+        request; the reply closes the connection instead."""
+        connection = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            connection.request("POST", "/jobs/0123456789ab/pause", body=b'{"x": 1}')
+            response = connection.getresponse()
+            assert response.status == 404
+            assert response.getheader("Connection") == "close"
+            response.read()
+            connection.request("GET", "/health")  # reconnects
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["schema_version"] == DAEMON_SCHEMA_VERSION
+        finally:
+            connection.close()
+
+    def test_interim_100_continue_is_sent_before_the_body(self, server):
+        """Replies are buffered, but a client that waits for ``100
+        Continue`` before sending its body gets it at once."""
+        body = b'{"spec": {"kind": "mapreduce", "payload": {}}}'
+        connection = socket.create_connection(server.address, timeout=10)
+        try:
+            connection.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: x\r\nX-Repro-Client: alice\r\n"
+                b"Expect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            connection.settimeout(2)
+            assert connection.recv(1024) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            connection.sendall(body)
+            assert connection.recv(4096).startswith(b"HTTP/1.1 400 ")
+        finally:
+            connection.close()
+
+    def test_stop_ends_every_connection(self, tmp_path):
+        daemon = ReplayDaemon(tmp_path / "state", workers=1)
+        server = DaemonServer(daemon, port=0)
+        server.start()
+        client = DaemonClient(server.url)
+        try:
+            client.health()
+            assert self._request_threads() == 1
+        finally:
+            server.stop()
+        assert self._request_threads() == 0
+        with pytest.raises(DaemonClientError) as error:
+            client.health()
+        assert error.value.status == 0
+
+    def test_kept_alive_requests_do_not_wait_for_delayed_acks(self, server):
+        """A reply split over two sends with Nagle on waits about 40 ms for
+        the client's delayed ACK; 20 requests must take far less than 20
+        such waits."""
+        client = DaemonClient(server.url, client_id="alice")
+        client.health()
+        start = time.perf_counter()
+        for _ in range(10):
+            client.health()
+            client.list_jobs()
+        assert time.perf_counter() - start < 20 * 0.040 / 2
+        client.close()
+
+
+class TestDaemonUrlopenRule:
+    """``scripts/check_deprecated_usage.py`` keeps ``urlopen(`` out of the
+    package, so no client opens a connection per request."""
+
+    _find_offenders = staticmethod(rule_tests.TestReconstructionCacheBypassRule._find_offenders)
+    _write = staticmethod(rule_tests.TestReconstructionCacheBypassRule._write)
+
+    def test_repo_is_clean(self):
+        offenders = self._find_offenders(Path(__file__).resolve().parents[1])
+        assert "daemon-urlopen" not in offenders
+
+    def test_flags_urlopen_calls_in_the_package(self, tmp_path):
+        self._write(
+            tmp_path,
+            "src/repro/daemon/client.py",
+            "with urllib.request.urlopen(request, timeout=5) as response:\n",
+        )
+        self._write(tmp_path, "src/repro/service/cli.py", "body = urlopen(url).read()\n")
+        offenders = self._find_offenders(tmp_path)
+        assert len(offenders["daemon-urlopen"]) == 2
+
+    def test_tests_and_prose_pass(self, tmp_path):
+        self._write(tmp_path, "tests/test_x.py", "urllib.request.urlopen(url)\n")
+        self._write(tmp_path, "src/repro/daemon/client.py", '"""Never calls urlopen."""\n')
+        assert "daemon-urlopen" not in self._find_offenders(tmp_path)
 
 
 # ----------------------------------------------------------------------

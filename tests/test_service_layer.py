@@ -337,6 +337,39 @@ class TestResultCache:
         assert cache_key("a", ReplayConfig()) != cache_key("a", ReplayConfig(device="V100"))
         assert cache_key("a", ReplayConfig()) == cache_key("a", ReplayConfig())
 
+    def test_threads_putting_one_key_never_collide(self, tmp_path):
+        """Each thread writes its own tmp file, so concurrent puts of one
+        key never replace or lose each other's."""
+        cache = ResultCache(tmp_path / "cache")
+        key = cache_key("abc", ReplayConfig())
+        summary = ReplayResultSummary(iteration_times_us=[42.0], replayed_ops=7)
+        errors = []
+
+        def put_many():
+            try:
+                for _ in range(300):
+                    cache.put(key, summary, trace_digest="abc", config=ReplayConfig())
+            except Exception as error:  # pragma: no cover - the failure reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=put_many) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert cache.get(key).to_dict() == summary.to_dict()
+        assert sorted(path.name for path in cache.root.iterdir()) == [f"{key}.json"]
+
+    def test_entries_are_compact_and_indented_ones_still_load(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        key = cache_key("abc", ReplayConfig())
+        summary = ReplayResultSummary(iteration_times_us=[42.0], replayed_ops=7)
+        path = cache.put(key, summary, trace_digest="abc", config=ReplayConfig())
+        assert "\n" not in path.read_text()
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+        assert cache.get(key).to_dict() == summary.to_dict()
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key = cache_key("abc", ReplayConfig())
